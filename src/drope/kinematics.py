@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,13 +132,19 @@ class ActionGrid:
     def n_actions(self) -> int:
         return self.n_accel * self.n_yaw
 
+    @cached_property
+    def _actions(self) -> tuple:
+        return tuple(
+            ControlAction(accel, yaw_rate)
+            for accel in self.accel_centers
+            for yaw_rate in self.yaw_rate_centers
+        )
+
     def action(self, index: int) -> ControlAction:
+        """The action of a flat index; one shared instance per index."""
         if not 0 <= index < self.n_actions:
             raise InvalidArgumentError(f"action index {index} out of range")
-        return ControlAction(
-            self.accel_centers[index // self.n_yaw],
-            self.yaw_rate_centers[index % self.n_yaw],
-        )
+        return self._actions[index]
 
     @property
     def zero_action_index(self) -> int:

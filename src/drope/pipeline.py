@@ -9,7 +9,13 @@ sequence, and decode per-step logits over the discrete action grid.
 
 Rollout closes the loop: decode a distribution for the newest step, pick an
 action (greedy or seeded sampling), advance each agent with the kinematic
-update, re-tokenize, repeat. The attention sub-blocks compute
+update, repeat. ``PipelinePolicy`` decodes incrementally: the interaction
+blocks treat each timestep on its own, the map never changes during a
+rollout, and temporal attention is causal with a sinusoidal row per step
+that does not depend on the sequence length. So a step that only appends
+states encodes the new timestep alone, against the map tokens and temporal
+keys/values cached from earlier steps, and gives the logits a full forward
+pass over the history would. The attention sub-blocks compute
 ``tokens + FFN(W_o @ attention(tokens))``, so a zero-weight FFN makes a block
 the identity regardless of the projections.
 """
@@ -20,6 +26,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +94,7 @@ class PipelineConfig:
         if self.variant is Variant.DROPE_IH and self.split is None:
             self.split = IntraHeadSplit.balanced(self.d_k)
 
-    @property
+    @cached_property
     def sched(self) -> FrequencySchedule:
         return FrequencySchedule.default(self.d_k)
 
@@ -233,12 +240,7 @@ def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfi
     """
     if scene.n_agents == 0 or scene.n_steps == 0 or not scene.segments:
         raise InvalidArgumentError("the scene needs agents, steps, and map segments")
-    speeds = scene.agent_states[:, :, 3]
-    feats = np.stack([speeds, np.ones_like(speeds)], axis=-1)
-    agent_tokens = (
-        np.tanh(feats @ weights.agent_w1 + weights.agent_b1) @ weights.agent_w2
-        + weights.agent_b2
-    )
+    agent_tokens = _agent_tokens(scene.agent_states, weights)
     map_tokens = np.empty((len(scene.segments), config.d_model))
     for index, segment in enumerate(scene.segments):
         point_feats = np.tanh(segment.local_shape @ weights.map_point_w + weights.map_point_b)
@@ -252,12 +254,24 @@ def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfi
     )
 
 
-def _project_qkv(tokens: np.ndarray, bw: BlockWeights) -> QKVSet:
-    return QKVSet(
-        q=np.einsum("nd,dhw->nhw", tokens, bw.w_q),
-        k=np.einsum("nd,dhw->nhw", tokens, bw.w_k),
-        v=np.einsum("nd,dhw->nhw", tokens, bw.w_v),
+def _agent_tokens(states: np.ndarray, weights: PipelineWeights) -> np.ndarray:
+    """Agent tokens from [x, y, yaw, v] states of any leading shape; speed only."""
+    speeds = states[..., 3]
+    feats = np.stack([speeds, np.ones_like(speeds)], axis=-1)
+    return (
+        np.tanh(feats @ weights.agent_w1 + weights.agent_b1) @ weights.agent_w2
+        + weights.agent_b2
     )
+
+
+def _project(tokens: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-head projection of (..., d_model) tokens to (..., H, width)."""
+    return np.einsum("...d,dhw->...hw", tokens, weights)
+
+
+def _project_qkv(tokens: np.ndarray, bw: BlockWeights) -> QKVSet:
+    return QKVSet(q=_project(tokens, bw.w_q), k=_project(tokens, bw.w_k),
+                  v=_project(tokens, bw.w_v))
 
 
 def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
@@ -283,34 +297,44 @@ def _cross_block(tokens, poses, kv_tokens, kv_poses, bw, config) -> np.ndarray:
     return tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
+def _agent_interaction(agent_tokens, poses, map_tokens, map_poses,
+                       block: InteractionBlockWeights, config: PipelineConfig):
+    """One timestep's agents through one block: self-attention, then to the map.
+
+    ``map_tokens`` are the block's map tokens after its map self-attention.
+    """
+    agent_tokens = _self_block(agent_tokens, poses, block.agent_sa, config)
+    return _cross_block(agent_tokens, poses, map_tokens, map_poses, block.cross, config)
+
+
 def interaction_step(
     tokens: SceneTokens, block: InteractionBlockWeights, config: PipelineConfig
 ) -> SceneTokens:
-    """One interaction block: agents per step, the map once, then agents to map."""
-    agent_tokens = tokens.agent_tokens.copy()
-    n_steps = agent_tokens.shape[1]
-    for t in range(n_steps):
-        agent_tokens[:, t] = _self_block(
-            agent_tokens[:, t], tokens.agent_poses(t), block.agent_sa, config
-        )
+    """One interaction block: the map once, then the agents of each timestep."""
     map_tokens = _self_block(tokens.map_tokens, tokens.map_poses, block.map_sa, config)
-    for t in range(n_steps):
-        agent_tokens[:, t] = _cross_block(
-            agent_tokens[:, t], tokens.agent_poses(t),
-            map_tokens, tokens.map_poses, block.cross, config,
+    agent_tokens = np.empty_like(tokens.agent_tokens)
+    for t in range(agent_tokens.shape[1]):
+        agent_tokens[:, t] = _agent_interaction(
+            tokens.agent_tokens[:, t], tokens.agent_poses(t),
+            map_tokens, tokens.map_poses, block, config,
         )
     return replace(tokens, agent_tokens=agent_tokens, map_tokens=map_tokens)
 
 
-def sinusoidal_position_encoding(n_steps: int, d_model: int) -> np.ndarray:
-    positions = np.arange(n_steps, dtype=np.float64)[:, None]
+def _step_encoding(steps, d_model: int) -> np.ndarray:
+    """Sinusoidal encoding rows of the given steps; each row depends on its step only."""
+    positions = np.asarray(steps, dtype=np.float64)[:, None]
     scales = np.exp(
         -math.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model
     )[None, :]
-    encoding = np.empty((n_steps, d_model))
+    encoding = np.empty((positions.shape[0], d_model))
     encoding[:, 0::2] = np.sin(positions * scales)
     encoding[:, 1::2] = np.cos(positions * scales)
     return encoding
+
+
+def sinusoidal_position_encoding(n_steps: int, d_model: int) -> np.ndarray:
+    return _step_encoding(np.arange(n_steps), d_model)
 
 
 def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineConfig):
@@ -319,14 +343,31 @@ def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineCo
     Output at step t depends only on inputs at steps <= t; masked positions
     are excluded before the softmax, so the guarantee is bitwise.
     """
-    n_agents, n_steps, _ = agent_tokens.shape
+    n_steps = agent_tokens.shape[1]
     encoded = agent_tokens + sinusoidal_position_encoding(n_steps, config.d_model)[None]
-    out = np.empty_like(encoded)
-    for i in range(n_agents):
-        sequence = encoded[i]
-        attended = mhsa_causal(_project_qkv(sequence, bw))
-        out[i] = sequence + _ffn(attended.merged @ bw.w_o, bw)
-    return out
+    attended = mhsa_causal(_temporal_banks(encoded, bw))
+    return _temporal_residual(encoded, attended, bw)
+
+
+def _temporal_banks(encoded: np.ndarray, bw: BlockWeights) -> QKVSet:
+    """Temporal Q/K/V of (n_agents, T, d_model) encoded tokens, time-major.
+
+    Each agent's heads become heads of their own, (T, n_agents*H, width):
+    attention treats heads independently, so one call over these banks is
+    every agent attending over its own sequence.
+    """
+    def fold(bank):
+        n_agents, n_steps, n_heads, width = bank.shape
+        return bank.transpose(1, 0, 2, 3).reshape(n_steps, n_agents * n_heads, width)
+
+    return QKVSet(*(fold(_project(encoded, w)) for w in (bw.w_q, bw.w_k, bw.w_v)))
+
+
+def _temporal_residual(encoded: np.ndarray, attended, bw: BlockWeights) -> np.ndarray:
+    """``encoded + FFN(W_o @ attention)`` from the attention over folded banks."""
+    n_agents, n_steps, _ = encoded.shape
+    merged = attended.per_head.reshape(n_steps, n_agents, -1).transpose(1, 0, 2)
+    return encoded + _ffn(merged @ bw.w_o, bw)
 
 
 @dataclass
@@ -348,7 +389,8 @@ class ActionDistribution:
         flat = probs.reshape(-1, probs.shape[-1])
         draws = rng.random(flat.shape[0])
         cumulative = np.cumsum(flat, axis=-1)
-        indices = (draws[:, None] > cumulative).sum(axis=-1)
+        # a rounded cumsum can end below 1, under the largest draws
+        indices = np.minimum((draws[:, None] > cumulative).sum(axis=-1), flat.shape[-1] - 1)
         return indices.reshape(probs.shape[:-1])
 
 
@@ -380,8 +422,90 @@ class ConstantActionPolicy:
         return [self.action] * scene.n_agents
 
 
+@dataclass
+class _IncrementalDecoder:
+    """What PipelinePolicy caches to decode the next step of a rollout.
+
+    Holds the states already encoded, the map segments, per block the map
+    tokens after its map self-attention, the temporal keys and values
+    (T, n_agents*H, width), and the newest step's distribution.
+    """
+
+    states: np.ndarray
+    segments: tuple
+    map_tokens: list
+    map_poses: PoseSet
+    keys: np.ndarray
+    values: np.ndarray
+    newest: ActionDistribution
+
+    @classmethod
+    def cold_start(cls, scene: Scene, weights: PipelineWeights,
+                   config: PipelineConfig) -> "_IncrementalDecoder":
+        """Full forward pass over the scene, keeping what later steps reuse."""
+        tokens = tokenize_scene(scene, weights, config)
+        map_tokens = []
+        for block in weights.blocks:
+            tokens = interaction_step(tokens, block, config)
+            map_tokens.append(tokens.map_tokens)
+        final = temporal_step(tokens.agent_tokens, weights.temporal, config)
+        encoded = tokens.agent_tokens + sinusoidal_position_encoding(
+            scene.n_steps, config.d_model
+        )
+        banks = _temporal_banks(encoded, weights.temporal)
+        return cls(
+            states=scene.agent_states.copy(),
+            segments=tuple(scene.segments),
+            map_tokens=map_tokens,
+            map_poses=tokens.map_poses,
+            keys=banks.k,
+            values=banks.v,
+            newest=decode_actions(final[:, -1:], weights, config),
+        )
+
+    def extends(self, scene: Scene) -> bool:
+        """Whether ``scene`` only appends timesteps to the states encoded so far."""
+        n_agents, n_steps, _ = self.states.shape
+        return (
+            len(scene.segments) == len(self.segments)
+            and all(new is old for new, old in zip(scene.segments, self.segments))
+            and scene.n_agents == n_agents
+            and scene.n_steps > n_steps
+            and np.array_equal(scene.agent_states[:, :n_steps], self.states)
+        )
+
+    def advance(self, scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> None:
+        """Encode each new timestep of ``scene`` and decode the newest one."""
+        for t in range(self.states.shape[1], scene.n_steps):
+            final = self._push(scene.agent_states[:, t], t, weights, config)
+        self.states = scene.agent_states.copy()
+        self.newest = decode_actions(final[:, None], weights, config)
+
+    def _push(self, states: np.ndarray, t: int, weights: PipelineWeights,
+              config: PipelineConfig) -> np.ndarray:
+        """Final temporal tokens (n_agents, d_model) of timestep ``t``."""
+        tokens = _agent_tokens(states, weights)
+        poses = PoseSet(states[:, :2], states[:, 2])
+        for block, map_tokens in zip(weights.blocks, self.map_tokens):
+            tokens = _agent_interaction(tokens, poses, map_tokens, self.map_poses, block, config)
+        encoded = (tokens + _step_encoding([t], config.d_model))[:, None]
+        row = _temporal_banks(encoded, weights.temporal)
+        self.keys = np.concatenate([self.keys, row.k])
+        self.values = np.concatenate([self.values, row.v])
+        # the newest step is the last one, so the causal mask hides nothing
+        cache = QKVSet(self.keys, self.keys, self.values)
+        attended = mhca(row, cache, None, None, Variant.PLAIN)
+        return _temporal_residual(encoded, attended, weights.temporal)[:, 0]
+
+
 class PipelinePolicy:
-    """Decodes the newest-step distribution and picks an action per agent."""
+    """Decodes the newest-step distribution and picks an action per agent.
+
+    Successive calls on a growing history (the same map segments, the same
+    agents, earlier states unchanged) encode only the new timesteps against
+    a cache; any other scene is encoded from scratch. Either way the logits
+    are those of ``forward`` on the full history, up to rounding.
+    """
 
     def __init__(self, weights: PipelineWeights, config: PipelineConfig,
                  mode: str = "greedy", seed: int = 0):
@@ -391,10 +515,17 @@ class PipelinePolicy:
         self.config = config
         self.mode = mode
         self.rng = np.random.default_rng(seed)
+        self._decoder: _IncrementalDecoder | None = None
 
     def actions(self, scene: Scene):
-        distribution, _ = forward(scene, self.weights, self.config)
-        last = ActionDistribution(distribution.logits[:, -1:, :])
+        # taken out while it changes, so a push that raises leaves no stale cache
+        decoder, self._decoder = self._decoder, None
+        if decoder is not None and decoder.extends(scene):
+            decoder.advance(scene, self.weights, self.config)
+        else:
+            decoder = _IncrementalDecoder.cold_start(scene, self.weights, self.config)
+        self._decoder = decoder
+        last = decoder.newest
         if self.mode == "greedy":
             indices = last.greedy_indices()[:, 0]
         else:

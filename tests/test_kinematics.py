@@ -92,6 +92,19 @@ class TestActionGrid:
         with pytest.raises(InvalidArgumentError):
             ActionGrid.default().action(81)
 
+    def test_actions_are_shared_and_unchanged(self):
+        grid = ActionGrid.default(n_accel=5, n_yaw=3)
+        for index in range(grid.n_actions):
+            action = grid.action(index)
+            assert action is grid.action(index)
+            assert action == ControlAction(
+                grid.accel_centers[index // grid.n_yaw],
+                grid.yaw_rate_centers[index % grid.n_yaw],
+            )
+        for index in (-1, grid.n_actions):
+            with pytest.raises(InvalidArgumentError):
+                grid.action(index)
+
     def test_centers_span_limits(self):
         grid = ActionGrid.default()
         assert grid.accel_centers[0] == -ACCEL_LIMIT

@@ -1,9 +1,11 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import drope.pipeline as pipeline
 from drope.attention import IntraHeadSplit, Variant
 from drope.errors import ConfigurationError, InvalidArgumentError
 from drope.kinematics import ZERO_ACTION
@@ -25,6 +27,7 @@ from drope.pipeline import (
     tokenize_scene,
     write_trajectory_csv,
 )
+from drope.rotary import FrequencySchedule
 from drope.scene import Scene, make_constant_velocity_scene, make_scene
 
 from oracles import (
@@ -199,6 +202,28 @@ class TestDecode:
         probs = decode_actions(tokens, weights, config).probabilities()
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
 
+    def test_largest_draw_stays_on_the_grid(self):
+        class LargestDraw:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        distribution = ActionDistribution(np.random.default_rng(6).standard_normal((64, 81)))
+        ends = np.cumsum(distribution.probabilities(), axis=-1)[:, -1]
+        short = ends < np.nextafter(1.0, 0.0)
+        assert short.any()   # rows whose rounded cumsum ends below the draw
+        indices = distribution.sample_indices(LargestDraw())
+        assert np.all(indices[short] == 80)
+        assert np.all((0 <= indices) & (indices <= 80))
+
+    def test_in_range_draws_are_unchanged(self):
+        distribution = ActionDistribution(np.random.default_rng(7).standard_normal((64, 81)))
+        draws = np.random.default_rng(8).random(64)
+        cumulative = np.cumsum(distribution.probabilities(), axis=-1)
+        unclamped = (draws[:, None] > cumulative).sum(axis=-1)
+        assert np.all(unclamped <= 80)
+        sampled = distribution.sample_indices(np.random.default_rng(8))
+        assert np.array_equal(sampled, unclamped)
+
     def test_argmax_invariant_to_logit_shift(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((2, 3, 81))
@@ -333,6 +358,140 @@ class TestRollout:
         assert float(first[3]) == result.states[0, 0, 0]
 
 
+class FullRecomputePolicy:
+    """The reference policy: a full forward pass over the history every step."""
+
+    def __init__(self, weights, config, mode="greedy", seed=0):
+        self.weights, self.config, self.mode = weights, config, mode
+        self.rng = np.random.default_rng(seed)
+
+    def actions(self, scene):
+        distribution, _ = forward(scene, self.weights, self.config)
+        last = ActionDistribution(distribution.logits[:, -1:, :])
+        if self.mode == "greedy":
+            indices = last.greedy_indices()[:, 0]
+        else:
+            indices = last.sample_indices(self.rng)[:, 0]
+        return [self.config.grid.action(int(index)) for index in indices]
+
+
+class RecordingPolicy:
+    """Passes through to a policy and keeps every scene it was shown."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.scenes = []
+
+    def actions(self, scene):
+        self.scenes.append(scene)
+        return self.policy.actions(scene)
+
+
+def spy_on(monkeypatch, names, counts, outputs=None):
+    """Count calls made through ``drope.pipeline.<name>``; keep their outputs."""
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+            counts[_name] += 1
+            out = _real(*args, **kwargs)
+            if outputs is not None:
+                outputs.setdefault(_name, []).append(out)
+            return out
+
+        monkeypatch.setattr(pipeline, name, spy)
+
+
+def assert_newest_logits_match_forward(logits, scene, weights, config):
+    """Equal to ``forward`` on the full history to 1e-12 of the largest logit."""
+    full = forward(scene, weights, config)[0].logits[:, -1]
+    assert logits.shape == full.shape
+    assert np.max(np.abs(logits - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+class TestIncrementalDecoding:
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_full_recompute(self, variant, mode, monkeypatch):
+        config = small_config(variant, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=30)
+        scene = small_scene(30, n_agents=3, n_steps=2)
+        counts, outputs = Counter(), {}
+        spy_on(monkeypatch, ["decode_actions"], counts, outputs)
+        policy = RecordingPolicy(PipelinePolicy(weights, config, mode=mode, seed=4))
+        result = rollout(scene, policy, horizon=10)
+        monkeypatch.undo()
+        # one decode per step, each of the newest timestep only
+        assert len(outputs["decode_actions"]) == len(policy.scenes) == 10
+        for history, decoded in zip(policy.scenes, outputs["decode_actions"]):
+            assert decoded.logits.shape[1] == 1
+            assert_newest_logits_match_forward(decoded.logits[:, 0], history, weights, config)
+        expected = rollout(scene, FullRecomputePolicy(weights, config, mode, seed=4), 10)
+        assert result.actions == expected.actions
+        assert np.array_equal(result.states, expected.states)
+
+    def test_falls_back_to_a_full_pass_on_any_other_scene(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=31)
+        scene_a = small_scene(31, n_agents=3, n_steps=3)
+        scene_b = small_scene(32, n_agents=3, n_steps=5)
+
+        def grown(n_new, segments=scene_a.segments, agents=slice(None)):
+            """Scene A with its last states repeated ``n_new`` more times."""
+            last = scene_a.agent_states[:, -1:]
+            states = np.concatenate(
+                [scene_a.agent_states, np.repeat(last, n_new, axis=1)], axis=1
+            )
+            return Scene(states[agents], segments, scene_a.dt)
+
+        other_map = scene_a.segments[:-1] + scene_a.segments[:1]
+        changed = grown(6, other_map)
+        changed.agent_states[2, 0, 3] += 0.25
+        # each cold case differs from the cached scene in one respect only
+        calls = [
+            (scene_a, True),                           # first call
+            (grown(1), False),                         # one new timestep
+            (grown(3), False),                         # two more at once
+            (grown(4, list(scene_a.segments)), False),  # same segments, new list
+            (scene_b, True),                           # an unrelated scene
+            (grown(4), True),                          # scene A again, after B
+            (grown(4), True),                          # the same scene: nothing new
+            (grown(5, other_map), True),               # one map segment differs
+            (changed, True),                           # one prefix state differs
+            (grown(7, other_map, slice(2)), True),     # fewer agents
+        ]
+        policy = PipelinePolicy(weights, config)
+        reference = FullRecomputePolicy(weights, config)
+        for scene, cold in calls:
+            counts, outputs = Counter(), {}
+            spy_on(monkeypatch, ["tokenize_scene", "decode_actions"], counts, outputs)
+            actions = policy.actions(scene)
+            monkeypatch.undo()
+            assert counts["tokenize_scene"] == int(cold)
+            assert_newest_logits_match_forward(
+                outputs["decode_actions"][0].logits[:, -1], scene, weights, config
+            )
+            assert actions == reference.actions(scene)
+
+    def test_push_cost_is_flat_in_history(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=33)
+        history = small_scene(33, n_agents=3, n_steps=3)
+        policy = PipelinePolicy(weights, config)
+        policy.actions(history)
+        counts = Counter()
+        spy_on(monkeypatch, ["mhsa", "mhca", "mhsa_causal", "tokenize_scene",
+                             "interaction_step", "temporal_step"], counts)
+        per_push = {}
+        while history.n_steps < 40:
+            history = history.with_appended_states(history.agent_states[:, -1])
+            counts.clear()
+            policy.actions(history)
+            per_push[history.n_steps] = dict(counts)
+        # per block one agent self-attention and one agent-to-map call, then
+        # one temporal call for all agents
+        assert per_push[4] == {"mhsa": 2, "mhca": 3}
+        assert per_push[40] == per_push[4]
+
+
 class TestSceneRotationProperty:
     def test_angle_head_attention_invariant_under_scene_rotation(self):
         """Rotating the scene rigidly preserves the heading-head attention rows.
@@ -360,6 +519,11 @@ class TestConfigValidation:
     def test_head_by_head_needs_two_heads(self):
         with pytest.raises(ConfigurationError):
             small_config(n_heads=1)
+
+    def test_schedule_built_once_per_config(self):
+        config = small_config(d_k=4)
+        assert config.sched is config.sched
+        assert np.array_equal(config.sched.freqs, FrequencySchedule.default(4).freqs)
 
     def test_intra_head_gets_balanced_split(self):
         config = small_config(Variant.DROPE_IH)
