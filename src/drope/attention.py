@@ -13,6 +13,16 @@ banks are (N, H, d_v). Scores are scaled by 1/sqrt(d_k) with d_k the pair
 count. All engines are pure functions of their inputs; the optional
 AllocationMeter only records scalar counts of the arrays an engine
 materializes, grouped into the categories the memory ledger predicts.
+
+Internally the core is head-major: the (N, H, W) banks are viewed as
+(H, N, W), so the scores of every variant are one batched matmul giving
+(H, N, M), the softmax runs on that array in place, and the weighted sum is
+a second batched matmul with the (H, M, d_v) values. The pairwise regime
+uses the same two products and adds its offsets: with per-pair, per-head
+key and value offsets off_ij, a score is q_i.k_j + q_i.off_ij and an output
+is sum_j alpha_ij v_j + sum_j alpha_ij off_ij, so zero encoders give
+exactly the plain result. The analytic backward uses the same layout and
+the same softmax.
 """
 
 from __future__ import annotations
@@ -311,7 +321,7 @@ class AttentionOutput:
 
     per_head: np.ndarray          # (N, H, d_v)
     merged: np.ndarray            # (N, H * d_v)
-    alpha: np.ndarray | None = None  # (N, H, M), retained only on request
+    alpha: np.ndarray | None = None  # (N, H, M), retained only on request; may be a view
 
 
 class AllocationMeter:
@@ -330,19 +340,25 @@ class AllocationMeter:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    peak = np.max(scores, axis=-1, keepdims=True)
-    exp = np.exp(scores - peak)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+    """Max-stabilized softmax along the last axis, computed in place."""
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.sum(scores, axis=-1, keepdims=True)
+    return scores
+
+
+def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
+    """Materialize a head-shared (N, M, W) tensor as (N, M, H, W)."""
+    shape = pairwise.shape[:2] + (n_heads, pairwise.shape[-1])
+    return np.broadcast_to(pairwise[:, :, None, :], shape).copy()
 
 
 def _bank_pair_angles(variant, poses, n_heads, d_k, sched, split, angle_freqs):
-    """Per-(token, head, pair) rotation angles for one bank, or None for plain.
+    """Per-(token, head, pair) rotation angles for one bank of a rotary variant.
 
     The returned array broadcasts against a (N, H, 2*d_k) bank; head-uniform
     variants return (N, 1, d_k).
     """
-    if variant is Variant.PLAIN:
-        return None
     if variant is Variant.ROPE:
         angles = planar_pair_angles(poses.positions, d_k, sched.freqs)
         return angles[:, None, :]
@@ -418,43 +434,50 @@ def _attend(
             raise ConfigurationError(f"variant {variant.value} requires poses")
         if poses_q.n_tokens != n_q or poses_kv.n_tokens != k_bank.shape[0]:
             raise DimensionMismatchError("pose counts mismatch the token banks")
+    if mask is not None and not mask.any(axis=-1).all():
+        raise InvalidArgumentError("the attention mask blanks every key of a query row")
     if meter is not None:
         meter.add("qkv", q_bank.size + k_bank.size + v_bank.size)
 
     scale = 1.0 / math.sqrt(d_k)
+    q_hat, k_hat = q_bank, k_bank
     if variant is Variant.RPE:
         rel = np.empty((n_q, k_bank.shape[0], 3))
         rel[:, :, :2] = poses_q.positions[:, None, :] - poses_kv.positions[None, :, :]
         rel[:, :, 2] = wrap_angle(poses_q.headings[:, None] - poses_kv.headings[None, :])
-        k_pairwise = k_bank[None, :, :, :] + enc.encode_key(rel)[:, :, None, :]
-        v_pairwise = v_bank[None, :, :, :] + enc.encode_value(rel)[:, :, None, :]
+        k_offset = _per_head(enc.encode_key(rel), n_heads)    # (N, M, H, 2*d_k)
+        v_offset = _per_head(enc.encode_value(rel), n_heads)  # (N, M, H, d_v)
         if meter is not None:
-            meter.add("pairwise", k_pairwise.size + v_pairwise.size)
-        scores = np.einsum("ihd,ijhd->ihj", q_bank, k_pairwise) * scale
-        if mask is not None:
-            scores = np.where(mask[:, None, :], scores, -np.inf)
-        alpha = _softmax_rows(scores)
-        per_head = np.einsum("ihj,ijhd->ihd", alpha, v_pairwise)
-    else:
+            meter.add("pairwise", k_offset.size + v_offset.size)
+    elif variant is not Variant.PLAIN:
         angles_q = _bank_pair_angles(variant, poses_q, n_heads, d_k, sched, split, angle_freqs)
-        if angles_q is None:
-            q_hat, k_hat = q_bank, k_bank
-        else:
-            angles_k = _bank_pair_angles(
-                variant, poses_kv, n_heads, d_k, sched, split, angle_freqs
-            )
-            q_hat = rotate_pairs(q_bank, angles_q)
-            k_hat = rotate_pairs(k_bank, angles_k)
-            if meter is not None:
-                meter.add("embedded", q_hat.size + k_hat.size)
-        scores = np.einsum("ihd,jhd->ihj", q_hat, k_hat) * scale
-        if mask is not None:
-            scores = np.where(mask[:, None, :], scores, -np.inf)
-        alpha = _softmax_rows(scores)
-        per_head = np.einsum("ihj,jhd->ihd", alpha, v_bank)
+        angles_k = _bank_pair_angles(variant, poses_kv, n_heads, d_k, sched, split, angle_freqs)
+        q_hat = rotate_pairs(q_bank, angles_q)
+        k_hat = rotate_pairs(k_bank, angles_k)
+        if meter is not None:
+            meter.add("embedded", q_hat.size + k_hat.size)
+
+    scores = np.matmul(q_hat.transpose(1, 0, 2), k_hat.transpose(1, 2, 0))
+    if variant is Variant.RPE:
+        # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
+        q_offset = np.matmul(k_offset.transpose(0, 2, 1, 3), q_bank[..., None])
+        scores += q_offset[..., 0].transpose(1, 0, 2)
+    scores *= scale
+    if mask is not None:
+        np.copyto(scores, -np.inf, where=~mask)
+    alpha = _softmax_rows(scores)
+    per_head = np.matmul(alpha, v_bank.transpose(1, 0, 2)).transpose(1, 0, 2)
+    if variant is Variant.RPE:
+        # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
+        per_head += np.matmul(
+            alpha.transpose(1, 0, 2)[:, :, None, :], v_offset.transpose(0, 2, 1, 3)
+        )[:, :, 0, :]
+    per_head = np.ascontiguousarray(per_head)
 
     merged = per_head.reshape(n_q, n_heads * d_v)
-    return AttentionOutput(per_head, merged, alpha if keep_alpha else None)
+    return AttentionOutput(
+        per_head, merged, alpha.transpose(1, 0, 2) if keep_alpha else None
+    )
 
 
 def mhsa_plain(qkv: QKVSet, *, keep_alpha=False, meter=None) -> AttentionOutput:
@@ -697,16 +720,20 @@ def attention_backward(
         k_hat = rotate_pairs(qkv.k, angles)
 
     scale = 1.0 / math.sqrt(d_k)
-    scores = np.einsum("ihd,jhd->ihj", q_hat, k_hat) * scale
-    alpha = _softmax_rows(scores)
+    q_heads = q_hat.transpose(1, 0, 2)     # (H, N, 2*d_k)
+    k_heads = k_hat.transpose(1, 0, 2)
+    scores = np.matmul(q_heads, k_heads.transpose(0, 2, 1))
+    scores *= scale
+    alpha = _softmax_rows(scores)          # (H, N, N)
 
-    d_out = upstream.reshape(n, n_heads, d_v)
-    dv = np.einsum("ihj,ihd->jhd", alpha, d_out)
-    d_alpha = np.einsum("ihd,jhd->ihj", d_out, qkv.v)
-    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=-1, keepdims=True))
+    d_out = upstream.reshape(n, n_heads, d_v).transpose(1, 0, 2)
+    dv = np.matmul(alpha.transpose(0, 2, 1), d_out).transpose(1, 0, 2)
+    d_scores = np.matmul(d_out, qkv.v.transpose(1, 2, 0))
+    d_scores -= np.sum(d_scores * alpha, axis=-1, keepdims=True)
+    d_scores *= alpha
     d_scores *= scale
-    dq_hat = np.einsum("ihj,jhd->ihd", d_scores, k_hat)
-    dk_hat = np.einsum("ihj,ihd->jhd", d_scores, q_hat)
+    dq_hat = np.matmul(d_scores, k_heads).transpose(1, 0, 2)
+    dk_hat = np.matmul(d_scores.transpose(0, 2, 1), q_heads).transpose(1, 0, 2)
     if angles is None:
         return dq_hat, dk_hat, dv
     return rotate_pairs(dq_hat, -angles), rotate_pairs(dk_hat, -angles), dv

@@ -154,7 +154,8 @@ class Scene:
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        states = np.asarray(self.agent_states, dtype=np.float64)
+        # a copy, never the caller's array: the headings are wrapped in place below
+        states = np.array(self.agent_states, dtype=np.float64)
         if states.ndim != 3 or states.shape[-1] != 4:
             raise InvalidArgumentError(
                 f"agent states must be (n_agents, n_steps, 4), got {states.shape}"
@@ -332,7 +333,7 @@ def scene_from_dict(payload: dict) -> Scene:
             MapSegment.from_points(np.asarray(entry["points"], dtype=np.float64))
             for entry in payload["map"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed scene payload: {exc}") from exc
     return Scene(states, segments, dt)
 

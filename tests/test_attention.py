@@ -5,6 +5,7 @@ import pytest
 
 from drope.attention import (
     AllocationMeter,
+    _attend,
     IntraHeadSplit,
     PoseSet,
     QKVSet,
@@ -340,6 +341,14 @@ class TestStructuralProperties:
         qkv, poses = make_case(26)
         assert mhsa_plain(qkv).alpha is None
 
+    def test_mask_blanking_a_whole_row_is_rejected(self):
+        rng = np.random.default_rng(30)
+        qkv = QKVSet.random(4, 2, 2, 3, rng)
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+        mask[2] = False
+        with pytest.raises(InvalidArgumentError):
+            _attend(Variant.PLAIN, qkv.q, qkv.k, qkv.v, None, None, mask=mask)
+
     def test_causal_mask_blocks_future(self):
         rng = np.random.default_rng(27)
         qkv = QKVSet.random(4, 1, 2, 2, rng)
@@ -423,3 +432,65 @@ class TestExhaustiveOracleGrid:
                     assert out.merged == pytest.approx(expected, abs=1e-12), (
                         variant, n, h, d_k,
                     )
+
+
+class TestBlockedSizes:
+    """First and last query rows against the scalar reference at sizes where
+    the batched products run over several BLAS blocks."""
+
+    N, H, D_K, D_V = 300, 4, 32, 64
+
+    def banks(self, seed, n):
+        rng = np.random.default_rng(seed)
+        return QKVSet.random(n, self.H, self.D_K, self.D_V, rng), PoseSet.random(n, rng)
+
+    @staticmethod
+    def rows(poses, idx):
+        return PoseSet(poses.positions[idx], poses.headings[idx])
+
+    def check_rows(self, variant, merged, queries, keysvals, poses_q, poses_kv):
+        idx = [0, queries.n_tokens - 1]
+        split = IntraHeadSplit.balanced(self.D_K) if variant is Variant.DROPE_IH else None
+        expected = run_reference(
+            variant, QKVSet(queries.q[idx], queries.k[idx], queries.v[idx]),
+            self.rows(poses_q, idx), poses_kv, split=split,
+            k=keysvals.k, v=keysvals.v,
+        )
+        assert merged[idx] == pytest.approx(expected, abs=1e-12), variant
+
+    @pytest.mark.parametrize(
+        "variant", [Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH]
+    )
+    def test_mhsa_rows(self, variant):
+        qkv, poses = self.banks(40, self.N)
+        out = mhsa(qkv, poses, variant)
+        self.check_rows(variant, out.merged, qkv, qkv, poses, poses)
+
+    def test_mhca_rows(self):
+        queries, poses_q = self.banks(41, self.N)
+        keysvals, poses_kv = self.banks(42, 128)
+        out = mhca(queries, keysvals, poses_q, poses_kv, Variant.DROPE_HBH)
+        self.check_rows(Variant.DROPE_HBH, out.merged, queries, keysvals, poses_q, poses_kv)
+
+    def test_rpe_row(self):
+        qkv, poses = self.banks(43, 96)
+        enc = RPEEncoders.seeded(self.D_K, self.D_V, seed=7)
+        out = mhsa_rpe(qkv, poses, enc)
+        expected = run_reference(
+            Variant.RPE, QKVSet(qkv.q[-1:], qkv.k[-1:], qkv.v[-1:]),
+            self.rows(poses, [-1]), poses, enc=enc, k=qkv.k, v=qkv.v,
+        )
+        assert out.merged[-1:] == pytest.approx(expected, abs=1e-12)
+
+    def test_causal_rows_and_alpha(self):
+        qkv, _ = self.banks(44, self.N)
+        out = mhsa_causal(qkv, keep_alpha=True)
+        # row 0 sees only key 0; the last row sees every key, unmasked
+        _, first = ref_attention("plain", qkv.q[:1], qkv.k[:1], qkv.v[:1])
+        _, last = ref_attention("plain", qkv.q[-1:], qkv.k, qkv.v)
+        assert out.merged[:1] == pytest.approx(first, abs=1e-12)
+        assert out.merged[-1:] == pytest.approx(last, abs=1e-12)
+        assert out.alpha.shape == (self.N, self.H, self.N)
+        upper = np.triu(np.ones((self.N, self.N), dtype=bool), k=1)
+        assert np.all(out.alpha.transpose(1, 0, 2)[:, upper] == 0.0)
+        assert np.max(np.abs(out.alpha.sum(axis=-1) - 1.0)) < 1e-12

@@ -194,6 +194,20 @@ class TestRollout:
         assert main(["rollout", "--scene", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_ragged_scene_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({
+            "dt": 0.5,
+            "agents": [{"states": [[0, 0, 0, 1], [1, 0, 0, 1]]},
+                       {"states": [[0, 0, 0, 1]]}],
+            "map": [],
+        }))
+        code = main(["rollout", "--scene", str(path), "--out", str(tmp_path / "roll")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_long_horizon_warns_but_succeeds(self, tmp_path):
         scene_path = self.write_scene(tmp_path)
         out = tmp_path / "roll"

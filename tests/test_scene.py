@@ -122,6 +122,15 @@ class TestScene:
         with pytest.raises(InvalidArgumentError):
             Scene(np.array([[[0.0, 0.0, 0.0, -1.0]]]), [], 0.5)
 
+    def test_construction_leaves_the_callers_array_alone(self):
+        states = np.zeros((2, 3, 4))
+        states[:, :, 2] = -0.5
+        before = states.tobytes()
+        scene = Scene(states, [])
+        assert states.tobytes() == before
+        assert not np.shares_memory(scene.agent_states, states)
+        assert scene.agent_states[0, 0, 2] == pytest.approx(2.0 * np.pi - 0.5)
+
 
 class TestSceneIO:
     def test_round_trip_is_exact(self, tmp_path):
