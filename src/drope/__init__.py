@@ -14,11 +14,6 @@ from .attention import (
     mhca,
     mhsa,
     mhsa_causal,
-    mhsa_drope_hbh,
-    mhsa_drope_ih,
-    mhsa_plain,
-    mhsa_rope,
-    mhsa_rpe,
     rope_periodicity_counterexample,
 )
 from .errors import (
@@ -64,13 +59,11 @@ from .profiling import (
     verify_memory_ledger,
 )
 from .rotary import (
-    Angle,
     FrequencySchedule,
     drope_embed,
+    heading_pair_angles,
     planar_pair_angles,
-    relative_angle,
     rope_embed,
-    rope_embed_planar,
     rotate2d,
     rotate_pairs,
     wrap_angle,

@@ -42,6 +42,7 @@ from .errors import (
 from .rotary import (
     FrequencySchedule,
     drope_embed,
+    heading_pair_angles,
     planar_pair_angles,
     rope_embed,
     rotate_pairs,
@@ -58,11 +59,6 @@ __all__ = [
     "AttentionOutput",
     "AllocationMeter",
     "mhsa",
-    "mhsa_plain",
-    "mhsa_rpe",
-    "mhsa_rope",
-    "mhsa_drope_hbh",
-    "mhsa_drope_ih",
     "mhsa_causal",
     "mhca",
     "CounterexampleReport",
@@ -74,7 +70,18 @@ __all__ = [
 
 
 class Variant(enum.Enum):
-    """The five attention regimes."""
+    """The five attention regimes.
+
+    * ``plain``: standard attention, no pose information.
+    * ``rpe``: learned pairwise key/value offsets; the (N, M, H, width)
+      intermediates are materialized by construction so their storage can be
+      measured.
+    * ``rope``: the position embedding applied to the QK banks.
+    * ``drope-hbh``: head-by-head integration, even heads encode positions and
+      odd heads headings.
+    * ``drope-ih``: intra-head integration, each QK vector splits into a
+      position part and an angle part.
+    """
 
     PLAIN = "plain"
     RPE = "rpe"
@@ -359,43 +366,53 @@ def _bank_pair_angles(variant, poses, n_heads, d_k, sched, split, angle_freqs):
     The returned array broadcasts against a (N, H, 2*d_k) bank; head-uniform
     variants return (N, 1, d_k).
     """
-    if variant is Variant.ROPE:
-        angles = planar_pair_angles(poses.positions, d_k, sched.freqs)
-        return angles[:, None, :]
-    headings = poses.headings
-    if angle_freqs is None:
-        heading_angles = np.repeat(headings[:, None], max(d_k, 1), axis=1)
-    else:
-        angle_freqs = np.asarray(angle_freqs, dtype=np.float64)
-        heading_angles = headings[:, None] * angle_freqs[None, :d_k]
-    if variant is Variant.DROPE_HBH:
-        pos_angles = planar_pair_angles(poses.positions, d_k, sched.freqs)
-        angles = np.empty((poses.n_tokens, n_heads, d_k))
-        angles[:, 0::2, :] = pos_angles[:, None, :]
-        angles[:, 1::2, :] = heading_angles[:, None, :]
-        return angles
     if variant is Variant.DROPE_IH:
         p_pos = split.d_pos // 2
         angles = np.empty((poses.n_tokens, 1, d_k))
         angles[:, 0, :p_pos] = planar_pair_angles(poses.positions, p_pos, sched.freqs)
-        angles[:, 0, p_pos:] = heading_angles[:, : d_k - p_pos]
+        angles[:, 0, p_pos:] = heading_pair_angles(poses.headings, d_k - p_pos, angle_freqs)
         return angles
-    raise ConfigurationError(f"variant {variant} has no rotary bank angles")
+    pos_angles = planar_pair_angles(poses.positions, d_k, sched.freqs)
+    if variant is Variant.ROPE:
+        return pos_angles[:, None, :]
+    angles = np.empty((poses.n_tokens, n_heads, d_k))
+    angles[:, 0::2, :] = pos_angles[:, None, :]
+    angles[:, 1::2, :] = heading_pair_angles(poses.headings, d_k, angle_freqs)[:, None, :]
+    return angles
 
 
-def _validate_variant(variant, n_heads, d_k, sched, enc, split):
-    if variant is Variant.PLAIN:
-        return split
+def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split):
+    """Check the banks, poses and settings of one attention call.
+
+    Returns ``(sched, split)``. This is the one place that defaults a rotary
+    variant's frequency schedule and the intra-head variant's balanced split.
+    """
+    n_q, n_heads, width = q_bank.shape
+    if k_bank.shape[1:] != (n_heads, width):
+        raise DimensionMismatchError(
+            f"key bank {k_bank.shape} mismatches query bank {q_bank.shape} "
+            "in heads or width"
+        )
+    d_k = width // 2
+    if variant is not Variant.PLAIN:
+        if poses_q is None or poses_kv is None:
+            raise ConfigurationError(f"variant {variant.value} requires poses")
+        if poses_q.n_tokens != n_q or poses_kv.n_tokens != k_bank.shape[0]:
+            raise DimensionMismatchError(
+                f"{poses_q.n_tokens} and {poses_kv.n_tokens} poses for "
+                f"{n_q} query and {k_bank.shape[0]} key tokens"
+            )
     if variant is Variant.RPE:
         if enc is None:
             raise ConfigurationError("the rpe variant requires encoders")
-        if enc.key_width != 2 * d_k:
+        if enc.key_width != width:
             raise DimensionMismatchError(
-                f"key encoder width {enc.key_width} mismatches QK width {2 * d_k}"
+                f"key encoder width {enc.key_width} mismatches QK width {width}"
             )
-        return split
+    if variant not in ROTARY_VARIANTS:
+        return sched, split
     if sched is None:
-        raise ConfigurationError(f"variant {variant.value} requires a frequency schedule")
+        sched = FrequencySchedule.default(d_k)
     if sched.d_k != d_k:
         raise DimensionMismatchError(
             f"schedule has {sched.d_k} pairs but the banks have {d_k}"
@@ -405,37 +422,23 @@ def _validate_variant(variant, n_heads, d_k, sched, enc, split):
     if variant is Variant.DROPE_IH:
         if split is None:
             split = IntraHeadSplit.balanced(d_k)
-        split.validate_width(2 * d_k)
-    return split
+        split.validate_width(width)
+    return sched, split
 
 
 def _attend(
-    variant,
-    q_bank,
-    k_bank,
-    v_bank,
-    poses_q,
-    poses_kv,
-    *,
-    sched=None,
-    enc=None,
-    split=None,
-    angle_freqs=None,
-    mask=None,
-    keep_alpha=False,
+    variant, queries: QKVSet, keysvals: QKVSet, poses_q, poses_kv,
+    *, sched=None, enc=None, split=None, angle_freqs=None, mask=None, keep_alpha=False,
     meter=None,
 ) -> AttentionOutput:
+    """The one attention core: Q from ``queries``, K and V from ``keysvals``."""
+    q_bank, k_bank, v_bank = queries.q, keysvals.k, keysvals.v
+    sched, split = _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split)
+    if mask is not None and not mask.any(axis=-1).all():
+        raise InvalidArgumentError("the attention mask blanks every key of a query row")
     n_q, n_heads, width = q_bank.shape
     d_k = width // 2
     d_v = v_bank.shape[-1]
-    split = _validate_variant(variant, n_heads, d_k, sched, enc, split)
-    if variant is not Variant.PLAIN:
-        if poses_q is None or poses_kv is None:
-            raise ConfigurationError(f"variant {variant.value} requires poses")
-        if poses_q.n_tokens != n_q or poses_kv.n_tokens != k_bank.shape[0]:
-            raise DimensionMismatchError("pose counts mismatch the token banks")
-    if mask is not None and not mask.any(axis=-1).all():
-        raise InvalidArgumentError("the attention mask blanks every key of a query row")
     if meter is not None:
         meter.add("qkv", q_bank.size + k_bank.size + v_bank.size)
 
@@ -480,10 +483,20 @@ def _attend(
     )
 
 
-def mhsa_plain(qkv: QKVSet, *, keep_alpha=False, meter=None) -> AttentionOutput:
-    """Standard multi-head self-attention with max-stabilized softmax."""
+def mhsa(
+    qkv: QKVSet, poses: PoseSet | None, variant: Variant,
+    *, sched=None, enc=None, split=None, angle_freqs=None, keep_alpha=False, meter=None,
+) -> AttentionOutput:
+    """Self-attention under any of the five variants.
+
+    ``sched`` defaults to ``FrequencySchedule.default(d_k)`` for the rotary
+    variants and ``split`` to the balanced split for drope-ih; ``enc`` is
+    required for rpe; ``angle_freqs`` is the fault-injection hook of
+    ``heading_pair_angles``.
+    """
     return _attend(
-        Variant.PLAIN, qkv.q, qkv.k, qkv.v, None, None,
+        variant, qkv, qkv, poses, poses,
+        sched=sched, enc=enc, split=split, angle_freqs=angle_freqs,
         keep_alpha=keep_alpha, meter=meter,
     )
 
@@ -493,74 +506,8 @@ def mhsa_causal(qkv: QKVSet, *, keep_alpha=False, meter=None) -> AttentionOutput
     n = qkv.n_tokens
     mask = np.tril(np.ones((n, n), dtype=bool))
     return _attend(
-        Variant.PLAIN, qkv.q, qkv.k, qkv.v, None, None,
+        Variant.PLAIN, qkv, qkv, None, None,
         mask=mask, keep_alpha=keep_alpha, meter=meter,
-    )
-
-
-def mhsa_rpe(qkv: QKVSet, poses: PoseSet, enc: RPEEncoders, *, keep_alpha=False, meter=None):
-    """Self-attention with learned pairwise key/value offsets.
-
-    The (N, N, H, width) intermediates are materialized by construction so
-    their storage can be measured.
-    """
-    _check_pose_count(qkv, poses)
-    return _attend(
-        Variant.RPE, qkv.q, qkv.k, qkv.v, poses, poses,
-        enc=enc, keep_alpha=keep_alpha, meter=meter,
-    )
-
-
-def mhsa_rope(qkv: QKVSet, poses: PoseSet, sched: FrequencySchedule, *, keep_alpha=False, meter=None):
-    """Self-attention with the position embedding applied to the QK banks."""
-    _check_pose_count(qkv, poses)
-    return _attend(
-        Variant.ROPE, qkv.q, qkv.k, qkv.v, poses, poses,
-        sched=sched, keep_alpha=keep_alpha, meter=meter,
-    )
-
-
-def mhsa_drope_hbh(
-    qkv: QKVSet, poses: PoseSet, sched: FrequencySchedule,
-    *, angle_freqs=None, keep_alpha=False, meter=None,
-):
-    """Head-by-head integration: even heads encode positions, odd heads headings."""
-    _check_pose_count(qkv, poses)
-    return _attend(
-        Variant.DROPE_HBH, qkv.q, qkv.k, qkv.v, poses, poses,
-        sched=sched, angle_freqs=angle_freqs, keep_alpha=keep_alpha, meter=meter,
-    )
-
-
-def mhsa_drope_ih(
-    qkv: QKVSet, poses: PoseSet, sched: FrequencySchedule, split: IntraHeadSplit | None = None,
-    *, angle_freqs=None, keep_alpha=False, meter=None,
-):
-    """Intra-head integration: each QK vector splits into position and angle parts."""
-    _check_pose_count(qkv, poses)
-    return _attend(
-        Variant.DROPE_IH, qkv.q, qkv.k, qkv.v, poses, poses,
-        sched=sched, split=split, angle_freqs=angle_freqs,
-        keep_alpha=keep_alpha, meter=meter,
-    )
-
-
-def mhsa(
-    qkv: QKVSet, poses: PoseSet | None, variant: Variant,
-    *, sched=None, enc=None, split=None, angle_freqs=None, keep_alpha=False, meter=None,
-) -> AttentionOutput:
-    """Dispatch to the requested self-attention variant.
-
-    Builds the default frequency schedule when one is needed but not given.
-    """
-    if variant is not Variant.PLAIN:
-        _check_pose_count(qkv, poses)
-    if sched is None and variant in ROTARY_VARIANTS:
-        sched = FrequencySchedule.default(qkv.d_k)
-    return _attend(
-        variant, qkv.q, qkv.k, qkv.v, poses, poses,
-        sched=sched, enc=enc, split=split, angle_freqs=angle_freqs,
-        keep_alpha=keep_alpha, meter=meter,
     )
 
 
@@ -571,39 +518,14 @@ def mhca(
 ) -> AttentionOutput:
     """Cross-attention: Q from the first bank, K and V from the second.
 
-    Identical math to the matching self-attention variant; used for the
-    agent-to-map interaction.
+    Identical math and settings to ``mhsa``; used for the agent-to-map
+    interaction and for the cached temporal step.
     """
-    if queries.q.shape[-1] != keysvals.k.shape[-1]:
-        raise DimensionMismatchError(
-            f"query width {queries.q.shape[-1]} mismatches key width "
-            f"{keysvals.k.shape[-1]}"
-        )
-    if queries.n_heads != keysvals.n_heads:
-        raise DimensionMismatchError(
-            f"head counts differ: {queries.n_heads} vs {keysvals.n_heads}"
-        )
-    if variant is not Variant.PLAIN:
-        if poses_q is None or poses_kv is None:
-            raise ConfigurationError(f"variant {variant.value} requires poses")
-        if poses_q.n_tokens != queries.n_tokens or poses_kv.n_tokens != keysvals.n_tokens:
-            raise DimensionMismatchError("pose counts mismatch the token banks")
-    if sched is None and variant in ROTARY_VARIANTS:
-        sched = FrequencySchedule.default(queries.d_k)
     return _attend(
-        variant, queries.q, keysvals.k, keysvals.v, poses_q, poses_kv,
+        variant, queries, keysvals, poses_q, poses_kv,
         sched=sched, enc=enc, split=split, angle_freqs=angle_freqs,
         keep_alpha=keep_alpha, meter=meter,
     )
-
-
-def _check_pose_count(qkv: QKVSet, poses: PoseSet | None) -> None:
-    if poses is None:
-        raise ConfigurationError("poses are required for this variant")
-    if poses.n_tokens != qkv.n_tokens:
-        raise DimensionMismatchError(
-            f"{poses.n_tokens} poses for {qkv.n_tokens} tokens"
-        )
 
 
 #: Thresholds for the three-heading periodicity check below.
@@ -705,11 +627,7 @@ def attention_backward(
             f"upstream gradient must be (N, H*d_v) = {(n, n_heads * d_v)}, "
             f"got {upstream.shape}"
         )
-    if sched is None and variant in ROTARY_VARIANTS:
-        sched = FrequencySchedule.default(d_k)
-    split = _validate_variant(variant, n_heads, d_k, sched, None, split)
-    if variant is not Variant.PLAIN:
-        _check_pose_count(qkv, poses)
+    sched, split = _validate_variant(variant, qkv.q, qkv.k, poses, poses, sched, None, split)
 
     if variant is Variant.PLAIN:
         angles = None

@@ -4,9 +4,6 @@ Runs are deterministic for a fixed config file, flag set, and seed; JSON
 reports carry a ``generated_at`` header that consumers should drop before
 comparing. Exit codes: 0 all checks passed, 1 a numerical property was
 violated, 2 usage, config, or I/O error.
-
-``DROPE_ATTN_THREADS`` caps the worker threads used for the verification
-checks and profiler sweeps (default 1).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,8 +41,6 @@ from .verification import (
     run_verification,
 )
 
-ENV_THREADS = "DROPE_ATTN_THREADS"
-
 USAGE_EXIT = 2
 VIOLATION_EXIT = 1
 
@@ -62,17 +56,6 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigurationError(f"{ENV_THREADS} must be >= 1, got {workers}")
-    return workers
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -84,6 +67,34 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise ConfigurationError("the config file must hold a JSON object")
     return config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Config value kinds: a description for messages and a predicate.
+_INT = ("an integer", _is_int)
+_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+_INT_LIST = ("a non-empty list of integers",
+             lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
+_STRING_LIST = ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v))
+
+
+def _setting(config: dict, key: str, kind, default, flag=None):
+    """The flag if given, else ``config[key]``, else ``default``; a flag or
+    config value of the wrong kind is a ``ConfigurationError``."""
+    if flag is None and key not in config:
+        return default
+    value = config[key] if flag is None else flag
+    description, accepts = kind
+    if not accepts(value):
+        raise ConfigurationError(f"{key!r} must be {description}, got {value!r}")
+    return value
 
 
 def _out_dir(args, command: str) -> Path:
@@ -100,17 +111,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    trials = args.trials if args.trials is not None else config.get("trials", 1000)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    fault = args.fault_inject or config.get("fault_inject")
+    trials = _setting(config, "trials", _INT, 1000, args.trials)
+    seed = _setting(config, "seed", _SEED, 0, args.seed)
+    fault = _setting(config, "fault_inject", _STRING, None, args.fault_inject)
     if trials < 1:
         raise ConfigurationError(f"--trials must be positive, got {trials}")
     cfg = VerificationConfig(
         seed=seed,
         trials=trials,
-        d_k_values=tuple(config.get("d_k_values", (1, 2, 8, 32))),
+        d_k_values=tuple(_setting(config, "d_k_values", _INT_LIST, (1, 2, 8, 32))),
         fault_injection=fault,
-        max_workers=_max_workers(),
     )
     results = run_verification(cfg)
     for result in results:
@@ -136,10 +146,9 @@ def cmd_verify(args) -> int:
 
 
 def _grid_points(grid: dict) -> list[SweepPoint]:
-    required = ("n_tokens", "n_heads", "d_k", "d_v")
-    for key in required:
-        if key not in grid or not grid[key]:
-            raise ConfigurationError(f"profile grid is missing non-empty {key!r}")
+    for key in ("n_tokens", "n_heads", "d_k", "d_v"):
+        if _setting(grid, key, _INT_LIST, None) is None:
+            raise ConfigurationError(f"profile grid is missing {key!r}")
     return [
         SweepPoint(n_tokens=n, n_heads=h, d_k=d_k, d_v=d_v)
         for n in grid["n_tokens"]
@@ -173,11 +182,12 @@ def _write_curve_dat(path: Path, rows, value_key: str, axis_label: str) -> None:
 
 def cmd_profile(args) -> int:
     config = _load_config(args.config)
-    grid = config.get("grid", DEFAULT_PROFILE_GRID)
-    variant_names = args.variant or config.get("variants") or [v.value for v in Variant]
+    grid = _setting(config, "grid", _OBJECT, DEFAULT_PROFILE_GRID)
+    variant_names = _setting(config, "variants", _STRING_LIST, [v.value for v in Variant],
+                             args.variant)
     variants = [Variant.from_string(name) for name in variant_names]
     points = _grid_points(grid)
-    rows = sweep(points, variants, max_workers=_max_workers())
+    rows = sweep(points, variants)
     try:
         check_sweep_trends(rows)
         trend_error = None
@@ -207,14 +217,14 @@ def cmd_profile(args) -> int:
 
 def _build_scene(config: dict, seed: int):
     if "scene" in config:
-        return load_scene(config["scene"])
-    synthetic = config.get("synthetic", {})
-    kind = synthetic.get("kind", "random")
+        return load_scene(_setting(config, "scene", _STRING, None))
+    synthetic = _setting(config, "synthetic", _OBJECT, {})
+    kind = _setting(synthetic, "kind", _STRING, "random")
     kwargs = {
-        "seed": synthetic.get("seed", seed),
-        "n_agents": synthetic.get("n_agents", 4),
-        "n_steps": synthetic.get("n_steps", 24),
-        "dt": synthetic.get("dt", 0.5),
+        "seed": _setting(synthetic, "seed", _SEED, seed),
+        "n_agents": _setting(synthetic, "n_agents", _INT, 4),
+        "n_steps": _setting(synthetic, "n_steps", _INT, 24),
+        "dt": _setting(synthetic, "dt", _NUMBER, 0.5),
     }
     if kind == "constant-velocity":
         return make_constant_velocity_scene(**kwargs)
@@ -227,27 +237,27 @@ def cmd_rollout(args) -> int:
     config = _load_config(args.config)
     if args.scene is not None:
         config["scene"] = args.scene
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    horizon = args.horizon if args.horizon is not None else config.get("horizon", 16)
-    samples = args.samples if args.samples is not None else config.get("samples", 1)
-    policy_name = args.policy or config.get("policy", "pipeline")
-    mode = args.mode or config.get("mode", "greedy")
-    variant = Variant.from_string(args.variant or config.get("variant", "drope-hbh"))
+    seed = _setting(config, "seed", _SEED, 0, args.seed)
+    horizon = _setting(config, "horizon", _INT, 16, args.horizon)
+    samples = _setting(config, "samples", _INT, 1, args.samples)
+    policy_name = _setting(config, "policy", _STRING, "pipeline", args.policy)
+    mode = _setting(config, "mode", _STRING, "greedy", args.mode)
+    variant = Variant.from_string(_setting(config, "variant", _STRING, "drope-hbh", args.variant))
     if horizon < 1 or samples < 1:
         raise ConfigurationError("horizon and samples must be positive")
 
     scene = _build_scene(config, seed)
-    prefix = args.prefix if args.prefix is not None else config.get("prefix_steps")
+    prefix = _setting(config, "prefix_steps", _INT, None, args.prefix)
     if prefix is None:
         prefix = max(scene.n_steps - horizon, 2) if scene.n_steps > 2 else scene.n_steps
     history = scene.prefix(prefix)
 
     pipe_config = PipelineConfig(
-        d_model=config.get("d_model", 64),
-        n_heads=config.get("n_heads", 2),
-        d_k=config.get("d_k", 16),
-        d_v=config.get("d_v", 32),
-        n_blocks=config.get("n_blocks", 2),
+        d_model=_setting(config, "d_model", _INT, 64),
+        n_heads=_setting(config, "n_heads", _INT, 2),
+        d_k=_setting(config, "d_k", _INT, 16),
+        d_v=_setting(config, "d_v", _INT, 32),
+        n_blocks=_setting(config, "n_blocks", _INT, 2),
         variant=variant,
     )
     weights = PipelineWeights.seeded(pipe_config, seed=seed)

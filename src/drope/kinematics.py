@@ -17,7 +17,6 @@ __all__ = [
     "AgentState",
     "ControlAction",
     "ZERO_ACTION",
-    "check_action_bounds",
     "ActionGrid",
     "kinematic_step",
     "min_ade",
@@ -25,7 +24,6 @@ __all__ = [
 
 ACCEL_LIMIT = 4.0      # m/s^2
 YAW_RATE_LIMIT = 1.0   # rad/s
-_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,7 @@ class ControlAction:
     """Acceleration (m/s^2) and yaw rate (rad/s).
 
     Magnitude bounds are configuration-level: actions decoded from an
-    ActionGrid respect that grid's limits by construction, and
-    ``check_action_bounds`` validates against explicit limits.
+    ActionGrid respect that grid's limits by construction.
     """
 
     accel: float
@@ -78,22 +75,6 @@ class ControlAction:
 
 
 ZERO_ACTION = ControlAction(0.0, 0.0)
-
-
-def check_action_bounds(
-    action: ControlAction,
-    accel_limit: float = ACCEL_LIMIT,
-    yaw_rate_limit: float = YAW_RATE_LIMIT,
-) -> ControlAction:
-    if abs(action.accel) > accel_limit + _BOUND_SLACK:
-        raise InvalidArgumentError(
-            f"|accel| = {abs(action.accel)} exceeds the {accel_limit} m/s^2 limit"
-        )
-    if abs(action.yaw_rate) > yaw_rate_limit + _BOUND_SLACK:
-        raise InvalidArgumentError(
-            f"|yaw_rate| = {abs(action.yaw_rate)} exceeds the {yaw_rate_limit} rad/s limit"
-        )
-    return action
 
 
 @dataclass(frozen=True)
@@ -145,12 +126,6 @@ class ActionGrid:
         if not 0 <= index < self.n_actions:
             raise InvalidArgumentError(f"action index {index} out of range")
         return self._actions[index]
-
-    @property
-    def zero_action_index(self) -> int:
-        accel_index = self.accel_centers.index(0.0)
-        yaw_index = self.yaw_rate_centers.index(0.0)
-        return accel_index * self.n_yaw + yaw_index
 
 
 def kinematic_step(state: AgentState, action: ControlAction, dt: float) -> AgentState:

@@ -31,7 +31,6 @@ exp, and tanh count 1 each):
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -176,19 +175,13 @@ def count_input_memory(
 
 
 def _engine_kwargs(variant: Variant, d_k: int, d_v: int):
-    from .rotary import FrequencySchedule
-
-    kwargs = {}
-    if variant in ROTARY_VARIANTS:
-        kwargs["sched"] = FrequencySchedule.default(d_k)
+    """Settings beyond the engine's defaults: encoders for rpe, and for
+    drope-ih the balanced split widened to odd pair counts."""
     if variant is Variant.RPE:
-        kwargs["enc"] = RPEEncoders.seeded(d_k, d_v)
+        return {"enc": RPEEncoders.seeded(d_k, d_v)}
     if variant is Variant.DROPE_IH:
-        if d_k % 2 == 0:
-            kwargs["split"] = IntraHeadSplit.balanced(d_k)
-        else:
-            kwargs["split"] = IntraHeadSplit(2 * (d_k // 2), 2 * (d_k - d_k // 2))
-    return kwargs
+        return {"split": IntraHeadSplit(2 * (d_k // 2), 2 * (d_k - d_k // 2))}
+    return {}
 
 
 def measure_input_memory(
@@ -308,17 +301,13 @@ def _sweep_row(point: SweepPoint, variant: Variant) -> dict:
     return row
 
 
-def sweep(points, variants, *, max_workers: int | None = None) -> list[dict]:
+def sweep(points, variants) -> list[dict]:
     """One ledger row per (configuration, variant), in deterministic order."""
     points = list(points)
     variants = list(variants)
     if not points or not variants:
         raise ConfigurationError("the sweep grid and variant list must be non-empty")
-    jobs = [(point, variant) for point in points for variant in variants]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda job: _sweep_row(*job), jobs))
-    return [_sweep_row(point, variant) for point, variant in jobs]
+    return [_sweep_row(point, variant) for point in points for variant in variants]
 
 
 def check_sweep_trends(rows) -> None:

@@ -12,9 +12,11 @@ Two embeddings are provided:
 * ``drope_embed`` rotates every pair by the same heading angle, which keeps
   the dot product a function of the wrapped relative angle only.
 
-2D positions are handled by ``rope_embed_planar``: the pair axis is split
+``planar_pair_angles`` and ``heading_pair_angles`` give the per-pair angles
+of whole token banks for ``rotate_pairs``. 2D positions split the pair axis
 into two halves, the first encoding x and the second encoding y, each half
-consuming the leading entries of the frequency schedule.
+consuming the leading entries of the frequency schedule; headings turn
+every pair by the same angle.
 """
 
 from __future__ import annotations
@@ -28,16 +30,14 @@ from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentE
 
 __all__ = [
     "TWO_PI",
-    "Angle",
     "FrequencySchedule",
     "wrap_angle",
-    "relative_angle",
     "rotate2d",
     "rotate_pairs",
     "rope_embed",
-    "rope_embed_planar",
     "drope_embed",
     "planar_pair_angles",
+    "heading_pair_angles",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -58,35 +58,11 @@ def wrap_angle(theta):
 
 
 def _angle_value(theta) -> float:
-    """Extract a finite float angle from an Angle, float, or numpy scalar."""
+    """Extract a finite float angle from a float or numpy scalar."""
     value = float(theta)
     if not math.isfinite(value):
         raise InvalidArgumentError(f"angle must be finite, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class Angle:
-    """An angle canonicalized to [0, 2*pi) on construction and arithmetic."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", wrap_angle(_angle_value(self.value)))
-
-    def __add__(self, other) -> "Angle":
-        return Angle(self.value + _angle_value(other))
-
-    def __sub__(self, other) -> "Angle":
-        return Angle(self.value - _angle_value(other))
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def relative_angle(a, b) -> Angle:
-    """Wrapped difference a - b, the relative angle between two headings."""
-    return Angle(_angle_value(a) - _angle_value(b))
 
 
 @dataclass(frozen=True)
@@ -167,25 +143,12 @@ def rope_embed(x, m, sched: FrequencySchedule) -> np.ndarray:
 def drope_embed(x, theta, freqs=None) -> np.ndarray:
     """Embed a heading by rotating every 2D pair of ``x`` by the same angle.
 
-    ``freqs`` deliberately reintroduces per-pair frequencies so the
-    verification suite can demonstrate why they break angle periodicity;
-    leave it None for the real embedding.
+    ``freqs`` is the fault-injection hook of ``heading_pair_angles``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] % 2 != 0:
         raise DimensionMismatchError(f"vector length must be even, got {x.shape[-1]}")
-    t = _angle_value(theta)
-    p = x.shape[-1] // 2
-    if freqs is None:
-        angles = np.full(p, t)
-    else:
-        freqs = np.asarray(freqs, dtype=np.float64)
-        if freqs.shape[-1] < p:
-            raise DimensionMismatchError(
-                f"need at least {p} frequencies, got {freqs.shape[-1]}"
-            )
-        angles = t * freqs[:p]
-    return rotate_pairs(x, angles)
+    return rotate_pairs(x, heading_pair_angles(_angle_value(theta), x.shape[-1] // 2, freqs))
 
 
 def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:
@@ -212,11 +175,20 @@ def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:
     return angles
 
 
-def rope_embed_planar(x, position, sched: FrequencySchedule) -> np.ndarray:
-    """Position embedding for a 2D position via the axis-split convention."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != 2 * sched.d_k:
+def heading_pair_angles(headings, n_pairs: int, freqs=None) -> np.ndarray:
+    """Per-pair rotation angles encoding headings across ``n_pairs`` pairs.
+
+    Every pair turns by the heading itself. ``freqs`` deliberately
+    reintroduces per-pair frequencies (pair l turns by heading * freqs[l]) so
+    the verification suite can demonstrate why they break angle periodicity;
+    leave it None for the real embedding.
+    """
+    headings = np.asarray(headings, dtype=np.float64)[..., None]
+    if freqs is None:
+        return np.repeat(headings, n_pairs, axis=-1)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs.shape[-1] < n_pairs:
         raise DimensionMismatchError(
-            f"vector length {x.shape[-1]} does not match 2*d_k = {2 * sched.d_k}"
+            f"need at least {n_pairs} frequencies, got {freqs.shape[-1]}"
         )
-    return rotate_pairs(x, planar_pair_angles(position, sched.d_k, sched.freqs))
+    return headings * freqs[:n_pairs]

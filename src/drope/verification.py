@@ -10,7 +10,6 @@ negative control for the whole apparatus.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,8 +27,10 @@ from .rotary import (
     TWO_PI,
     FrequencySchedule,
     drope_embed,
+    heading_pair_angles,
     rope_embed,
     rotate2d,
+    rotate_pairs,
     wrap_angle,
 )
 
@@ -83,7 +84,6 @@ class VerificationConfig:
     d_k_values: tuple = (1, 2, 8, 32)
     counterexample_seeds: int = 100
     fault_injection: str | None = None
-    max_workers: int = 1
 
     def angle_freqs(self, sched: FrequencySchedule):
         if self.fault_injection is None:
@@ -100,18 +100,6 @@ def _rel_errors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 def _rel_err_arrays(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-30)
     return float(np.max(np.abs(a - b)) / scale)
-
-
-def _drope_batch(x, thetas, freqs):
-    """Vectorized heading embedding for (trials, 2*p) stacks."""
-    p = x.shape[-1] // 2
-    if freqs is None:
-        angles = np.repeat(thetas[:, None], p, axis=1)
-    else:
-        angles = thetas[:, None] * np.asarray(freqs)[None, :p]
-    from .rotary import rotate_pairs
-
-    return rotate_pairs(x, angles)
 
 
 def _check_rotation_group_law(cfg: VerificationConfig) -> PropertyResult:
@@ -214,12 +202,14 @@ def _check_angle_shift_identity(cfg: VerificationConfig) -> PropertyResult:
         theta_j[::4] = 5.9
         delta[::4] = 1.0
         d1 = np.einsum(
-            "td,td->t", _drope_batch(q, theta_i, freqs), _drope_batch(k, theta_j, freqs)
+            "td,td->t",
+            rotate_pairs(q, heading_pair_angles(theta_i, d_k, freqs)),
+            rotate_pairs(k, heading_pair_angles(theta_j, d_k, freqs)),
         )
         d2 = np.einsum(
             "td,td->t",
-            _drope_batch(q, wrap_angle(theta_i + delta), freqs),
-            _drope_batch(k, wrap_angle(theta_j + delta), freqs),
+            rotate_pairs(q, heading_pair_angles(wrap_angle(theta_i + delta), d_k, freqs)),
+            rotate_pairs(k, heading_pair_angles(wrap_angle(theta_j + delta), d_k, freqs)),
         )
         worst = max(worst, float(np.max(_rel_errors(d1, d2))))
         trials += n
@@ -386,7 +376,4 @@ def run_verification(cfg: VerificationConfig) -> list[PropertyResult]:
     if cfg.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {cfg.trials}")
     cfg.angle_freqs(FrequencySchedule.default(2))  # validate the fault name early
-    if cfg.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            return list(pool.map(lambda check: check(cfg), _CHECKS))
     return [check(cfg) for check in _CHECKS]

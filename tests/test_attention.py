@@ -9,16 +9,12 @@ from drope.attention import (
     IntraHeadSplit,
     PoseSet,
     QKVSet,
+    ROTARY_VARIANTS,
     RPEEncoders,
     Variant,
     mhca,
     mhsa,
     mhsa_causal,
-    mhsa_drope_hbh,
-    mhsa_drope_ih,
-    mhsa_plain,
-    mhsa_rope,
-    mhsa_rpe,
     rope_periodicity_counterexample,
 )
 from drope.errors import (
@@ -73,20 +69,20 @@ class TestPlain:
         q = np.ones((2, 1, 4))
         k = np.ones((2, 1, 4))
         v = np.stack([np.full((1, 3), 2.0), np.full((1, 3), 4.0)])
-        out = mhsa_plain(QKVSet(q, k, v), keep_alpha=True)
+        out = mhsa(QKVSet(q, k, v), None, Variant.PLAIN, keep_alpha=True)
         assert out.alpha == pytest.approx(0.5)
         assert out.merged == pytest.approx(3.0)
 
     def test_single_token_passes_value_through(self):
         rng = np.random.default_rng(0)
         qkv = QKVSet.random(1, 2, 2, 3, rng)
-        out = mhsa_plain(qkv, keep_alpha=True)
+        out = mhsa(qkv, None, Variant.PLAIN, keep_alpha=True)
         assert out.alpha == pytest.approx(1.0)
         assert np.array_equal(out.per_head, qkv.v)
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(1)
-        out = mhsa_plain(qkv)
+        out = mhsa(qkv, None, Variant.PLAIN)
         assert out.merged == pytest.approx(
             run_reference(Variant.PLAIN, qkv, None), abs=1e-12
         )
@@ -100,8 +96,8 @@ class TestRPE:
     def test_zero_encoders_degenerate_to_plain_bitwise(self):
         qkv, poses = make_case(2)
         enc = RPEEncoders.zeros(qkv.d_k, qkv.d_v)
-        with_enc = mhsa_rpe(qkv, poses, enc)
-        plain = mhsa_plain(qkv)
+        with_enc = mhsa(qkv, poses, Variant.RPE, enc=enc)
+        plain = mhsa(qkv, None, Variant.PLAIN)
         assert np.array_equal(with_enc.merged, plain.merged)
 
     def test_identical_poses_shift_keys_and_values_by_constant(self):
@@ -109,17 +105,18 @@ class TestRPE:
         qkv = QKVSet.random(4, 2, 2, 3, rng)
         pose = PoseSet(np.tile([1.5, -2.0], (4, 1)), np.full(4, 0.7))
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v, seed=5)
-        out = mhsa_rpe(qkv, pose, enc)
+        out = mhsa(qkv, pose, Variant.RPE, enc=enc)
         zero_rel = np.zeros(3)
         shifted = QKVSet(
             qkv.q, qkv.k + enc.encode_key(zero_rel), qkv.v + enc.encode_value(zero_rel)
         )
-        assert out.merged == pytest.approx(mhsa_plain(shifted).merged, abs=1e-12)
+        plain = mhsa(shifted, None, Variant.PLAIN)
+        assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(4)
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v, seed=6)
-        out = mhsa_rpe(qkv, poses, enc)
+        out = mhsa(qkv, poses, Variant.RPE, enc=enc)
         assert out.merged == pytest.approx(
             run_reference(Variant.RPE, qkv, poses, enc=enc), abs=1e-12
         )
@@ -127,7 +124,8 @@ class TestRPE:
     def test_materializes_pairwise_tensors(self):
         qkv, poses = make_case(5, n=4)
         meter = AllocationMeter()
-        mhsa_rpe(qkv, poses, RPEEncoders.seeded(qkv.d_k, qkv.d_v), meter=meter)
+        enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v)
+        mhsa(qkv, poses, Variant.RPE, enc=enc, meter=meter)
         n, h, w, d_v = 4, qkv.n_heads, 2 * qkv.d_k, qkv.d_v
         assert meter.counts["pairwise"] == n * n * h * (w + d_v)
 
@@ -137,20 +135,21 @@ class TestRope:
         rng = np.random.default_rng(7)
         qkv = QKVSet.random(3, 2, 2, 3, rng)
         poses = PoseSet(np.tile([4.0, -1.0], (3, 1)), rng.uniform(0, TWO_PI, 3))
-        out = mhsa_rope(qkv, poses, FrequencySchedule.default(qkv.d_k))
-        assert out.merged == pytest.approx(mhsa_plain(qkv).merged, abs=1e-12)
+        out = mhsa(qkv, poses, Variant.ROPE, sched=FrequencySchedule.default(qkv.d_k))
+        plain = mhsa(qkv, None, Variant.PLAIN)
+        assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
     def test_translation_invariance(self):
         qkv, poses = make_case(8)
         sched = FrequencySchedule.default(qkv.d_k)
-        base = mhsa_rope(qkv, poses, sched)
-        moved = mhsa_rope(qkv, poses.translated(5.3, -2.1), sched)
+        base = mhsa(qkv, poses, Variant.ROPE, sched=sched)
+        moved = mhsa(qkv, poses.translated(5.3, -2.1), Variant.ROPE, sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(9)
-        out = mhsa_rope(qkv, poses, FrequencySchedule.default(qkv.d_k))
+        out = mhsa(qkv, poses, Variant.ROPE, sched=FrequencySchedule.default(qkv.d_k))
         assert out.merged == pytest.approx(
             run_reference(Variant.ROPE, qkv, poses), abs=1e-12
         )
@@ -160,9 +159,9 @@ class TestRope:
         # exactly what the directional variants add
         qkv, poses = make_case(28)
         sched = FrequencySchedule.default(qkv.d_k)
-        base = mhsa_rope(qkv, poses, sched)
-        rehearsed = mhsa_rope(
-            qkv, PoseSet(poses.positions, poses.headings + 1.7), sched
+        base = mhsa(qkv, poses, Variant.ROPE, sched=sched)
+        rehearsed = mhsa(
+            qkv, PoseSet(poses.positions, poses.headings + 1.7), Variant.ROPE, sched=sched
         )
         assert np.array_equal(base.merged, rehearsed.merged)
 
@@ -172,15 +171,16 @@ class TestDropeHeadByHead:
         rng = np.random.default_rng(10)
         qkv = QKVSet.random(3, 2, 2, 3, rng)
         poses = PoseSet(np.tile([1.0, 2.0], (3, 1)), np.full(3, 1.1))
-        out = mhsa_drope_hbh(qkv, poses, FrequencySchedule.default(qkv.d_k))
-        assert out.merged == pytest.approx(mhsa_plain(qkv).merged, abs=1e-12)
+        out = mhsa(qkv, poses, Variant.DROPE_HBH, sched=FrequencySchedule.default(qkv.d_k))
+        plain = mhsa(qkv, None, Variant.PLAIN)
+        assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
     @pytest.mark.parametrize("shift", [0.9, TWO_PI, 5.5])
     def test_heading_shift_invariance(self, shift):
         qkv, poses = make_case(11)
         sched = FrequencySchedule.default(qkv.d_k)
-        base = mhsa_drope_hbh(qkv, poses, sched)
-        moved = mhsa_drope_hbh(qkv, poses.heading_shifted(shift), sched)
+        base = mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
+        moved = mhsa(qkv, poses.heading_shifted(shift), Variant.DROPE_HBH, sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
 
@@ -188,11 +188,22 @@ class TestDropeHeadByHead:
         rng = np.random.default_rng(12)
         qkv = QKVSet.random(3, 1, 2, 3, rng)
         with pytest.raises(ConfigurationError):
-            mhsa_drope_hbh(qkv, PoseSet.random(3, rng), FrequencySchedule.default(2))
+            mhsa(qkv, PoseSet.random(3, rng), Variant.DROPE_HBH,
+                 sched=FrequencySchedule.default(2))
+
+    def test_short_angle_freqs_rejected(self):
+        qkv, poses = make_case(32, d_k=4)
+        sched = FrequencySchedule.default(qkv.d_k)
+        with pytest.raises(DimensionMismatchError):
+            mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched, angle_freqs=sched.freqs[:3])
+        # intra-head integration turns only its angle pairs, so it needs fewer
+        short = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, angle_freqs=sched.freqs[:2])
+        full = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, angle_freqs=sched.freqs)
+        assert np.array_equal(short.merged, full.merged)
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(13)
-        out = mhsa_drope_hbh(qkv, poses, FrequencySchedule.default(qkv.d_k))
+        out = mhsa(qkv, poses, Variant.DROPE_HBH, sched=FrequencySchedule.default(qkv.d_k))
         assert out.merged == pytest.approx(
             run_reference(Variant.DROPE_HBH, qkv, poses), abs=1e-12
         )
@@ -202,15 +213,18 @@ class TestDropeIntraHead:
     def test_degenerate_angle_split_equals_position_variant(self):
         qkv, poses = make_case(14)
         sched = FrequencySchedule.default(qkv.d_k)
-        out = mhsa_drope_ih(qkv, poses, sched, IntraHeadSplit(2 * qkv.d_k, 0))
-        assert out.merged == pytest.approx(mhsa_rope(qkv, poses, sched).merged, abs=1e-12)
+        out = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched,
+                   split=IntraHeadSplit(2 * qkv.d_k, 0))
+        rope = mhsa(qkv, poses, Variant.ROPE, sched=sched)
+        assert out.merged == pytest.approx(rope.merged, abs=1e-12)
 
     def test_identical_poses_match_plain(self):
         rng = np.random.default_rng(15)
         qkv = QKVSet.random(4, 2, 2, 3, rng)
         poses = PoseSet(np.tile([-3.0, 0.5], (4, 1)), np.full(4, 2.2))
-        out = mhsa_drope_ih(qkv, poses, FrequencySchedule.default(qkv.d_k))
-        assert out.merged == pytest.approx(mhsa_plain(qkv).merged, abs=1e-12)
+        out = mhsa(qkv, poses, Variant.DROPE_IH, sched=FrequencySchedule.default(qkv.d_k))
+        plain = mhsa(qkv, None, Variant.PLAIN)
+        assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
     def test_invalid_splits_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -219,14 +233,16 @@ class TestDropeIntraHead:
             IntraHeadSplit.balanced(3)
         qkv, poses = make_case(16)
         with pytest.raises(ConfigurationError):
-            mhsa_drope_ih(
-                qkv, poses, FrequencySchedule.default(qkv.d_k), IntraHeadSplit(2, 4)
+            mhsa(
+                qkv, poses, Variant.DROPE_IH,
+                sched=FrequencySchedule.default(qkv.d_k), split=IntraHeadSplit(2, 4),
             )
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(17, d_k=4)
         split = IntraHeadSplit.balanced(qkv.d_k)
-        out = mhsa_drope_ih(qkv, poses, FrequencySchedule.default(qkv.d_k), split)
+        out = mhsa(qkv, poses, Variant.DROPE_IH,
+                   sched=FrequencySchedule.default(qkv.d_k), split=split)
         assert out.merged == pytest.approx(
             run_reference(Variant.DROPE_IH, qkv, poses, split=split), abs=1e-12
         )
@@ -234,7 +250,8 @@ class TestDropeIntraHead:
     def test_asymmetric_split_matches_reference(self):
         qkv, poses = make_case(18, d_k=3)
         split = IntraHeadSplit(4, 2)
-        out = mhsa_drope_ih(qkv, poses, FrequencySchedule.default(qkv.d_k), split)
+        out = mhsa(qkv, poses, Variant.DROPE_IH,
+                   sched=FrequencySchedule.default(qkv.d_k), split=split)
         assert out.merged == pytest.approx(
             run_reference(Variant.DROPE_IH, qkv, poses, split=split), abs=1e-12
         )
@@ -242,9 +259,9 @@ class TestDropeIntraHead:
     def test_heading_shift_invariance_with_wrap(self):
         qkv, poses = make_case(19, d_k=4)
         sched = FrequencySchedule.default(qkv.d_k)
-        base = mhsa_drope_ih(qkv, poses, sched)
+        base = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched)
         shift = TWO_PI - float(np.max(poses.headings)) + 0.05
-        moved = mhsa_drope_ih(qkv, poses.heading_shifted(shift), sched)
+        moved = mhsa(qkv, poses.heading_shifted(shift), Variant.DROPE_IH, sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
 
@@ -252,9 +269,10 @@ class TestDropeIntraHead:
         qkv, poses = make_case(29)
         sched = FrequencySchedule.default(qkv.d_k)
         split = IntraHeadSplit(0, 2 * qkv.d_k)
-        base = mhsa_drope_ih(qkv, poses, sched, split)
-        moved = mhsa_drope_ih(
-            qkv, PoseSet(poses.positions + 500.0, poses.headings), sched, split
+        base = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, split=split)
+        moved = mhsa(
+            qkv, PoseSet(poses.positions + 500.0, poses.headings), Variant.DROPE_IH,
+            sched=sched, split=split,
         )
         assert np.array_equal(base.merged, moved.merged)
 
@@ -293,6 +311,13 @@ class TestCross:
             poses_kv.positions, poses_kv.headings,
         )
         assert out.merged == pytest.approx(merged, abs=1e-12)
+
+    def test_head_count_mismatch_rejected(self):
+        rng = np.random.default_rng(33)
+        queries = QKVSet.random(3, 2, 2, 3, rng)
+        keysvals = QKVSet.random(4, 3, 2, 3, rng)
+        with pytest.raises(DimensionMismatchError):
+            mhca(queries, keysvals, None, None, Variant.PLAIN)
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(23)
@@ -337,9 +362,16 @@ class TestStructuralProperties:
         assert np.max(np.abs(out.alpha.sum(axis=-1) - 1.0)) < 1e-9
         assert np.all(out.alpha >= 0.0) and np.all(out.alpha <= 1.0)
 
+    @pytest.mark.parametrize("variant", ROTARY_VARIANTS)
+    def test_default_schedule_is_bitwise_the_default(self, variant):
+        qkv, poses = make_case(34, d_k=4)
+        given = mhsa(qkv, poses, variant, sched=FrequencySchedule.default(qkv.d_k))
+        defaulted = mhsa(qkv, poses, variant, sched=None)
+        assert np.array_equal(given.merged, defaulted.merged)
+
     def test_alpha_not_retained_by_default(self):
         qkv, poses = make_case(26)
-        assert mhsa_plain(qkv).alpha is None
+        assert mhsa(qkv, None, Variant.PLAIN).alpha is None
 
     def test_mask_blanking_a_whole_row_is_rejected(self):
         rng = np.random.default_rng(30)
@@ -347,7 +379,7 @@ class TestStructuralProperties:
         mask = np.tril(np.ones((4, 4), dtype=bool))
         mask[2] = False
         with pytest.raises(InvalidArgumentError):
-            _attend(Variant.PLAIN, qkv.q, qkv.k, qkv.v, None, None, mask=mask)
+            _attend(Variant.PLAIN, qkv, qkv, None, None, mask=mask)
 
     def test_causal_mask_blocks_future(self):
         rng = np.random.default_rng(27)
@@ -475,7 +507,7 @@ class TestBlockedSizes:
     def test_rpe_row(self):
         qkv, poses = self.banks(43, 96)
         enc = RPEEncoders.seeded(self.D_K, self.D_V, seed=7)
-        out = mhsa_rpe(qkv, poses, enc)
+        out = mhsa(qkv, poses, Variant.RPE, enc=enc)
         expected = run_reference(
             Variant.RPE, QKVSet(qkv.q[-1:], qkv.k[-1:], qkv.v[-1:]),
             self.rows(poses, [-1]), poses, enc=enc, k=qkv.k, v=qkv.v,

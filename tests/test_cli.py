@@ -72,19 +72,6 @@ class TestVerify:
         report_b = strip_timestamp(read_json(out_b / "verify_report.json"))
         assert report_a == report_b
 
-    def test_worker_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DROPE_ATTN_THREADS", "4")
-        out_threads = tmp_path / "threads"
-        assert main(["verify", *SMALL_VERIFY, "--out", str(out_threads)]) == 0
-        monkeypatch.delenv("DROPE_ATTN_THREADS")
-        out_serial = tmp_path / "serial"
-        assert main(["verify", *SMALL_VERIFY, "--out", str(out_serial)]) == 0
-        assert strip_timestamp(read_json(out_threads / "verify_report.json")) == (
-            strip_timestamp(read_json(out_serial / "verify_report.json"))
-        )
-        monkeypatch.setenv("DROPE_ATTN_THREADS", "zero")
-        assert main(["verify", *SMALL_VERIFY, "--out", str(tmp_path / "bad")]) == 2
-
 
 class TestProfile:
     def test_default_grid_outputs(self, tmp_path):
@@ -240,3 +227,31 @@ class TestRollout:
         out = tmp_path / "roll"
         assert main(["rollout", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "trajectories_00.csv").exists()
+
+
+_GRID = {"n_heads": [4], "d_k": [32], "d_v": [64]}
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    pytest.param("rollout", {"horizon": "16"}, "horizon", id="rollout-horizon"),
+    pytest.param("rollout", {"samples": 1.5}, "samples", id="rollout-samples"),
+    pytest.param("rollout", {"seed": "x"}, "seed", id="rollout-seed"),
+    pytest.param("rollout", {"seed": -1}, "seed", id="rollout-negative-seed"),
+    pytest.param("rollout", {"d_model": "64"}, "d_model", id="rollout-d_model"),
+    pytest.param("rollout", {"synthetic": []}, "synthetic", id="rollout-synthetic"),
+    pytest.param("verify", {"trials": "5"}, "trials", id="verify-trials"),
+    pytest.param("verify", {"seed": "x"}, "seed", id="verify-seed"),
+    pytest.param("verify", {"d_k_values": 3}, "d_k_values", id="verify-d_k_values"),
+    pytest.param("verify", {"d_k_values": []}, "d_k_values", id="verify-empty-d_k_values"),
+    pytest.param("profile", {"grid": {"n_tokens": ["a"], **_GRID}}, "n_tokens",
+                 id="profile-grid"),
+    pytest.param("profile", {"variants": "plain"}, "variants", id="profile-variants"),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, payload, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and repr(key) in err

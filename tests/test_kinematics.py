@@ -13,7 +13,6 @@ from drope.kinematics import (
     AgentState,
     ControlAction,
     ZERO_ACTION,
-    check_action_bounds,
     kinematic_step,
     min_ade,
 )
@@ -66,11 +65,10 @@ class TestKinematicStep:
             AgentState(float("inf"), 0, 0, 0)
 
     def test_action_bounds_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            check_action_bounds(ControlAction(ACCEL_LIMIT + 0.1, 0.0))
-        with pytest.raises(InvalidArgumentError):
-            check_action_bounds(ControlAction(0.0, -YAW_RATE_LIMIT - 0.1))
-        assert check_action_bounds(ZERO_ACTION) is ZERO_ACTION
+        # grid actions respect the limits by construction
+        grid = ActionGrid.default()
+        assert max(map(abs, grid.accel_centers)) == ACCEL_LIMIT
+        assert max(map(abs, grid.yaw_rate_centers)) == YAW_RATE_LIMIT
         with pytest.raises(InvalidArgumentError):
             ControlAction(float("nan"), 0.0)
 
@@ -79,7 +77,8 @@ class TestActionGrid:
     def test_default_shape_and_zero_bin(self):
         grid = ActionGrid.default()
         assert grid.n_actions == 81
-        zero = grid.action(grid.zero_action_index)
+        # the middle bin of both 9-bin axes
+        zero = grid.action(4 * grid.n_yaw + 4)
         assert zero.accel == 0.0 and zero.yaw_rate == 0.0
 
     def test_index_layout(self):

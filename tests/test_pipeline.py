@@ -499,16 +499,16 @@ class TestSceneRotationProperty:
         The position-head rows are not asserted: the axis-split position
         embedding is translation-invariant but not rotation-invariant.
         """
-        from drope.attention import PoseSet, QKVSet, mhsa_drope_hbh
+        from drope.attention import PoseSet, QKVSet, Variant, mhsa
         from drope.rotary import FrequencySchedule
 
         rng = np.random.default_rng(20)
         qkv = QKVSet.random(5, 2, 2, 3, rng)
         poses = PoseSet.random(5, rng)
         sched = FrequencySchedule.default(2)
-        base = mhsa_drope_hbh(qkv, poses, sched, keep_alpha=True)
-        rotated = mhsa_drope_hbh(qkv, poses.rotated(0.9, about=(3.0, -4.0)), sched,
-                                 keep_alpha=True)
+        base = mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched, keep_alpha=True)
+        rotated = mhsa(qkv, poses.rotated(0.9, about=(3.0, -4.0)), Variant.DROPE_HBH,
+                       sched=sched, keep_alpha=True)
         angle_heads = slice(1, None, 2)
         assert np.max(
             np.abs(rotated.alpha[:, angle_heads] - base.alpha[:, angle_heads])

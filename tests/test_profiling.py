@@ -172,12 +172,6 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep([SweepPoint(2, 1, 1, 1)], [])
 
-    def test_parallel_sweep_matches_serial(self):
-        points = [SweepPoint(n, 2, 4, 8) for n in (16, 32)]
-        assert sweep(points, ALL_VARIANTS) == sweep(
-            points, ALL_VARIANTS, max_workers=4
-        )
-
     def test_csv_round_trip(self, tmp_path):
         rows = self.make_rows()
         path = tmp_path / "sweep.csv"

@@ -12,14 +12,13 @@ from drope.errors import (
 )
 from drope.rotary import (
     TWO_PI,
-    Angle,
     FrequencySchedule,
     drope_embed,
+    heading_pair_angles,
     planar_pair_angles,
-    relative_angle,
     rope_embed,
-    rope_embed_planar,
     rotate2d,
+    rotate_pairs,
     wrap_angle,
 )
 
@@ -41,27 +40,13 @@ class TestWrapAngle:
         wrapped = wrap_angle(np.array([-0.1, 0.0, TWO_PI, 7.0]))
         assert np.all((wrapped >= 0.0) & (wrapped < TWO_PI))
 
-
-class TestAngle:
-    @given(angles_st, angles_st)
-    def test_arithmetic_stays_canonical(self, a, b):
-        diff = Angle(a) - Angle(b)
-        assert 0.0 <= diff.value < TWO_PI
-        assert diff.value == pytest.approx((a - b) % TWO_PI, abs=1e-9) or (
-            abs(diff.value - (a - b) % TWO_PI) > TWO_PI - 1e-9
-        )
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Angle(float("nan"))
-
     def test_relative_angle_quarter_turns(self):
         # the three-heading setup: pi/2 - 0 and 0 - 3*pi/2 wrap to the same angle
-        assert float(relative_angle(math.pi / 2, 0.0)) == pytest.approx(math.pi / 2)
-        assert float(relative_angle(0.0, 3 * math.pi / 2)) == pytest.approx(math.pi / 2)
+        assert wrap_angle(math.pi / 2 - 0.0) == pytest.approx(math.pi / 2)
+        assert wrap_angle(0.0 - 3 * math.pi / 2) == pytest.approx(math.pi / 2)
 
     def test_relative_angle_self_is_zero(self):
-        assert float(relative_angle(1.234, 1.234)) == 0.0
+        assert wrap_angle(1.234 - 1.234) == 0.0
 
 
 class TestFrequencySchedule:
@@ -227,6 +212,16 @@ class TestDropeEmbed:
         )
         assert abs(base - moved) / abs(base) < 1e-8
 
+    def test_bank_angles_match_single_embeddings(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((5, 8))
+        thetas = rng.uniform(0.0, TWO_PI, 5)
+        freqs = FrequencySchedule.default(4).freqs
+        for f in (None, freqs):
+            bank = rotate_pairs(x, heading_pair_angles(thetas, 4, f))
+            rows = np.stack([drope_embed(x[i], thetas[i], f) for i in range(5)])
+            assert np.array_equal(bank, rows)
+
     def test_fault_frequencies_change_the_result(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(8)
@@ -250,7 +245,8 @@ class TestPlanarEmbedding:
         x = rng.standard_normal(8)
         pos = np.array([1.5, -4.0])
         expected = ref_embed(x, ref_planar_angles(pos, 4, list(sched.freqs)))
-        assert rope_embed_planar(x, pos, sched) == pytest.approx(expected, abs=1e-12)
+        out = rotate_pairs(x, planar_pair_angles(pos, sched.d_k, sched.freqs))
+        assert out == pytest.approx(expected, abs=1e-12)
 
     def test_translation_invariant_dot_products(self):
         rng = np.random.default_rng(9)
@@ -258,8 +254,10 @@ class TestPlanarEmbedding:
         q, k = rng.standard_normal(12), rng.standard_normal(12)
         p1, p2 = np.array([2.0, 3.0]), np.array([-1.0, 7.5])
         shift = np.array([5.3, -2.1])
-        base = rope_embed_planar(q, p1, sched) @ rope_embed_planar(k, p2, sched)
-        moved = rope_embed_planar(q, p1 + shift, sched) @ rope_embed_planar(
-            k, p2 + shift, sched
-        )
+
+        def embed(x, position):
+            return rotate_pairs(x, planar_pair_angles(position, sched.d_k, sched.freqs))
+
+        base = embed(q, p1) @ embed(k, p2)
+        moved = embed(q, p1 + shift) @ embed(k, p2 + shift)
         assert abs(base - moved) / abs(base) < 1e-8
