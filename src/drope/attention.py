@@ -8,21 +8,24 @@ vectors, which is what makes its memory footprint quadratic in the token
 count. That pairwise regime materializes its per-pair tensors on purpose so
 the profiler can count them.
 
-Shapes: QK banks are (N, H, 2*d_k) with d_k rotation pairs per head, value
-banks are (N, H, d_v). Scores are scaled by 1/sqrt(d_k) with d_k the pair
-count. All engines are pure functions of their inputs; the optional
-AllocationMeter only records scalar counts of the arrays an engine
-materializes, grouped into the categories the memory ledger predicts.
+Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
+value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
+Leading axes are batch axes that a bank's poses share; query and key stacks
+broadcast, so one key bank (a map, say) serves a (T, A) stack of queries.
+Scores are scaled by 1/sqrt(d_k) with d_k the pair count. All engines are
+pure functions of their inputs; the optional AllocationMeter only records
+scalar counts of the arrays an engine materializes, grouped into the
+categories the memory ledger predicts.
 
-Internally the core is head-major: the (N, H, W) banks are viewed as
-(H, N, W), so the scores of every variant are one batched matmul giving
-(H, N, M), the softmax runs on that array in place, and the weighted sum is
-a second batched matmul with the (H, M, d_v) values. The pairwise regime
-uses the same two products and adds its offsets: with per-pair, per-head
-key and value offsets off_ij, a score is q_i.k_j + q_i.off_ij and an output
-is sum_j alpha_ij v_j + sum_j alpha_ij off_ij, so zero encoders give
-exactly the plain result. The analytic backward uses the same layout and
-the same softmax.
+Internally the core is head-major: the (..., N, H, W) banks are viewed as
+(..., H, N, W), so the scores of every variant are one batched matmul giving
+(..., H, N, M), the softmax runs on that array in place, and the weighted
+sum is a second batched matmul with the (..., H, M, d_v) values. The
+pairwise regime uses the same two products and adds its offsets: with
+per-pair, per-head key and value offsets off_ij, a score is
+q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
+off_ij, so zero encoders give exactly the plain result. The analytic
+backward uses the same layout and the same softmax on one unstacked bank.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ def _as_finite(name: str, arr, dtype=np.float64) -> np.ndarray:
 class QKVSet:
     """Query/key/value banks for N tokens and H heads.
 
-    ``q`` and ``k`` have shape (N, H, 2*d_k), ``v`` has shape (N, H, d_v).
+    ``q`` and ``k`` have shape (..., N, H, 2*d_k), ``v`` has shape
+    (..., N, H, d_v); the leading axes are batch axes.
     """
 
     q: np.ndarray
@@ -126,13 +130,13 @@ class QKVSet:
         self.q = _as_finite("q bank", self.q)
         self.k = _as_finite("k bank", self.k)
         self.v = _as_finite("v bank", self.v)
-        if self.q.ndim != 3 or self.k.ndim != 3 or self.v.ndim != 3:
-            raise DimensionMismatchError("QKV banks must be (tokens, heads, width)")
+        if self.q.ndim < 3:
+            raise DimensionMismatchError("QKV banks must be (..., tokens, heads, width)")
         if self.q.shape != self.k.shape:
             raise DimensionMismatchError(
                 f"q and k shapes differ: {self.q.shape} vs {self.k.shape}"
             )
-        if self.v.shape[:2] != self.q.shape[:2]:
+        if self.v.shape[:-1] != self.q.shape[:-1]:
             raise DimensionMismatchError(
                 f"v bank {self.v.shape} mismatches q bank {self.q.shape}"
             )
@@ -143,11 +147,11 @@ class QKVSet:
 
     @property
     def n_tokens(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-3]
 
     @property
     def n_heads(self) -> int:
-        return self.q.shape[1]
+        return self.q.shape[-2]
 
     @property
     def d_k(self) -> int:
@@ -169,7 +173,7 @@ class QKVSet:
 
 @dataclass
 class PoseSet:
-    """Global 2D positions (meters) and headings (canonical radians)."""
+    """Global 2D positions (..., N, 2) in meters, headings (..., N) in canonical radians."""
 
     positions: np.ndarray
     headings: np.ndarray
@@ -177,19 +181,18 @@ class PoseSet:
     def __post_init__(self):
         self.positions = _as_finite("positions", self.positions)
         self.headings = wrap_angle(_as_finite("headings", self.headings))
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
+        if self.positions.ndim < 2 or self.positions.shape[-1] != 2:
             raise DimensionMismatchError(
-                f"positions must be (tokens, 2), got {self.positions.shape}"
+                f"positions must be (..., tokens, 2), got {self.positions.shape}"
             )
-        if self.headings.shape != (self.positions.shape[0],):
+        if self.headings.shape != self.positions.shape[:-1]:
             raise DimensionMismatchError(
-                f"headings shape {self.headings.shape} mismatches "
-                f"{self.positions.shape[0]} tokens"
+                f"headings {self.headings.shape} mismatch positions {self.positions.shape}"
             )
 
     @property
     def n_tokens(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @classmethod
     def random(cls, n_tokens: int, rng, position_scale: float = 50.0) -> "PoseSet":
@@ -208,14 +211,14 @@ class PoseSet:
         """Rigidly rotate the scene: positions about a point, headings shifted."""
         c, s = math.cos(angle), math.sin(angle)
         rel = self.positions - np.asarray(about, dtype=np.float64)
-        rotated = np.column_stack(
-            [c * rel[:, 0] - s * rel[:, 1], s * rel[:, 0] + c * rel[:, 1]]
+        rotated = np.stack(
+            [c * rel[..., 0] - s * rel[..., 1], s * rel[..., 0] + c * rel[..., 1]], axis=-1
         ) + np.asarray(about, dtype=np.float64)
         return PoseSet(rotated, self.headings + angle)
 
     def permuted(self, perm) -> "PoseSet":
         perm = np.asarray(perm)
-        return PoseSet(self.positions[perm], self.headings[perm])
+        return PoseSet(self.positions[..., perm, :], self.headings[..., perm])
 
 
 @dataclass(frozen=True)
@@ -326,9 +329,9 @@ class RPEEncoders:
 class AttentionOutput:
     """Per-head outputs, their concatenation, and optional debug weights."""
 
-    per_head: np.ndarray          # (N, H, d_v)
-    merged: np.ndarray            # (N, H * d_v)
-    alpha: np.ndarray | None = None  # (N, H, M), retained only on request; may be a view
+    per_head: np.ndarray          # (..., N, H, d_v)
+    merged: np.ndarray            # (..., N, H * d_v)
+    alpha: np.ndarray | None = None  # (..., N, H, M), retained only on request; may be a view
 
 
 class AllocationMeter:
@@ -355,29 +358,29 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
-    """Materialize a head-shared (N, M, W) tensor as (N, M, H, W)."""
-    shape = pairwise.shape[:2] + (n_heads, pairwise.shape[-1])
-    return np.broadcast_to(pairwise[:, :, None, :], shape).copy()
+    """Materialize a head-shared (..., N, M, W) tensor as (..., N, M, H, W)."""
+    shape = pairwise.shape[:-1] + (n_heads, pairwise.shape[-1])
+    return np.broadcast_to(pairwise[..., None, :], shape).copy()
 
 
 def _bank_pair_angles(variant, poses, n_heads, d_k, sched, split, angle_freqs):
     """Per-(token, head, pair) rotation angles for one bank of a rotary variant.
 
-    The returned array broadcasts against a (N, H, 2*d_k) bank; head-uniform
-    variants return (N, 1, d_k).
+    The returned array broadcasts against a (..., N, H, 2*d_k) bank;
+    head-uniform variants return (..., N, 1, d_k).
     """
     if variant is Variant.DROPE_IH:
         p_pos = split.d_pos // 2
-        angles = np.empty((poses.n_tokens, 1, d_k))
-        angles[:, 0, :p_pos] = planar_pair_angles(poses.positions, p_pos, sched.freqs)
-        angles[:, 0, p_pos:] = heading_pair_angles(poses.headings, d_k - p_pos, angle_freqs)
+        angles = np.empty(poses.headings.shape + (1, d_k))
+        angles[..., 0, :p_pos] = planar_pair_angles(poses.positions, p_pos, sched.freqs)
+        angles[..., 0, p_pos:] = heading_pair_angles(poses.headings, d_k - p_pos, angle_freqs)
         return angles
     pos_angles = planar_pair_angles(poses.positions, d_k, sched.freqs)
     if variant is Variant.ROPE:
-        return pos_angles[:, None, :]
-    angles = np.empty((poses.n_tokens, n_heads, d_k))
-    angles[:, 0::2, :] = pos_angles[:, None, :]
-    angles[:, 1::2, :] = heading_pair_angles(poses.headings, d_k, angle_freqs)[:, None, :]
+        return pos_angles[..., None, :]
+    angles = np.empty(poses.headings.shape + (n_heads, d_k))
+    angles[..., 0::2, :] = pos_angles[..., None, :]
+    angles[..., 1::2, :] = heading_pair_angles(poses.headings, d_k, angle_freqs)[..., None, :]
     return angles
 
 
@@ -387,20 +390,22 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
     Returns ``(sched, split)``. This is the one place that defaults a rotary
     variant's frequency schedule and the intra-head variant's balanced split.
     """
-    n_q, n_heads, width = q_bank.shape
-    if k_bank.shape[1:] != (n_heads, width):
+    n_heads, width = q_bank.shape[-2:]
+    leading = zip(reversed(q_bank.shape[:-3]), reversed(k_bank.shape[:-3]))
+    if k_bank.shape[-2:] != (n_heads, width) or any(a != b and 1 not in (a, b) for a, b in leading):
         raise DimensionMismatchError(
             f"key bank {k_bank.shape} mismatches query bank {q_bank.shape} "
-            "in heads or width"
+            "in heads, width or leading axes that do not broadcast"
         )
     d_k = width // 2
     if variant is not Variant.PLAIN:
         if poses_q is None or poses_kv is None:
             raise ConfigurationError(f"variant {variant.value} requires poses")
-        if poses_q.n_tokens != n_q or poses_kv.n_tokens != k_bank.shape[0]:
+        if (poses_q.headings.shape != q_bank.shape[:-2]
+                or poses_kv.headings.shape != k_bank.shape[:-2]):
             raise DimensionMismatchError(
-                f"{poses_q.n_tokens} and {poses_kv.n_tokens} poses for "
-                f"{n_q} query and {k_bank.shape[0]} key tokens"
+                f"poses {poses_q.headings.shape} and {poses_kv.headings.shape} for "
+                f"query bank {q_bank.shape} and key bank {k_bank.shape}"
             )
     if variant is Variant.RPE:
         if enc is None:
@@ -436,7 +441,7 @@ def _attend(
     sched, split = _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split)
     if mask is not None and not mask.any(axis=-1).all():
         raise InvalidArgumentError("the attention mask blanks every key of a query row")
-    n_q, n_heads, width = q_bank.shape
+    n_heads, width = q_bank.shape[-2:]
     d_k = width // 2
     d_v = v_bank.shape[-1]
     if meter is not None:
@@ -445,11 +450,12 @@ def _attend(
     scale = 1.0 / math.sqrt(d_k)
     q_hat, k_hat = q_bank, k_bank
     if variant is Variant.RPE:
-        rel = np.empty((n_q, k_bank.shape[0], 3))
-        rel[:, :, :2] = poses_q.positions[:, None, :] - poses_kv.positions[None, :, :]
-        rel[:, :, 2] = wrap_angle(poses_q.headings[:, None] - poses_kv.headings[None, :])
-        k_offset = _per_head(enc.encode_key(rel), n_heads)    # (N, M, H, 2*d_k)
-        v_offset = _per_head(enc.encode_value(rel), n_heads)  # (N, M, H, d_v)
+        heading_offsets = poses_q.headings[..., :, None] - poses_kv.headings[..., None, :]
+        rel = np.empty(heading_offsets.shape + (3,))
+        rel[..., :2] = poses_q.positions[..., :, None, :] - poses_kv.positions[..., None, :, :]
+        rel[..., 2] = wrap_angle(heading_offsets)
+        k_offset = _per_head(enc.encode_key(rel), n_heads)    # (..., N, M, H, 2*d_k)
+        v_offset = _per_head(enc.encode_value(rel), n_heads)  # (..., N, M, H, d_v)
         if meter is not None:
             meter.add("pairwise", k_offset.size + v_offset.size)
     elif variant is not Variant.PLAIN:
@@ -460,26 +466,26 @@ def _attend(
         if meter is not None:
             meter.add("embedded", q_hat.size + k_hat.size)
 
-    scores = np.matmul(q_hat.transpose(1, 0, 2), k_hat.transpose(1, 2, 0))
+    scores = np.matmul(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2).swapaxes(-2, -1))
     if variant is Variant.RPE:
         # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
-        q_offset = np.matmul(k_offset.transpose(0, 2, 1, 3), q_bank[..., None])
-        scores += q_offset[..., 0].transpose(1, 0, 2)
+        q_offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])
+        scores += q_offset[..., 0].swapaxes(-3, -2)
     scores *= scale
     if mask is not None:
         np.copyto(scores, -np.inf, where=~mask)
     alpha = _softmax_rows(scores)
-    per_head = np.matmul(alpha, v_bank.transpose(1, 0, 2)).transpose(1, 0, 2)
+    per_head = np.matmul(alpha, v_bank.swapaxes(-3, -2)).swapaxes(-3, -2)
     if variant is Variant.RPE:
         # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
         per_head += np.matmul(
-            alpha.transpose(1, 0, 2)[:, :, None, :], v_offset.transpose(0, 2, 1, 3)
-        )[:, :, 0, :]
+            alpha.swapaxes(-3, -2)[..., None, :], v_offset.swapaxes(-3, -2)
+        )[..., 0, :]
     per_head = np.ascontiguousarray(per_head)
 
-    merged = per_head.reshape(n_q, n_heads * d_v)
+    merged = per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,))
     return AttentionOutput(
-        per_head, merged, alpha.transpose(1, 0, 2) if keep_alpha else None
+        per_head, merged, alpha.swapaxes(-3, -2) if keep_alpha else None
     )
 
 
@@ -619,6 +625,8 @@ def attention_backward(
     """
     if variant is Variant.RPE:
         raise NotImplementedError("backward for the pairwise-encoder variant is not available")
+    if qkv.q.ndim != 3:
+        raise DimensionMismatchError(f"backward takes one (N, H, W) bank, got {qkv.q.shape}")
     n, n_heads, width = qkv.q.shape
     d_k, d_v = qkv.d_k, qkv.d_v
     upstream = _as_finite("upstream gradient", upstream)

@@ -5,19 +5,21 @@ only, never absolute pose), run interaction blocks (agent self-attention per
 timestep, map self-attention, then agent-to-map cross-attention, each an
 attention sub-block with a residual two-layer feed-forward), add a sinusoidal
 temporal encoding and run causal self-attention along each agent's token
-sequence, and decode per-step logits over the discrete action grid.
+sequence, and decode per-step logits over the discrete action grid. Time is
+a batch axis: a block attends over all (T, A) agent tokens in one call per
+sub-block, against map keys/values it projects once.
 
 Rollout closes the loop: decode a distribution for the newest step, pick an
-action (greedy or seeded sampling), advance each agent with the kinematic
-update, repeat. ``PipelinePolicy`` decodes incrementally: the interaction
-blocks treat each timestep on its own, the map never changes during a
-rollout, and temporal attention is causal with a sinusoidal row per step
-that does not depend on the sequence length. So a step that only appends
-states encodes the new timestep alone, against the map tokens and temporal
-keys/values cached from earlier steps, and gives the logits a full forward
-pass over the history would. The attention sub-blocks compute
-``tokens + FFN(W_o @ attention(tokens))``, so a zero-weight FFN makes a block
-the identity regardless of the projections.
+action (greedy or seeded sampling), advance all agents with one vectorized
+kinematic update, repeat. ``PipelinePolicy`` decodes incrementally: the
+interaction blocks treat each timestep on its own, the map never changes
+during a rollout, and temporal attention is causal with a sinusoidal row per
+step that does not depend on the sequence length. So a step that only
+appends states encodes the new timestep alone, against each block's map
+keys/values and the temporal keys/values cached from earlier steps, and
+gives the logits a full forward pass over the history would. The attention
+sub-blocks compute ``tokens + FFN(W_o @ attention(tokens))``, so a
+zero-weight FFN makes a block the identity regardless of the projections.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .attention import (
     mhsa_causal,
 )
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
-from .kinematics import ActionGrid, AgentState, ControlAction, kinematic_step
-from .rotary import FrequencySchedule
+from .kinematics import ActionGrid, ControlAction, kinematic_step
+from .rotary import FrequencySchedule, wrap_angle
 from .scene import Scene
 
 __all__ = [
@@ -227,9 +229,6 @@ class SceneTokens:
     agent_headings: np.ndarray   # (n_agents, n_steps)
     map_poses: PoseSet
 
-    def agent_poses(self, step: int) -> PoseSet:
-        return PoseSet(self.agent_positions[:, step], self.agent_headings[:, step])
-
 
 def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> SceneTokens:
     """Encode agents and map segments into pose-free feature tokens.
@@ -266,12 +265,8 @@ def _agent_tokens(states: np.ndarray, weights: PipelineWeights) -> np.ndarray:
 
 def _project(tokens: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-head projection of (..., d_model) tokens to (..., H, width)."""
-    return np.einsum("...d,dhw->...hw", tokens, weights)
-
-
-def _project_qkv(tokens: np.ndarray, bw: BlockWeights) -> QKVSet:
-    return QKVSet(q=_project(tokens, bw.w_q), k=_project(tokens, bw.w_k),
-                  v=_project(tokens, bw.w_v))
+    flat = tokens @ weights.reshape(weights.shape[0], -1)
+    return flat.reshape(tokens.shape[:-1] + weights.shape[1:])
 
 
 def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
@@ -279,7 +274,7 @@ def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
 
 
 def _self_block(tokens, poses, bw, config) -> np.ndarray:
-    qkv = _project_qkv(tokens, bw)
+    qkv = QKVSet(*(_project(tokens, w) for w in (bw.w_q, bw.w_k, bw.w_v)))
     out = mhsa(
         qkv, poses, config.variant,
         sched=config.sched, enc=bw.enc, split=config.split,
@@ -287,38 +282,42 @@ def _self_block(tokens, poses, bw, config) -> np.ndarray:
     return tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
-def _cross_block(tokens, poses, kv_tokens, kv_poses, bw, config) -> np.ndarray:
-    queries = _project_qkv(tokens, bw)
-    keysvals = _project_qkv(kv_tokens, bw)
-    out = mhca(
-        queries, keysvals, poses, kv_poses, config.variant,
-        sched=config.sched, enc=bw.enc, split=config.split,
-    )
-    return tokens + _ffn(out.merged @ bw.w_o, bw)
+def _map_keysvals(map_tokens: np.ndarray, bw: BlockWeights) -> QKVSet:
+    """The map's cross-attention keys and values; its queries are never read."""
+    keys = _project(map_tokens, bw.w_k)
+    return QKVSet(keys, keys, _project(map_tokens, bw.w_v))
 
 
-def _agent_interaction(agent_tokens, poses, map_tokens, map_poses,
+def _agent_interaction(agent_tokens, poses, map_kv: QKVSet, map_poses,
                        block: InteractionBlockWeights, config: PipelineConfig):
-    """One timestep's agents through one block: self-attention, then to the map.
+    """(..., A, d_model) agents through one block: self-attention, then to the map.
 
-    ``map_tokens`` are the block's map tokens after its map self-attention.
+    ``map_kv`` holds the keys and values of the block's map tokens after its
+    map self-attention; every leading index attends to the same map.
     """
     agent_tokens = _self_block(agent_tokens, poses, block.agent_sa, config)
-    return _cross_block(agent_tokens, poses, map_tokens, map_poses, block.cross, config)
+    bw = block.cross
+    queries = _project(agent_tokens, bw.w_q)
+    # only the query bank of ``queries`` is read
+    out = mhca(
+        QKVSet(queries, queries, queries), map_kv, poses, map_poses, config.variant,
+        sched=config.sched, enc=bw.enc, split=config.split,
+    )
+    return agent_tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
 def interaction_step(
     tokens: SceneTokens, block: InteractionBlockWeights, config: PipelineConfig
 ) -> SceneTokens:
-    """One interaction block: the map once, then the agents of each timestep."""
+    """One interaction block: the map once, then the agents of all timesteps at once."""
     map_tokens = _self_block(tokens.map_tokens, tokens.map_poses, block.map_sa, config)
-    agent_tokens = np.empty_like(tokens.agent_tokens)
-    for t in range(agent_tokens.shape[1]):
-        agent_tokens[:, t] = _agent_interaction(
-            tokens.agent_tokens[:, t], tokens.agent_poses(t),
-            map_tokens, tokens.map_poses, block, config,
-        )
-    return replace(tokens, agent_tokens=agent_tokens, map_tokens=map_tokens)
+    poses = PoseSet(tokens.agent_positions.swapaxes(0, 1), tokens.agent_headings.swapaxes(0, 1))
+    agent_tokens = _agent_interaction(
+        tokens.agent_tokens.swapaxes(0, 1), poses, _map_keysvals(map_tokens, block.cross),
+        tokens.map_poses, block, config,
+    )
+    return replace(tokens, agent_tokens=np.ascontiguousarray(agent_tokens.swapaxes(0, 1)),
+                   map_tokens=map_tokens)
 
 
 def _step_encoding(steps, d_model: int) -> np.ndarray:
@@ -426,14 +425,15 @@ class ConstantActionPolicy:
 class _IncrementalDecoder:
     """What PipelinePolicy caches to decode the next step of a rollout.
 
-    Holds the states already encoded, the map segments, per block the map
-    tokens after its map self-attention, the temporal keys and values
-    (T, n_agents*H, width), and the newest step's distribution.
+    Holds the states already encoded, the map segments, per block the
+    cross-attention keys and values of the map tokens after its map
+    self-attention, the temporal keys and values (T, n_agents*H, width), and
+    the newest step's distribution.
     """
 
     states: np.ndarray
     segments: tuple
-    map_tokens: list
+    map_kv: list
     map_poses: PoseSet
     keys: np.ndarray
     values: np.ndarray
@@ -444,10 +444,10 @@ class _IncrementalDecoder:
                    config: PipelineConfig) -> "_IncrementalDecoder":
         """Full forward pass over the scene, keeping what later steps reuse."""
         tokens = tokenize_scene(scene, weights, config)
-        map_tokens = []
+        map_kv = []
         for block in weights.blocks:
             tokens = interaction_step(tokens, block, config)
-            map_tokens.append(tokens.map_tokens)
+            map_kv.append(_map_keysvals(tokens.map_tokens, block.cross))
         final = temporal_step(tokens.agent_tokens, weights.temporal, config)
         encoded = tokens.agent_tokens + sinusoidal_position_encoding(
             scene.n_steps, config.d_model
@@ -456,7 +456,7 @@ class _IncrementalDecoder:
         return cls(
             states=scene.agent_states.copy(),
             segments=tuple(scene.segments),
-            map_tokens=map_tokens,
+            map_kv=map_kv,
             map_poses=tokens.map_poses,
             keys=banks.k,
             values=banks.v,
@@ -486,8 +486,8 @@ class _IncrementalDecoder:
         """Final temporal tokens (n_agents, d_model) of timestep ``t``."""
         tokens = _agent_tokens(states, weights)
         poses = PoseSet(states[:, :2], states[:, 2])
-        for block, map_tokens in zip(weights.blocks, self.map_tokens):
-            tokens = _agent_interaction(tokens, poses, map_tokens, self.map_poses, block, config)
+        for block, map_kv in zip(weights.blocks, self.map_kv):
+            tokens = _agent_interaction(tokens, poses, map_kv, self.map_poses, block, config)
         encoded = (tokens + _step_encoding([t], config.d_model))[:, None]
         row = _temporal_banks(encoded, weights.temporal)
         self.keys = np.concatenate([self.keys, row.k])
@@ -548,9 +548,10 @@ class RolloutResult:
 def rollout(scene: Scene, policy, horizon: int, *, prefix_steps: int | None = None):
     """Autoregressive closed-loop rollout from a scene prefix.
 
-    At each step the policy sees the history so far, every agent advances by
-    one kinematic update, and the new states are appended before the next
-    decision. Horizons beyond the soft 8 s limit warn but proceed.
+    At each step the policy sees the history so far, all agents advance by
+    one vectorized kinematic update, bitwise equal to ``kinematic_step`` on
+    each agent, and the new states are appended before the next decision.
+    Horizons beyond the soft 8 s limit warn but proceed.
     """
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
@@ -570,14 +571,18 @@ def rollout(scene: Scene, policy, horizon: int, *, prefix_steps: int | None = No
             raise DimensionMismatchError(
                 f"policy returned {len(step_actions)} actions for {n_agents} agents"
             )
-        new_states = []
-        for i in range(n_agents):
-            current = AgentState.from_array(history.agent_states[i, -1])
-            advanced = kinematic_step(current, step_actions[i], history.dt)
-            new_states.append(advanced.as_array())
-            actions[i].append(step_actions[i])
-            states[i, step] = advanced.as_array()
-        history = history.with_appended_states(np.array(new_states))
+        dt = history.dt
+        x, y, yaw, v = history.agent_states[:, -1].T
+        controls = np.array([(a.accel, a.yaw_rate) for a in step_actions]).reshape(-1, 2)
+        v = v + controls[:, 0] * dt
+        v = np.where(v > 0.0, v, 0.0)   # max(0.0, v), as kinematic_step takes it
+        yaw = wrap_angle(yaw + controls[:, 1] * dt)
+        states[:, step] = np.stack(
+            [x + v * np.cos(yaw) * dt, y + v * np.sin(yaw) * dt, yaw, v], axis=-1
+        )
+        for agent_actions, action in zip(actions, step_actions):
+            agent_actions.append(action)
+        history = history.with_appended_states(states[:, step])
     return RolloutResult(states=states, actions=actions, dt=history.dt)
 
 

@@ -180,12 +180,6 @@ class Scene:
     def state(self, agent: int, step: int) -> AgentState:
         return AgentState.from_array(self.agent_states[agent, step])
 
-    def agent_poses(self, step: int) -> PoseSet:
-        return PoseSet(
-            positions=self.agent_states[:, step, :2],
-            headings=self.agent_states[:, step, 2],
-        )
-
     def map_poses(self) -> PoseSet:
         if not self.segments:
             raise InvalidArgumentError("the scene has no map segments")

@@ -375,5 +375,8 @@ def run_verification(cfg: VerificationConfig) -> list[PropertyResult]:
     """Run every property check; deterministic for a fixed configuration."""
     if cfg.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {cfg.trials}")
+    if not cfg.d_k_values or cfg.counterexample_seeds < 1:
+        raise ConfigurationError("d_k_values must be non-empty and counterexample_seeds "
+                                 f"positive, got {cfg.d_k_values!r} and {cfg.counterexample_seeds}")
     cfg.angle_freqs(FrequencySchedule.default(2))  # validate the fault name early
     return [check(cfg) for check in _CHECKS]

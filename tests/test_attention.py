@@ -389,6 +389,87 @@ class TestStructuralProperties:
         assert np.all(out.alpha[:, 0][upper] == 0.0)
 
 
+
+class TestBatchAxes:
+    """Leading batch axes: one stacked call equals its per-slice calls."""
+
+    T, N, M, H, D_K, D_V = 3, 4, 5, 2, 2, 3
+
+    def stack(self, seed, lead, n):
+        rng = np.random.default_rng(seed)
+        qkv = QKVSet(
+            rng.standard_normal(lead + (n, self.H, 2 * self.D_K)),
+            rng.standard_normal(lead + (n, self.H, 2 * self.D_K)),
+            rng.standard_normal(lead + (n, self.H, self.D_V)),
+        )
+        poses = PoseSet(rng.uniform(-50.0, 50.0, lead + (n, 2)),
+                        rng.uniform(0.0, TWO_PI, lead + (n,)))
+        return qkv, poses
+
+    @staticmethod
+    def part(qkv, poses, t):
+        return QKVSet(qkv.q[t], qkv.k[t], qkv.v[t]), PoseSet(poses.positions[t], poses.headings[t])
+
+    def enc(self, variant):
+        return RPEEncoders.seeded(self.D_K, self.D_V, seed=5) if variant is Variant.RPE else None
+
+    @staticmethod
+    def assert_stacks(stacked, slices):
+        expected = np.stack(slices)
+        assert stacked.shape == expected.shape
+        assert np.max(np.abs(stacked - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_mhsa_stack_equals_slices(self, variant):
+        qkv, poses = self.stack(50, (self.T,), self.N)
+        out = mhsa(qkv, poses, variant, enc=self.enc(variant), keep_alpha=True)
+        parts = [
+            mhsa(*self.part(qkv, poses, t), variant, enc=self.enc(variant), keep_alpha=True)
+            for t in range(self.T)
+        ]
+        self.assert_stacks(out.merged, [part.merged for part in parts])
+        self.assert_stacks(out.alpha, [part.alpha for part in parts])
+        assert out.alpha.shape == (self.T, self.N, self.H, self.N)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_mhca_stacked_queries_share_one_key_bank(self, variant):
+        queries, poses_q = self.stack(51, (self.T,), self.N)
+        keysvals, poses_kv = self.stack(52, (), self.M)
+        out = mhca(queries, keysvals, poses_q, poses_kv, variant,
+                   enc=self.enc(variant), keep_alpha=True)
+        parts = []
+        for t in range(self.T):
+            queries_t, poses_t = self.part(queries, poses_q, t)
+            parts.append(mhca(queries_t, keysvals, poses_t, poses_kv, variant,
+                              enc=self.enc(variant), keep_alpha=True))
+        self.assert_stacks(out.merged, [part.merged for part in parts])
+        self.assert_stacks(out.alpha, [part.alpha for part in parts])
+        assert out.alpha.shape == (self.T, self.N, self.H, self.M)
+
+    def test_mhsa_causal_stack_equals_slices(self):
+        qkv, poses = self.stack(53, (self.T,), self.N)
+        out = mhsa_causal(qkv, keep_alpha=True)
+        parts = [mhsa_causal(self.part(qkv, poses, t)[0], keep_alpha=True) for t in range(self.T)]
+        self.assert_stacks(out.merged, [part.merged for part in parts])
+        self.assert_stacks(out.alpha, [part.alpha for part in parts])
+        assert out.alpha.shape == (self.T, self.N, self.H, self.N)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_unbroadcastable_stacks_rejected(self, variant):
+        queries, poses_q = self.stack(54, (3,), self.N)
+        keysvals, poses_kv = self.stack(55, (2,), self.M)
+        with pytest.raises(DimensionMismatchError):
+            mhca(queries, keysvals, poses_q, poses_kv, variant, enc=self.enc(variant))
+
+    @pytest.mark.parametrize("variant", [v for v in Variant if v is not Variant.PLAIN])
+    @pytest.mark.parametrize("lead", [(), (2,), (1, 3)])
+    def test_poses_with_other_leading_axes_rejected(self, variant, lead):
+        qkv, _ = self.stack(56, (self.T,), self.N)
+        _, poses = self.stack(57, lead, self.N)
+        with pytest.raises(DimensionMismatchError):
+            mhsa(qkv, poses, variant, enc=self.enc(variant))
+
+
 class TestCounterexample:
     def test_all_ones_case(self):
         # fixed vectors make the gap a closed-form quantity

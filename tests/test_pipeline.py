@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import drope.pipeline as pipeline
-from drope.attention import IntraHeadSplit, Variant
+from drope.attention import IntraHeadSplit, PoseSet, Variant
 from drope.errors import ConfigurationError, InvalidArgumentError
-from drope.kinematics import ZERO_ACTION
+from drope.kinematics import YAW_RATE_LIMIT, ZERO_ACTION, ControlAction
 from drope.pipeline import (
     ActionDistribution,
     BlockWeights,
@@ -27,7 +27,7 @@ from drope.pipeline import (
     tokenize_scene,
     write_trajectory_csv,
 )
-from drope.rotary import FrequencySchedule
+from drope.rotary import TWO_PI, FrequencySchedule
 from drope.scene import Scene, make_constant_velocity_scene, make_scene
 
 from oracles import (
@@ -47,6 +47,11 @@ def small_config(variant=Variant.DROPE_HBH, **kw):
 
 def small_scene(seed=0, n_agents=3, n_steps=3):
     return make_scene(seed=seed, n_agents=n_agents, n_steps=n_steps)
+
+
+def agent_poses(tokens, t):
+    """The agents' poses at timestep ``t`` of scene tokens."""
+    return PoseSet(tokens.agent_positions[:, t], tokens.agent_headings[:, t])
 
 
 class TestTokenize:
@@ -127,7 +132,7 @@ class TestInteraction:
         expected_agents = tokens.agent_tokens.copy()
         for t in range(scene.n_steps):
             expected_agents[:, t] = ref_attention_block(
-                config.variant.value, expected_agents[:, t], tokens.agent_poses(t),
+                config.variant.value, expected_agents[:, t], agent_poses(tokens, t),
                 block.agent_sa, split,
             )
         expected_map = ref_attention_block(
@@ -135,7 +140,7 @@ class TestInteraction:
         )
         for t in range(scene.n_steps):
             expected_agents[:, t] = ref_attention_block(
-                config.variant.value, expected_agents[:, t], tokens.agent_poses(t),
+                config.variant.value, expected_agents[:, t], agent_poses(tokens, t),
                 block.cross, split,
                 kv_tokens=expected_map, kv_poses=tokens.map_poses,
             )
@@ -269,7 +274,7 @@ class TestForward:
         block = weights.blocks[0]
         for t in range(scene.n_steps):
             agents[:, t] = ref_attention_block(
-                config.variant.value, agents[:, t], tokens.agent_poses(t),
+                config.variant.value, agents[:, t], agent_poses(tokens, t),
                 block.agent_sa, split,
             )
         map_tokens = ref_attention_block(
@@ -277,7 +282,7 @@ class TestForward:
         )
         for t in range(scene.n_steps):
             agents[:, t] = ref_attention_block(
-                config.variant.value, agents[:, t], tokens.agent_poses(t),
+                config.variant.value, agents[:, t], agent_poses(tokens, t),
                 block.cross, split, kv_tokens=map_tokens, kv_poses=tokens.map_poses,
             )
         pe = ref_sinusoidal_pe(scene.n_steps, config.d_model)
@@ -326,6 +331,39 @@ class TestRollout:
         initial = [scene.state(i, scene.n_steps - 1) for i in range(scene.n_agents)]
         replayed = replay_actions(initial, result.actions, scene.dt)
         assert np.array_equal(replayed, result.states)
+
+    @pytest.mark.parametrize("case", ["brake_to_standstill", "wrap_across_zero",
+                                      "wrap_across_two_pi", "one_agent", "constant_action"])
+    def test_vectorized_update_equals_replay_bitwise(self, case):
+        segments = make_scene(seed=0).segments
+        states = np.zeros((2, 2, 4))
+        states[:, :, 3] = [[1.5, 1.3], [0.2, 0.1]]
+        policy = ConstantActionPolicy(ControlAction(-4.0, 0.0))
+        if case in ("wrap_across_zero", "wrap_across_two_pi"):
+            states[:, :, 2] = 0.3 if case == "wrap_across_zero" else TWO_PI - 0.3
+            policy = ConstantActionPolicy(ControlAction(
+                1.0, -YAW_RATE_LIMIT if case == "wrap_across_zero" else YAW_RATE_LIMIT
+            ))
+        elif case == "one_agent":
+            states = make_scene(seed=22, n_agents=2, n_steps=3).agent_states[:1]
+            config = small_config()
+            policy = PipelinePolicy(PipelineWeights.seeded(config, seed=22), config,
+                                    mode="sample", seed=3)
+        elif case == "constant_action":
+            states = make_scene(seed=23, n_agents=5, n_steps=2).agent_states
+            policy = ConstantActionPolicy(ControlAction(0.8, 0.35))
+        scene = Scene(states, segments, 0.5)
+        result = rollout(scene, policy, horizon=8)
+        initial = [scene.state(i, scene.n_steps - 1) for i in range(scene.n_agents)]
+        replayed = replay_actions(initial, result.actions, scene.dt)
+        assert replayed.tobytes() == result.states.tobytes()
+        yaw = result.states[:, :, 2]
+        if case == "brake_to_standstill":
+            assert np.all(result.states[:, 1:, 3] == 0.0)
+        elif case == "wrap_across_zero":   # 0.3 - 0.5 wraps to 2*pi - 0.2
+            assert np.all(yaw[:, 0] > TWO_PI - 0.3)
+        elif case == "wrap_across_two_pi":
+            assert np.all(yaw[:, 0] < 0.3)
 
     def test_soft_horizon_warning(self):
         scene = make_constant_velocity_scene(seed=17, n_steps=4)
@@ -489,6 +527,28 @@ class TestIncrementalDecoding:
         # per block one agent self-attention and one agent-to-map call, then
         # one temporal call for all agents
         assert per_push[4] == {"mhsa": 2, "mhca": 3}
+        assert per_push[40] == per_push[4]
+
+    def test_map_is_projected_once_per_rollout(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=34)
+        history = small_scene(34, n_agents=3, n_steps=3)
+        policy = PipelinePolicy(weights, config)
+        policy.actions(history)
+        map_kv = list(policy._decoder.map_kv)
+        counts = Counter()
+        spy_on(monkeypatch, ["_project"], counts)
+        per_push = {}
+        while history.n_steps < 40:
+            history = history.with_appended_states(history.agent_states[:, -1])
+            counts.clear()
+            policy.actions(history)
+            per_push[history.n_steps] = counts["_project"]
+        assert len(policy._decoder.map_kv) == len(map_kv) == config.n_blocks
+        assert all(new is old for new, old in zip(policy._decoder.map_kv, map_kv))
+        # per block Q/K/V of the agent self-attention and the agents' map
+        # queries, then the temporal Q/K/V: no map token is projected
+        assert per_push[4] == 4 * config.n_blocks + 3
         assert per_push[40] == per_push[4]
 
 
