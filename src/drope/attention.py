@@ -12,10 +12,10 @@ Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
 value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
 Leading axes are batch axes that a bank's poses share; query and key stacks
 broadcast, so one key bank (a map, say) serves a (T, A) stack of queries.
-Scores are scaled by 1/sqrt(d_k) with d_k the pair count. All engines are
-pure functions of their inputs; the optional AllocationMeter only records
-scalar counts of the arrays an engine materializes, grouped into the
-categories the memory ledger predicts.
+Scores are scaled by 1/sqrt(d_k) with d_k the pair count. A ``PoseSet`` is
+immutable and keeps the rotation angles of its last settings, so calls that
+share poses compute them once. The optional AllocationMeter only records
+scalar counts of the arrays an engine materializes, by ledger category.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
 (..., H, N, W), so the scores of every variant are one batched matmul giving
@@ -30,9 +30,10 @@ backward uses the same layout and the same softmax on one unstacked bank.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,7 +110,7 @@ ROTARY_VARIANTS = (Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
 
 def _as_finite(name: str, arr, dtype=np.float64) -> np.ndarray:
     arr = np.asarray(arr, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} must be finite")
     return arr
 
@@ -119,7 +120,8 @@ class QKVSet:
     """Query/key/value banks for N tokens and H heads.
 
     ``q`` and ``k`` have shape (..., N, H, 2*d_k), ``v`` has shape
-    (..., N, H, d_v); the leading axes are batch axes.
+    (..., N, H, d_v); the leading axes are batch axes. An array passed for
+    more than one bank is checked once.
     """
 
     q: np.ndarray
@@ -127,9 +129,10 @@ class QKVSet:
     v: np.ndarray
 
     def __post_init__(self):
-        self.q = _as_finite("q bank", self.q)
-        self.k = _as_finite("k bank", self.k)
-        self.v = _as_finite("v bank", self.v)
+        q, k, v = self.q, self.k, self.v
+        self.q = _as_finite("q bank", q)
+        self.k = self.q if k is q else _as_finite("k bank", k)
+        self.v = self.q if v is q else self.k if v is k else _as_finite("v bank", v)
         if self.q.ndim < 3:
             raise DimensionMismatchError("QKV banks must be (..., tokens, heads, width)")
         if self.q.shape != self.k.shape:
@@ -162,6 +165,14 @@ class QKVSet:
     def d_v(self) -> int:
         return self.v.shape[-1]
 
+    def first(self, n: int) -> "QKVSet":
+        """Views of the first ``n`` tokens of each bank, not checked again."""
+        if not 1 <= n <= self.n_tokens:
+            raise InvalidArgumentError(f"need 1..{self.n_tokens} tokens, got {n}")
+        view = copy.copy(self)
+        view.q, view.k, view.v = (bank[..., :n, :, :] for bank in (self.q, self.k, self.v))
+        return view
+
     @classmethod
     def random(cls, n_tokens: int, n_heads: int, d_k: int, d_v: int, rng) -> "QKVSet":
         return cls(
@@ -171,24 +182,56 @@ class QKVSet:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoseSet:
-    """Global 2D positions (..., N, 2) in meters, headings (..., N) in canonical radians."""
+    """Global 2D positions (..., N, 2) in meters, headings (..., N) in canonical
+    radians; immutable, with read-only copies of both arrays."""
 
     positions: np.ndarray
     headings: np.ndarray
+    _angles: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.positions = _as_finite("positions", self.positions)
-        self.headings = wrap_angle(_as_finite("headings", self.headings))
-        if self.positions.ndim < 2 or self.positions.shape[-1] != 2:
+        positions = np.array(_as_finite("positions", self.positions))
+        if positions.ndim < 2 or positions.shape[-1] != 2:
             raise DimensionMismatchError(
-                f"positions must be (..., tokens, 2), got {self.positions.shape}"
+                f"positions must be (..., tokens, 2), got {positions.shape}"
             )
-        if self.headings.shape != self.positions.shape[:-1]:
+        headings = np.asarray(wrap_angle(_as_finite("headings", self.headings)))
+        if headings.shape != positions.shape[:-1]:
             raise DimensionMismatchError(
-                f"headings {self.headings.shape} mismatch positions {self.positions.shape}"
+                f"headings {headings.shape} mismatch positions {positions.shape}"
             )
+        positions.flags.writeable = headings.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "headings", headings)
+
+    def pair_angles(self, variant, n_heads, d_k, sched, split, angle_freqs) -> np.ndarray:
+        """Read-only (..., N, H or 1, d_k) rotation angles of a rotary variant's bank.
+
+        The last settings' angles are kept. Schedule and split are compared
+        by identity (a schedule's frequencies are read-only), the rest by value.
+        """
+        kept = self._angles
+        if (kept is not None and kept[:3] == (variant, n_heads, d_k) and kept[3] is sched
+                and kept[4] is split and (kept[5] is None) == (angle_freqs is None)
+                and (angle_freqs is None or np.array_equal(kept[5], angle_freqs))):
+            return kept[6]
+        if variant is Variant.DROPE_IH:
+            p_pos = split.d_pos // 2
+            angles = np.empty(self.headings.shape + (1, d_k))
+            angles[..., 0, :p_pos] = planar_pair_angles(self.positions, p_pos, sched.freqs)
+            angles[..., 0, p_pos:] = heading_pair_angles(self.headings, d_k - p_pos, angle_freqs)
+        elif variant is Variant.ROPE:
+            angles = planar_pair_angles(self.positions, d_k, sched.freqs)[..., None, :]
+        else:
+            angles = np.empty(self.headings.shape + (n_heads, d_k))
+            angles[..., 0::2, :] = planar_pair_angles(self.positions, d_k, sched.freqs)[..., None, :]
+            angles[..., 1::2, :] = heading_pair_angles(self.headings, d_k, angle_freqs)[..., None, :]
+        angles.flags.writeable = False
+        freqs = None if angle_freqs is None else np.array(angle_freqs)
+        object.__setattr__(self, "_angles", (variant, n_heads, d_k, sched, split, freqs, angles))
+        return angles
 
     @property
     def n_tokens(self) -> int:
@@ -282,16 +325,8 @@ class RPEEncoders:
             raise DimensionMismatchError("encoder hidden widths are inconsistent")
 
     @property
-    def hidden(self) -> int:
-        return self.w1_k.shape[1]
-
-    @property
     def key_width(self) -> int:
         return self.w2_k.shape[1]
-
-    @property
-    def value_width(self) -> int:
-        return self.w2_v.shape[1]
 
     def encode_key(self, rel) -> np.ndarray:
         h = np.tanh(rel @ self.w1_k + self.b1_k)
@@ -351,9 +386,9 @@ class AllocationMeter:
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Max-stabilized softmax along the last axis, computed in place."""
-    scores -= np.max(scores, axis=-1, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= np.sum(scores, axis=-1, keepdims=True)
+    scores /= scores.sum(axis=-1, keepdims=True)
     return scores
 
 
@@ -361,27 +396,6 @@ def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
     """Materialize a head-shared (..., N, M, W) tensor as (..., N, M, H, W)."""
     shape = pairwise.shape[:-1] + (n_heads, pairwise.shape[-1])
     return np.broadcast_to(pairwise[..., None, :], shape).copy()
-
-
-def _bank_pair_angles(variant, poses, n_heads, d_k, sched, split, angle_freqs):
-    """Per-(token, head, pair) rotation angles for one bank of a rotary variant.
-
-    The returned array broadcasts against a (..., N, H, 2*d_k) bank;
-    head-uniform variants return (..., N, 1, d_k).
-    """
-    if variant is Variant.DROPE_IH:
-        p_pos = split.d_pos // 2
-        angles = np.empty(poses.headings.shape + (1, d_k))
-        angles[..., 0, :p_pos] = planar_pair_angles(poses.positions, p_pos, sched.freqs)
-        angles[..., 0, p_pos:] = heading_pair_angles(poses.headings, d_k - p_pos, angle_freqs)
-        return angles
-    pos_angles = planar_pair_angles(poses.positions, d_k, sched.freqs)
-    if variant is Variant.ROPE:
-        return pos_angles[..., None, :]
-    angles = np.empty(poses.headings.shape + (n_heads, d_k))
-    angles[..., 0::2, :] = pos_angles[..., None, :]
-    angles[..., 1::2, :] = heading_pair_angles(poses.headings, d_k, angle_freqs)[..., None, :]
-    return angles
 
 
 def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split):
@@ -459,8 +473,8 @@ def _attend(
         if meter is not None:
             meter.add("pairwise", k_offset.size + v_offset.size)
     elif variant is not Variant.PLAIN:
-        angles_q = _bank_pair_angles(variant, poses_q, n_heads, d_k, sched, split, angle_freqs)
-        angles_k = _bank_pair_angles(variant, poses_kv, n_heads, d_k, sched, split, angle_freqs)
+        angles_q = poses_q.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
+        angles_k = poses_kv.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
         q_hat = rotate_pairs(q_bank, angles_q)
         k_hat = rotate_pairs(k_bank, angles_k)
         if meter is not None:
@@ -641,7 +655,7 @@ def attention_backward(
         angles = None
         q_hat, k_hat = qkv.q, qkv.k
     else:
-        angles = _bank_pair_angles(variant, poses, n_heads, d_k, sched, split, angle_freqs)
+        angles = poses.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
         q_hat = rotate_pairs(qkv.q, angles)
         k_hat = rotate_pairs(qkv.k, angles)
 

@@ -16,10 +16,11 @@ interaction blocks treat each timestep on its own, the map never changes
 during a rollout, and temporal attention is causal with a sinusoidal row per
 step that does not depend on the sequence length. So a step that only
 appends states encodes the new timestep alone, against each block's map
-keys/values and the temporal keys/values cached from earlier steps, and
-gives the logits a full forward pass over the history would. The attention
-sub-blocks compute ``tokens + FFN(W_o @ attention(tokens))``, so a
-zero-weight FFN makes a block the identity regardless of the projections.
+keys/values and the temporal keys/values of earlier steps (a preallocated
+cache, written in place and grown in fixed chunks), and gives the logits a
+full forward pass over the history would. The attention sub-blocks compute
+``tokens + FFN(W_o @ attention(tokens))``, so a zero-weight FFN makes a
+block the identity regardless of the projections.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,6 +73,7 @@ __all__ = [
 
 AGENT_FEATURE_WIDTH = 2      # [speed, 1.0]
 ROLLOUT_SOFT_LIMIT_S = 8.0   # longer horizons warn but proceed
+CACHE_CHUNK_STEPS = 16       # the temporal K/V cache grows by this many steps
 
 
 @dataclass
@@ -320,15 +322,20 @@ def interaction_step(
                    map_tokens=map_tokens)
 
 
+@lru_cache(maxsize=8)
+def _step_scales(d_model: int) -> np.ndarray:
+    """The sinusoid's read-only frequency row (1, d_model/2)."""
+    scales = np.exp(-math.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model)
+    scales.flags.writeable = False
+    return scales[None, :]
+
+
 def _step_encoding(steps, d_model: int) -> np.ndarray:
     """Sinusoidal encoding rows of the given steps; each row depends on its step only."""
-    positions = np.asarray(steps, dtype=np.float64)[:, None]
-    scales = np.exp(
-        -math.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model
-    )[None, :]
-    encoding = np.empty((positions.shape[0], d_model))
-    encoding[:, 0::2] = np.sin(positions * scales)
-    encoding[:, 1::2] = np.cos(positions * scales)
+    angles = np.asarray(steps, dtype=np.float64)[:, None] * _step_scales(d_model)
+    encoding = np.empty((angles.shape[0], d_model))
+    encoding[:, 0::2] = np.sin(angles)
+    encoding[:, 1::2] = np.cos(angles)
     return encoding
 
 
@@ -395,11 +402,14 @@ class ActionDistribution:
 
 def decode_actions(agent_tokens: np.ndarray, weights: PipelineWeights,
                    config: PipelineConfig) -> ActionDistribution:
-    """MLP from final agent tokens to action-grid logits."""
-    if not np.all(np.isfinite(agent_tokens)):
+    """MLP from final agent tokens to action-grid logits; both must be finite."""
+    if not np.isfinite(agent_tokens).all():
         raise InvalidArgumentError("agent tokens must be finite")
     hidden = np.tanh(agent_tokens @ weights.dec_w1 + weights.dec_b1)
-    return ActionDistribution(hidden @ weights.dec_w2 + weights.dec_b2)
+    logits = hidden @ weights.dec_w2 + weights.dec_b2
+    if not np.isfinite(logits).all():
+        raise InvalidArgumentError("decoder logits must be finite; check the decoder weights")
+    return ActionDistribution(logits)
 
 
 def forward(scene: Scene, weights: PipelineWeights, config: PipelineConfig):
@@ -427,16 +437,17 @@ class _IncrementalDecoder:
 
     Holds the states already encoded, the map segments, per block the
     cross-attention keys and values of the map tokens after its map
-    self-attention, the temporal keys and values (T, n_agents*H, width), and
-    the newest step's distribution.
+    self-attention, the temporal keys and values, and the newest step's
+    distribution. The temporal ``cache`` is preallocated, (capacity,
+    n_agents*H, width) with the keys also in the unread query slot; a push
+    writes its row in place, and a full cache grows by ``CACHE_CHUNK_STEPS``.
     """
 
     states: np.ndarray
     segments: tuple
     map_kv: list
     map_poses: PoseSet
-    keys: np.ndarray
-    values: np.ndarray
+    cache: QKVSet
     newest: ActionDistribution
 
     @classmethod
@@ -458,8 +469,7 @@ class _IncrementalDecoder:
             segments=tuple(scene.segments),
             map_kv=map_kv,
             map_poses=tokens.map_poses,
-            keys=banks.k,
-            values=banks.v,
+            cache=_grown_cache(banks, scene.n_steps),
             newest=decode_actions(final[:, -1:], weights, config),
         )
 
@@ -490,12 +500,20 @@ class _IncrementalDecoder:
             tokens = _agent_interaction(tokens, poses, map_kv, self.map_poses, block, config)
         encoded = (tokens + _step_encoding([t], config.d_model))[:, None]
         row = _temporal_banks(encoded, weights.temporal)
-        self.keys = np.concatenate([self.keys, row.k])
-        self.values = np.concatenate([self.values, row.v])
+        if t == self.cache.n_tokens:
+            self.cache = _grown_cache(self.cache, t)
+        self.cache.k[t], self.cache.v[t] = row.k[0], row.v[0]
         # the newest step is the last one, so the causal mask hides nothing
-        cache = QKVSet(self.keys, self.keys, self.values)
-        attended = mhca(row, cache, None, None, Variant.PLAIN)
+        attended = mhca(row, self.cache.first(t + 1), None, None, Variant.PLAIN)
         return _temporal_residual(encoded, attended, weights.temporal)[:, 0]
+
+
+def _grown_cache(banks: QKVSet, n_steps: int) -> QKVSet:
+    """A cache of ``n_steps + CACHE_CHUNK_STEPS`` steps holding the first ``n_steps`` of ``banks``."""
+    keys = np.zeros((n_steps + CACHE_CHUNK_STEPS,) + banks.k.shape[1:])
+    cache = QKVSet(keys, keys, np.zeros(keys.shape[:-1] + banks.v.shape[-1:]))
+    cache.k[:n_steps], cache.v[:n_steps] = banks.k[:n_steps], banks.v[:n_steps]
+    return cache
 
 
 class PipelinePolicy:

@@ -70,7 +70,8 @@ class FrequencySchedule:
     """Per-pair rotation frequencies for the position embedding.
 
     ``d_k`` is the number of 2D pairs. The default schedule is
-    ``freqs[l] = 10000 ** (-l / d_k)``; ``freqs[0]`` is exactly 1.
+    ``freqs[l] = 10000 ** (-l / d_k)``; ``freqs[0]`` is exactly 1. ``freqs``
+    is a read-only copy, so one schedule always holds the same values.
     """
 
     d_k: int
@@ -79,13 +80,14 @@ class FrequencySchedule:
     def __post_init__(self):
         if self.d_k < 1:
             raise ConfigurationError(f"d_k must be a positive integer, got {self.d_k}")
-        freqs = np.asarray(self.freqs, dtype=np.float64)
+        freqs = np.array(self.freqs, dtype=np.float64)
         if freqs.shape != (self.d_k,):
             raise DimensionMismatchError(
                 f"expected {self.d_k} frequencies, got shape {freqs.shape}"
             )
         if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0.0):
             raise InvalidArgumentError("frequencies must be finite and positive")
+        freqs.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
 
     @classmethod

@@ -327,7 +327,7 @@ def scene_from_dict(payload: dict) -> Scene:
             MapSegment.from_points(np.asarray(entry["points"], dtype=np.float64))
             for entry in payload["map"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed scene payload: {exc}") from exc
     return Scene(states, segments, dt)
 

@@ -93,9 +93,12 @@ class VerificationConfig:
         raise ConfigurationError(f"unknown fault injection {self.fault_injection!r}")
 
 
-def _rel_errors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    scale = np.maximum(np.maximum(np.abs(d1), np.abs(d2)), 1e-30)
-    return np.abs(d1 - d2) / scale
+def _shift_errors(d1: np.ndarray, d2: np.ndarray, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """|d1 - d2| over sum_l |q_l| |k_l| for the 2D pairs l: a bound on both dot
+    products that rotation keeps and, unlike a dot product, never near 0 by chance."""
+    q_norms, k_norms = (np.hypot(x[..., 0::2], x[..., 1::2]) for x in (q, k))
+    return np.abs(d1 - d2) / np.maximum(np.sum(q_norms * k_norms, axis=-1), 1e-30)
+
 
 def _rel_err_arrays(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-30)
@@ -174,7 +177,7 @@ def _check_position_shift_identity(cfg: VerificationConfig) -> PropertyResult:
                 rope_embed(q[t], m_i[t] + offset[t], sched)
                 @ rope_embed(k[t], m_j[t] + offset[t], sched)
             )
-        worst = max(worst, float(np.max(_rel_errors(d1, d2))))
+        worst = max(worst, float(np.max(_shift_errors(d1, d2, q, k))))
         trials += n
     return PropertyResult(
         "position_shift_identity", trials, worst, tol, worst < tol,
@@ -211,7 +214,7 @@ def _check_angle_shift_identity(cfg: VerificationConfig) -> PropertyResult:
             rotate_pairs(q, heading_pair_angles(wrap_angle(theta_i + delta), d_k, freqs)),
             rotate_pairs(k, heading_pair_angles(wrap_angle(theta_j + delta), d_k, freqs)),
         )
-        worst = max(worst, float(np.max(_rel_errors(d1, d2))))
+        worst = max(worst, float(np.max(_shift_errors(d1, d2, q, k))))
         trials += n
     return PropertyResult(
         "angle_shift_identity", trials, worst, tol, worst < tol,

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import drope.attention as attention
 from drope.attention import (
     AllocationMeter,
     _attend,
@@ -90,6 +92,28 @@ class TestPlain:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             QKVSet(np.full((2, 1, 4), np.nan), np.zeros((2, 1, 4)), np.zeros((2, 1, 2)))
+
+    @pytest.mark.parametrize("slots", ["qk", "kv", "qkv"])
+    def test_rejects_a_non_finite_array_in_several_slots(self, slots):
+        bad = np.zeros((2, 1, 4))
+        bad[1, 0, 3] = np.inf
+        banks = {name: bad if name in slots else np.zeros((2, 1, 4)) for name in "qkv"}
+        with pytest.raises(InvalidArgumentError):
+            QKVSet(**banks)
+
+    def test_first_tokens_are_views_of_the_banks(self):
+        keys = np.arange(24.0).reshape(4, 3, 2)
+        bank = QKVSet(keys, keys, np.ones((4, 3, 5)))
+        head = bank.first(3)
+        assert head.n_tokens == 3 and head.d_v == 5
+        for full, view in ((bank.q, head.q), (bank.k, head.k), (bank.v, head.v)):
+            assert view.base is full or view.base is full.base
+            assert np.shares_memory(view, full) and np.array_equal(view, full[:3])
+        bank.k[2] = -1.0
+        assert np.all(head.k[2] == -1.0)
+        for n in (0, 5):
+            with pytest.raises(InvalidArgumentError):
+                bank.first(n)
 
 
 class TestRPE:
@@ -468,6 +492,74 @@ class TestBatchAxes:
         _, poses = self.stack(57, lead, self.N)
         with pytest.raises(DimensionMismatchError):
             mhsa(qkv, poses, variant, enc=self.enc(variant))
+
+
+class TestPoseSet:
+    def test_fields_and_arrays_are_read_only(self):
+        poses = PoseSet(np.zeros((3, 2)), np.zeros(3))
+        for name in ("positions", "headings"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(poses, name, np.ones(3))
+            with pytest.raises(ValueError):
+                getattr(poses, name)[0] = 1.0
+
+    def test_copies_the_callers_arrays(self):
+        positions, headings = np.zeros((3, 2)), np.zeros(3)
+        poses = PoseSet(positions, headings)
+        positions[0, 0] = headings[0] = 5.0
+        assert not poses.positions.any() and not poses.headings.any()
+
+    def test_kept_angles_equal_fresh_ones_for_every_setting(self):
+        rng = np.random.default_rng(61)
+        positions, headings = rng.uniform(-9.0, 9.0, (2, 5, 2)), rng.uniform(0.0, TWO_PI, (2, 5))
+        poses = PoseSet(positions, headings)
+        freqs = np.linspace(0.5, 1.5, 4)
+        choices = {
+            "variant": (Variant.DROPE_HBH, Variant.DROPE_IH, Variant.ROPE),
+            "n_heads": (2, 4),
+            "sched": (FrequencySchedule.default(4), FrequencySchedule(4, freqs)),
+            "split": (IntraHeadSplit(4, 4), IntraHeadSplit(2, 6)),
+            "angle_freqs": (None, freqs, freqs * 2.0),
+        }
+        base = {name: values[0] for name, values in choices.items()}
+        # per variant, change one setting at a time and change it back
+        walk = [
+            {**base, "variant": variant, **change}
+            for variant in choices["variant"]
+            for name, values in choices.items()
+            for value in values[1:]
+            for change in ({name: value}, {})
+        ]
+        for setting in walk:
+            for _ in range(2):
+                kept = poses.pair_angles(d_k=4, **setting)
+                fresh = PoseSet(positions, headings).pair_angles(d_k=4, **setting)
+                assert np.array_equal(kept, fresh)
+                assert not kept.flags.writeable
+
+    def test_angles_follow_angle_freqs_edited_in_place(self):
+        poses = PoseSet(np.zeros((2, 2)), np.array([0.5, 1.0]))
+        sched, freqs = FrequencySchedule.default(2), np.array([1.0, 2.0])
+        before = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, None, freqs).copy()
+        freqs[1] = 3.0
+        after = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, None, freqs)
+        assert np.array_equal(after[:, 1, 1], [1.5, 3.0])
+        assert not np.array_equal(before, after)
+
+    def test_self_attention_computes_its_angles_once(self, monkeypatch):
+        qkv, poses = make_case(62, n=4, d_k=2)
+        calls = []
+        real = attention.planar_pair_angles
+        monkeypatch.setattr(attention, "planar_pair_angles",
+                            lambda *args: calls.append(1) or real(*args))
+        sched = FrequencySchedule.default(2)
+        first = mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
+        again = mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
+        assert len(calls) == 1
+        assert np.array_equal(first.merged, again.merged)
+        fresh_poses = PoseSet(poses.positions, poses.headings)
+        assert np.array_equal(
+            mhsa(qkv, fresh_poses, Variant.DROPE_HBH, sched=sched).merged, first.merged)
 
 
 class TestCounterexample:

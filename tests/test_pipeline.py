@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import drope.attention as attention
 import drope.pipeline as pipeline
 from drope.attention import IntraHeadSplit, PoseSet, Variant
 from drope.errors import ConfigurationError, InvalidArgumentError
@@ -189,6 +190,18 @@ class TestTemporal:
 
 
 class TestDecode:
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_non_finite_decoder_weight_raises(self, mode):
+        # a NaN logit row once made every agent pick grid action 0
+        config = small_config()
+        weights = PipelineWeights.seeded(config, seed=8)
+        weights.dec_w2[0, 0] = np.nan
+        scene = small_scene(8)
+        with pytest.raises(InvalidArgumentError, match="logits"):
+            forward(scene, weights, config)
+        with pytest.raises(InvalidArgumentError, match="logits"):
+            rollout(scene, PipelinePolicy(weights, config, mode=mode), horizon=3)
+
     def test_zero_tokens_and_weights_give_uniform(self):
         config = small_config()
         weights = PipelineWeights.seeded(config, seed=9)
@@ -528,6 +541,50 @@ class TestIncrementalDecoding:
         # one temporal call for all agents
         assert per_push[4] == {"mhsa": 2, "mhca": 3}
         assert per_push[40] == per_push[4]
+
+    def test_push_checks_a_fixed_set_of_arrays(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=35)
+        history = small_scene(35, n_agents=3, n_steps=3)
+        policy = PipelinePolicy(weights, config)
+        policy.actions(history)
+        checked = []
+        real = attention._as_finite
+        monkeypatch.setattr(attention, "_as_finite",
+                            lambda name, arr, *a: checked.append(np.shape(arr)) or real(name, arr, *a))
+        per_push, buffers = {}, {}
+        while history.n_steps < 40:
+            history = history.with_appended_states(history.agent_states[:, -1])
+            checked.clear()
+            policy.actions(history)
+            per_push[history.n_steps] = list(checked)
+            buffers[history.n_steps] = policy._decoder.cache
+        assert per_push[4] and per_push[40] == per_push[4]
+        # nothing the size of the 40-token cache, before or after the push
+        assert not any({39, 40} & set(shape) for shape in per_push[40])
+        # the cache starts CACHE_CHUNK_STEPS past the 3 cold-started steps
+        chunk = pipeline.CACHE_CHUNK_STEPS
+        assert all(buffers[n] is buffers[4] for n in range(4, 3 + chunk + 1))
+        assert buffers[3 + chunk + 1] is not buffers[4]
+        assert buffers[3 + chunk + 1].n_tokens == 3 + 2 * chunk
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_logits_match_forward_across_cache_chunks(self, variant, monkeypatch):
+        config = small_config(variant, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=36)
+        scene = small_scene(36, n_agents=2, n_steps=2)
+        counts, outputs = Counter(), {}
+        spy_on(monkeypatch, ["decode_actions"], counts, outputs)
+        policy = RecordingPolicy(PipelinePolicy(weights, config, mode="sample", seed=5))
+        horizon = 2 * pipeline.CACHE_CHUNK_STEPS + 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rollout(scene, policy, horizon=horizon)
+        monkeypatch.undo()
+        assert counts["decode_actions"] == horizon
+        assert policy.policy._decoder.cache.n_tokens == 2 + 3 * pipeline.CACHE_CHUNK_STEPS
+        for history, decoded in zip(policy.scenes, outputs["decode_actions"]):
+            assert_newest_logits_match_forward(decoded.logits[:, 0], history, weights, config)
 
     def test_map_is_projected_once_per_rollout(self, monkeypatch):
         config = small_config(n_blocks=2)

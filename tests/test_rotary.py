@@ -61,6 +61,14 @@ class TestFrequencySchedule:
     def test_half_dim_two_gives_exactly_one_hundredth(self):
         assert FrequencySchedule.default(2).freqs[1] == 0.01
 
+    def test_keeps_a_read_only_copy(self):
+        freqs = np.array([1.0, 0.5])
+        sched = FrequencySchedule(2, freqs)
+        freqs[1] = 0.25
+        assert sched.freqs[1] == 0.5
+        with pytest.raises(ValueError):
+            sched.freqs[0] = 2.0
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             FrequencySchedule.default(0)

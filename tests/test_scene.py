@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from drope.cli import main
 from drope.errors import ConfigurationError, InvalidArgumentError
 from drope.kinematics import ZERO_ACTION, kinematic_step
 from drope.scene import (
@@ -15,6 +20,7 @@ from drope.scene import (
     make_straight_polyline,
     polyline_arc_length,
     save_scene,
+    scene_from_dict,
     segment_polyline,
 )
 
@@ -161,3 +167,77 @@ class TestSceneIO:
         assert set(payload) == {"dt", "agents", "map"}
         assert len(payload["agents"][0]["states"][0]) == 4
         assert len(payload["map"][0]["points"][0]) == 2
+
+
+# JSON-like values: what json.load can return, big integers included
+_json_leaves = (
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+)
+_json = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _corrupted(draw, node):
+    """``node`` with one place, at a random depth, replaced by any JSON value or dropped."""
+    if isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(list(node.keys()) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node, dict) and not draw(st.integers(0, 4)):
+            del node[key]
+        else:
+            node[key] = _corrupted(draw, node[key])
+        return node
+    return draw(_json)
+
+
+@st.composite
+def _payloads(draw):
+    """A scene payload, valid or with up to three places corrupted."""
+    n_agents, n_steps = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    coord, point = st.floats(-60.0, 60.0), st.floats(-6.0, 6.0)
+    payload = {
+        "dt": draw(st.floats(0.05, 1.0)),
+        "agents": [
+            {"states": [[draw(coord), draw(coord), draw(st.floats(-7.0, 7.0)), draw(st.floats(0.0, 15.0))]
+                        for _ in range(n_steps)]}
+            for _ in range(n_agents)
+        ],
+        "map": [
+            {"points": draw(st.lists(st.lists(point, min_size=2, max_size=2), min_size=1, max_size=4))}
+            for _ in range(draw(st.integers(1, 3)))
+        ],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        payload = _corrupted(draw, payload)
+    return payload
+
+
+class TestSceneBoundaryFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads())
+    @example({"dt": 10**400, "agents": [], "map": []})  # float() overflows
+    @example({"dt": 0.5, "agents": [{"states": [[0, 10**400, 0, 1]]}], "map": []})
+    def test_scene_from_dict_returns_a_scene_or_a_typed_error(self, payload):
+        try:
+            scene = scene_from_dict(payload)
+        except (ConfigurationError, InvalidArgumentError):
+            return
+        assert isinstance(scene, Scene)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_payloads())
+    def test_rollout_exits_0_or_2_with_one_line(self, tmp_path_factory, payload):
+        out = tmp_path_factory.mktemp("fuzz")
+        path = out / "scene.json"
+        path.write_text(json.dumps(payload))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["rollout", "--scene", str(path), "--horizon", "2", "--prefix", "1",
+                         "--out", str(out / "roll")])
+        err = stderr.getvalue()
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == (code == 2)
