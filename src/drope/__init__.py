@@ -2,8 +2,8 @@
 complexity ledgers, and a toy trajectory-generation pipeline."""
 
 from .attention import (
-    AllocationMeter,
     AttentionOutput,
+    AttentionRecord,
     CounterexampleReport,
     IntraHeadSplit,
     PoseSet,
@@ -14,6 +14,7 @@ from .attention import (
     mhca,
     mhsa,
     mhsa_causal,
+    recording,
     rope_periodicity_counterexample,
 )
 from .errors import (

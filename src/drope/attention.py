@@ -14,8 +14,9 @@ Leading axes are batch axes that a bank's poses share; query and key stacks
 broadcast, so one key bank (a map, say) serves a (T, A) stack of queries.
 Scores are scaled by 1/sqrt(d_k) with d_k the pair count. A ``PoseSet`` is
 immutable and keeps the rotation angles of its last settings, so calls that
-share poses compute them once. The optional AllocationMeter only records
-scalar counts of the arrays an engine materializes, by ledger category.
+share poses compute them once. Inside a ``recording()`` block every call
+appends an ``AttentionRecord``: the scalar counts of the arrays it
+materialized, by ledger category, and a view of its attention weights.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
 (..., H, N, W), so the scores of every variant are one batched matmul giving
@@ -30,9 +31,11 @@ backward uses the same layout and the same softmax on one unstacked bank.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import enum
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +64,14 @@ __all__ = [
     "IntraHeadSplit",
     "RPEEncoders",
     "AttentionOutput",
-    "AllocationMeter",
+    "AttentionRecord",
+    "recording",
     "mhsa",
     "mhsa_causal",
     "mhca",
     "CounterexampleReport",
     "rope_periodicity_counterexample",
+    "periodicity_gaps",
     "attention_backward",
     "ROPE_GAP_MIN",
     "DROPE_GAP_MAX",
@@ -362,26 +367,34 @@ class RPEEncoders:
 
 @dataclass
 class AttentionOutput:
-    """Per-head outputs, their concatenation, and optional debug weights."""
+    """Per-head outputs and their concatenation."""
 
     per_head: np.ndarray          # (..., N, H, d_v)
     merged: np.ndarray            # (..., N, H * d_v)
-    alpha: np.ndarray | None = None  # (..., N, H, M), retained only on request; may be a view
 
 
-class AllocationMeter:
-    """Counts the scalars an engine materializes, by ledger category."""
+@dataclass(frozen=True)
+class AttentionRecord:
+    """One call's materialized scalars per ledger category (``qkv``,
+    ``embedded``, ``pairwise``) and a view of its (..., N, H, M) weights."""
 
-    CATEGORIES = ("qkv", "embedded", "pairwise")
+    counts: dict
+    weights: np.ndarray
 
-    def __init__(self):
-        self.counts = {category: 0 for category in self.CATEGORIES}
 
-    def add(self, category: str, n_scalars: int) -> None:
-        self.counts[category] += int(n_scalars)
+_RECORDS: ContextVar[list | None] = ContextVar("drope_attention_records", default=None)
 
-    def total(self) -> int:
-        return sum(self.counts.values())
+
+@contextlib.contextmanager
+def recording():
+    """Yield the list each attention call inside the block appends its
+    ``AttentionRecord`` to; a nested block records into itself only."""
+    records: list[AttentionRecord] = []
+    token = _RECORDS.set(records)
+    try:
+        yield records
+    finally:
+        _RECORDS.reset(token)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -447,8 +460,7 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
 
 def _attend(
     variant, queries: QKVSet, keysvals: QKVSet, poses_q, poses_kv,
-    *, sched=None, enc=None, split=None, angle_freqs=None, mask=None, keep_alpha=False,
-    meter=None,
+    *, sched=None, enc=None, split=None, angle_freqs=None, mask=None,
 ) -> AttentionOutput:
     """The one attention core: Q from ``queries``, K and V from ``keysvals``."""
     q_bank, k_bank, v_bank = queries.q, keysvals.k, keysvals.v
@@ -458,8 +470,6 @@ def _attend(
     n_heads, width = q_bank.shape[-2:]
     d_k = width // 2
     d_v = v_bank.shape[-1]
-    if meter is not None:
-        meter.add("qkv", q_bank.size + k_bank.size + v_bank.size)
 
     scale = 1.0 / math.sqrt(d_k)
     q_hat, k_hat = q_bank, k_bank
@@ -470,15 +480,11 @@ def _attend(
         rel[..., 2] = wrap_angle(heading_offsets)
         k_offset = _per_head(enc.encode_key(rel), n_heads)    # (..., N, M, H, 2*d_k)
         v_offset = _per_head(enc.encode_value(rel), n_heads)  # (..., N, M, H, d_v)
-        if meter is not None:
-            meter.add("pairwise", k_offset.size + v_offset.size)
     elif variant is not Variant.PLAIN:
         angles_q = poses_q.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
         angles_k = poses_kv.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
         q_hat = rotate_pairs(q_bank, angles_q)
         k_hat = rotate_pairs(k_bank, angles_k)
-        if meter is not None:
-            meter.add("embedded", q_hat.size + k_hat.size)
 
     scores = np.matmul(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2).swapaxes(-2, -1))
     if variant is Variant.RPE:
@@ -497,15 +503,19 @@ def _attend(
         )[..., 0, :]
     per_head = np.ascontiguousarray(per_head)
 
-    merged = per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,))
-    return AttentionOutput(
-        per_head, merged, alpha.swapaxes(-3, -2) if keep_alpha else None
-    )
+    records = _RECORDS.get()
+    if records is not None:
+        records.append(AttentionRecord({
+            "qkv": q_bank.size + k_bank.size + v_bank.size,
+            "embedded": 0 if q_hat is q_bank else q_hat.size + k_hat.size,
+            "pairwise": k_offset.size + v_offset.size if variant is Variant.RPE else 0,
+        }, alpha.swapaxes(-3, -2)))
+    return AttentionOutput(per_head, per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,)))
 
 
 def mhsa(
     qkv: QKVSet, poses: PoseSet | None, variant: Variant,
-    *, sched=None, enc=None, split=None, angle_freqs=None, keep_alpha=False, meter=None,
+    *, sched=None, enc=None, split=None, angle_freqs=None,
 ) -> AttentionOutput:
     """Self-attention under any of the five variants.
 
@@ -517,40 +527,49 @@ def mhsa(
     return _attend(
         variant, qkv, qkv, poses, poses,
         sched=sched, enc=enc, split=split, angle_freqs=angle_freqs,
-        keep_alpha=keep_alpha, meter=meter,
     )
 
 
-def mhsa_causal(qkv: QKVSet, *, keep_alpha=False, meter=None) -> AttentionOutput:
+def mhsa_causal(qkv: QKVSet) -> AttentionOutput:
     """Plain self-attention with a strictly causal (lower-triangular) mask."""
     n = qkv.n_tokens
     mask = np.tril(np.ones((n, n), dtype=bool))
-    return _attend(
-        Variant.PLAIN, qkv, qkv, None, None,
-        mask=mask, keep_alpha=keep_alpha, meter=meter,
-    )
+    return _attend(Variant.PLAIN, qkv, qkv, None, None, mask=mask)
 
 
 def mhca(
     queries: QKVSet, keysvals: QKVSet, poses_q: PoseSet | None, poses_kv: PoseSet | None,
     variant: Variant,
-    *, sched=None, enc=None, split=None, angle_freqs=None, keep_alpha=False, meter=None,
+    *, sched=None, enc=None, split=None,
 ) -> AttentionOutput:
     """Cross-attention: Q from the first bank, K and V from the second.
 
-    Identical math and settings to ``mhsa``; used for the agent-to-map
-    interaction and for the cached temporal step.
+    The math and settings of ``mhsa``; used for the agent-to-map interaction
+    and for the cached temporal step.
     """
     return _attend(
-        variant, queries, keysvals, poses_q, poses_kv,
-        sched=sched, enc=enc, split=split, angle_freqs=angle_freqs,
-        keep_alpha=keep_alpha, meter=meter,
+        variant, queries, keysvals, poses_q, poses_kv, sched=sched, enc=enc, split=split,
     )
 
 
 #: Thresholds for the three-heading periodicity check below.
 ROPE_GAP_MIN = 1e-3
 DROPE_GAP_MAX = 1e-10
+
+
+def periodicity_gaps(embed, q, k):
+    """The three-heading test of an embedding ``embed(x, theta)`` of (..., W) vectors.
+
+    The token pairs at headings (pi/2, 0) and (0, 3*pi/2) have equal wrapped
+    relative angles. Returns their dot products q.A.k and q.B.k and the
+    operator gap ||A - B||_2: 2 * max_l |sin(pi * f_l)| for pair frequencies
+    f_l, so 0 up to rounding at the uniform frequency, whatever q and k are.
+    """
+    thetas = (math.pi / 2.0, 0.0, 3.0 * math.pi / 2.0)
+    lhs = np.einsum("...i,...i->...", embed(q, thetas[0]), embed(k, thetas[1]))
+    rhs = np.einsum("...i,...i->...", embed(q, thetas[1]), embed(k, thetas[2]))
+    e0, e1, e2 = (embed(np.eye(q.shape[-1]), theta) for theta in thetas)
+    return lhs, rhs, float(np.linalg.norm(e0 @ e1.T - e1 @ e2.T, 2))
 
 
 @dataclass(frozen=True)
@@ -573,8 +592,9 @@ def rope_periodicity_counterexample(
     Three headings pi/2, 0, 3*pi/2 give two token pairs with identical
     wrapped relative angles. Treating the headings as scalar positions, the
     multi-frequency embedding produces different QK dot products for the two
-    pairs, while the uniform-frequency embedding does not. With ``check``
-    enabled the gap thresholds are asserted and a violation raises.
+    pairs, while the uniform-frequency embedding does not. The report holds
+    the dot products for q and k; ``check`` asserts the thresholds on the
+    operator gaps of ``periodicity_gaps``, which q and k do not change.
     """
     if d_k < 2:
         raise ConfigurationError(
@@ -587,38 +607,17 @@ def rope_periodicity_counterexample(
         k = rng.standard_normal(2 * d_k) if k is None else k
     q = _as_finite("q", q)
     k = _as_finite("k", k)
-    thetas = (math.pi / 2.0, 0.0, 3.0 * math.pi / 2.0)
     sched = FrequencySchedule.default(d_k)
-
-    rope_lhs = float(rope_embed(q, thetas[0], sched) @ rope_embed(k, thetas[1], sched))
-    rope_rhs = float(rope_embed(q, thetas[1], sched) @ rope_embed(k, thetas[2], sched))
-    drope_lhs = float(drope_dot(q, thetas[0], k, thetas[1]))
-    drope_rhs = float(drope_dot(q, thetas[1], k, thetas[2]))
-    report = CounterexampleReport(
-        d_k=d_k,
-        seed=seed,
-        rope_lhs=rope_lhs,
-        rope_rhs=rope_rhs,
-        rope_gap=abs(rope_lhs - rope_rhs),
-        drope_lhs=drope_lhs,
-        drope_rhs=drope_rhs,
-        drope_gap=abs(drope_lhs - drope_rhs),
+    rope_lhs, rope_rhs, rope_gap = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
+    drope_lhs, drope_rhs, drope_gap = periodicity_gaps(drope_embed, q, k)
+    if check and rope_gap <= ROPE_GAP_MIN:
+        raise VerificationError(f"multi-frequency operator gap {rope_gap:g} unexpectedly small")
+    if check and drope_gap >= DROPE_GAP_MAX:
+        raise VerificationError(f"uniform-frequency operator gap {drope_gap:g} unexpectedly large")
+    return CounterexampleReport(
+        d_k, seed, float(rope_lhs), float(rope_rhs), abs(float(rope_lhs - rope_rhs)),
+        float(drope_lhs), float(drope_rhs), abs(float(drope_lhs - drope_rhs)),
     )
-    if check:
-        if report.rope_gap <= ROPE_GAP_MIN:
-            raise VerificationError(
-                f"multi-frequency gap {report.rope_gap:g} unexpectedly small"
-            )
-        if report.drope_gap >= DROPE_GAP_MAX:
-            raise VerificationError(
-                f"uniform-frequency gap {report.drope_gap:g} unexpectedly large"
-            )
-    return report
-
-
-def drope_dot(q, theta_q, k, theta_k, freqs=None) -> float:
-    """Dot product of two heading-embedded vectors."""
-    return float(drope_embed(q, theta_q, freqs) @ drope_embed(k, theta_k, freqs))
 
 
 def attention_backward(

@@ -3,7 +3,8 @@
 Runs are deterministic for a fixed config file, flag set, and seed; JSON
 reports carry a ``generated_at`` header that consumers should drop before
 comparing. Exit codes: 0 all checks passed, 1 a numerical property was
-violated, 2 usage, config, or I/O error.
+violated, 2 usage, config, or I/O error, or an arithmetic overflow or
+invalid operation on the given inputs.
 """
 
 from __future__ import annotations
@@ -70,16 +71,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer a signed 64-bit reader of the reports can hold."""
+    return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
 
 
 #: Config value kinds: a description for messages and a predicate.
-_INT = ("an integer", _is_int)
-_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_INT = ("a 64-bit integer", _is_int)
+_SEED = ("a non-negative 64-bit integer", lambda v: _is_int(v) and v >= 0)
 _NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
 _STRING = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
-_INT_LIST = ("a non-empty list of integers",
+_INT_LIST = ("a non-empty list of 64-bit integers",
              lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
 _STRING_LIST = ("a list of strings",
                 lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v))
@@ -361,8 +363,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        return args.func(args)
-    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
+        # an overflow or a NaN in any numpy operation ends the command, never a warning
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except (ConfigurationError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except VerificationError as exc:

@@ -230,6 +230,7 @@ class SceneTokens:
     agent_positions: np.ndarray  # (n_agents, n_steps, 2)
     agent_headings: np.ndarray   # (n_agents, n_steps)
     map_poses: PoseSet
+    map_kv: QKVSet | None = None  # the map's cross-attention K/V in the last block applied
 
 
 def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> SceneTokens:
@@ -313,13 +314,13 @@ def interaction_step(
 ) -> SceneTokens:
     """One interaction block: the map once, then the agents of all timesteps at once."""
     map_tokens = _self_block(tokens.map_tokens, tokens.map_poses, block.map_sa, config)
+    map_kv = _map_keysvals(map_tokens, block.cross)
     poses = PoseSet(tokens.agent_positions.swapaxes(0, 1), tokens.agent_headings.swapaxes(0, 1))
     agent_tokens = _agent_interaction(
-        tokens.agent_tokens.swapaxes(0, 1), poses, _map_keysvals(map_tokens, block.cross),
-        tokens.map_poses, block, config,
+        tokens.agent_tokens.swapaxes(0, 1), poses, map_kv, tokens.map_poses, block, config,
     )
     return replace(tokens, agent_tokens=np.ascontiguousarray(agent_tokens.swapaxes(0, 1)),
-                   map_tokens=map_tokens)
+                   map_tokens=map_tokens, map_kv=map_kv)
 
 
 @lru_cache(maxsize=8)
@@ -349,10 +350,15 @@ def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineCo
     Output at step t depends only on inputs at steps <= t; masked positions
     are excluded before the softmax, so the guarantee is bitwise.
     """
+    return _temporal(agent_tokens, bw, config)[0]
+
+
+def _temporal(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineConfig):
+    """``temporal_step``'s output and the temporal banks it attended over."""
     n_steps = agent_tokens.shape[1]
     encoded = agent_tokens + sinusoidal_position_encoding(n_steps, config.d_model)[None]
-    attended = mhsa_causal(_temporal_banks(encoded, bw))
-    return _temporal_residual(encoded, attended, bw)
+    banks = _temporal_banks(encoded, bw)
+    return _temporal_residual(encoded, mhsa_causal(banks), bw), banks
 
 
 def _temporal_banks(encoded: np.ndarray, bw: BlockWeights) -> QKVSet:
@@ -458,12 +464,8 @@ class _IncrementalDecoder:
         map_kv = []
         for block in weights.blocks:
             tokens = interaction_step(tokens, block, config)
-            map_kv.append(_map_keysvals(tokens.map_tokens, block.cross))
-        final = temporal_step(tokens.agent_tokens, weights.temporal, config)
-        encoded = tokens.agent_tokens + sinusoidal_position_encoding(
-            scene.n_steps, config.d_model
-        )
-        banks = _temporal_banks(encoded, weights.temporal)
+            map_kv.append(tokens.map_kv)
+        final, banks = _temporal(tokens.agent_tokens, weights.temporal, config)
         return cls(
             states=scene.agent_states.copy(),
             segments=tuple(scene.segments),
@@ -563,8 +565,8 @@ class RolloutResult:
         return self.states[:, :, :2]
 
 
-def rollout(scene: Scene, policy, horizon: int, *, prefix_steps: int | None = None):
-    """Autoregressive closed-loop rollout from a scene prefix.
+def rollout(scene: Scene, policy, horizon: int):
+    """Autoregressive closed-loop rollout from the scene's last step.
 
     At each step the policy sees the history so far, all agents advance by
     one vectorized kinematic update, bitwise equal to ``kinematic_step`` on
@@ -573,7 +575,7 @@ def rollout(scene: Scene, policy, horizon: int, *, prefix_steps: int | None = No
     """
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
-    history = scene if prefix_steps is None else scene.prefix(prefix_steps)
+    history = scene
     if horizon * history.dt > ROLLOUT_SOFT_LIMIT_S + 1e-9:
         warnings.warn(
             f"horizon {horizon} steps at dt={history.dt} s exceeds the "

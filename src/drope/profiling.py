@@ -37,7 +37,6 @@ from fractions import Fraction
 import numpy as np
 
 from .attention import (
-    AllocationMeter,
     IntraHeadSplit,
     PoseSet,
     QKVSet,
@@ -45,6 +44,7 @@ from .attention import (
     RPEEncoders,
     Variant,
     mhsa,
+    recording,
 )
 from .errors import ConfigurationError, VerificationError
 
@@ -187,13 +187,13 @@ def _engine_kwargs(variant: Variant, d_k: int, d_v: int):
 def measure_input_memory(
     variant: Variant, n_tokens: int, n_heads: int, d_k: int, d_v: int, seed: int = 0
 ) -> dict:
-    """Run the engine on random inputs and return metered scalar counts."""
+    """Run the engine on random inputs and return its recorded scalar counts."""
     rng = np.random.default_rng(seed)
     qkv = QKVSet.random(n_tokens, n_heads, d_k, d_v, rng)
     poses = PoseSet.random(n_tokens, rng)
-    meter = AllocationMeter()
-    mhsa(qkv, poses, variant, meter=meter, **_engine_kwargs(variant, d_k, d_v))
-    return dict(meter.counts)
+    with recording() as records:
+        mhsa(qkv, poses, variant, **_engine_kwargs(variant, d_k, d_v))
+    return records[0].counts
 
 
 def verify_memory_ledger(

@@ -6,8 +6,8 @@ import pytest
 
 import drope.attention as attention
 from drope.attention import (
-    AllocationMeter,
     _attend,
+    AttentionRecord,
     IntraHeadSplit,
     PoseSet,
     QKVSet,
@@ -17,6 +17,8 @@ from drope.attention import (
     mhca,
     mhsa,
     mhsa_causal,
+    periodicity_gaps,
+    recording,
     rope_periodicity_counterexample,
 )
 from drope.errors import (
@@ -25,7 +27,7 @@ from drope.errors import (
     InvalidArgumentError,
     VerificationError,
 )
-from drope.rotary import TWO_PI, FrequencySchedule, rope_embed
+from drope.rotary import TWO_PI, FrequencySchedule, drope_embed, rope_embed
 
 from oracles import ref_attention, ref_default_freqs, ref_embed
 
@@ -45,6 +47,14 @@ def make_case(seed, n=3, h=2, d_k=2, d_v=3):
 
 def run_variant(variant, qkv, poses, enc=None, split=None, **kw):
     return mhsa(qkv, poses, variant, enc=enc, split=split, **kw)
+
+
+def recorded(engine, *args, **kwargs):
+    """An engine call's output and the attention weights it recorded."""
+    with recording() as records:
+        out = engine(*args, **kwargs)
+    (record,) = records
+    return out, record.weights
 
 
 def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, split=None, k=None, v=None):
@@ -71,15 +81,15 @@ class TestPlain:
         q = np.ones((2, 1, 4))
         k = np.ones((2, 1, 4))
         v = np.stack([np.full((1, 3), 2.0), np.full((1, 3), 4.0)])
-        out = mhsa(QKVSet(q, k, v), None, Variant.PLAIN, keep_alpha=True)
-        assert out.alpha == pytest.approx(0.5)
+        out, alpha = recorded(mhsa, QKVSet(q, k, v), None, Variant.PLAIN)
+        assert alpha == pytest.approx(0.5)
         assert out.merged == pytest.approx(3.0)
 
     def test_single_token_passes_value_through(self):
         rng = np.random.default_rng(0)
         qkv = QKVSet.random(1, 2, 2, 3, rng)
-        out = mhsa(qkv, None, Variant.PLAIN, keep_alpha=True)
-        assert out.alpha == pytest.approx(1.0)
+        out, alpha = recorded(mhsa, qkv, None, Variant.PLAIN)
+        assert alpha == pytest.approx(1.0)
         assert np.array_equal(out.per_head, qkv.v)
 
     def test_matches_scalar_reference(self):
@@ -147,11 +157,11 @@ class TestRPE:
 
     def test_materializes_pairwise_tensors(self):
         qkv, poses = make_case(5, n=4)
-        meter = AllocationMeter()
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v)
-        mhsa(qkv, poses, Variant.RPE, enc=enc, meter=meter)
+        with recording() as records:
+            mhsa(qkv, poses, Variant.RPE, enc=enc)
         n, h, w, d_v = 4, qkv.n_heads, 2 * qkv.d_k, qkv.d_v
-        assert meter.counts["pairwise"] == n * n * h * (w + d_v)
+        assert records[0].counts["pairwise"] == n * n * h * (w + d_v)
 
 
 class TestRope:
@@ -382,9 +392,9 @@ class TestStructuralProperties:
             if variant is Variant.RPE
             else None
         )
-        out = mhsa(qkv, poses, variant, enc=enc, keep_alpha=True)
-        assert np.max(np.abs(out.alpha.sum(axis=-1) - 1.0)) < 1e-9
-        assert np.all(out.alpha >= 0.0) and np.all(out.alpha <= 1.0)
+        _, alpha = recorded(mhsa, qkv, poses, variant, enc=enc)
+        assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) < 1e-9
+        assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
 
     @pytest.mark.parametrize("variant", ROTARY_VARIANTS)
     def test_default_schedule_is_bitwise_the_default(self, variant):
@@ -392,10 +402,6 @@ class TestStructuralProperties:
         given = mhsa(qkv, poses, variant, sched=FrequencySchedule.default(qkv.d_k))
         defaulted = mhsa(qkv, poses, variant, sched=None)
         assert np.array_equal(given.merged, defaulted.merged)
-
-    def test_alpha_not_retained_by_default(self):
-        qkv, poses = make_case(26)
-        assert mhsa(qkv, None, Variant.PLAIN).alpha is None
 
     def test_mask_blanking_a_whole_row_is_rejected(self):
         rng = np.random.default_rng(30)
@@ -408,10 +414,75 @@ class TestStructuralProperties:
     def test_causal_mask_blocks_future(self):
         rng = np.random.default_rng(27)
         qkv = QKVSet.random(4, 1, 2, 2, rng)
-        out = mhsa_causal(qkv, keep_alpha=True)
+        _, alpha = recorded(mhsa_causal, qkv)
         upper = np.triu(np.ones((4, 4), dtype=bool), k=1)
-        assert np.all(out.alpha[:, 0][upper] == 0.0)
+        assert np.all(alpha[:, 0][upper] == 0.0)
 
+
+class TestRecording:
+    """The one observation point: ``recording()`` and its ``AttentionRecord``s."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_nothing_is_recorded_outside_a_block(self, variant, monkeypatch):
+        qkv, poses = make_case(26, d_k=4)
+        enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v) if variant is Variant.RPE else None
+        built = []
+        monkeypatch.setattr(attention, "AttentionRecord",
+                            lambda *args: built.append(args) or AttentionRecord(*args))
+        outside = mhsa(qkv, poses, variant, enc=enc)
+        assert attention._RECORDS.get() is None and not built
+        assert not hasattr(outside, "alpha")
+        with recording() as records:
+            inside = mhsa(qkv, poses, variant, enc=enc)
+        mhsa(qkv, poses, variant, enc=enc)
+        assert attention._RECORDS.get() is None and len(built) == 1
+        assert len(records) == 1 and isinstance(records[0], AttentionRecord)
+        assert np.array_equal(inside.per_head, outside.per_head)
+        assert np.array_equal(inside.merged, outside.merged)
+
+    def test_a_nested_block_records_into_itself_only(self):
+        qkv, poses = make_case(27)
+        with recording() as outer:
+            mhsa(qkv, poses, Variant.ROPE)
+            with recording() as inner:
+                mhsa_causal(qkv)
+                mhca(qkv, qkv, None, None, Variant.PLAIN)
+            mhsa(qkv, poses, Variant.DROPE_HBH)
+        assert len(outer) == 2 and len(inner) == 2
+        assert outer[0].counts["embedded"] > 0 and inner[0].counts["embedded"] == 0
+
+    def test_an_exception_resets_the_context(self):
+        qkv, poses = make_case(28)
+        with recording() as outer:
+            with pytest.raises(ConfigurationError):
+                with recording() as inner:
+                    mhsa(qkv, None, Variant.PLAIN)
+                    mhsa(qkv, None, Variant.ROPE)   # needs poses: raises
+            mhsa(qkv, None, Variant.PLAIN)
+        with pytest.raises(ConfigurationError):
+            with recording():
+                raise ConfigurationError("raised inside the block")
+        assert attention._RECORDS.get() is None
+        mhsa(qkv, None, Variant.PLAIN)
+        assert len(inner) == 1 and len(outer) == 1
+
+    def test_mhca_and_mhsa_causal_record_once_each(self):
+        rng = np.random.default_rng(29)
+        t, n, m, h, d_k, d_v = 3, 4, 5, 2, 2, 3
+        queries = QKVSet(*(rng.standard_normal((t, n, h, w)) for w in (2 * d_k, 2 * d_k, d_v)))
+        keysvals = QKVSet.random(m, h, d_k, d_v, rng)
+        with recording() as records:
+            mhca(queries, keysvals, None, None, Variant.PLAIN)
+        (record,) = records
+        assert record.weights.shape == (t, n, h, m)
+        assert record.counts == {
+            "qkv": t * n * h * 2 * d_k + m * h * (2 * d_k + d_v), "embedded": 0, "pairwise": 0,
+        }
+        with recording() as records:
+            mhsa_causal(queries)
+        (record,) = records
+        assert record.weights.shape == (t, n, h, n)
+        assert record.counts["qkv"] == t * n * h * (4 * d_k + d_v)
 
 
 class TestBatchAxes:
@@ -446,37 +517,37 @@ class TestBatchAxes:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_mhsa_stack_equals_slices(self, variant):
         qkv, poses = self.stack(50, (self.T,), self.N)
-        out = mhsa(qkv, poses, variant, enc=self.enc(variant), keep_alpha=True)
+        out, alpha = recorded(mhsa, qkv, poses, variant, enc=self.enc(variant))
         parts = [
-            mhsa(*self.part(qkv, poses, t), variant, enc=self.enc(variant), keep_alpha=True)
+            recorded(mhsa, *self.part(qkv, poses, t), variant, enc=self.enc(variant))
             for t in range(self.T)
         ]
-        self.assert_stacks(out.merged, [part.merged for part in parts])
-        self.assert_stacks(out.alpha, [part.alpha for part in parts])
-        assert out.alpha.shape == (self.T, self.N, self.H, self.N)
+        self.assert_stacks(out.merged, [part.merged for part, _ in parts])
+        self.assert_stacks(alpha, [part_alpha for _, part_alpha in parts])
+        assert alpha.shape == (self.T, self.N, self.H, self.N)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_mhca_stacked_queries_share_one_key_bank(self, variant):
         queries, poses_q = self.stack(51, (self.T,), self.N)
         keysvals, poses_kv = self.stack(52, (), self.M)
-        out = mhca(queries, keysvals, poses_q, poses_kv, variant,
-                   enc=self.enc(variant), keep_alpha=True)
+        out, alpha = recorded(mhca, queries, keysvals, poses_q, poses_kv, variant,
+                              enc=self.enc(variant))
         parts = []
         for t in range(self.T):
             queries_t, poses_t = self.part(queries, poses_q, t)
-            parts.append(mhca(queries_t, keysvals, poses_t, poses_kv, variant,
-                              enc=self.enc(variant), keep_alpha=True))
-        self.assert_stacks(out.merged, [part.merged for part in parts])
-        self.assert_stacks(out.alpha, [part.alpha for part in parts])
-        assert out.alpha.shape == (self.T, self.N, self.H, self.M)
+            parts.append(recorded(mhca, queries_t, keysvals, poses_t, poses_kv, variant,
+                                  enc=self.enc(variant)))
+        self.assert_stacks(out.merged, [part.merged for part, _ in parts])
+        self.assert_stacks(alpha, [part_alpha for _, part_alpha in parts])
+        assert alpha.shape == (self.T, self.N, self.H, self.M)
 
     def test_mhsa_causal_stack_equals_slices(self):
         qkv, poses = self.stack(53, (self.T,), self.N)
-        out = mhsa_causal(qkv, keep_alpha=True)
-        parts = [mhsa_causal(self.part(qkv, poses, t)[0], keep_alpha=True) for t in range(self.T)]
-        self.assert_stacks(out.merged, [part.merged for part in parts])
-        self.assert_stacks(out.alpha, [part.alpha for part in parts])
-        assert out.alpha.shape == (self.T, self.N, self.H, self.N)
+        out, alpha = recorded(mhsa_causal, qkv)
+        parts = [recorded(mhsa_causal, self.part(qkv, poses, t)[0]) for t in range(self.T)]
+        self.assert_stacks(out.merged, [part.merged for part, _ in parts])
+        self.assert_stacks(alpha, [part_alpha for _, part_alpha in parts])
+        assert alpha.shape == (self.T, self.N, self.H, self.N)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_unbroadcastable_stacks_rejected(self, variant):
@@ -579,6 +650,25 @@ class TestCounterexample:
             report = rope_periodicity_counterexample(8, seed=seed)
             assert report.rope_gap > 1e-3
             assert report.drope_gap < 1e-10
+
+    def test_check_holds_for_vectors_that_hide_the_gap(self):
+        # a zero query makes both dot products 0; the check reads the operators
+        report = rope_periodicity_counterexample(4, q=np.zeros(8), k=np.ones(8))
+        assert report.rope_gap == 0.0 and report.drope_gap == 0.0
+
+    def test_operator_gaps_match_the_closed_form(self):
+        sched = FrequencySchedule.default(8)
+        rng = np.random.default_rng(32)
+        q, k = rng.standard_normal((2, 5, 16))
+        lhs, rhs, rope_gap = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
+        assert lhs.shape == rhs.shape == (5,)
+        for i in range(5):
+            single = rope_periodicity_counterexample(8, q=q[i], k=k[i])
+            assert single.rope_lhs == pytest.approx(lhs[i], abs=1e-12)
+            assert single.rope_rhs == pytest.approx(rhs[i], abs=1e-12)
+        closed_form = 2.0 * np.max(np.abs(np.sin(math.pi * sched.freqs)))
+        assert rope_gap == pytest.approx(closed_form, rel=1e-12)
+        assert periodicity_gaps(drope_embed, q, k)[2] < 1e-15
 
     def test_single_pair_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -689,13 +779,13 @@ class TestBlockedSizes:
 
     def test_causal_rows_and_alpha(self):
         qkv, _ = self.banks(44, self.N)
-        out = mhsa_causal(qkv, keep_alpha=True)
+        out, alpha = recorded(mhsa_causal, qkv)
         # row 0 sees only key 0; the last row sees every key, unmasked
         _, first = ref_attention("plain", qkv.q[:1], qkv.k[:1], qkv.v[:1])
         _, last = ref_attention("plain", qkv.q[-1:], qkv.k, qkv.v)
         assert out.merged[:1] == pytest.approx(first, abs=1e-12)
         assert out.merged[-1:] == pytest.approx(last, abs=1e-12)
-        assert out.alpha.shape == (self.N, self.H, self.N)
+        assert alpha.shape == (self.N, self.H, self.N)
         upper = np.triu(np.ones((self.N, self.N), dtype=bool), k=1)
-        assert np.all(out.alpha.transpose(1, 0, 2)[:, upper] == 0.0)
-        assert np.max(np.abs(out.alpha.sum(axis=-1) - 1.0)) < 1e-12
+        assert np.all(alpha.transpose(1, 0, 2)[:, upper] == 0.0)
+        assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) < 1e-12

@@ -1,9 +1,20 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import drope
 from drope.cli import main
 from drope.scene import make_constant_velocity_scene, save_scene
 from drope.schemas import (
@@ -255,3 +266,136 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, payloa
     assert code == 2
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ") and repr(key) in err
+
+
+def scene_payload(**changes):
+    """A small valid scene file's JSON payload, with top-level keys replaced."""
+    payload = {
+        "dt": 0.5,
+        "agents": [{"states": [[float(t), 0.5 * i, 0.0, 2.0] for t in range(4)]}
+                   for i in range(2)],
+        "map": [{"points": [[0.0, 0.0], [5.0, 0.0], [10.0, 1.0]]}],
+    }
+    payload.update(changes)
+    return payload
+
+
+OVERFLOWING_STATE = scene_payload(agents=[
+    {"states": [[1e308, -1e308, 0.0, 1e308]] + [[float(t), 0.0, 0.0, 2.0] for t in range(1, 4)]},
+    {"states": [[float(t), 1.0, 0.0, 2.0] for t in range(4)]},
+])
+HUGE_GRID = {"n_tokens": [4294967296], "n_heads": [256], "d_k": [65536], "d_v": [65536]}
+
+
+def run_cli(argv, cwd):
+    """``drope-bench`` in a fresh interpreter, so that its warnings reach stderr."""
+    src = str(Path(drope.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "drope.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestArithmeticErrors:
+    """An overflow or invalid value on extreme inputs ends with one error line."""
+
+    @pytest.mark.parametrize("command, file, payload, flags", [
+        pytest.param("rollout", "scene", scene_payload(dt=1e300), [], id="rollout-huge-dt"),
+        pytest.param("rollout", "scene", OVERFLOWING_STATE, ["--variant", "rpe"],
+                     id="rollout-rpe-huge-state"),
+        pytest.param("profile", "config", {"grid": HUGE_GRID}, [], id="profile-huge-grid"),
+    ])
+    def test_exits_2_without_traceback_or_runtime_warning(self, tmp_path, command, file,
+                                                          payload, flags):
+        path = tmp_path / f"{file}.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli([command, f"--{file}", str(path), *flags, "--out", str(tmp_path / "out")],
+                       tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, proc.stderr
+
+
+#: Valid configs per command, each run in well under a second. A "scene"
+#: holding a JSON object stands for a scene file with that payload.
+VALID_CONFIGS = {
+    "verify": [
+        {"trials": 20, "seed": 3, "d_k_values": [1, 2, 8]},
+        {"trials": 50, "fault_inject": "rope-freqs-in-fangle", "d_k_values": [2]},
+    ],
+    "profile": [
+        {"grid": {"n_tokens": [4, 8], "n_heads": [2], "d_k": [2, 4], "d_v": [4]},
+         "variants": ["plain", "rpe", "drope-hbh"]},
+        {"variants": ["rope", "drope-ih"]},
+    ],
+    "rollout": [
+        {"synthetic": {"kind": "random", "n_agents": 2, "n_steps": 6, "dt": 0.5, "seed": 1},
+         "horizon": 4, "samples": 2, "mode": "sample", "variant": "drope-ih", "seed": 2},
+        {"synthetic": {"kind": "constant-velocity", "n_agents": 3, "n_steps": 4},
+         "horizon": 3, "policy": "constant", "prefix_steps": 2},
+        {"scene": scene_payload(), "horizon": 2, "variant": "rpe", "d_model": 16,
+         "n_heads": 2, "d_k": 2, "d_v": 4, "n_blocks": 1},
+    ],
+}
+
+# small or unconvertible integers only: a mid-sized one (a d_model of 10**5,
+# say) would be a valid request for more memory than a test may take
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.just(10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+    | st.sampled_from(["plain", "rpe", "drope-hbh", "sample", "constant", "random"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+def _mutated(draw, config, known):
+    """``config`` with one key, at any depth, replaced by a JSON value or dropped."""
+    keys = sorted(set(config) | known)
+    if not keys:
+        return
+    key = draw(st.sampled_from(keys))
+    if isinstance(config.get(key), dict) and draw(st.booleans()):
+        _mutated(draw, config[key], set())
+    elif key in config and not draw(st.integers(0, 3)):
+        del config[key]
+    else:
+        config[key] = draw(_values)
+
+
+@st.composite
+def _cli_configs(draw):
+    command = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    config = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS[command])))
+    known = {key for valid in VALID_CONFIGS[command] for key in valid}
+    for _ in range(draw(st.integers(0, 3))):
+        _mutated(draw, config, known)
+    return command, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_configs())
+@example(("rollout", {"scene": scene_payload(dt=1e300), "horizon": 4}))
+@example(("rollout", {"scene": OVERFLOWING_STATE, "horizon": 4, "variant": "rpe"}))
+@example(("profile", {"grid": HUGE_GRID}))
+@example(("rollout", {"d_model": 10**400, "horizon": 2}))   # no array has that many rows
+def test_generated_configs_exit_0_1_or_2_with_one_error_line(tmp_path_factory, case):
+    command, config = case
+    out = tmp_path_factory.mktemp("cli")
+    if isinstance(config.get("scene"), dict):
+        (out / "scene.json").write_text(json.dumps(config["scene"]))
+        config["scene"] = str(out / "scene.json")
+    (out / "config.json").write_text(json.dumps(config))
+    stderr = io.StringIO()
+    with (contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error", RuntimeWarning)   # numpy's overflow warnings
+        code = main([command, "--config", str(out / "config.json"), "--out", str(out / "out")])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

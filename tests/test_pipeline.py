@@ -608,6 +608,22 @@ class TestIncrementalDecoding:
         assert per_push[4] == 4 * config.n_blocks + 3
         assert per_push[40] == per_push[4]
 
+    def test_cold_start_projects_each_bank_once(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=37)
+        scene = small_scene(37, n_agents=3, n_steps=4)
+        counts, outputs = Counter(), {}
+        spy_on(monkeypatch, ["_project", "decode_actions"], counts, outputs)
+        policy = PipelinePolicy(weights, config)
+        policy.actions(scene)
+        # per block the map's Q/K/V and cross K/V, the agents' Q/K/V and
+        # cross Q; then the temporal Q/K/V, reused as the cache
+        assert counts["_project"] == 9 * config.n_blocks + 3
+        monkeypatch.undo()
+        assert_newest_logits_match_forward(
+            outputs["decode_actions"][0].logits[:, -1], scene, weights, config
+        )
+
 
 class TestSceneRotationProperty:
     def test_angle_head_attention_invariant_under_scene_rotation(self):
@@ -616,19 +632,20 @@ class TestSceneRotationProperty:
         The position-head rows are not asserted: the axis-split position
         embedding is translation-invariant but not rotation-invariant.
         """
-        from drope.attention import PoseSet, QKVSet, Variant, mhsa
+        from drope.attention import PoseSet, QKVSet, Variant, mhsa, recording
         from drope.rotary import FrequencySchedule
 
         rng = np.random.default_rng(20)
         qkv = QKVSet.random(5, 2, 2, 3, rng)
         poses = PoseSet.random(5, rng)
         sched = FrequencySchedule.default(2)
-        base = mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched, keep_alpha=True)
-        rotated = mhsa(qkv, poses.rotated(0.9, about=(3.0, -4.0)), Variant.DROPE_HBH,
-                       sched=sched, keep_alpha=True)
+        with recording() as records:
+            mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
+            mhsa(qkv, poses.rotated(0.9, about=(3.0, -4.0)), Variant.DROPE_HBH, sched=sched)
+        base, rotated = (record.weights for record in records)
         angle_heads = slice(1, None, 2)
         assert np.max(
-            np.abs(rotated.alpha[:, angle_heads] - base.alpha[:, angle_heads])
+            np.abs(rotated[:, angle_heads] - base[:, angle_heads])
         ) < 1e-8
 
 
