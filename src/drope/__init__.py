@@ -4,7 +4,6 @@ complexity ledgers, and a toy trajectory-generation pipeline."""
 from .attention import (
     AttentionOutput,
     AttentionRecord,
-    CounterexampleReport,
     IntraHeadSplit,
     PoseSet,
     QKVSet,
@@ -15,7 +14,6 @@ from .attention import (
     mhsa,
     mhsa_causal,
     recording,
-    rope_periodicity_counterexample,
 )
 from .errors import (
     ConfigurationError,
@@ -29,6 +27,7 @@ from .kinematics import (
     AgentState,
     ControlAction,
     ZERO_ACTION,
+    advance_states,
     kinematic_step,
     min_ade,
 )

@@ -40,18 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    InvalidArgumentError,
-    VerificationError,
-)
+from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
 from .rotary import (
     FrequencySchedule,
-    drope_embed,
     heading_pair_angles,
     planar_pair_angles,
-    rope_embed,
     rotate_pairs,
     wrap_angle,
 )
@@ -69,12 +62,7 @@ __all__ = [
     "mhsa",
     "mhsa_causal",
     "mhca",
-    "CounterexampleReport",
-    "rope_periodicity_counterexample",
-    "periodicity_gaps",
     "attention_backward",
-    "ROPE_GAP_MIN",
-    "DROPE_GAP_MAX",
 ]
 
 
@@ -549,74 +537,6 @@ def mhca(
     """
     return _attend(
         variant, queries, keysvals, poses_q, poses_kv, sched=sched, enc=enc, split=split,
-    )
-
-
-#: Thresholds for the three-heading periodicity check below.
-ROPE_GAP_MIN = 1e-3
-DROPE_GAP_MAX = 1e-10
-
-
-def periodicity_gaps(embed, q, k):
-    """The three-heading test of an embedding ``embed(x, theta)`` of (..., W) vectors.
-
-    The token pairs at headings (pi/2, 0) and (0, 3*pi/2) have equal wrapped
-    relative angles. Returns their dot products q.A.k and q.B.k and the
-    operator gap ||A - B||_2: 2 * max_l |sin(pi * f_l)| for pair frequencies
-    f_l, so 0 up to rounding at the uniform frequency, whatever q and k are.
-    """
-    thetas = (math.pi / 2.0, 0.0, 3.0 * math.pi / 2.0)
-    lhs = np.einsum("...i,...i->...", embed(q, thetas[0]), embed(k, thetas[1]))
-    rhs = np.einsum("...i,...i->...", embed(q, thetas[1]), embed(k, thetas[2]))
-    e0, e1, e2 = (embed(np.eye(q.shape[-1]), theta) for theta in thetas)
-    return lhs, rhs, float(np.linalg.norm(e0 @ e1.T - e1 @ e2.T, 2))
-
-
-@dataclass(frozen=True)
-class CounterexampleReport:
-    d_k: int
-    seed: int | None
-    rope_lhs: float
-    rope_rhs: float
-    rope_gap: float
-    drope_lhs: float
-    drope_rhs: float
-    drope_gap: float
-
-
-def rope_periodicity_counterexample(
-    d_k: int, seed: int = 0, q=None, k=None, *, check: bool = True,
-) -> CounterexampleReport:
-    """Show that multi-frequency rotations break mod-2*pi angle periodicity.
-
-    Three headings pi/2, 0, 3*pi/2 give two token pairs with identical
-    wrapped relative angles. Treating the headings as scalar positions, the
-    multi-frequency embedding produces different QK dot products for the two
-    pairs, while the uniform-frequency embedding does not. The report holds
-    the dot products for q and k; ``check`` asserts the thresholds on the
-    operator gaps of ``periodicity_gaps``, which q and k do not change.
-    """
-    if d_k < 2:
-        raise ConfigurationError(
-            "d_k must be at least 2: with a single pair the unit frequency "
-            "makes the two dot products coincide"
-        )
-    if q is None or k is None:
-        rng = np.random.default_rng(seed)
-        q = rng.standard_normal(2 * d_k) if q is None else q
-        k = rng.standard_normal(2 * d_k) if k is None else k
-    q = _as_finite("q", q)
-    k = _as_finite("k", k)
-    sched = FrequencySchedule.default(d_k)
-    rope_lhs, rope_rhs, rope_gap = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
-    drope_lhs, drope_rhs, drope_gap = periodicity_gaps(drope_embed, q, k)
-    if check and rope_gap <= ROPE_GAP_MIN:
-        raise VerificationError(f"multi-frequency operator gap {rope_gap:g} unexpectedly small")
-    if check and drope_gap >= DROPE_GAP_MAX:
-        raise VerificationError(f"uniform-frequency operator gap {drope_gap:g} unexpectedly large")
-    return CounterexampleReport(
-        d_k, seed, float(rope_lhs), float(rope_rhs), abs(float(rope_lhs - rope_rhs)),
-        float(drope_lhs), float(drope_rhs), abs(float(drope_lhs - drope_rhs)),
     )
 
 

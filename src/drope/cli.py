@@ -3,8 +3,8 @@
 Runs are deterministic for a fixed config file, flag set, and seed; JSON
 reports carry a ``generated_at`` header that consumers should drop before
 comparing. Exit codes: 0 all checks passed, 1 a numerical property was
-violated, 2 usage, config, or I/O error, or an arithmetic overflow or
-invalid operation on the given inputs.
+violated, 2 usage, config, or I/O error, an arithmetic overflow or invalid
+operation on the given inputs, or sizes that do not fit in memory.
 """
 
 from __future__ import annotations
@@ -111,18 +111,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _given(config: dict, kinds: dict, flags: dict) -> dict:
+    """The settings among ``kinds`` (key to kind) that a flag or the config
+    gives; the library defaults the others."""
+    settings = {key: _setting(config, key, kind, None, flags.get(key))
+                for key, kind in kinds.items()}
+    return {key: value for key, value in settings.items() if value is not None}
+
+
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    trials = _setting(config, "trials", _INT, 1000, args.trials)
-    seed = _setting(config, "seed", _SEED, 0, args.seed)
     fault = _setting(config, "fault_inject", _STRING, None, args.fault_inject)
-    if trials < 1:
-        raise ConfigurationError(f"--trials must be positive, got {trials}")
     cfg = VerificationConfig(
-        seed=seed,
-        trials=trials,
-        d_k_values=tuple(_setting(config, "d_k_values", _INT_LIST, (1, 2, 8, 32))),
         fault_injection=fault,
+        **_given(config, {"seed": _SEED, "trials": _INT, "d_k_values": _INT_LIST},
+                 {"seed": args.seed, "trials": args.trials}),
     )
     results = run_verification(cfg)
     for result in results:
@@ -135,8 +138,8 @@ def cmd_verify(args) -> int:
     report = {
         "schema_version": 1,
         "generated_at": _timestamp(),
-        "seed": seed,
-        "trials": trials,
+        "seed": cfg.seed,
+        "trials": cfg.trials,
         "fault_injection": fault,
         "properties": [result.as_dict() for result in results],
         "all_passed": all_passed,
@@ -254,14 +257,8 @@ def cmd_rollout(args) -> int:
         prefix = max(scene.n_steps - horizon, 2) if scene.n_steps > 2 else scene.n_steps
     history = scene.prefix(prefix)
 
-    pipe_config = PipelineConfig(
-        d_model=_setting(config, "d_model", _INT, 64),
-        n_heads=_setting(config, "n_heads", _INT, 2),
-        d_k=_setting(config, "d_k", _INT, 16),
-        d_v=_setting(config, "d_v", _INT, 32),
-        n_blocks=_setting(config, "n_blocks", _INT, 2),
-        variant=variant,
-    )
+    sizes = dict.fromkeys(("d_model", "n_heads", "d_k", "d_v", "n_blocks"), _INT)
+    pipe_config = PipelineConfig(variant=variant, **_given(config, sizes, {}))
     weights = PipelineWeights.seeded(pipe_config, seed=seed)
 
     out = _out_dir(args, "rollout")
@@ -368,6 +365,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ConfigurationError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except VerificationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ __all__ = [
     "ZERO_ACTION",
     "ActionGrid",
     "kinematic_step",
+    "advance_states",
     "min_ade",
 ]
 
@@ -128,16 +129,39 @@ class ActionGrid:
         return self._actions[index]
 
 
-def kinematic_step(state: AgentState, action: ControlAction, dt: float) -> AgentState:
-    """Semi-implicit unicycle update: speed and heading first, then position."""
+def _checked_dt(dt) -> float:
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise InvalidArgumentError(f"dt must be a positive finite number, got {dt}")
+    return dt
+
+
+def kinematic_step(state: AgentState, action: ControlAction, dt: float) -> AgentState:
+    """Semi-implicit unicycle update: speed and heading first, then position.
+
+    The scalar reference of ``advance_states``.
+    """
+    dt = _checked_dt(dt)
     v = max(0.0, state.v + action.accel * dt)
     yaw = wrap_angle(state.yaw + action.yaw_rate * dt)
     x = state.x + v * math.cos(yaw) * dt
     y = state.y + v * math.sin(yaw) * dt
     return AgentState(x, y, yaw, v)
+
+
+def advance_states(states, controls, dt: float) -> np.ndarray:
+    """``kinematic_step`` on arrays: (..., 4) [x, y, yaw, v] states under (...,
+    2) [accel, yaw rate] controls, bitwise equal to it on each row."""
+    dt = _checked_dt(dt)
+    states = np.asarray(states, dtype=np.float64)
+    controls = np.asarray(controls, dtype=np.float64)
+    v = states[..., 3] + controls[..., 0] * dt
+    v = np.where(v > 0.0, v, 0.0)   # max(0.0, v), as kinematic_step takes it
+    yaw = wrap_angle(states[..., 2] + controls[..., 1] * dt)
+    return np.stack(
+        [states[..., 0] + v * np.cos(yaw) * dt, states[..., 1] + v * np.sin(yaw) * dt, yaw, v],
+        axis=-1,
+    )
 
 
 def min_ade(samples, truth) -> float:

@@ -43,9 +43,9 @@ from .attention import (
     mhsa,
     mhsa_causal,
 )
-from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
-from .kinematics import ActionGrid, ControlAction, kinematic_step
-from .rotary import FrequencySchedule, wrap_angle
+from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
+from .kinematics import ActionGrid, ControlAction, advance_states, kinematic_step
+from .rotary import FrequencySchedule
 from .scene import Scene
 
 __all__ = [
@@ -108,7 +108,8 @@ class PipelineConfig:
 
 
 def _dense(rng, n_in: int, n_out: int) -> np.ndarray:
-    return rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)
+    weights = empty_array((n_in, n_out), "a weight matrix")
+    return rng.standard_normal(out=weights) / math.sqrt(n_in)
 
 
 @dataclass
@@ -569,8 +570,8 @@ def rollout(scene: Scene, policy, horizon: int):
     """Autoregressive closed-loop rollout from the scene's last step.
 
     At each step the policy sees the history so far, all agents advance by
-    one vectorized kinematic update, bitwise equal to ``kinematic_step`` on
-    each agent, and the new states are appended before the next decision.
+    one ``advance_states`` update, and the new states are appended before the
+    next decision.
     Horizons beyond the soft 8 s limit warn but proceed.
     """
     if horizon < 1:
@@ -591,15 +592,8 @@ def rollout(scene: Scene, policy, horizon: int):
             raise DimensionMismatchError(
                 f"policy returned {len(step_actions)} actions for {n_agents} agents"
             )
-        dt = history.dt
-        x, y, yaw, v = history.agent_states[:, -1].T
         controls = np.array([(a.accel, a.yaw_rate) for a in step_actions]).reshape(-1, 2)
-        v = v + controls[:, 0] * dt
-        v = np.where(v > 0.0, v, 0.0)   # max(0.0, v), as kinematic_step takes it
-        yaw = wrap_angle(yaw + controls[:, 1] * dt)
-        states[:, step] = np.stack(
-            [x + v * np.cos(yaw) * dt, y + v * np.sin(yaw) * dt, yaw, v], axis=-1
-        )
+        states[:, step] = advance_states(history.agent_states[:, -1], controls, history.dt)
         for agent_actions, action in zip(actions, step_actions):
             agent_actions.append(action)
         history = history.with_appended_states(states[:, step])

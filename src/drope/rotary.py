@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
+from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
 
 __all__ = [
     "TWO_PI",
@@ -92,8 +92,10 @@ class FrequencySchedule:
 
     @classmethod
     def default(cls, d_k: int) -> "FrequencySchedule":
-        # scalar pow keeps the values bitwise equal to the closed form
-        freqs = np.array([10000.0 ** (-l / d_k) for l in range(d_k)])
+        freqs = empty_array(d_k, "a frequency schedule")
+        for l in range(d_k):
+            # scalar pow keeps the values bitwise equal to the closed form
+            freqs[l] = 10000.0 ** (-l / d_k)
         return cls(d_k, freqs)
 
 

@@ -25,15 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import PoseSet
-from .errors import ConfigurationError, InvalidArgumentError
-from .kinematics import (
-    ACCEL_LIMIT,
-    YAW_RATE_LIMIT,
-    AgentState,
-    ControlAction,
-    ZERO_ACTION,
-    kinematic_step,
-)
+from .errors import ConfigurationError, InvalidArgumentError, empty_array
+from .kinematics import ACCEL_LIMIT, YAW_RATE_LIMIT, AgentState, advance_states
 from .rotary import wrap_angle
 
 __all__ = [
@@ -55,6 +48,7 @@ __all__ = [
 
 DEFAULT_MAX_SEGMENT_LENGTH = 25.0  # meters
 DEFAULT_DT = 0.5                   # seconds (2 Hz)
+ACTION_SCALE = 0.3                 # random scenes: action std as a fraction of its limit
 
 
 def polyline_arc_length(points) -> float:
@@ -226,7 +220,7 @@ def make_arc_polyline(center, radius: float, start_angle: float, span: float,
     )
 
 
-def _default_map(rng) -> list:
+def _default_map() -> list:
     polylines = [
         make_straight_polyline((-40.0, 0.0), 0.0, 80.0),
         make_straight_polyline((-40.0, 3.5), 0.0, 80.0),
@@ -240,54 +234,37 @@ def _default_map(rng) -> list:
     return segments
 
 
-def _roll_states(initial: list, actions, dt: float) -> np.ndarray:
-    """Iterate the kinematic update so stored tracks replay exactly."""
-    n_agents = len(initial)
-    n_steps = len(actions[0]) + 1
-    states = np.empty((n_agents, n_steps, 4))
-    for i, state in enumerate(initial):
-        states[i, 0] = state.as_array()
-        for t, action in enumerate(actions[i]):
-            state = kinematic_step(state, action, dt)
-            states[i, t + 1] = state.as_array()
+def _initial_states(rng, n_agents: int, n_steps: int, x_high: float, yaw_std: float,
+                    v_range: tuple) -> np.ndarray:
+    """A track array whose first step holds per-agent draws near the lanes."""
+    # allocated before any draw, so a size that cannot fit fails at once
+    states = empty_array((n_agents, n_steps, 4), "an agent track array")
+    for agent in range(n_agents):
+        states[agent, 0] = (rng.uniform(-35.0, x_high), rng.uniform(-1.0, 4.5),
+                            wrap_angle(rng.normal(0.0, yaw_std)), rng.uniform(*v_range))
     return states
 
 
-def make_scene(
-    seed: int = 0,
-    n_agents: int = 4,
-    n_steps: int = 12,
-    dt: float = DEFAULT_DT,
-    action_scale: float = 0.3,
-) -> Scene:
+def _rolled_scene(states: np.ndarray, controls: np.ndarray, dt: float) -> Scene:
+    """Fill the tracks after their first step with ``advance_states`` under
+    (n_agents, n_steps - 1, 2) controls, so stored tracks replay exactly."""
+    for t in range(states.shape[1] - 1):
+        states[:, t + 1] = advance_states(states[:, t], controls[:, t], dt)
+    return Scene(states, _default_map(), dt)
+
+
+def make_scene(seed: int = 0, n_agents: int = 4, n_steps: int = 12,
+               dt: float = DEFAULT_DT) -> Scene:
     """A random scene: agents near straight and curved lanes, bounded actions."""
     if not 2 <= n_agents <= 8:
         raise ConfigurationError(f"n_agents must be in 2..8, got {n_agents}")
     if n_steps < 2:
         raise ConfigurationError(f"need at least 2 steps, got {n_steps}")
     rng = np.random.default_rng(seed)
-    initial = [
-        AgentState(
-            x=float(rng.uniform(-35.0, 25.0)),
-            y=float(rng.uniform(-1.0, 4.5)),
-            yaw=float(wrap_angle(rng.normal(0.0, 0.2))),
-            v=float(rng.uniform(3.0, 12.0)),
-        )
-        for _ in range(n_agents)
-    ]
-    actions = [
-        [
-            ControlAction(
-                accel=float(np.clip(rng.normal(0.0, action_scale * ACCEL_LIMIT),
-                                    -ACCEL_LIMIT, ACCEL_LIMIT)),
-                yaw_rate=float(np.clip(rng.normal(0.0, action_scale * YAW_RATE_LIMIT),
-                                       -YAW_RATE_LIMIT, YAW_RATE_LIMIT)),
-            )
-            for _ in range(n_steps - 1)
-        ]
-        for _ in range(n_agents)
-    ]
-    return Scene(_roll_states(initial, actions, dt), _default_map(rng), dt)
+    states = _initial_states(rng, n_agents, n_steps, x_high=25.0, yaw_std=0.2, v_range=(3.0, 12.0))
+    limits = np.array([ACCEL_LIMIT, YAW_RATE_LIMIT])
+    controls = rng.normal(0.0, ACTION_SCALE * limits, (n_agents, n_steps - 1, 2))
+    return _rolled_scene(states, np.clip(controls, -limits, limits), dt)
 
 
 def make_constant_velocity_scene(
@@ -296,18 +273,11 @@ def make_constant_velocity_scene(
     """Agents coasting at constant speed; tracks are exact zero-action rollouts."""
     if not 2 <= n_agents <= 8:
         raise ConfigurationError(f"n_agents must be in 2..8, got {n_agents}")
+    if n_steps < 1:
+        raise ConfigurationError(f"need at least 1 step, got {n_steps}")
     rng = np.random.default_rng(seed)
-    initial = [
-        AgentState(
-            x=float(rng.uniform(-35.0, 5.0)),
-            y=float(rng.uniform(-1.0, 4.5)),
-            yaw=float(wrap_angle(rng.normal(0.0, 0.3))),
-            v=float(rng.uniform(4.0, 10.0)),
-        )
-        for _ in range(n_agents)
-    ]
-    actions = [[ZERO_ACTION] * (n_steps - 1) for _ in range(n_agents)]
-    return Scene(_roll_states(initial, actions, dt), _default_map(rng), dt)
+    states = _initial_states(rng, n_agents, n_steps, x_high=5.0, yaw_std=0.3, v_range=(4.0, 10.0))
+    return _rolled_scene(states, np.zeros((n_agents, n_steps - 1, 2)), dt)
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -9,21 +9,12 @@ negative control for the whole apparatus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import (
-    DROPE_GAP_MAX,
-    ROPE_GAP_MIN,
-    IntraHeadSplit,
-    PoseSet,
-    QKVSet,
-    Variant,
-    mhsa,
-    periodicity_gaps,
-    recording,
-)
+from .attention import IntraHeadSplit, PoseSet, QKVSet, Variant, mhsa, recording
 from .errors import ConfigurationError
 from .rotary import (
     TWO_PI,
@@ -38,12 +29,34 @@ from .rotary import (
 
 __all__ = [
     "FAULT_ROPE_FREQS_IN_FANGLE",
+    "ROPE_GAP_MIN",
+    "DROPE_GAP_MAX",
     "PropertyResult",
     "VerificationConfig",
+    "periodicity_gaps",
     "run_verification",
 ]
 
 FAULT_ROPE_FREQS_IN_FANGLE = "rope-freqs-in-fangle"
+
+#: Thresholds on the operator gaps of ``periodicity_gaps`` at d_k = 8.
+ROPE_GAP_MIN = 1e-3
+DROPE_GAP_MAX = 1e-10
+
+
+def periodicity_gaps(embed, q, k):
+    """The three-heading test of an embedding ``embed(x, theta)`` of (..., W) vectors.
+
+    The token pairs at headings (pi/2, 0) and (0, 3*pi/2) have equal wrapped
+    relative angles. Returns their dot products q.A.k and q.B.k and the
+    operator gap ||A - B||_2: 2 * max_l |sin(pi * f_l)| for pair frequencies
+    f_l, so 0 up to rounding at the uniform frequency, whatever q and k are.
+    """
+    thetas = (math.pi / 2.0, 0.0, 3.0 * math.pi / 2.0)
+    lhs = np.einsum("...i,...i->...", embed(q, thetas[0]), embed(k, thetas[1]))
+    rhs = np.einsum("...i,...i->...", embed(q, thetas[1]), embed(k, thetas[2]))
+    e0, e1, e2 = (embed(np.eye(q.shape[-1]), theta) for theta in thetas)
+    return lhs, rhs, float(np.linalg.norm(e0 @ e1.T - e1 @ e2.T, 2))
 
 
 @dataclass

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -17,9 +16,7 @@ from drope.attention import (
     mhca,
     mhsa,
     mhsa_causal,
-    periodicity_gaps,
     recording,
-    rope_periodicity_counterexample,
 )
 from drope.errors import (
     ConfigurationError,
@@ -27,9 +24,9 @@ from drope.errors import (
     InvalidArgumentError,
     VerificationError,
 )
-from drope.rotary import TWO_PI, FrequencySchedule, drope_embed, rope_embed
+from drope.rotary import TWO_PI, FrequencySchedule
 
-from oracles import ref_attention, ref_default_freqs, ref_embed
+from oracles import ref_attention
 
 VARIANT_NAMES = {
     Variant.PLAIN: "plain",
@@ -631,68 +628,6 @@ class TestPoseSet:
         fresh_poses = PoseSet(poses.positions, poses.headings)
         assert np.array_equal(
             mhsa(qkv, fresh_poses, Variant.DROPE_HBH, sched=sched).merged, first.merged)
-
-
-class TestCounterexample:
-    def test_all_ones_case(self):
-        # fixed vectors make the gap a closed-form quantity
-        report = rope_periodicity_counterexample(2, q=np.ones(4), k=np.ones(4))
-        freq = 0.01
-        expected_gap = abs(
-            2 * math.cos(math.pi / 2 * freq) - 2 * math.cos(3 * math.pi / 2 * freq)
-        )
-        assert report.rope_gap == pytest.approx(expected_gap, rel=1e-12)
-        assert report.rope_gap > 1e-3
-        assert report.drope_gap < 1e-10
-
-    def test_many_seeds_at_d_k_eight(self):
-        for seed in range(50):
-            report = rope_periodicity_counterexample(8, seed=seed)
-            assert report.rope_gap > 1e-3
-            assert report.drope_gap < 1e-10
-
-    def test_check_holds_for_vectors_that_hide_the_gap(self):
-        # a zero query makes both dot products 0; the check reads the operators
-        report = rope_periodicity_counterexample(4, q=np.zeros(8), k=np.ones(8))
-        assert report.rope_gap == 0.0 and report.drope_gap == 0.0
-
-    def test_operator_gaps_match_the_closed_form(self):
-        sched = FrequencySchedule.default(8)
-        rng = np.random.default_rng(32)
-        q, k = rng.standard_normal((2, 5, 16))
-        lhs, rhs, rope_gap = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
-        assert lhs.shape == rhs.shape == (5,)
-        for i in range(5):
-            single = rope_periodicity_counterexample(8, q=q[i], k=k[i])
-            assert single.rope_lhs == pytest.approx(lhs[i], abs=1e-12)
-            assert single.rope_rhs == pytest.approx(rhs[i], abs=1e-12)
-        closed_form = 2.0 * np.max(np.abs(np.sin(math.pi * sched.freqs)))
-        assert rope_gap == pytest.approx(closed_form, rel=1e-12)
-        assert periodicity_gaps(drope_embed, q, k)[2] < 1e-15
-
-    def test_single_pair_rejected(self):
-        with pytest.raises(ConfigurationError):
-            rope_periodicity_counterexample(1)
-
-    def test_single_pair_degenerates_without_the_guard(self):
-        # documented degenerate case: one pair at unit frequency has no gap
-        rng = np.random.default_rng(0)
-        q, k = rng.standard_normal(2), rng.standard_normal(2)
-        sched = FrequencySchedule.default(1)
-        lhs = rope_embed(q, math.pi / 2, sched) @ rope_embed(k, 0.0, sched)
-        rhs = rope_embed(q, 0.0, sched) @ rope_embed(k, 3 * math.pi / 2, sched)
-        assert abs(lhs - rhs) < 1e-10
-
-    def test_report_matches_direct_embedding(self):
-        rng = np.random.default_rng(31)
-        q, k = rng.standard_normal(8), rng.standard_normal(8)
-        report = rope_periodicity_counterexample(4, q=q, k=k)
-        freqs = ref_default_freqs(4)
-        lhs = np.dot(
-            ref_embed(q, [math.pi / 2 * f for f in freqs]),
-            ref_embed(k, [0.0 * f for f in freqs]),
-        )
-        assert report.rope_lhs == pytest.approx(lhs, abs=1e-12)
 
 
 class TestExhaustiveOracleGrid:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -287,13 +288,21 @@ OVERFLOWING_STATE = scene_payload(agents=[
 HUGE_GRID = {"n_tokens": [4294967296], "n_heads": [256], "d_k": [65536], "d_v": [65536]}
 
 
-def run_cli(argv, cwd):
-    """``drope-bench`` in a fresh interpreter, so that its warnings reach stderr."""
+def run_cli(argv, cwd, address_space=None):
+    """``drope-bench`` in a fresh interpreter, so that its warnings reach stderr;
+    ``address_space`` caps the child's virtual memory in bytes."""
     src = str(Path(drope.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = None
+    if address_space is not None:
+        # BLAS reserves address space per thread: one thread leaves the cap to the program
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-m", "drope.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
 
 
 class TestArithmeticErrors:
@@ -316,6 +325,32 @@ class TestArithmeticErrors:
         assert "RuntimeWarning" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1, proc.stderr
+
+
+class TestSizesBeyondMemory:
+    """Sizes that fit 64 bits but not memory, and a scene without steps, end
+    with exit 2 and one error line. Each runs in a child capped at 2 GiB of
+    address space, so an allocation that escapes the checks fails there."""
+
+    @pytest.mark.parametrize("command, payload", [
+        pytest.param("rollout", {"d_model": 2**62}, id="d_model-beyond-address-space"),
+        pytest.param("rollout", {"d_model": 2**40}, id="d_model-beyond-memory"),
+        pytest.param("rollout", {"synthetic": {"n_steps": 10**8}}, id="n_steps-beyond-memory"),
+        pytest.param("rollout", {"synthetic": {"n_steps": 2**62}},
+                     id="n_steps-beyond-address-space"),
+        pytest.param("verify", {"d_k_values": [2**40]}, id="d_k-beyond-memory"),
+        pytest.param("verify", {"d_k_values": [2**62]}, id="d_k-beyond-address-space"),
+        pytest.param("rollout", {"synthetic": {"kind": "constant-velocity", "n_steps": 0}},
+                     id="constant-velocity-without-steps"),
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, command, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")],
+                       tmp_path, address_space=2 << 30)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 #: Valid configs per command, each run in well under a second. A "scene"
@@ -399,3 +434,58 @@ def test_generated_configs_exit_0_1_or_2_with_one_error_line(tmp_path_factory, c
     assert "Traceback" not in err
     if code == 2:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+#: Flags with the values the fuzz gives them: integers from small ranges only,
+#: non-integers and unknown choices. "<scene>" and "<config>" stand for files.
+_INTS = st.integers(-2, 6).map(str)
+_BAD_INTS = st.sampled_from(["", "x", "1.5", "0x10", "--"])
+_FLAG_VALUES = {
+    "--seed": _INTS | _BAD_INTS,
+    "--trials": _INTS | _BAD_INTS,
+    "--horizon": _INTS | _BAD_INTS,
+    "--prefix": _INTS | _BAD_INTS,
+    "--samples": _INTS | _BAD_INTS,
+    "--policy": st.sampled_from(["pipeline", "constant", "greedy"]),
+    "--mode": st.sampled_from(["greedy", "sample", "beam"]),
+    "--variant": st.sampled_from(["plain", "rpe", "rope", "drope-hbh", "drope-ih", "alibi"]),
+    "--fault-inject": st.sampled_from(["rope-freqs-in-fangle", "none"]),
+    "--scene": st.sampled_from(["<scene>", "missing.json"]),
+    "--config": st.sampled_from(["<config>", "missing.json"]),
+}
+
+
+@st.composite
+def _flag_tokens(draw):
+    """One flag with a value, a known flag missing its value, an unknown flag
+    or a stray word."""
+    flag = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+    form = draw(st.integers(0, 9))
+    if form == 0:
+        return [flag]
+    if form == 1:
+        return [draw(st.sampled_from(["--nope", "-x", "--trial", "stray"]))]
+    return [flag, draw(_FLAG_VALUES[flag])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["verify", "profile", "rollout", "bogus"]),
+       st.lists(_flag_tokens(), max_size=4))
+@example("rollout", [["--horizon"]])
+@example("verify", [["--trials", "0"]])
+@example("rollout", [["--prefix", "x"]])
+def test_generated_argv_exit_0_1_or_2_with_one_error_line(tmp_path_factory, command, flags):
+    out = tmp_path_factory.mktemp("argv")
+    files = {"<scene>": out / "scene.json", "<config>": out / "config.json"}
+    save_scene(make_constant_velocity_scene(seed=1, n_steps=6), files["<scene>"])
+    files["<config>"].write_text("{}")
+    argv = [command, "--out", str(out / "out"),
+            *(str(files.get(token, token)) for group in flags for token in group)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drope.errors import DimensionMismatchError, InvalidArgumentError
@@ -13,9 +13,11 @@ from drope.kinematics import (
     AgentState,
     ControlAction,
     ZERO_ACTION,
+    advance_states,
     kinematic_step,
     min_ade,
 )
+from drope.rotary import TWO_PI
 
 action_st = st.tuples(
     st.floats(min_value=-ACCEL_LIMIT, max_value=ACCEL_LIMIT),
@@ -71,6 +73,48 @@ class TestKinematicStep:
         assert max(map(abs, grid.yaw_rate_centers)) == YAW_RATE_LIMIT
         with pytest.raises(InvalidArgumentError):
             ControlAction(float("nan"), 0.0)
+
+
+_yaw_st = st.sampled_from([0.0, 1e-9, TWO_PI - 1e-9, math.nextafter(TWO_PI, 0.0)]) | st.floats(
+    min_value=0.0, max_value=TWO_PI, exclude_max=True)
+_state_st = st.tuples(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), _yaw_st, st.just(0.0) | st.floats(0.0, 30.0))
+
+
+@st.composite
+def _batches(draw):
+    """(states, controls) with one or two leading axes and a positive dt."""
+    shape = draw(st.sampled_from([(1,), (4,), (2, 3)]))
+    n_rows = math.prod(shape)
+    states = draw(st.lists(_state_st, min_size=n_rows, max_size=n_rows))
+    controls = draw(st.lists(action_st, min_size=n_rows, max_size=n_rows))
+    dt = draw(st.sampled_from([0.1, 0.5, 2.0]) | st.floats(1e-3, 5.0))
+    return np.array(states).reshape(shape + (4,)), np.array(controls).reshape(shape + (2,)), dt
+
+
+class TestAdvanceStates:
+    @given(_batches())
+    @settings(max_examples=200)
+    @example((np.array([[1.0, 2.0, 0.3, 0.0]]), np.array([[-4.0, 0.0]]), 0.5))   # standstill
+    @example((np.array([[0.0, 0.0, 1e-9, 3.0]]), np.array([[0.0, -1.0]]), 0.5))  # across 0
+    @example((np.array([[0.0, 0.0, TWO_PI - 1e-9, 3.0]]), np.array([[0.0, 1.0]]), 0.5))  # across 2*pi
+    def test_equals_kinematic_step_row_by_row(self, batch):
+        states, controls, dt = batch
+        advanced = advance_states(states, controls, dt)
+        assert advanced.shape == states.shape
+        for index in np.ndindex(states.shape[:-1]):
+            expected = kinematic_step(
+                AgentState.from_array(states[index]), ControlAction(*controls[index]), dt
+            ).as_array()
+            assert advanced[index].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_dt_as_kinematic_step_does(self, dt):
+        with pytest.raises(InvalidArgumentError) as scalar:
+            kinematic_step(AgentState(0, 0, 0, 1.0), ZERO_ACTION, dt)
+        with pytest.raises(InvalidArgumentError) as array:
+            advance_states(np.array([[0.0, 0.0, 0.0, 1.0]]), np.zeros((1, 2)), dt)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestActionGrid:

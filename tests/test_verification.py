@@ -6,12 +6,17 @@ import pytest
 
 import drope.verification as verification
 from drope.errors import ConfigurationError
-from drope.rotary import FrequencySchedule
+from drope.rotary import FrequencySchedule, drope_embed, rope_embed
 from drope.verification import (
+    DROPE_GAP_MAX,
     FAULT_ROPE_FREQS_IN_FANGLE,
+    ROPE_GAP_MIN,
     VerificationConfig,
+    periodicity_gaps,
     run_verification,
 )
+
+from oracles import ref_default_freqs, ref_embed
 
 
 @pytest.mark.parametrize("settings", [
@@ -79,3 +84,84 @@ def test_periodicity_operator_gap_has_its_closed_form():
     assert not faulty.passed
     assert faulty.max_error == pytest.approx(closed_form, rel=1e-12)
     assert np.isclose(closed_form, 1.676, atol=1e-3)
+
+
+def pair_and_operator_gaps(d_k, q, k):
+    """|q.A.k - q.B.k| and ||A - B||_2 of ``periodicity_gaps`` for the
+    multi-frequency and the uniform-frequency embedding."""
+    sched = FrequencySchedule.default(d_k)
+    rope_lhs, rope_rhs, rope_op = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
+    drope_lhs, drope_rhs, drope_op = periodicity_gaps(drope_embed, q, k)
+    return abs(rope_lhs - rope_rhs), abs(drope_lhs - drope_rhs), rope_op, drope_op
+
+
+class TestCounterexample:
+    def test_all_ones_case(self):
+        # fixed vectors make the gap a closed-form quantity
+        rope_gap, drope_gap, rope_op, drope_op = pair_and_operator_gaps(2, np.ones(4), np.ones(4))
+        freq = 0.01
+        expected_gap = abs(
+            2 * math.cos(math.pi / 2 * freq) - 2 * math.cos(3 * math.pi / 2 * freq)
+        )
+        assert rope_gap == pytest.approx(expected_gap, rel=1e-12)
+        assert rope_gap > 1e-3
+        assert drope_gap < 1e-10
+        assert rope_op > ROPE_GAP_MIN and drope_op < DROPE_GAP_MAX
+
+    def test_many_seeds_at_d_k_eight(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            q, k = rng.standard_normal(16), rng.standard_normal(16)
+            rope_gap, drope_gap, rope_op, drope_op = pair_and_operator_gaps(8, q, k)
+            assert rope_gap > 1e-3
+            assert drope_gap < 1e-10
+            assert rope_op > ROPE_GAP_MIN and drope_op < DROPE_GAP_MAX
+
+    def test_operator_gaps_hold_for_vectors_that_hide_the_gap(self):
+        # a zero query makes both dot products 0; the operators still differ
+        rope_gap, drope_gap, rope_op, drope_op = pair_and_operator_gaps(
+            4, np.zeros(8), np.ones(8))
+        assert rope_gap == 0.0 and drope_gap == 0.0
+        assert rope_op > ROPE_GAP_MIN and drope_op < DROPE_GAP_MAX
+
+    def test_operator_gaps_match_the_closed_form(self):
+        sched = FrequencySchedule.default(8)
+        rng = np.random.default_rng(32)
+        q, k = rng.standard_normal((2, 5, 16))
+
+        def rope(x, t):
+            return rope_embed(x, t, sched)
+
+        lhs, rhs, rope_gap = periodicity_gaps(rope, q, k)
+        assert lhs.shape == rhs.shape == (5,)
+        for i in range(5):
+            single_lhs, single_rhs, _ = periodicity_gaps(rope, q[i], k[i])
+            assert single_lhs == pytest.approx(lhs[i], abs=1e-12)
+            assert single_rhs == pytest.approx(rhs[i], abs=1e-12)
+        closed_form = 2.0 * np.max(np.abs(np.sin(math.pi * sched.freqs)))
+        assert rope_gap == pytest.approx(closed_form, rel=1e-12)
+        assert periodicity_gaps(drope_embed, q, k)[2] < 1e-15
+
+    def test_single_pair_degenerates(self):
+        # documented degenerate case: one pair at unit frequency has no gap,
+        # which is why the verify check runs at d_k = 8
+        rng = np.random.default_rng(0)
+        q, k = rng.standard_normal(2), rng.standard_normal(2)
+        sched = FrequencySchedule.default(1)
+        lhs = rope_embed(q, math.pi / 2, sched) @ rope_embed(k, 0.0, sched)
+        rhs = rope_embed(q, 0.0, sched) @ rope_embed(k, 3 * math.pi / 2, sched)
+        assert abs(lhs - rhs) < 1e-10
+
+    def test_dot_products_match_direct_embedding(self):
+        rng = np.random.default_rng(31)
+        q, k = rng.standard_normal(8), rng.standard_normal(8)
+        sched = FrequencySchedule.default(4)
+        rope_lhs = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)[0]
+        freqs = ref_default_freqs(4)
+        lhs = np.dot(
+            ref_embed(q, [math.pi / 2 * f for f in freqs]),
+            ref_embed(k, [0.0 * f for f in freqs]),
+        )
+        assert rope_lhs == pytest.approx(lhs, abs=1e-12)
+        _, _, rope_op, drope_op = pair_and_operator_gaps(4, q, k)
+        assert rope_op > ROPE_GAP_MIN and drope_op < DROPE_GAP_MAX
