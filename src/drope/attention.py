@@ -19,11 +19,13 @@ appends an ``AttentionRecord``: the scalar counts of the arrays it
 materialized, by ledger category, and a view of its attention weights.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
-(..., H, N, W), so the scores of every variant are one batched matmul giving
-(..., H, N, M), the softmax runs on that array in place, and the weighted
-sum is a second batched matmul with the (..., H, M, d_v) values. The
-pairwise regime uses the same two products and adds its offsets: with
-per-pair, per-head key and value offsets off_ij, a score is
+(..., H, N, W) and walked in blocks of ``QUERY_BLOCK`` query rows, so scores
+take memory linear in N. Per block the scores are one batched matmul giving
+(..., H, B, M), softmaxed in place over whole rows, and a second batched
+matmul with the (..., H, M, d_v) values fills one output; a causal block
+reads only the keys up to its last row. The pairwise regime runs as one
+block, as its offsets are (..., N, M) already, and adds them to the same two
+products: with per-pair, per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
 backward uses the same layout and the same softmax on one unstacked bank.
@@ -99,6 +101,9 @@ class Variant(enum.Enum):
 
 #: Variants whose QK banks are rotated before the dot products.
 ROTARY_VARIANTS = (Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
+
+#: Query rows per score block: a call holds (..., H, QUERY_BLOCK, M) scores at once.
+QUERY_BLOCK = 128
 
 
 def _as_finite(name: str, arr, dtype=np.float64) -> np.ndarray:
@@ -448,13 +453,11 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
 
 def _attend(
     variant, queries: QKVSet, keysvals: QKVSet, poses_q, poses_kv,
-    *, sched=None, enc=None, split=None, angle_freqs=None, mask=None,
+    *, sched=None, enc=None, split=None, angle_freqs=None, causal=False,
 ) -> AttentionOutput:
     """The one attention core: Q from ``queries``, K and V from ``keysvals``."""
     q_bank, k_bank, v_bank = queries.q, keysvals.k, keysvals.v
     sched, split = _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split)
-    if mask is not None and not mask.any(axis=-1).all():
-        raise InvalidArgumentError("the attention mask blanks every key of a query row")
     n_heads, width = q_bank.shape[-2:]
     d_k = width // 2
     d_v = v_bank.shape[-1]
@@ -474,30 +477,41 @@ def _attend(
         q_hat = rotate_pairs(q_bank, angles_q)
         k_hat = rotate_pairs(k_bank, angles_k)
 
-    scores = np.matmul(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2).swapaxes(-2, -1))
-    if variant is Variant.RPE:
-        # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
-        q_offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])
-        scores += q_offset[..., 0].swapaxes(-3, -2)
-    scores *= scale
-    if mask is not None:
-        np.copyto(scores, -np.inf, where=~mask)
-    alpha = _softmax_rows(scores)
-    per_head = np.matmul(alpha, v_bank.swapaxes(-3, -2)).swapaxes(-3, -2)
-    if variant is Variant.RPE:
-        # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
-        per_head += np.matmul(
-            alpha.swapaxes(-3, -2)[..., None, :], v_offset.swapaxes(-3, -2)
-        )[..., 0, :]
-    per_head = np.ascontiguousarray(per_head)
-
+    n, m = q_bank.shape[-3], k_bank.shape[-3]
+    lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
+    q_heads, k_heads = q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2)
+    v_heads = v_bank.swapaxes(-3, -2)
+    per_head = np.empty(lead + (n, n_heads, d_v))
     records = _RECORDS.get()
+    alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
+    block = max(n, 1) if variant is Variant.RPE else QUERY_BLOCK
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        keys = e if causal else m    # a causal block reads no key after its last row
+        scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
+                           out=None if alpha_all is None else alpha_all[..., s:e, :keys])
+        if variant is Variant.RPE:
+            # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
+            q_offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])
+            scores += q_offset[..., 0].swapaxes(-3, -2)
+        scores *= scale
+        if causal:
+            np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
+        alpha = _softmax_rows(scores)
+        out = np.matmul(alpha, v_heads[..., :keys, :]).swapaxes(-3, -2)
+        if variant is Variant.RPE:
+            # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
+            out += np.matmul(
+                alpha.swapaxes(-3, -2)[..., None, :], v_offset.swapaxes(-3, -2)
+            )[..., 0, :]
+        per_head[..., s:e, :, :] = out
+
     if records is not None:
         records.append(AttentionRecord({
             "qkv": q_bank.size + k_bank.size + v_bank.size,
             "embedded": 0 if q_hat is q_bank else q_hat.size + k_hat.size,
             "pairwise": k_offset.size + v_offset.size if variant is Variant.RPE else 0,
-        }, alpha.swapaxes(-3, -2)))
+        }, alpha_all.swapaxes(-3, -2)))
     return AttentionOutput(per_head, per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,)))
 
 
@@ -519,10 +533,8 @@ def mhsa(
 
 
 def mhsa_causal(qkv: QKVSet) -> AttentionOutput:
-    """Plain self-attention with a strictly causal (lower-triangular) mask."""
-    n = qkv.n_tokens
-    mask = np.tril(np.ones((n, n), dtype=bool))
-    return _attend(Variant.PLAIN, qkv, qkv, None, None, mask=mask)
+    """Plain self-attention, causal (diagonal included): token i attends to keys 0..i."""
+    return _attend(Variant.PLAIN, qkv, qkv, None, None, causal=True)
 
 
 def mhca(

@@ -30,6 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,9 +108,9 @@ class PipelineConfig:
         return self.grid.n_actions
 
 
-def _dense(rng, n_in: int, n_out: int) -> np.ndarray:
-    weights = empty_array((n_in, n_out), "a weight matrix")
-    return rng.standard_normal(out=weights) / math.sqrt(n_in)
+def _dense(rng, n_in: int, n_out: int, out=None) -> np.ndarray:
+    out = empty_array((n_in, n_out), "a weight matrix") if out is None else out.reshape(n_in, -1)
+    return np.divide(rng.standard_normal(out=out), math.sqrt(n_in), out=out)
 
 
 @dataclass
@@ -127,24 +128,24 @@ class BlockWeights:
     enc: RPEEncoders | None = None   # pairwise-encoder variant only
 
     @classmethod
-    def seeded(cls, config: PipelineConfig, rng) -> "BlockWeights":
-        d, h = config.d_model, config.n_heads
-        width, d_v = 2 * config.d_k, config.d_v
-        return cls(
-            w_q=_dense(rng, d, h * width).reshape(d, h, width),
-            w_k=_dense(rng, d, h * width).reshape(d, h, width),
-            w_v=_dense(rng, d, h * d_v).reshape(d, h, d_v),
-            w_o=_dense(rng, h * d_v, d),
-            ffn_w1=_dense(rng, d, config.ffn_hidden),
-            ffn_b1=np.zeros(config.ffn_hidden),
-            ffn_w2=_dense(rng, config.ffn_hidden, d),
-            ffn_b2=np.zeros(d),
-            enc=(
-                RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
-                if config.variant is Variant.RPE
-                else None
-            ),
-        )
+    def seeded(cls, config: PipelineConfig, rng, count: int):
+        """Yield ``count`` sub-blocks, drawn in turn into one array allocated up front."""
+        d, h, f, d_v = config.d_model, config.n_heads, config.ffn_hidden, config.d_v
+        shapes = ((d, h * 2 * config.d_k),) * 2 + ((d, h * d_v), (h * d_v, d), (d, f), (f, d))
+        ends = list(accumulate(n_in * n_out for n_in, n_out in shapes))
+        for arena in empty_array((count, ends[-1]), "the attention blocks' weights"):
+            w_q, w_k, w_v, w_o, ffn_w1, ffn_w2 = (
+                _dense(rng, *shape, out) for shape, out in zip(shapes, np.split(arena, ends[:-1]))
+            )
+            yield cls(
+                w_q.reshape(d, h, -1), w_k.reshape(d, h, -1), w_v.reshape(d, h, -1), w_o,
+                ffn_w1, np.zeros(f), ffn_w2, np.zeros(d),
+                enc=(
+                    RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
+                    if config.variant is Variant.RPE
+                    else None
+                ),
+            )
 
     @classmethod
     def identity(cls, config: PipelineConfig) -> "BlockWeights":
@@ -197,6 +198,7 @@ class PipelineWeights:
     def seeded(cls, config: PipelineConfig, seed: int = 0) -> "PipelineWeights":
         rng = np.random.default_rng(seed)
         d = config.d_model
+        subs = BlockWeights.seeded(config, rng, 3 * config.n_blocks + 1)
         return cls(
             agent_w1=_dense(rng, AGENT_FEATURE_WIDTH, d),
             agent_b1=np.zeros(d),
@@ -207,14 +209,10 @@ class PipelineWeights:
             map_out_w=_dense(rng, d, d),
             map_out_b=np.zeros(d),
             blocks=[
-                InteractionBlockWeights(
-                    agent_sa=BlockWeights.seeded(config, rng),
-                    map_sa=BlockWeights.seeded(config, rng),
-                    cross=BlockWeights.seeded(config, rng),
-                )
+                InteractionBlockWeights(agent_sa=next(subs), map_sa=next(subs), cross=next(subs))
                 for _ in range(config.n_blocks)
             ],
-            temporal=BlockWeights.seeded(config, rng),
+            temporal=next(subs),
             dec_w1=_dense(rng, d, config.ffn_hidden),
             dec_b1=np.zeros(config.ffn_hidden),
             dec_w2=_dense(rng, config.ffn_hidden, config.n_actions),

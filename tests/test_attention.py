@@ -1,11 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import drope.attention as attention
 from drope.attention import (
-    _attend,
     AttentionRecord,
     IntraHeadSplit,
     PoseSet,
@@ -400,13 +400,17 @@ class TestStructuralProperties:
         defaulted = mhsa(qkv, poses, variant, sched=None)
         assert np.array_equal(given.merged, defaulted.merged)
 
-    def test_mask_blanking_a_whole_row_is_rejected(self):
-        rng = np.random.default_rng(30)
-        qkv = QKVSet.random(4, 2, 2, 3, rng)
-        mask = np.tril(np.ones((4, 4), dtype=bool))
-        mask[2] = False
-        with pytest.raises(InvalidArgumentError):
-            _attend(Variant.PLAIN, qkv, qkv, None, None, mask=mask)
+    def test_causal_rows_are_whole_across_query_blocks(self, monkeypatch):
+        monkeypatch.setattr(attention, "QUERY_BLOCK", 128)
+        n = 300
+        qkv = QKVSet.random(n, 2, 2, 3, np.random.default_rng(30))
+        _, alpha = recorded(mhsa_causal, qkv)
+        assert alpha.shape == (n, 2, n)
+        assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) < 1e-12
+        lower = np.tri(n, dtype=bool)
+        heads_first = alpha.transpose(1, 0, 2)
+        # the first row of each block weighs every key of the blocks before it
+        assert np.all(heads_first[:, ~lower] == 0.0) and np.all(heads_first[:, lower] > 0.0)
 
     def test_causal_mask_blocks_future(self):
         rng = np.random.default_rng(27)
@@ -724,3 +728,142 @@ class TestBlockedSizes:
         upper = np.triu(np.ones((self.N, self.N), dtype=bool), k=1)
         assert np.all(alpha.transpose(1, 0, 2)[:, upper] == 0.0)
         assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) < 1e-12
+
+
+class TestQueryBlocks:
+    """The core walks query rows in blocks of ``QUERY_BLOCK``; a block of at
+    least N rows is the dense path. Blocks of 128 over 1024 rows give the
+    dense products bitwise. A 300-row bank has a 44-row tail, and BLAS may
+    round a product of other row counts in another order, so there the
+    blocks match the dense path within 1e-12 of the largest output."""
+
+    H, D_K, D_V = 2, 8, 8
+
+    def banks(self, seed, n, lead=()):
+        rng = np.random.default_rng(seed)
+        qkv = QKVSet(*(rng.standard_normal(lead + (n, self.H, w))
+                       for w in (2 * self.D_K, 2 * self.D_K, self.D_V)))
+        poses = PoseSet(rng.uniform(-50.0, 50.0, lead + (n, 2)),
+                        rng.uniform(0.0, TWO_PI, lead + (n,)))
+        return qkv, poses
+
+    def kwargs(self, variant):
+        return ({"enc": RPEEncoders.seeded(self.D_K, self.D_V, seed=8)}
+                if variant is Variant.RPE else {})
+
+    @staticmethod
+    def dense(monkeypatch, engine, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(attention, "QUERY_BLOCK", 1 << 30)
+            return engine(*args, **kwargs).merged
+
+    @staticmethod
+    def assert_matches(blocked, dense, bitwise):
+        if bitwise:
+            assert np.array_equal(blocked, dense)
+        else:
+            assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    # the pairwise tensors of 1024 tokens would take gigabytes; rpe is one block anyway
+    @pytest.mark.parametrize("variant, n", [(v, n) for v in Variant for n in (300, 1024)
+                                            if v is not Variant.RPE or n == 300])
+    def test_mhsa_and_mhca_match_the_dense_path(self, monkeypatch, variant, n):
+        bitwise = n % attention.QUERY_BLOCK == 0 or variant is Variant.RPE
+        qkv, poses = self.banks(60, n)
+        keysvals, poses_kv = self.banks(61, 200)
+        kw = self.kwargs(variant)
+        self.assert_matches(mhsa(qkv, poses, variant, **kw).merged,
+                            self.dense(monkeypatch, mhsa, qkv, poses, variant, **kw), bitwise)
+        self.assert_matches(
+            mhca(qkv, keysvals, poses, poses_kv, variant, **kw).merged,
+            self.dense(monkeypatch, mhca, qkv, keysvals, poses, poses_kv, variant, **kw), bitwise,
+        )
+
+    @pytest.mark.parametrize("n", [300, 1024])
+    def test_mhsa_causal_matches_the_dense_path(self, monkeypatch, n):
+        qkv, _ = self.banks(62, n)
+        self.assert_matches(mhsa_causal(qkv).merged, self.dense(monkeypatch, mhsa_causal, qkv),
+                            bitwise=False)
+
+    def test_a_stack_equals_its_slices(self):
+        qkv, poses = self.banks(63, 300, lead=(2,))
+        stacked = mhsa(qkv, poses, Variant.DROPE_HBH).merged
+        stacked_causal = mhsa_causal(qkv).merged
+        for t in range(2):
+            part = QKVSet(qkv.q[t], qkv.k[t], qkv.v[t])
+            expected = mhsa(part, PoseSet(poses.positions[t], poses.headings[t]),
+                            Variant.DROPE_HBH).merged
+            self.assert_matches(stacked[t], expected, bitwise=False)
+            self.assert_matches(stacked_causal[t], mhsa_causal(part).merged, bitwise=False)
+
+    @pytest.mark.parametrize("variant", [None] + list(Variant))
+    def test_recording_changes_no_output_bit(self, variant):
+        qkv, poses = self.banks(68, 300)
+        engine, args = (mhsa_causal, (qkv,)) if variant is None else (mhsa, (qkv, poses, variant))
+        out, alpha = recorded(engine, *args, **self.kwargs(variant))
+        assert np.array_equal(out.merged, engine(*args, **self.kwargs(variant)).merged)
+        assert alpha.shape == (300, self.H, 300)
+        assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_no_queries_give_an_empty_output(self, variant):
+        queries, poses_q = self.banks(66, 0)
+        keysvals, poses_kv = self.banks(67, 5)
+        out = mhca(queries, keysvals, poses_q, poses_kv, variant, **self.kwargs(variant))
+        assert out.merged.shape == (0, self.H * self.D_V)
+
+    ROWS = [0, 127, 128, 255, 256, 299]
+
+    @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.DROPE_HBH, Variant.DROPE_IH])
+    def test_rows_at_block_edges_match_the_oracle(self, variant):
+        qkv, poses = self.banks(64, 300)
+        out = mhsa(qkv, poses, variant)
+        split = IntraHeadSplit.balanced(self.D_K) if variant is Variant.DROPE_IH else None
+        expected = run_reference(
+            variant, QKVSet(qkv.q[self.ROWS], qkv.k[self.ROWS], qkv.v[self.ROWS]),
+            PoseSet(poses.positions[self.ROWS], poses.headings[self.ROWS]), poses,
+            split=split, k=qkv.k, v=qkv.v,
+        )
+        assert out.merged[self.ROWS] == pytest.approx(expected, abs=1e-12)
+
+    def test_causal_rows_at_block_edges_match_the_masked_oracle(self):
+        qkv, _ = self.banks(65, 300)
+        out = mhsa_causal(qkv)
+        for row in self.ROWS:
+            keys = slice(0, row + 1)    # the causal mask: keys after the row are left out
+            _, expected = ref_attention("plain", qkv.q[row:row + 1], qkv.k[keys], qkv.v[keys])
+            assert out.merged[row] == pytest.approx(expected[0], abs=1e-12), row
+
+
+class TestMemoryLinearInN:
+    """The paper's space claim: the rotary engines hold scores for one block
+    of query rows, so their peak grows linearly in N, while the pairwise
+    encoder's (N, N) offsets grow quadratically."""
+
+    H, D_K, D_V = 4, 8, 16
+
+    def peak(self, engine, variant, n):
+        rng = np.random.default_rng(n)
+        qkv = QKVSet.random(n, self.H, self.D_K, self.D_V, rng)
+        poses = PoseSet.random(n, rng)
+        kwargs = {"enc": RPEEncoders.seeded(self.D_K, self.D_V)} if variant is Variant.RPE else {}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if engine is mhsa_causal:
+                engine(qkv)
+            else:
+                engine(qkv, poses, variant, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("engine", [mhsa, mhsa_causal])
+    def test_rotary_and_causal_peaks_are_linear(self, engine):
+        ratio = self.peak(engine, Variant.DROPE_HBH, 2048) / self.peak(engine, Variant.DROPE_HBH,
+                                                                        1024)
+        assert ratio <= 2.5, ratio
+
+    def test_pairwise_peak_is_quadratic(self):
+        ratio = self.peak(mhsa, Variant.RPE, 256) / self.peak(mhsa, Variant.RPE, 128)
+        assert ratio >= 3.5, ratio

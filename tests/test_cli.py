@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -351,6 +352,18 @@ class TestSizesBeyondMemory:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+    def test_a_huge_block_count_fails_before_drawing_any_block(self, tmp_path):
+        # every block's weights are allocated before any is drawn, so the size fails at once
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_blocks": 2**40}))
+        start = time.perf_counter()
+        proc = run_cli(["rollout", "--config", str(path), "--out", str(tmp_path / "out")],
+                       tmp_path, address_space=2 << 30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert elapsed < 3.0, elapsed
 
 
 #: Valid configs per command, each run in well under a second. A "scene"
