@@ -28,7 +28,8 @@ block, as its offsets are (..., N, M) already, and adds them to the same two
 products: with per-pair, per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
-backward uses the same layout and the same softmax on one unstacked bank.
+backward walks the same query-row blocks of one unstacked bank, so
+gradients take memory linear in N too.
 """
 
 from __future__ import annotations
@@ -248,15 +249,6 @@ class PoseSet:
     def heading_shifted(self, dtheta: float) -> "PoseSet":
         return PoseSet(self.positions, self.headings + dtheta)
 
-    def rotated(self, angle: float, about=(0.0, 0.0)) -> "PoseSet":
-        """Rigidly rotate the scene: positions about a point, headings shifted."""
-        c, s = math.cos(angle), math.sin(angle)
-        rel = self.positions - np.asarray(about, dtype=np.float64)
-        rotated = np.stack(
-            [c * rel[..., 0] - s * rel[..., 1], s * rel[..., 0] + c * rel[..., 1]], axis=-1
-        ) + np.asarray(about, dtype=np.float64)
-        return PoseSet(rotated, self.headings + angle)
-
     def permuted(self, perm) -> "PoseSet":
         perm = np.asarray(perm)
         return PoseSet(self.positions[..., perm, :], self.headings[..., perm])
@@ -348,15 +340,6 @@ class RPEEncoders:
             w2_v=dense(hidden, d_v), b2_v=np.zeros(d_v),
         )
 
-    @classmethod
-    def zeros(cls, d_k: int, d_v: int, hidden: int = 32) -> "RPEEncoders":
-        return cls(
-            w1_k=np.zeros((3, hidden)), b1_k=np.zeros(hidden),
-            w2_k=np.zeros((hidden, 2 * d_k)), b2_k=np.zeros(2 * d_k),
-            w1_v=np.zeros((3, hidden)), b1_v=np.zeros(hidden),
-            w2_v=np.zeros((hidden, d_v)), b2_v=np.zeros(d_v),
-        )
-
 
 @dataclass
 class AttentionOutput:
@@ -398,6 +381,29 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _weight_blocks(q_heads, k_heads, scale, causal=False, offset=None, alpha_all=None):
+    """Yield ``(s, e, alpha)``: the (..., H, e - s, keys) softmaxed weights of
+    query rows [s, e) of the head-major banks, one ``QUERY_BLOCK`` at a time.
+
+    A causal block reads only keys [0, e); a score ``offset`` (..., H, N, M)
+    is added before the scale, in one block as it is whole already. With
+    ``alpha_all`` the scores are computed into its rows.
+    """
+    n, m = q_heads.shape[-2], k_heads.shape[-2]
+    block = max(n, 1) if offset is not None else QUERY_BLOCK
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        keys = e if causal else m
+        scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
+                           out=None if alpha_all is None else alpha_all[..., s:e, :keys])
+        if offset is not None:
+            scores += offset[..., s:e, :]
+        scores *= scale
+        if causal:
+            np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
+        yield s, e, _softmax_rows(scores)
+
+
 def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
     """Materialize a head-shared (..., N, M, W) tensor as (..., N, M, H, W)."""
     shape = pairwise.shape[:-1] + (n_heads, pairwise.shape[-1])
@@ -417,6 +423,8 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
             f"key bank {k_bank.shape} mismatches query bank {q_bank.shape} "
             "in heads, width or leading axes that do not broadcast"
         )
+    if k_bank.shape[-3] == 0 < q_bank.shape[-3]:
+        raise DimensionMismatchError(f"{q_bank.shape[-3]} queries need at least one key")
     d_k = width // 2
     if variant is not Variant.PLAIN:
         if poses_q is None or poses_kv is None:
@@ -462,8 +470,7 @@ def _attend(
     d_k = width // 2
     d_v = v_bank.shape[-1]
 
-    scale = 1.0 / math.sqrt(d_k)
-    q_hat, k_hat = q_bank, k_bank
+    q_hat, k_hat, offset = q_bank, k_bank, None
     if variant is Variant.RPE:
         heading_offsets = poses_q.headings[..., :, None] - poses_kv.headings[..., None, :]
         rel = np.empty(heading_offsets.shape + (3,))
@@ -471,6 +478,8 @@ def _attend(
         rel[..., 2] = wrap_angle(heading_offsets)
         k_offset = _per_head(enc.encode_key(rel), n_heads)    # (..., N, M, H, 2*d_k)
         v_offset = _per_head(enc.encode_value(rel), n_heads)  # (..., N, M, H, d_v)
+        # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
+        offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])[..., 0].swapaxes(-3, -2)
     elif variant is not Variant.PLAIN:
         angles_q = poses_q.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
         angles_k = poses_kv.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
@@ -479,26 +488,13 @@ def _attend(
 
     n, m = q_bank.shape[-3], k_bank.shape[-3]
     lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
-    q_heads, k_heads = q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2)
     v_heads = v_bank.swapaxes(-3, -2)
     per_head = np.empty(lead + (n, n_heads, d_v))
     records = _RECORDS.get()
     alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
-    block = max(n, 1) if variant is Variant.RPE else QUERY_BLOCK
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        keys = e if causal else m    # a causal block reads no key after its last row
-        scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
-                           out=None if alpha_all is None else alpha_all[..., s:e, :keys])
-        if variant is Variant.RPE:
-            # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
-            q_offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])
-            scores += q_offset[..., 0].swapaxes(-3, -2)
-        scores *= scale
-        if causal:
-            np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
-        alpha = _softmax_rows(scores)
-        out = np.matmul(alpha, v_heads[..., :keys, :]).swapaxes(-3, -2)
+    for s, e, alpha in _weight_blocks(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2),
+                                      1.0 / math.sqrt(d_k), causal, offset, alpha_all):
+        out = np.matmul(alpha, v_heads[..., :alpha.shape[-1], :]).swapaxes(-3, -2)
         if variant is Variant.RPE:
             # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
             out += np.matmul(
@@ -564,9 +560,11 @@ def attention_backward(
 ):
     """Analytic gradients of the merged output w.r.t. the Q, K, V banks.
 
-    ``upstream`` is the gradient w.r.t. the merged (N, H*d_v) output. The
-    rotary embeddings are linear, so their backward is the transposed (that
-    is, negated) rotation. Returns (dq, dk, dv) with the bank shapes.
+    ``upstream`` is the gradient w.r.t. the merged (N, H*d_v) output. Each
+    query-row block's weights are recomputed as in the forward, writing the
+    block's dq and summing into dk and dv. The rotary embeddings are linear,
+    so their backward is the transposed (that is, negated) rotation. Returns
+    (dq, dk, dv) with the bank shapes.
     """
     if variant is Variant.RPE:
         raise NotImplementedError("backward for the pairwise-encoder variant is not available")
@@ -582,29 +580,26 @@ def attention_backward(
         )
     sched, split = _validate_variant(variant, qkv.q, qkv.k, poses, poses, sched, None, split)
 
-    if variant is Variant.PLAIN:
-        angles = None
-        q_hat, k_hat = qkv.q, qkv.k
-    else:
+    angles, q_hat, k_hat = None, qkv.q, qkv.k
+    if variant is not Variant.PLAIN:
         angles = poses.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
-        q_hat = rotate_pairs(qkv.q, angles)
-        k_hat = rotate_pairs(qkv.k, angles)
+        q_hat, k_hat = rotate_pairs(qkv.q, angles), rotate_pairs(qkv.k, angles)
 
     scale = 1.0 / math.sqrt(d_k)
-    q_heads = q_hat.transpose(1, 0, 2)     # (H, N, 2*d_k)
-    k_heads = k_hat.transpose(1, 0, 2)
-    scores = np.matmul(q_heads, k_heads.transpose(0, 2, 1))
-    scores *= scale
-    alpha = _softmax_rows(scores)          # (H, N, N)
-
-    d_out = upstream.reshape(n, n_heads, d_v).transpose(1, 0, 2)
-    dv = np.matmul(alpha.transpose(0, 2, 1), d_out).transpose(1, 0, 2)
-    d_scores = np.matmul(d_out, qkv.v.transpose(1, 2, 0))
-    d_scores -= np.sum(d_scores * alpha, axis=-1, keepdims=True)
-    d_scores *= alpha
-    d_scores *= scale
-    dq_hat = np.matmul(d_scores, k_heads).transpose(1, 0, 2)
-    dk_hat = np.matmul(d_scores.transpose(0, 2, 1), q_heads).transpose(1, 0, 2)
+    q_heads, k_heads = q_hat.swapaxes(0, 1), k_hat.swapaxes(0, 1)    # (H, N, 2*d_k)
+    v_heads = qkv.v.swapaxes(0, 1)
+    d_out = upstream.reshape(n, n_heads, d_v).swapaxes(0, 1)
+    dq_hat = np.empty((n_heads, n, width))
+    dk_hat, dv = np.zeros((n_heads, n, width)), np.zeros((n_heads, n, d_v))
+    for s, e, alpha in _weight_blocks(q_heads, k_heads, scale):
+        dv += np.matmul(alpha.swapaxes(1, 2), d_out[:, s:e])
+        d_scores = np.matmul(d_out[:, s:e], v_heads.swapaxes(1, 2))
+        d_scores -= np.sum(d_scores * alpha, axis=-1, keepdims=True)
+        d_scores *= alpha
+        d_scores *= scale
+        np.matmul(d_scores, k_heads, out=dq_hat[:, s:e])
+        dk_hat += np.matmul(d_scores.swapaxes(1, 2), q_heads[:, s:e])
+    dq_hat, dk_hat, dv = (grad.swapaxes(0, 1) for grad in (dq_hat, dk_hat, dv))
     if angles is None:
         return dq_hat, dk_hat, dv
     return rotate_pairs(dq_hat, -angles), rotate_pairs(dk_hat, -angles), dv

@@ -94,6 +94,9 @@ class PipelineConfig:
             raise ConfigurationError(f"d_model must be a positive even int, got {self.d_model}")
         if self.n_blocks < 1:
             raise ConfigurationError("need at least one interaction block")
+        for name in ("n_heads", "d_k", "d_v", "ffn_hidden"):
+            if (value := getattr(self, name)) <= 0:
+                raise ConfigurationError(f"{name} must be a positive int, got {value}")
         if self.variant is Variant.DROPE_HBH and self.n_heads < 2:
             raise ConfigurationError("head-by-head integration needs at least 2 heads")
         if self.variant is Variant.DROPE_IH and self.split is None:

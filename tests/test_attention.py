@@ -13,6 +13,7 @@ from drope.attention import (
     ROTARY_VARIANTS,
     RPEEncoders,
     Variant,
+    attention_backward,
     mhca,
     mhsa,
     mhsa_causal,
@@ -126,7 +127,8 @@ class TestPlain:
 class TestRPE:
     def test_zero_encoders_degenerate_to_plain_bitwise(self):
         qkv, poses = make_case(2)
-        enc = RPEEncoders.zeros(qkv.d_k, qkv.d_v)
+        seeded = RPEEncoders.seeded(qkv.d_k, qkv.d_v)
+        enc = RPEEncoders(**{name: np.zeros_like(w) for name, w in vars(seeded).items()})
         with_enc = mhsa(qkv, poses, Variant.RPE, enc=enc)
         plain = mhsa(qkv, None, Variant.PLAIN)
         assert np.array_equal(with_enc.merged, plain.merged)
@@ -812,6 +814,13 @@ class TestQueryBlocks:
         out = mhca(queries, keysvals, poses_q, poses_kv, variant, **self.kwargs(variant))
         assert out.merged.shape == (0, self.H * self.D_V)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_queries_need_at_least_one_key(self, variant):
+        queries, poses_q = self.banks(66, 5)
+        keysvals, poses_kv = self.banks(67, 0)
+        with pytest.raises(DimensionMismatchError, match="at least one key"):
+            mhca(queries, keysvals, poses_q, poses_kv, variant, **self.kwargs(variant))
+
     ROWS = [0, 127, 128, 255, 256, 299]
 
     @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.DROPE_HBH, Variant.DROPE_IH])
@@ -847,18 +856,21 @@ class TestMemoryLinearInN:
         qkv = QKVSet.random(n, self.H, self.D_K, self.D_V, rng)
         poses = PoseSet.random(n, rng)
         kwargs = {"enc": RPEEncoders.seeded(self.D_K, self.D_V)} if variant is Variant.RPE else {}
+        upstream = rng.standard_normal((n, self.H * self.D_V))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             if engine is mhsa_causal:
                 engine(qkv)
+            elif engine is attention_backward:
+                engine(variant, qkv, poses, upstream)
             else:
                 engine(qkv, poses, variant, **kwargs)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("engine", [mhsa, mhsa_causal])
+    @pytest.mark.parametrize("engine", [mhsa, mhsa_causal, attention_backward])
     def test_rotary_and_causal_peaks_are_linear(self, engine):
         ratio = self.peak(engine, Variant.DROPE_HBH, 2048) / self.peak(engine, Variant.DROPE_HBH,
                                                                         1024)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import drope.attention as attention
 from drope.attention import (
     IntraHeadSplit,
     PoseSet,
@@ -23,12 +24,21 @@ def scalar_loss(variant, q, k, v, poses, probe, split=None):
     return float(np.sum(out.merged * probe))
 
 
-def check_gradients(variant, n, h, d_k, d_v, seed, split=None):
+def check_gradients(variant, n, h, d_k, d_v, seed, split=None, monkeypatch=None):
+    """FD-check the analytic gradients; with ``monkeypatch`` the backward walks
+    query blocks of 2 rows and must also match its one-block result."""
     rng = np.random.default_rng(seed)
     qkv = QKVSet.random(n, h, d_k, d_v, rng)
     poses = PoseSet.random(n, rng, position_scale=5.0)
     probe = rng.standard_normal((n, h * d_v))
     dq, dk, dv = attention_backward(variant, qkv, poses, probe, split=split)
+    if monkeypatch is not None:
+        with monkeypatch.context() as patch:
+            patch.setattr(attention, "QUERY_BLOCK", 2)
+            blocked = attention_backward(variant, qkv, poses, probe, split=split)
+        for one_block, grad in zip((dq, dk, dv), blocked):
+            assert np.max(np.abs(grad - one_block)) <= 1e-12 * np.max(np.abs(one_block))
+        dq, dk, dv = blocked
 
     for name, analytic, bank in (("q", dq, "q"), ("k", dk, "k"), ("v", dv, "v")):
         def loss(x, bank=bank):
@@ -76,6 +86,17 @@ class TestBackward:
                         split=IntraHeadSplit(0, 4))
         check_gradients(Variant.DROPE_IH, n=3, h=2, d_k=2, d_v=2, seed=10,
                         split=IntraHeadSplit(4, 0))
+
+    @pytest.mark.parametrize("variant", [Variant.PLAIN, *ROTARY])
+    def test_blocks_of_two_rows_match_one_block(self, monkeypatch, variant):
+        check_gradients(variant, n=7, h=2, d_k=2, d_v=3, seed=11, monkeypatch=monkeypatch)
+
+    def test_empty_bank_gives_empty_gradients(self):
+        rng = np.random.default_rng(12)
+        qkv = QKVSet.random(0, 2, 2, 3, rng)
+        grads = attention_backward(Variant.DROPE_HBH, qkv, PoseSet.random(0, rng),
+                                   np.zeros((0, 6)))
+        assert [g.shape for g in grads] == [(0, 2, 4), (0, 2, 4), (0, 2, 3)]
 
     def test_rpe_not_implemented(self):
         rng = np.random.default_rng(5)

@@ -430,6 +430,10 @@ def _cli_configs(draw):
 @example(("rollout", {"scene": OVERFLOWING_STATE, "horizon": 4, "variant": "rpe"}))
 @example(("profile", {"grid": HUGE_GRID}))
 @example(("rollout", {"d_model": 10**400, "horizon": 2}))   # no array has that many rows
+@example(("rollout", {"d_v": 0}))
+@example(("rollout", {"d_v": -1}))
+@example(("rollout", {"n_heads": 0, "variant": "plain"}))
+@example(("rollout", {"d_k": -4}))
 def test_generated_configs_exit_0_1_or_2_with_one_error_line(tmp_path_factory, case):
     command, config = case
     out = tmp_path_factory.mktemp("cli")

@@ -639,9 +639,12 @@ class TestSceneRotationProperty:
         qkv = QKVSet.random(5, 2, 2, 3, rng)
         poses = PoseSet.random(5, rng)
         sched = FrequencySchedule.default(2)
+        c, s, about = np.cos(0.9), np.sin(0.9), np.array([3.0, -4.0])
+        turned = PoseSet((poses.positions - about) @ np.array([[c, s], [-s, c]]) + about,
+                         poses.headings + 0.9)
         with recording() as records:
             mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
-            mhsa(qkv, poses.rotated(0.9, about=(3.0, -4.0)), Variant.DROPE_HBH, sched=sched)
+            mhsa(qkv, turned, Variant.DROPE_HBH, sched=sched)
         base, rotated = (record.weights for record in records)
         angle_heads = slice(1, None, 2)
         assert np.max(
@@ -653,6 +656,12 @@ class TestConfigValidation:
     def test_head_by_head_needs_two_heads(self):
         with pytest.raises(ConfigurationError):
             small_config(n_heads=1)
+
+    @pytest.mark.parametrize("field", ["n_heads", "d_k", "d_v", "ffn_hidden"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a positive int"):
+            small_config(Variant.PLAIN, **{field: value})
 
     def test_schedule_built_once_per_config(self):
         config = small_config(d_k=4)
