@@ -5,8 +5,9 @@ differ only in the per-pair rotation angles applied to the QK banks before
 the dot products (none, positions, headings, or a mix of both); the fifth
 adds a learned encoding of each pairwise relative pose to the key and value
 vectors, which is what makes its memory footprint quadratic in the token
-count. That pairwise regime materializes its per-pair tensors on purpose so
-the profiler can count them.
+count. That pairwise regime materializes each per-pair tensor whole, on
+purpose, so the profiler can count it, but one at a time: the key offsets
+are folded into the scores and dropped before the value offsets are built.
 
 Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
 value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
@@ -25,7 +26,8 @@ take memory linear in N. Per block the scores are one batched matmul giving
 matmul with the (..., H, M, d_v) values fills one output; a causal block
 reads only the keys up to its last row. The pairwise regime runs as one
 block, as its offsets are (..., N, M) already, and adds them to the same two
-products: with per-pair, per-head key and value offsets off_ij, a score is
+products, the value offsets built only after the softmax: with per-pair,
+per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
 backward walks the same query-row blocks of one unstacked bank, so
@@ -73,9 +75,9 @@ class Variant(enum.Enum):
     """The five attention regimes.
 
     * ``plain``: standard attention, no pose information.
-    * ``rpe``: learned pairwise key/value offsets; the (N, M, H, width)
-      intermediates are materialized by construction so their storage can be
-      measured.
+    * ``rpe``: learned pairwise key/value offsets; each (N, M, H, width)
+      offset tensor is materialized whole so its storage can be measured,
+      the key offsets and then the value offsets, never both at once.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -309,22 +311,37 @@ class RPEEncoders:
     def __post_init__(self):
         for name in ("w1_k", "b1_k", "w2_k", "b2_k", "w1_v", "b1_v", "w2_v", "b2_v"):
             setattr(self, name, _as_finite(name, getattr(self, name)))
-        if self.w1_k.shape[0] != 3 or self.w1_v.shape[0] != 3:
-            raise DimensionMismatchError("encoders take a 3-dim relative descriptor")
-        if self.w1_k.shape[1] != self.w2_k.shape[0] or self.w1_v.shape[1] != self.w2_v.shape[0]:
-            raise DimensionMismatchError("encoder hidden widths are inconsistent")
+        for w1, b1, w2, b2 in ((self.w1_k, self.b1_k, self.w2_k, self.b2_k),
+                               (self.w1_v, self.b1_v, self.w2_v, self.b2_v)):
+            if w1.ndim != 2 or w1.shape[0] != 3:
+                raise DimensionMismatchError("encoders take a 3-dim relative descriptor")
+            if w2.ndim != 2 or w2.shape[0] != w1.shape[1]:
+                raise DimensionMismatchError("encoder hidden widths are inconsistent")
+            if b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]:
+                raise DimensionMismatchError(
+                    f"encoder biases {b1.shape} and {b2.shape} mismatch layer widths "
+                    f"{w1.shape[1:]} and {w2.shape[1:]}"
+                )
 
     @property
     def key_width(self) -> int:
         return self.w2_k.shape[1]
 
+    @staticmethod
+    def _mlp(rel, w1, b1, w2, b2) -> np.ndarray:
+        """``tanh(rel @ w1 + b1) @ w2 + b2``, each sum written into its product."""
+        h = rel @ w1
+        h += b1
+        np.tanh(h, out=h)
+        out = h @ w2
+        out += b2
+        return out
+
     def encode_key(self, rel) -> np.ndarray:
-        h = np.tanh(rel @ self.w1_k + self.b1_k)
-        return h @ self.w2_k + self.b2_k
+        return self._mlp(rel, self.w1_k, self.b1_k, self.w2_k, self.b2_k)
 
     def encode_value(self, rel) -> np.ndarray:
-        h = np.tanh(rel @ self.w1_v + self.b1_v)
-        return h @ self.w2_v + self.b2_v
+        return self._mlp(rel, self.w1_v, self.b1_v, self.w2_v, self.b2_v)
 
     @classmethod
     def seeded(cls, d_k: int, d_v: int, hidden: int = 32, seed: int = 0) -> "RPEEncoders":
@@ -405,7 +422,11 @@ def _weight_blocks(q_heads, k_heads, scale, causal=False, offset=None, alpha_all
 
 
 def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
-    """Materialize a head-shared (..., N, M, W) tensor as (..., N, M, H, W)."""
+    """Materialize a head-shared (..., N, M, W) tensor as (..., N, M, H, W).
+
+    Each call's result is a whole per-pair tensor; the caller drops it after
+    its one product, so at most one is live at a time.
+    """
     shape = pairwise.shape[:-1] + (n_heads, pairwise.shape[-1])
     return np.broadcast_to(pairwise[..., None, :], shape).copy()
 
@@ -470,16 +491,17 @@ def _attend(
     d_k = width // 2
     d_v = v_bank.shape[-1]
 
-    q_hat, k_hat, offset = q_bank, k_bank, None
+    q_hat, k_hat, offset, pairwise = q_bank, k_bank, None, 0
     if variant is Variant.RPE:
         heading_offsets = poses_q.headings[..., :, None] - poses_kv.headings[..., None, :]
         rel = np.empty(heading_offsets.shape + (3,))
         rel[..., :2] = poses_q.positions[..., :, None, :] - poses_kv.positions[..., None, :, :]
         rel[..., 2] = wrap_angle(heading_offsets)
         k_offset = _per_head(enc.encode_key(rel), n_heads)    # (..., N, M, H, 2*d_k)
-        v_offset = _per_head(enc.encode_value(rel), n_heads)  # (..., N, M, H, d_v)
+        pairwise = k_offset.size
         # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
         offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])[..., 0].swapaxes(-3, -2)
+        del k_offset
     elif variant is not Variant.PLAIN:
         angles_q = poses_q.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
         angles_k = poses_kv.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
@@ -496,17 +518,22 @@ def _attend(
                                       1.0 / math.sqrt(d_k), causal, offset, alpha_all):
         out = np.matmul(alpha, v_heads[..., :alpha.shape[-1], :]).swapaxes(-3, -2)
         if variant is Variant.RPE:
+            # The single RPE block: the value offsets are built only now that
+            # the key offsets are gone, and dropped after their weighted sum.
+            v_offset = _per_head(enc.encode_value(rel), n_heads)  # (..., N, M, H, d_v)
+            pairwise += v_offset.size
             # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
             out += np.matmul(
                 alpha.swapaxes(-3, -2)[..., None, :], v_offset.swapaxes(-3, -2)
             )[..., 0, :]
+            del v_offset
         per_head[..., s:e, :, :] = out
 
     if records is not None:
         records.append(AttentionRecord({
             "qkv": q_bank.size + k_bank.size + v_bank.size,
             "embedded": 0 if q_hat is q_bank else q_hat.size + k_hat.size,
-            "pairwise": k_offset.size + v_offset.size if variant is Variant.RPE else 0,
+            "pairwise": pairwise,
         }, alpha_all.swapaxes(-3, -2)))
     return AttentionOutput(per_head, per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,)))
 

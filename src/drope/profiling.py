@@ -3,13 +3,16 @@
 All counts are integers derived from closed forms; rerunning a count yields
 the same integer. The conventions are fixed so the numbers are reproducible:
 
-Memory (scalars that must be live simultaneously):
+Memory (scalars a call materializes, each array whole; the arrays of one
+category need not be live at the same time):
   * ``qkv_scalars``    = N*H*(2*(2*d_k) + d_v), the Q and K banks at width
     2*d_k plus the V bank. ``d_k`` counts 2D rotation pairs; the familiar
     symbolic form N*H*(2*d_k + d_v) uses d_k for the full QK width instead,
     and evaluates to the same integer.
   * ``pairwise_scalars`` = N^2*H*(2*d_k + d_v) for the pairwise-encoder
-    variant (its per-pair key/value tensors), 0 otherwise.
+    variant (its per-pair key and value tensors, 0 otherwise). The engine
+    builds them one at a time, so a call holds N^2*H*max(2*d_k, d_v) of them
+    at once, not the sum.
   * ``embedded_scalars`` = 2*N*H*(2*d_k) for the rotary variants when the
     rotated banks are materialized (the engines do materialize them); the
     in-place total reports 0 for this term.

@@ -25,6 +25,7 @@ from drope.errors import (
     InvalidArgumentError,
     VerificationError,
 )
+from drope.profiling import count_input_memory
 from drope.rotary import TWO_PI, FrequencySchedule
 
 from oracles import ref_attention
@@ -161,6 +162,35 @@ class TestRPE:
             mhsa(qkv, poses, Variant.RPE, enc=enc)
         n, h, w, d_v = 4, qkv.n_heads, 2 * qkv.d_k, qkv.d_v
         assert records[0].counts["pairwise"] == n * n * h * (w + d_v)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 3), (2, 6, 7, 3)])
+    def test_encoders_are_the_two_layer_formula_bitwise(self, shape):
+        enc = RPEEncoders(**{
+            **vars(RPEEncoders.seeded(4, 5, hidden=8, seed=9)),
+            "b1_k": np.linspace(-1, 1, 8), "b2_k": np.linspace(0.5, -0.5, 8),
+            "b1_v": np.linspace(1, -1, 8), "b2_v": np.linspace(-0.3, 0.3, 5),
+        })
+        rel = np.random.default_rng(10).uniform(-30.0, 30.0, shape)
+        kept = rel.copy()
+        for encode, (w1, b1, w2, b2) in (
+            (enc.encode_key, (enc.w1_k, enc.b1_k, enc.w2_k, enc.b2_k)),
+            (enc.encode_value, (enc.w1_v, enc.b1_v, enc.w2_v, enc.b2_v)),
+        ):
+            expected = np.tanh(rel @ w1 + b1) @ w2 + b2
+            assert np.array_equal(encode(rel), expected)
+        assert np.array_equal(rel, kept)
+
+    @pytest.mark.parametrize("name, value", [
+        ("b1_k", np.zeros(1)),
+        ("b2_k", np.zeros((2, 4))),
+        ("b2_v", np.zeros(4)),
+        ("w1_k", np.zeros(3)),
+        ("w2_v", np.zeros(8)),
+    ])
+    def test_mis_shaped_weights_rejected(self, name, value):
+        weights = vars(RPEEncoders.seeded(2, 3, hidden=8))
+        with pytest.raises(DimensionMismatchError):
+            RPEEncoders(**{**weights, name: value})
 
 
 class TestRope:
@@ -529,6 +559,18 @@ class TestBatchAxes:
         self.assert_stacks(alpha, [part_alpha for _, part_alpha in parts])
         assert alpha.shape == (self.T, self.N, self.H, self.N)
 
+    def test_stacked_rpe_mhca_records_every_pair(self):
+        queries, poses_q = self.stack(53, (self.T,), self.N)
+        keysvals, poses_kv = self.stack(54, (), self.M)
+        empty, poses_empty = self.stack(55, (self.T,), 0)
+        enc = self.enc(Variant.RPE)
+        with recording() as records:
+            mhca(queries, keysvals, poses_q, poses_kv, Variant.RPE, enc=enc)
+            mhca(empty, keysvals, poses_empty, poses_kv, Variant.RPE, enc=enc)
+        pairs = self.T * self.N * self.M * self.H
+        assert records[0].counts["pairwise"] == pairs * (2 * self.D_K + self.D_V)
+        assert records[1].counts["pairwise"] == 0
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_mhca_stacked_queries_share_one_key_bank(self, variant):
         queries, poses_q = self.stack(51, (self.T,), self.N)
@@ -879,3 +921,11 @@ class TestMemoryLinearInN:
     def test_pairwise_peak_is_quadratic(self):
         ratio = self.peak(mhsa, Variant.RPE, 256) / self.peak(mhsa, Variant.RPE, 128)
         assert ratio >= 3.5, ratio
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_pairwise_tensors_are_live_one_at_a_time(self, n):
+        """Key and value offsets together are the ledger's pairwise bytes; a
+        call that holds one at a time peaks well below their sum."""
+        ledger = count_input_memory(Variant.RPE, n, self.H, self.D_K, self.D_V)
+        ratio = self.peak(mhsa, Variant.RPE, n) / (8 * ledger.pairwise_scalars)
+        assert ratio <= 0.85, ratio
