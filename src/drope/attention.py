@@ -22,11 +22,12 @@ materialized, by ledger category, and a view of its attention weights.
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
 (..., H, N, W) and walked in blocks of ``QUERY_BLOCK`` query rows, so scores
 take memory linear in N. Per block the scores are one batched matmul giving
-(..., H, B, M), softmaxed in place over whole rows, and a second batched
-matmul with the (..., H, M, d_v) values fills one output; a causal block
-reads only the keys up to its last row. The pairwise regime runs as one
-block, as its offsets are (..., N, M) already, and adds them to the same two
-products, the value offsets built only after the softmax: with per-pair,
+(..., H, B, M), exponentiated in place less each row's max; a second one
+with the (..., H, M, d_v) values, divided by the row sums, fills one output
+(weights are normalized only where read as weights); a causal block reads
+only the keys up to its last row. The pairwise regime runs as one block, as
+its offsets are (..., N, M) already, and adds them to the same two products,
+the value offsets built only after the softmax: with per-pair,
 per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
@@ -390,17 +391,10 @@ def recording():
         _RECORDS.reset(token)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Max-stabilized softmax along the last axis, computed in place."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
 def _weight_blocks(q_heads, k_heads, scale, causal=False, offset=None, alpha_all=None):
-    """Yield ``(s, e, alpha)``: the (..., H, e - s, keys) softmaxed weights of
-    query rows [s, e) of the head-major banks, one ``QUERY_BLOCK`` at a time.
+    """Yield ``(s, e, alpha, sums)``: the (..., H, e - s, keys) exponentials
+    of query rows [s, e) of the head-major banks less each row's max, and
+    their row sums, one ``QUERY_BLOCK`` at a time; the weights are alpha / sums.
 
     A causal block reads only keys [0, e); a score ``offset`` (..., H, N, M)
     is added before the scale, in one block as it is whole already. With
@@ -418,7 +412,9 @@ def _weight_blocks(q_heads, k_heads, scale, causal=False, offset=None, alpha_all
         scores *= scale
         if causal:
             np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
-        yield s, e, _softmax_rows(scores)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        yield s, e, scores, scores.sum(axis=-1, keepdims=True)
 
 
 def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
@@ -514,9 +510,12 @@ def _attend(
     per_head = np.empty(lead + (n, n_heads, d_v))
     records = _RECORDS.get()
     alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
-    for s, e, alpha in _weight_blocks(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2),
-                                      1.0 / math.sqrt(d_k), causal, offset, alpha_all):
-        out = np.matmul(alpha, v_heads[..., :alpha.shape[-1], :]).swapaxes(-3, -2)
+    for s, e, alpha, sums in _weight_blocks(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2),
+                                            1.0 / math.sqrt(d_k), causal, offset, alpha_all):
+        out = per_head[..., s:e, :, :]    # a row's d_v outputs divided, not its M weights
+        np.divide(alpha @ v_heads[..., :alpha.shape[-1], :], sums, out=out.swapaxes(-3, -2))
+        if alpha_all is not None or variant is Variant.RPE:
+            alpha /= sums
         if variant is Variant.RPE:
             # The single RPE block: the value offsets are built only now that
             # the key offsets are gone, and dropped after their weighted sum.
@@ -527,7 +526,6 @@ def _attend(
                 alpha.swapaxes(-3, -2)[..., None, :], v_offset.swapaxes(-3, -2)
             )[..., 0, :]
             del v_offset
-        per_head[..., s:e, :, :] = out
 
     if records is not None:
         records.append(AttentionRecord({
@@ -618,7 +616,8 @@ def attention_backward(
     d_out = upstream.reshape(n, n_heads, d_v).swapaxes(0, 1)
     dq_hat = np.empty((n_heads, n, width))
     dk_hat, dv = np.zeros((n_heads, n, width)), np.zeros((n_heads, n, d_v))
-    for s, e, alpha in _weight_blocks(q_heads, k_heads, scale):
+    for s, e, alpha, sums in _weight_blocks(q_heads, k_heads, scale):
+        alpha /= sums
         dv += np.matmul(alpha.swapaxes(1, 2), d_out[:, s:e])
         d_scores = np.matmul(d_out[:, s:e], v_heads.swapaxes(1, 2))
         d_scores -= np.sum(d_scores * alpha, axis=-1, keepdims=True)

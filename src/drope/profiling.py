@@ -78,6 +78,7 @@ _COUNTER_MAX = 2**63 - 1
 REL_DESCRIPTOR_FLOPS = 4          # dx, dy, dtheta subtractions plus the wrap
 ROTARY_FLOPS_PER_PAIR = 6         # 4 multiplies + 2 adds
 ROTARY_ANGLE_FLOPS_PER_PAIR = 3   # multiply + sin + cos (full mode)
+# softmax's arithmetic, not the engine's order, which divides outputs, not weights
 SOFTMAX_FLOPS_PER_SCORE = 6       # compare, subtract, exp, add, divide, scale
 
 

@@ -1,9 +1,9 @@
 """Rotation kernels and the two rotary embedding maps.
 
 All angles are radians; canonical angles live in [0, 2*pi). A vector of
-length 2*p is treated as p consecutive 2D pairs (x[2l], x[2l+1]). The
-embedding maps rotate each pair in place and never materialize the
-block-diagonal rotation matrix, so they allocate nothing beyond the output.
+length 2*p is treated as p complex pairs x[2l] + i*x[2l+1], each turned by
+one multiply with its unit phasor e^{i*angle}; a rotation allocates only a
+phasor array the size of its angles beyond the output.
 
 Two embeddings are provided:
 
@@ -112,31 +112,31 @@ def rotate2d(theta) -> np.ndarray:
 def rotate_pairs(x, angles) -> np.ndarray:
     """Rotate each consecutive 2D pair along the last axis of ``x``.
 
-    ``x`` has shape (..., 2*p); ``angles`` must broadcast against
-    (..., p). Per-pair Euclidean norms are preserved exactly up to rounding.
+    ``x`` has shape (..., 2*p), and so has the output; ``angles`` must
+    broadcast to (..., p). ``x`` is never written; pair norms hold up to rounding.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % 2 != 0:
-        raise DimensionMismatchError(f"pair vector length must be even, got {x.shape[-1]}")
+    if x.ndim == 0 or x.shape[-1] % 2 != 0:
+        raise DimensionMismatchError(f"pair vector length must be even, got shape {x.shape}")
     angles = np.asarray(angles, dtype=np.float64)
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    c = np.cos(angles)
-    s = np.sin(angles)
-    r_even = even * c - odd * s
-    r_odd = even * s + odd * c
-    out = np.empty(r_even.shape[:-1] + (x.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = r_even
-    out[..., 1::2] = r_odd
-    return out
+    phasors = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=phasors.real)
+    np.sin(angles, out=phasors.imag)
+    pairs = (x if x.strides[-1] == x.itemsize else x.copy()).view(np.complex128)
+    try:
+        return np.multiply(pairs, phasors, out=np.empty(pairs.shape, complex)).view(np.float64)
+    except ValueError:
+        raise DimensionMismatchError(
+            f"angles {angles.shape} do not broadcast to the pairs {pairs.shape} of x {x.shape}"
+        ) from None
 
 
 def rope_embed(x, m, sched: FrequencySchedule) -> np.ndarray:
     """Embed a scalar position by rotating pair l of ``x`` by ``m * freqs[l]``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != 2 * sched.d_k:
+    if x.shape[-1:] != (2 * sched.d_k,):
         raise DimensionMismatchError(
-            f"vector length {x.shape[-1]} does not match 2*d_k = {2 * sched.d_k}"
+            f"vector shape {x.shape} does not end in 2*d_k = {2 * sched.d_k}"
         )
     m = float(m)
     if not math.isfinite(m):
@@ -150,8 +150,8 @@ def drope_embed(x, theta, freqs=None) -> np.ndarray:
     ``freqs`` is the fault-injection hook of ``heading_pair_angles``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % 2 != 0:
-        raise DimensionMismatchError(f"vector length must be even, got {x.shape[-1]}")
+    if x.ndim == 0 or x.shape[-1] % 2 != 0:
+        raise DimensionMismatchError(f"vector length must be even, got shape {x.shape}")
     return rotate_pairs(x, heading_pair_angles(_angle_value(theta), x.shape[-1] // 2, freqs))
 
 

@@ -432,6 +432,22 @@ class TestStructuralProperties:
         defaulted = mhsa(qkv, poses, variant, sched=None)
         assert np.array_equal(given.merged, defaulted.merged)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rotary_calls_rotate_each_bank_once(self, variant, monkeypatch):
+        qkv, poses = make_case(35, n=4, d_k=4)
+        enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v) if variant is Variant.RPE else None
+        calls = []
+        real = attention.rotate_pairs
+        monkeypatch.setattr(attention, "rotate_pairs",
+                            lambda *args: calls.append(1) or real(*args))
+        per_call = 2 if variant in ROTARY_VARIANTS else 0
+        mhsa(qkv, poses, variant, enc=enc)
+        assert len(calls) == per_call
+        mhca(qkv, qkv, poses, poses, variant, enc=enc)
+        assert len(calls) == 2 * per_call
+        mhsa_causal(qkv)
+        assert len(calls) == 2 * per_call
+
     def test_causal_rows_are_whole_across_query_blocks(self, monkeypatch):
         monkeypatch.setattr(attention, "QUERY_BLOCK", 128)
         n = 300
@@ -822,6 +838,19 @@ class TestQueryBlocks:
             mhca(qkv, keysvals, poses, poses_kv, variant, **kw).merged,
             self.dense(monkeypatch, mhca, qkv, keysvals, poses, poses_kv, variant, **kw), bitwise,
         )
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_recording_changes_no_output_bit(self, variant):
+        qkv, poses = self.banks(64, 300)
+        kw = self.kwargs(variant)
+        engines = [(mhsa, (qkv, poses, variant)), (mhca, (qkv, qkv, poses, poses, variant))]
+        if variant is Variant.PLAIN:
+            engines.append((mhsa_causal, (qkv,)))
+        for engine, args in engines:
+            plain_call = engine(*args, **kw)
+            with recording():
+                recorded_call = engine(*args, **kw)
+            assert np.array_equal(recorded_call.per_head, plain_call.per_head)
 
     @pytest.mark.parametrize("n", [300, 1024])
     def test_mhsa_causal_matches_the_dense_path(self, monkeypatch, n):

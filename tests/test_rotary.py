@@ -117,6 +117,92 @@ class TestRotate2d:
             rotate2d(float("inf"))
 
 
+class TestRotatePairs:
+    """The one rotation kernel against the scalar oracle, row by row."""
+
+    @staticmethod
+    def assert_matches_oracle(x, angles):
+        out = rotate_pairs(x, angles)
+        assert out.shape == x.shape
+        rows = x.reshape(-1, x.shape[-1])
+        row_angles = np.broadcast_to(angles, x.shape[:-1] + (x.shape[-1] // 2,))
+        for row, got, ang in zip(rows, out.reshape(rows.shape),
+                                 row_angles.reshape(-1, row_angles.shape[-1])):
+            expected = np.array(ref_embed(row, ang))
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.linalg.norm(row)
+        return out
+
+    def test_flat_vectors_and_banks_match_the_oracle(self):
+        rng = np.random.default_rng(20)
+        for shape in ((2,), (16,), (7, 12)):
+            x = rng.standard_normal(shape) * 30.0
+            self.assert_matches_oracle(x, rng.uniform(-60.0, 60.0, shape[:-1] + (shape[-1] // 2,)))
+
+    def test_strided_and_read_only_banks_match_the_oracle(self):
+        rng = np.random.default_rng(21)
+        wide = rng.standard_normal((5, 3, 16))
+        strided = wide[..., ::2]
+        assert strided.strides[-1] != strided.itemsize
+        self.assert_matches_oracle(strided, rng.uniform(-9.0, 9.0, (5, 3, 4)))
+        read_only = rng.standard_normal((5, 3, 8))
+        read_only.flags.writeable = False
+        self.assert_matches_oracle(read_only, rng.uniform(-9.0, 9.0, (5, 3, 4)))
+        transposed = rng.standard_normal((3, 5, 8)).swapaxes(0, 1)
+        self.assert_matches_oracle(transposed, rng.uniform(-9.0, 9.0, (5, 3, 4)))
+        broadcast = np.broadcast_to(rng.standard_normal(8), (5, 3, 8))
+        self.assert_matches_oracle(broadcast, rng.uniform(-9.0, 9.0, (5, 3, 4)))
+
+    def test_stacked_bank_with_head_broadcast_angles_matches_the_oracle(self):
+        rng = np.random.default_rng(22)
+        t, a, h, d_k = 3, 4, 2, 4
+        x = rng.standard_normal((t, a, h, 2 * d_k))
+        angles = rng.uniform(-50.0, 50.0, (t, a, 1, d_k))
+        out = self.assert_matches_oracle(x, angles)
+        for head in range(h):
+            assert np.array_equal(out[:, :, head], rotate_pairs(x[:, :, head], angles[:, :, 0]))
+
+    def test_never_writes_the_callers_array(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((4, 2, 8))
+        angles = rng.uniform(0.0, TWO_PI, (4, 2, 4))
+        before, angles_before = x.copy(), angles.copy()
+        out = rotate_pairs(x, angles)
+        assert np.array_equal(x, before) and np.array_equal(angles, angles_before)
+        assert not np.shares_memory(out, x)
+
+    def test_zero_angles_return_x_bitwise(self):
+        x = np.random.default_rng(24).standard_normal((3, 2, 10))
+        assert np.array_equal(rotate_pairs(x, np.zeros((3, 2, 5))), x)
+        assert np.array_equal(rotate_pairs(x, 0.0), x)
+
+    def test_negated_angles_undo_the_rotation(self):
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((50, 16))
+        angles = rng.uniform(-60.0, 60.0, (50, 8))
+        back = rotate_pairs(rotate_pairs(x, angles), -angles)
+        assert np.all(np.max(np.abs(back - x), axis=-1) <= 1e-15 * np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("x_shape, angle_shape", [
+        ((4,), (3,)),          # pair count differs
+        ((2,), (3,)),          # a single pair cannot broadcast up to three
+        ((2, 4), (3, 2)),      # leading axes differ
+        ((4,), (2, 2)),        # angles would add a leading axis to the output
+    ])
+    def test_mismatched_angles_name_both_shapes(self, x_shape, angle_shape):
+        with pytest.raises(DimensionMismatchError) as err:
+            rotate_pairs(np.ones(x_shape), np.ones(angle_shape))
+        assert str(angle_shape) in str(err.value) and str(x_shape) in str(err.value)
+
+    def test_embeddings_reject_mismatched_shapes_with_one_error(self):
+        sched = FrequencySchedule.default(4)
+        with pytest.raises(DimensionMismatchError):
+            drope_embed(np.ones((3, 8)), 1.0, freqs=np.ones((2, 4)))
+        for bad in (lambda: rope_embed(1.0, 1.0, sched), lambda: drope_embed(1.0, 1.0),
+                    lambda: rotate_pairs(1.0, 0.0)):
+            with pytest.raises(DimensionMismatchError):
+                bad()
+
+
 class TestRopeEmbed:
     def test_zero_position_is_identity(self):
         rng = np.random.default_rng(0)
