@@ -4,7 +4,6 @@ complexity ledgers, and a toy trajectory-generation pipeline."""
 from .attention import (
     AttentionOutput,
     AttentionRecord,
-    IntraHeadSplit,
     PoseSet,
     QKVSet,
     RPEEncoders,
@@ -54,7 +53,6 @@ from .profiling import (
     check_sweep_trends,
     count_flops,
     count_input_memory,
-    measure_input_memory,
     sweep,
     verify_memory_ledger,
 )

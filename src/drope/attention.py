@@ -60,7 +60,6 @@ __all__ = [
     "ROTARY_VARIANTS",
     "QKVSet",
     "PoseSet",
-    "IntraHeadSplit",
     "RPEEncoders",
     "AttentionOutput",
     "AttentionRecord",
@@ -82,8 +81,9 @@ class Variant(enum.Enum):
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
-    * ``drope-ih``: intra-head integration, each QK vector splits into a
-      position part and an angle part.
+    * ``drope-ih``: intra-head integration, the first ``split`` rotation
+      pairs of each QK vector encode the position and the other d_k - split
+      the heading; ``split`` counts pairs like d_k and defaults to d_k // 2.
     """
 
     PLAIN = "plain"
@@ -211,19 +211,18 @@ class PoseSet:
     def pair_angles(self, variant, n_heads, d_k, sched, split, angle_freqs) -> np.ndarray:
         """Read-only (..., N, H or 1, d_k) rotation angles of a rotary variant's bank.
 
-        The last settings' angles are kept. Schedule and split are compared
-        by identity (a schedule's frequencies are read-only), the rest by value.
+        The last settings' angles are kept. The schedule is compared by
+        identity (its frequencies are read-only), the rest by value.
         """
         kept = self._angles
         if (kept is not None and kept[:3] == (variant, n_heads, d_k) and kept[3] is sched
-                and kept[4] is split and (kept[5] is None) == (angle_freqs is None)
+                and kept[4] == split and (kept[5] is None) == (angle_freqs is None)
                 and (angle_freqs is None or np.array_equal(kept[5], angle_freqs))):
             return kept[6]
         if variant is Variant.DROPE_IH:
-            p_pos = split.d_pos // 2
             angles = np.empty(self.headings.shape + (1, d_k))
-            angles[..., 0, :p_pos] = planar_pair_angles(self.positions, p_pos, sched.freqs)
-            angles[..., 0, p_pos:] = heading_pair_angles(self.headings, d_k - p_pos, angle_freqs)
+            angles[..., 0, :split] = planar_pair_angles(self.positions, split, sched.freqs)
+            angles[..., 0, split:] = heading_pair_angles(self.headings, d_k - split, angle_freqs)
         elif variant is Variant.ROPE:
             angles = planar_pair_angles(self.positions, d_k, sched.freqs)[..., None, :]
         else:
@@ -255,40 +254,6 @@ class PoseSet:
     def permuted(self, perm) -> "PoseSet":
         perm = np.asarray(perm)
         return PoseSet(self.positions[..., perm, :], self.headings[..., perm])
-
-
-@dataclass(frozen=True)
-class IntraHeadSplit:
-    """How a QK vector splits into position and angle sub-vectors.
-
-    Both widths are even and sum to the QK width 2*d_k. ``d_angle == 0`` is
-    the degenerate split that reduces to the pure position embedding.
-    """
-
-    d_pos: int
-    d_angle: int
-
-    def __post_init__(self):
-        if self.d_pos < 0 or self.d_angle < 0:
-            raise ConfigurationError("split widths must be non-negative")
-        if self.d_pos % 2 != 0 or self.d_angle % 2 != 0:
-            raise ConfigurationError(
-                f"split widths must be even, got ({self.d_pos}, {self.d_angle})"
-            )
-
-    def validate_width(self, qk_width: int) -> None:
-        if self.d_pos + self.d_angle != qk_width:
-            raise ConfigurationError(
-                f"split ({self.d_pos}, {self.d_angle}) does not sum to QK width {qk_width}"
-            )
-
-    @classmethod
-    def balanced(cls, d_k: int) -> "IntraHeadSplit":
-        if d_k % 2 != 0:
-            raise ConfigurationError(
-                f"balanced split needs an even pair count, got d_k={d_k}"
-            )
-        return cls(d_k, d_k)
 
 
 @dataclass
@@ -431,7 +396,8 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
     """Check the banks, poses and settings of one attention call.
 
     Returns ``(sched, split)``. This is the one place that defaults a rotary
-    variant's frequency schedule and the intra-head variant's balanced split.
+    variant's frequency schedule and the intra-head variant's split, d_k // 2
+    position pairs, and that checks the split is an int in 0..d_k.
     """
     n_heads, width = q_bank.shape[-2:]
     leading = zip(reversed(q_bank.shape[:-3]), reversed(k_bank.shape[:-3]))
@@ -470,10 +436,20 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
     if variant is Variant.DROPE_HBH and n_heads < 2:
         raise ConfigurationError("head-by-head integration needs at least 2 heads")
     if variant is Variant.DROPE_IH:
-        if split is None:
-            split = IntraHeadSplit.balanced(d_k)
-        split.validate_width(width)
+        split = d_k // 2 if split is None else split
+        if not isinstance(split, (int, np.integer)) or not 0 <= split <= d_k:
+            raise ConfigurationError(f"split must count 0..{d_k} position pairs, got {split!r}")
     return sched, split
+
+
+def _rotated(variant, banks, poses, sched, split, angle_freqs, undo=False):
+    """Each QK bank turned by its poses' kept angles, or turned back with ``undo``."""
+    turned = []
+    for bank, bank_poses in zip(banks, poses):
+        angles = bank_poses.pair_angles(variant, bank.shape[-2], bank.shape[-1] // 2,
+                                        sched, split, angle_freqs)
+        turned.append(rotate_pairs(bank, -angles if undo else angles))
+    return turned
 
 
 def _attend(
@@ -499,10 +475,8 @@ def _attend(
         offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])[..., 0].swapaxes(-3, -2)
         del k_offset
     elif variant is not Variant.PLAIN:
-        angles_q = poses_q.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
-        angles_k = poses_kv.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
-        q_hat = rotate_pairs(q_bank, angles_q)
-        k_hat = rotate_pairs(k_bank, angles_k)
+        q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv),
+                                sched, split, angle_freqs)
 
     n, m = q_bank.shape[-3], k_bank.shape[-3]
     lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
@@ -543,7 +517,7 @@ def mhsa(
     """Self-attention under any of the five variants.
 
     ``sched`` defaults to ``FrequencySchedule.default(d_k)`` for the rotary
-    variants and ``split`` to the balanced split for drope-ih; ``enc`` is
+    variants and ``split`` to d_k // 2 position pairs for drope-ih; ``enc`` is
     required for rpe; ``angle_freqs`` is the fault-injection hook of
     ``heading_pair_angles``.
     """
@@ -581,7 +555,6 @@ def attention_backward(
     *,
     sched=None,
     split=None,
-    angle_freqs=None,
 ):
     """Analytic gradients of the merged output w.r.t. the Q, K, V banks.
 
@@ -605,10 +578,9 @@ def attention_backward(
         )
     sched, split = _validate_variant(variant, qkv.q, qkv.k, poses, poses, sched, None, split)
 
-    angles, q_hat, k_hat = None, qkv.q, qkv.k
+    q_hat, k_hat = qkv.q, qkv.k
     if variant is not Variant.PLAIN:
-        angles = poses.pair_angles(variant, n_heads, d_k, sched, split, angle_freqs)
-        q_hat, k_hat = rotate_pairs(qkv.q, angles), rotate_pairs(qkv.k, angles)
+        q_hat, k_hat = _rotated(variant, (q_hat, k_hat), (poses, poses), sched, split, None)
 
     scale = 1.0 / math.sqrt(d_k)
     q_heads, k_heads = q_hat.swapaxes(0, 1), k_hat.swapaxes(0, 1)    # (H, N, 2*d_k)
@@ -625,7 +597,7 @@ def attention_backward(
         d_scores *= scale
         np.matmul(d_scores, k_heads, out=dq_hat[:, s:e])
         dk_hat += np.matmul(d_scores.swapaxes(1, 2), q_heads[:, s:e])
-    dq_hat, dk_hat, dv = (grad.swapaxes(0, 1) for grad in (dq_hat, dk_hat, dv))
-    if angles is None:
-        return dq_hat, dk_hat, dv
-    return rotate_pairs(dq_hat, -angles), rotate_pairs(dk_hat, -angles), dv
+    dq, dk, dv = (grad.swapaxes(0, 1) for grad in (dq_hat, dk_hat, dv))
+    if variant is not Variant.PLAIN:
+        dq, dk = _rotated(variant, (dq, dk), (poses, poses), sched, split, None, undo=True)
+    return dq, dk, dv

@@ -35,7 +35,6 @@ from itertools import accumulate
 import numpy as np
 
 from .attention import (
-    IntraHeadSplit,
     PoseSet,
     QKVSet,
     RPEEncoders,
@@ -86,7 +85,7 @@ class PipelineConfig:
     n_blocks: int = 2
     ffn_hidden: int = 64
     variant: Variant = Variant.DROPE_HBH
-    split: IntraHeadSplit | None = None
+    split: int | None = None     # drope-ih position pairs; the engine defaults it
     grid: ActionGrid = field(default_factory=ActionGrid.default)
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class PipelineConfig:
                 raise ConfigurationError(f"{name} must be a positive int, got {value}")
         if self.variant is Variant.DROPE_HBH and self.n_heads < 2:
             raise ConfigurationError("head-by-head integration needs at least 2 heads")
-        if self.variant is Variant.DROPE_IH and self.split is None:
-            self.split = IntraHeadSplit.balanced(self.d_k)
 
     @cached_property
     def sched(self) -> FrequencySchedule:
@@ -229,8 +226,7 @@ class SceneTokens:
 
     agent_tokens: np.ndarray     # (n_agents, n_steps, d_model)
     map_tokens: np.ndarray       # (n_segments, d_model)
-    agent_positions: np.ndarray  # (n_agents, n_steps, 2)
-    agent_headings: np.ndarray   # (n_agents, n_steps)
+    agent_poses: PoseSet         # time-major: (n_steps, n_agents) poses
     map_poses: PoseSet
     map_kv: QKVSet | None = None  # the map's cross-attention K/V in the last block applied
 
@@ -252,10 +248,14 @@ def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfi
     return SceneTokens(
         agent_tokens=agent_tokens,
         map_tokens=map_tokens,
-        agent_positions=scene.agent_states[:, :, :2].copy(),
-        agent_headings=scene.agent_states[:, :, 2].copy(),
+        agent_poses=_agent_poses(scene.agent_states.swapaxes(0, 1)),
         map_poses=scene.map_poses(),
     )
+
+
+def _agent_poses(states: np.ndarray) -> PoseSet:
+    """The poses of [x, y, yaw, v] states of any leading shape."""
+    return PoseSet(states[..., :2], states[..., 2])
 
 
 def _agent_tokens(states: np.ndarray, weights: PipelineWeights) -> np.ndarray:
@@ -317,9 +317,9 @@ def interaction_step(
     """One interaction block: the map once, then the agents of all timesteps at once."""
     map_tokens = _self_block(tokens.map_tokens, tokens.map_poses, block.map_sa, config)
     map_kv = _map_keysvals(map_tokens, block.cross)
-    poses = PoseSet(tokens.agent_positions.swapaxes(0, 1), tokens.agent_headings.swapaxes(0, 1))
     agent_tokens = _agent_interaction(
-        tokens.agent_tokens.swapaxes(0, 1), poses, map_kv, tokens.map_poses, block, config,
+        tokens.agent_tokens.swapaxes(0, 1), tokens.agent_poses, map_kv, tokens.map_poses,
+        block, config,
     )
     return replace(tokens, agent_tokens=np.ascontiguousarray(agent_tokens.swapaxes(0, 1)),
                    map_tokens=map_tokens, map_kv=map_kv)
@@ -499,7 +499,7 @@ class _IncrementalDecoder:
               config: PipelineConfig) -> np.ndarray:
         """Final temporal tokens (n_agents, d_model) of timestep ``t``."""
         tokens = _agent_tokens(states, weights)
-        poses = PoseSet(states[:, :2], states[:, 2])
+        poses = _agent_poses(states)
         for block, map_kv in zip(weights.blocks, self.map_kv):
             tokens = _agent_interaction(tokens, poses, map_kv, self.map_poses, block, config)
         encoded = (tokens + _step_encoding([t], config.d_model))[:, None]
@@ -578,14 +578,15 @@ def rollout(scene: Scene, policy, horizon: int):
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
     history = scene
+    n_agents = history.n_agents
+    # allocated before the warning, so a size that cannot fit fails with one message
+    states = empty_array((n_agents, horizon, 4), "the rollout's state array")
     if horizon * history.dt > ROLLOUT_SOFT_LIMIT_S + 1e-9:
         warnings.warn(
             f"horizon {horizon} steps at dt={history.dt} s exceeds the "
             f"{ROLLOUT_SOFT_LIMIT_S} s soft limit; proceeding",
             stacklevel=2,
         )
-    n_agents = history.n_agents
-    states = np.empty((n_agents, horizon, 4))
     actions: list[list[ControlAction]] = [[] for _ in range(n_agents)]
     for step in range(horizon):
         step_actions = policy.actions(history)

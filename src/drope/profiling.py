@@ -40,7 +40,6 @@ from fractions import Fraction
 import numpy as np
 
 from .attention import (
-    IntraHeadSplit,
     PoseSet,
     QKVSet,
     ROTARY_VARIANTS,
@@ -56,7 +55,6 @@ __all__ = [
     "FlopReport",
     "SweepPoint",
     "count_input_memory",
-    "measure_input_memory",
     "verify_memory_ledger",
     "count_flops",
     "sweep",
@@ -178,34 +176,19 @@ def count_input_memory(
     )
 
 
-def _engine_kwargs(variant: Variant, d_k: int, d_v: int):
-    """Settings beyond the engine's defaults: encoders for rpe, and for
-    drope-ih the balanced split widened to odd pair counts."""
-    if variant is Variant.RPE:
-        return {"enc": RPEEncoders.seeded(d_k, d_v)}
-    if variant is Variant.DROPE_IH:
-        return {"split": IntraHeadSplit(2 * (d_k // 2), 2 * (d_k - d_k // 2))}
-    return {}
-
-
-def measure_input_memory(
-    variant: Variant, n_tokens: int, n_heads: int, d_k: int, d_v: int, seed: int = 0
-) -> dict:
-    """Run the engine on random inputs and return its recorded scalar counts."""
-    rng = np.random.default_rng(seed)
-    qkv = QKVSet.random(n_tokens, n_heads, d_k, d_v, rng)
-    poses = PoseSet.random(n_tokens, rng)
-    with recording() as records:
-        mhsa(qkv, poses, variant, **_engine_kwargs(variant, d_k, d_v))
-    return records[0].counts
-
-
 def verify_memory_ledger(
     variant: Variant, n_tokens: int, n_heads: int, d_k: int, d_v: int, seed: int = 0
 ) -> MemoryReport:
-    """Assert that the closed-form counts match the instrumented engine."""
+    """Assert that the closed-form counts match the scalar counts the engine
+    records on random inputs, under its default settings."""
     predicted = count_input_memory(variant, n_tokens, n_heads, d_k, d_v)
-    measured = measure_input_memory(variant, n_tokens, n_heads, d_k, d_v, seed)
+    rng = np.random.default_rng(seed)
+    qkv = QKVSet.random(n_tokens, n_heads, d_k, d_v, rng)
+    poses = PoseSet.random(n_tokens, rng)
+    enc = RPEEncoders.seeded(d_k, d_v) if variant is Variant.RPE else None
+    with recording() as records:
+        mhsa(qkv, poses, variant, enc=enc)
+    measured = records[0].counts
     expectation = {
         "qkv": predicted.qkv_scalars,
         "embedded": predicted.embedded_scalars,

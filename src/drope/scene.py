@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import PoseSet
-from .errors import ConfigurationError, InvalidArgumentError, empty_array
+from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
 from .kinematics import ACCEL_LIMIT, YAW_RATE_LIMIT, AgentState, advance_states
 from .rotary import wrap_angle
 
@@ -191,9 +191,13 @@ class Scene:
 
     def with_appended_states(self, states) -> "Scene":
         """A new scene with one more timestep of (n_agents, 4) states."""
-        states = np.asarray(states, dtype=np.float64).reshape(self.n_agents, 1, 4)
+        states = np.asarray(states, dtype=np.float64)
+        if states.shape != (self.n_agents, 4):
+            raise DimensionMismatchError(
+                f"appended states {states.shape} must be (n_agents, 4) = {(self.n_agents, 4)}"
+            )
         return Scene(
-            np.concatenate([self.agent_states, states], axis=1), self.segments, self.dt
+            np.concatenate([self.agent_states, states[:, None]], axis=1), self.segments, self.dt
         )
 
     def translated(self, dx: float, dy: float) -> "Scene":

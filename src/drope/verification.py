@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import IntraHeadSplit, PoseSet, QKVSet, Variant, mhsa, recording
-from .errors import ConfigurationError
+from .attention import PoseSet, QKVSet, Variant, mhsa, recording
+from .errors import ConfigurationError, empty_array
 from .rotary import (
     TWO_PI,
     FrequencySchedule,
@@ -109,8 +109,12 @@ def _rel_err_arrays(a: np.ndarray, b: np.ndarray) -> float:
 def _check_rotation_group_law(cfg: VerificationConfig) -> PropertyResult:
     rng = np.random.default_rng(cfg.seed + 1)
     tol = 1e-12
-    a = rng.uniform(-100.0, 100.0, cfg.trials)
-    b = rng.uniform(-100.0, 100.0, cfg.trials)
+    # the trial count first becomes an array here; a size numpy cannot address fails at once
+    a, b = empty_array((2, cfg.trials), "the rotation trial angles")
+    for angles in (a, b):   # as rng.uniform(-100.0, 100.0, cfg.trials) draws them
+        rng.random(out=angles)
+        angles *= 200.0
+        angles -= 100.0
     worst = 0.0
     for ai, bi in zip(a, b):
         gap = np.max(np.abs(rotate2d(ai) @ rotate2d(bi) - rotate2d(ai + bi)))
@@ -250,7 +254,6 @@ class _EngineCase:
     qkv: QKVSet
     poses: PoseSet
     sched: FrequencySchedule
-    split: IntraHeadSplit
 
 
 def _engine_cases(cfg: VerificationConfig, salt: int):
@@ -262,15 +265,13 @@ def _engine_cases(cfg: VerificationConfig, salt: int):
             qkv=QKVSet.random(6, 2, d_k, 4, rng),
             poses=PoseSet.random(6, rng),
             sched=FrequencySchedule.default(d_k),
-            split=IntraHeadSplit.balanced(d_k),
         )
 
 
 def _run_engine(case: _EngineCase, variant, poses, cfg: VerificationConfig):
     return mhsa(
         case.qkv, poses, variant,
-        sched=case.sched, split=case.split,
-        angle_freqs=cfg.angle_freqs(case.sched),
+        sched=case.sched, angle_freqs=cfg.angle_freqs(case.sched),
     )
 
 
@@ -340,8 +341,7 @@ def _check_permutation_equivariance(cfg: VerificationConfig) -> PropertyResult:
             base = _run_engine(case, variant, case.poses, cfg)
             perm = rng.permutation(case.qkv.n_tokens)
             permuted_qkv = QKVSet(case.qkv.q[perm], case.qkv.k[perm], case.qkv.v[perm])
-            permuted_case = _EngineCase(permuted_qkv, case.poses.permuted(perm),
-                                        case.sched, case.split)
+            permuted_case = _EngineCase(permuted_qkv, case.poses.permuted(perm), case.sched)
             permuted = _run_engine(permuted_case, variant, permuted_case.poses, cfg)
             worst = max(worst, float(np.max(np.abs(permuted.merged - base.merged[perm]))))
             trials += 1

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from drope.attention import (
-    IntraHeadSplit,
     PoseSet,
     QKVSet,
     RPEEncoders,
@@ -237,17 +236,14 @@ def test_c06_oracle_equivalence():
                             RPEEncoders.seeded(d_k, d_v, seed=seed)
                             if variant is Variant.RPE else None
                         )
-                        split = (
-                            IntraHeadSplit.balanced(d_k)
-                            if variant is Variant.DROPE_IH else None
-                        )
+                        split = d_k // 2 if variant is Variant.DROPE_IH else None
                         out = mhsa(qkv, poses, variant, enc=enc, split=split)
                         _, expected = ref_attention(
                             VARIANT_NAMES[variant], qkv.q, qkv.k, qkv.v,
                             poses.positions, poses.headings,
                             poses.positions, poses.headings,
                             enc=enc,
-                            split=(split.d_pos, split.d_angle) if split else None,
+                            split=None if split is None else (2 * split, 2 * (d_k - split)),
                         )
                         gap = float(np.max(np.abs(out.merged - expected)))
                         assert gap < 1e-12, (variant, n, h, d_k, d_v, gap)
@@ -263,13 +259,13 @@ def test_c06_oracle_equivalence():
             poses_q = PoseSet.random(n_q, rng)
             poses_kv = PoseSet.random(n_kv, rng)
             enc = RPEEncoders.seeded(d_k, d_v, seed=seed) if variant is Variant.RPE else None
-            split = IntraHeadSplit.balanced(d_k) if variant is Variant.DROPE_IH else None
+            split = d_k // 2 if variant is Variant.DROPE_IH else None
             out = mhca(queries, keysvals, poses_q, poses_kv, variant, enc=enc, split=split)
             _, expected = ref_attention(
                 VARIANT_NAMES[variant], queries.q, keysvals.k, keysvals.v,
                 poses_q.positions, poses_q.headings,
                 poses_kv.positions, poses_kv.headings,
-                enc=enc, split=(split.d_pos, split.d_angle) if split else None,
+                enc=enc, split=None if split is None else (2 * split, 2 * (d_k - split)),
             )
             assert float(np.max(np.abs(out.merged - expected))) < 1e-12
             checked += 1
@@ -294,7 +290,7 @@ def test_c07_gradient_check():
         rng = np.random.default_rng(700 + seed)
         qkv = QKVSet.random(n, h, d_k, d_v, rng)
         poses = PoseSet.random(n, rng, position_scale=5.0)
-        split = IntraHeadSplit.balanced(d_k) if variant is Variant.DROPE_IH else None
+        split = d_k // 2 if variant is Variant.DROPE_IH else None
         probe = rng.standard_normal((n, h * d_v))
         analytic = attention_backward(variant, qkv, poses, probe, split=split)
 

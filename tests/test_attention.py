@@ -7,7 +7,6 @@ import pytest
 import drope.attention as attention
 from drope.attention import (
     AttentionRecord,
-    IntraHeadSplit,
     PoseSet,
     QKVSet,
     ROTARY_VARIANTS,
@@ -57,8 +56,10 @@ def recorded(engine, *args, **kwargs):
 
 
 def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, split=None, k=None, v=None):
+    """The oracle's output; a drope-ih ``split`` of p position pairs becomes
+    the oracle's scalar widths (2p, 2(d_k - p))."""
     poses_kv = poses_q if poses_kv is None else poses_kv
-    split_pair = (split.d_pos, split.d_angle) if split is not None else None
+    split_pair = None if split is None else (2 * split, 2 * (qkv.d_k - split))
     _, merged = ref_attention(
         VARIANT_NAMES[variant],
         qkv.q,
@@ -276,8 +277,7 @@ class TestDropeIntraHead:
     def test_degenerate_angle_split_equals_position_variant(self):
         qkv, poses = make_case(14)
         sched = FrequencySchedule.default(qkv.d_k)
-        out = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched,
-                   split=IntraHeadSplit(2 * qkv.d_k, 0))
+        out = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, split=qkv.d_k)
         rope = mhsa(qkv, poses, Variant.ROPE, sched=sched)
         assert out.merged == pytest.approx(rope.merged, abs=1e-12)
 
@@ -290,20 +290,31 @@ class TestDropeIntraHead:
         assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
     def test_invalid_splits_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IntraHeadSplit(3, 1)
-        with pytest.raises(ConfigurationError):
-            IntraHeadSplit.balanced(3)
         qkv, poses = make_case(16)
-        with pytest.raises(ConfigurationError):
-            mhsa(
-                qkv, poses, Variant.DROPE_IH,
-                sched=FrequencySchedule.default(qkv.d_k), split=IntraHeadSplit(2, 4),
-            )
+        for split in (-1, qkv.d_k + 1, 1.0, "1"):
+            with pytest.raises(ConfigurationError, match="position pairs"):
+                mhsa(qkv, poses, Variant.DROPE_IH,
+                     sched=FrequencySchedule.default(qkv.d_k), split=split)
+
+    @pytest.mark.parametrize("d_k", [3, 5])
+    def test_default_split_at_odd_pair_count_matches_reference(self, d_k):
+        qkv, poses = make_case(30 + d_k, n=4, d_k=d_k)
+        out = mhsa(qkv, poses, Variant.DROPE_IH)
+        assert out.merged == pytest.approx(
+            run_reference(Variant.DROPE_IH, qkv, poses, split=d_k // 2), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("d_k", [1, 2, 3, 4])
+    def test_default_split_is_half_the_pairs(self, d_k):
+        qkv, poses = make_case(40 + d_k, n=4, d_k=d_k)
+        default = mhsa(qkv, poses, Variant.DROPE_IH, split=None)
+        explicit = mhsa(qkv, PoseSet(poses.positions, poses.headings), Variant.DROPE_IH,
+                        split=d_k // 2)
+        assert np.array_equal(default.merged, explicit.merged)
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(17, d_k=4)
-        split = IntraHeadSplit.balanced(qkv.d_k)
+        split = qkv.d_k // 2
         out = mhsa(qkv, poses, Variant.DROPE_IH,
                    sched=FrequencySchedule.default(qkv.d_k), split=split)
         assert out.merged == pytest.approx(
@@ -312,7 +323,7 @@ class TestDropeIntraHead:
 
     def test_asymmetric_split_matches_reference(self):
         qkv, poses = make_case(18, d_k=3)
-        split = IntraHeadSplit(4, 2)
+        split = 2
         out = mhsa(qkv, poses, Variant.DROPE_IH,
                    sched=FrequencySchedule.default(qkv.d_k), split=split)
         assert out.merged == pytest.approx(
@@ -331,7 +342,7 @@ class TestDropeIntraHead:
     def test_degenerate_position_split_ignores_positions(self):
         qkv, poses = make_case(29)
         sched = FrequencySchedule.default(qkv.d_k)
-        split = IntraHeadSplit(0, 2 * qkv.d_k)
+        split = 0
         base = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, split=split)
         moved = mhsa(
             qkv, PoseSet(poses.positions + 500.0, poses.headings), Variant.DROPE_IH,
@@ -650,7 +661,7 @@ class TestPoseSet:
             "variant": (Variant.DROPE_HBH, Variant.DROPE_IH, Variant.ROPE),
             "n_heads": (2, 4),
             "sched": (FrequencySchedule.default(4), FrequencySchedule(4, freqs)),
-            "split": (IntraHeadSplit(4, 4), IntraHeadSplit(2, 6)),
+            "split": (2, 1),
             "angle_freqs": (None, freqs, freqs * 2.0),
         }
         base = {name: values[0] for name, values in choices.items()}
@@ -705,8 +716,6 @@ class TestExhaustiveOracleGrid:
                 if variant is Variant.DROPE_HBH and h < 2:
                     continue
                 for d_k in (1, 2, 4):
-                    if variant is Variant.DROPE_IH and d_k % 2 != 0:
-                        continue
                     seed += 1
                     rng = np.random.default_rng(seed)
                     qkv = QKVSet.random(n, h, d_k, 3, rng)
@@ -716,12 +725,8 @@ class TestExhaustiveOracleGrid:
                         if variant is Variant.RPE
                         else None
                     )
-                    split = (
-                        IntraHeadSplit.balanced(d_k)
-                        if variant is Variant.DROPE_IH
-                        else None
-                    )
-                    out = mhsa(qkv, poses, variant, enc=enc, split=split)
+                    split = d_k // 2 if variant is Variant.DROPE_IH else None
+                    out = mhsa(qkv, poses, variant, enc=enc)
                     expected = run_reference(variant, qkv, poses, enc=enc, split=split)
                     assert out.merged == pytest.approx(expected, abs=1e-12), (
                         variant, n, h, d_k,
@@ -744,7 +749,7 @@ class TestBlockedSizes:
 
     def check_rows(self, variant, merged, queries, keysvals, poses_q, poses_kv):
         idx = [0, queries.n_tokens - 1]
-        split = IntraHeadSplit.balanced(self.D_K) if variant is Variant.DROPE_IH else None
+        split = self.D_K // 2 if variant is Variant.DROPE_IH else None
         expected = run_reference(
             variant, QKVSet(queries.q[idx], queries.k[idx], queries.v[idx]),
             self.rows(poses_q, idx), poses_kv, split=split,
@@ -898,7 +903,7 @@ class TestQueryBlocks:
     def test_rows_at_block_edges_match_the_oracle(self, variant):
         qkv, poses = self.banks(64, 300)
         out = mhsa(qkv, poses, variant)
-        split = IntraHeadSplit.balanced(self.D_K) if variant is Variant.DROPE_IH else None
+        split = self.D_K // 2 if variant is Variant.DROPE_IH else None
         expected = run_reference(
             variant, QKVSet(qkv.q[self.ROWS], qkv.k[self.ROWS], qkv.v[self.ROWS]),
             PoseSet(poses.positions[self.ROWS], poses.headings[self.ROWS]), poses,

@@ -3,7 +3,6 @@ import pytest
 
 import drope.attention as attention
 from drope.attention import (
-    IntraHeadSplit,
     PoseSet,
     QKVSet,
     Variant,
@@ -76,16 +75,16 @@ class TestBackward:
     def test_drope_ih(self):
         check_gradients(
             Variant.DROPE_IH, n=3, h=1, d_k=2, d_v=2, seed=4,
-            split=IntraHeadSplit.balanced(2),
+            split=1,
         )
 
     def test_drope_ih_asymmetric_and_degenerate_splits(self):
         check_gradients(Variant.DROPE_IH, n=3, h=2, d_k=3, d_v=2, seed=8,
-                        split=IntraHeadSplit(4, 2))
+                        split=2)
         check_gradients(Variant.DROPE_IH, n=3, h=2, d_k=2, d_v=2, seed=9,
-                        split=IntraHeadSplit(0, 4))
+                        split=0)
         check_gradients(Variant.DROPE_IH, n=3, h=2, d_k=2, d_v=2, seed=10,
-                        split=IntraHeadSplit(4, 0))
+                        split=2)
 
     @pytest.mark.parametrize("variant", [Variant.PLAIN, *ROTARY])
     def test_blocks_of_two_rows_match_one_block(self, monkeypatch, variant):

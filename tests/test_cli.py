@@ -341,6 +341,8 @@ class TestSizesBeyondMemory:
                      id="n_steps-beyond-address-space"),
         pytest.param("verify", {"d_k_values": [2**40]}, id="d_k-beyond-memory"),
         pytest.param("verify", {"d_k_values": [2**62]}, id="d_k-beyond-address-space"),
+        pytest.param("verify", {"trials": 2**62}, id="trials-beyond-address-space"),
+        pytest.param("rollout", {"horizon": 2**62}, id="horizon-beyond-address-space"),
         pytest.param("rollout", {"synthetic": {"kind": "constant-velocity", "n_steps": 0}},
                      id="constant-velocity-without-steps"),
     ])
@@ -352,6 +354,14 @@ class TestSizesBeyondMemory:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+    @pytest.mark.parametrize("argv", [["verify", "--trials", str(2**62)],
+                                      ["rollout", "--horizon", str(2**62)]])
+    def test_flags_beyond_address_space_exit_2_with_one_error_line(self, tmp_path, argv):
+        proc = run_cli([*argv, "--out", str(tmp_path / "out")], tmp_path, address_space=2 << 30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert "cannot be allocated" in proc.stderr
 
     def test_a_huge_block_count_fails_before_drawing_any_block(self, tmp_path):
         # every block's weights are allocated before any is drawn, so the size fails at once
@@ -424,6 +434,11 @@ def _cli_configs(draw):
     return command, config
 
 
+#: A valid 64-bit config integer that numpy cannot address as an array size,
+#: so a run given it as a trial count or horizon fails before any allocation.
+UNADDRESSABLE = 2**62
+
+
 @settings(max_examples=150, deadline=None)
 @given(_cli_configs())
 @example(("rollout", {"scene": scene_payload(dt=1e300), "horizon": 4}))
@@ -434,6 +449,8 @@ def _cli_configs(draw):
 @example(("rollout", {"d_v": -1}))
 @example(("rollout", {"n_heads": 0, "variant": "plain"}))
 @example(("rollout", {"d_k": -4}))
+@example(("verify", {"trials": UNADDRESSABLE}))
+@example(("rollout", {"horizon": UNADDRESSABLE}))
 def test_generated_configs_exit_0_1_or_2_with_one_error_line(tmp_path_factory, case):
     command, config = case
     out = tmp_path_factory.mktemp("cli")
@@ -453,14 +470,16 @@ def test_generated_configs_exit_0_1_or_2_with_one_error_line(tmp_path_factory, c
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-#: Flags with the values the fuzz gives them: integers from small ranges only,
-#: non-integers and unknown choices. "<scene>" and "<config>" stand for files.
+#: Flags with the values the fuzz gives them: integers from small ranges only
+#: or too large to address, non-integers and unknown choices. "<scene>" and
+#: "<config>" stand for files.
 _INTS = st.integers(-2, 6).map(str)
 _BAD_INTS = st.sampled_from(["", "x", "1.5", "0x10", "--"])
+_UNADDRESSABLE = st.just(str(UNADDRESSABLE))
 _FLAG_VALUES = {
     "--seed": _INTS | _BAD_INTS,
-    "--trials": _INTS | _BAD_INTS,
-    "--horizon": _INTS | _BAD_INTS,
+    "--trials": _INTS | _BAD_INTS | _UNADDRESSABLE,
+    "--horizon": _INTS | _BAD_INTS | _UNADDRESSABLE,
     "--prefix": _INTS | _BAD_INTS,
     "--samples": _INTS | _BAD_INTS,
     "--policy": st.sampled_from(["pipeline", "constant", "greedy"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 
 import drope.attention as attention
 import drope.pipeline as pipeline
-from drope.attention import IntraHeadSplit, PoseSet, Variant
+from drope.attention import PoseSet, Variant
 from drope.errors import ConfigurationError, InvalidArgumentError
 from drope.kinematics import YAW_RATE_LIMIT, ZERO_ACTION, ControlAction
 from drope.pipeline import (
@@ -52,7 +53,7 @@ def small_scene(seed=0, n_agents=3, n_steps=3):
 
 def agent_poses(tokens, t):
     """The agents' poses at timestep ``t`` of scene tokens."""
-    return PoseSet(tokens.agent_positions[:, t], tokens.agent_headings[:, t])
+    return PoseSet(tokens.agent_poses.positions[t], tokens.agent_poses.headings[t])
 
 
 class TestTokenize:
@@ -68,7 +69,8 @@ class TestTokenize:
         scene = Scene(states, make_scene(seed=0).segments, 0.5)
         tokens = tokenize_scene(scene, weights, config)
         assert np.array_equal(tokens.agent_tokens[0], tokens.agent_tokens[1])
-        assert not np.array_equal(tokens.agent_positions[0], tokens.agent_positions[1])
+        assert not np.array_equal(tokens.agent_poses.positions[:, 0],
+                                  tokens.agent_poses.positions[:, 1])
 
     def test_map_tokens_ignore_absolute_pose(self):
         config = small_config()
@@ -128,21 +130,20 @@ class TestInteraction:
         tokens = tokenize_scene(scene, weights, config)
         updated = interaction_step(tokens, weights.blocks[0], config)
 
-        split = (config.split.d_pos, config.split.d_angle) if config.split else None
         block = weights.blocks[0]
         expected_agents = tokens.agent_tokens.copy()
         for t in range(scene.n_steps):
             expected_agents[:, t] = ref_attention_block(
                 config.variant.value, expected_agents[:, t], agent_poses(tokens, t),
-                block.agent_sa, split,
+                block.agent_sa,
             )
         expected_map = ref_attention_block(
-            config.variant.value, tokens.map_tokens, tokens.map_poses, block.map_sa, split
+            config.variant.value, tokens.map_tokens, tokens.map_poses, block.map_sa
         )
         for t in range(scene.n_steps):
             expected_agents[:, t] = ref_attention_block(
                 config.variant.value, expected_agents[:, t], agent_poses(tokens, t),
-                block.cross, split,
+                block.cross,
                 kv_tokens=expected_map, kv_poses=tokens.map_poses,
             )
         assert updated.agent_tokens == pytest.approx(expected_agents, abs=1e-10)
@@ -281,22 +282,21 @@ class TestForward:
         scene = Scene(scene.agent_states, scene.segments[:2], scene.dt)
         distribution, _ = forward(scene, weights, config)
 
-        split = (config.split.d_pos, config.split.d_angle) if config.split else None
         tokens = tokenize_scene(scene, weights, config)
         agents = tokens.agent_tokens.copy()
         block = weights.blocks[0]
         for t in range(scene.n_steps):
             agents[:, t] = ref_attention_block(
                 config.variant.value, agents[:, t], agent_poses(tokens, t),
-                block.agent_sa, split,
+                block.agent_sa,
             )
         map_tokens = ref_attention_block(
-            config.variant.value, tokens.map_tokens, tokens.map_poses, block.map_sa, split
+            config.variant.value, tokens.map_tokens, tokens.map_poses, block.map_sa
         )
         for t in range(scene.n_steps):
             agents[:, t] = ref_attention_block(
                 config.variant.value, agents[:, t], agent_poses(tokens, t),
-                block.cross, split, kv_tokens=map_tokens, kv_poses=tokens.map_poses,
+                block.cross, kv_tokens=map_tokens, kv_poses=tokens.map_poses,
             )
         pe = ref_sinusoidal_pe(scene.n_steps, config.d_model)
         for i in range(scene.n_agents):
@@ -624,6 +624,21 @@ class TestIncrementalDecoding:
             outputs["decode_actions"][0].logits[:, -1], scene, weights, config
         )
 
+    @pytest.mark.parametrize("n_blocks", [2, 3])
+    def test_cold_start_builds_each_pose_set_once(self, monkeypatch, n_blocks):
+        config = small_config(n_blocks=n_blocks)
+        weights = PipelineWeights.seeded(config, seed=38)
+        scene = small_scene(38, n_agents=3, n_steps=4)
+        built, angled = [], []
+        real_init, real_planar = PoseSet.__post_init__, attention.planar_pair_angles
+        monkeypatch.setattr(PoseSet, "__post_init__",
+                            lambda self: built.append(1) or real_init(self))
+        monkeypatch.setattr(attention, "planar_pair_angles",
+                            lambda *args: angled.append(1) or real_planar(*args))
+        PipelinePolicy(weights, config).actions(scene)
+        # the map's poses and the agents' time-major poses, each angled once for every block
+        assert len(built) == len(angled) == 2
+
 
 class TestSceneRotationProperty:
     def test_angle_head_attention_invariant_under_scene_rotation(self):
@@ -668,9 +683,16 @@ class TestConfigValidation:
         assert config.sched is config.sched
         assert np.array_equal(config.sched.freqs, FrequencySchedule.default(4).freqs)
 
-    def test_intra_head_gets_balanced_split(self):
-        config = small_config(Variant.DROPE_IH)
-        assert config.split == IntraHeadSplit(2, 2)
+    @pytest.mark.parametrize("d_k", [2, 3])
+    def test_intra_head_gets_balanced_split(self, d_k):
+        # the config leaves the split to the engine, which gives d_k // 2 pairs
+        config = small_config(Variant.DROPE_IH, d_k=d_k)
+        assert config.split is None
+        weights = PipelineWeights.seeded(config, seed=9)
+        scene = small_scene(9)
+        explicit = dataclasses.replace(config, split=d_k // 2)
+        assert np.array_equal(forward(scene, weights, config)[0].logits,
+                              forward(scene, weights, explicit)[0].logits)
 
     def test_identity_weights_need_matching_dims(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,10 @@
 import csv
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from drope.attention import Variant
+from drope.attention import PoseSet, QKVSet, RPEEncoders, Variant, mhsa, recording
 from drope.errors import ConfigurationError, VerificationError
 from drope.profiling import (
     SweepPoint,
@@ -11,7 +12,6 @@ from drope.profiling import (
     count_flops,
     count_input_memory,
     dense_flops,
-    measure_input_memory,
     mlp_flops,
     sweep,
     verify_memory_ledger,
@@ -73,7 +73,11 @@ class TestMeasuredAgainstPredicted:
                 verify_memory_ledger(variant, n, h, 4, 8)
 
     def test_measured_mode_returns_categories(self):
-        measured = measure_input_memory(Variant.RPE, 3, 2, 2, 4)
+        rng = np.random.default_rng(0)
+        with recording() as records:
+            mhsa(QKVSet.random(3, 2, 2, 4, rng), PoseSet.random(3, rng), Variant.RPE,
+                 enc=RPEEncoders.seeded(2, 4))
+        measured = records[0].counts
         assert set(measured) == {"qkv", "embedded", "pairwise"}
         assert measured["pairwise"] == 9 * 2 * (4 + 4)
 

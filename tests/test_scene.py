@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drope.cli import main
-from drope.errors import ConfigurationError, InvalidArgumentError
+from drope.errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
 from drope.kinematics import ZERO_ACTION, kinematic_step
 from drope.scene import (
     MapSegment,
@@ -141,6 +141,13 @@ class TestScene:
         assert prefix.n_steps == 4
         grown = prefix.with_appended_states(prefix.agent_states[:, -1])
         assert grown.n_steps == 5
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16,), (3, 4), (4, 1, 4), (4,)])
+    def test_append_takes_exactly_one_state_per_agent(self, shape):
+        scene = make_scene(seed=1, n_agents=4, n_steps=3)
+        with pytest.raises(DimensionMismatchError) as raised:
+            scene.with_appended_states(np.zeros(shape))
+        assert str(shape) in str(raised.value) and "(4, 4)" in str(raised.value)
 
     def test_translation_moves_states_and_map(self):
         scene = make_scene(seed=4)
