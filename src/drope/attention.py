@@ -81,9 +81,9 @@ class Variant(enum.Enum):
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
-    * ``drope-ih``: intra-head integration, the first ``split`` rotation
-      pairs of each QK vector encode the position and the other d_k - split
-      the heading; ``split`` counts pairs like d_k and defaults to d_k // 2.
+    * ``drope-ih``: intra-head integration, the first d_k // 2 rotation
+      pairs of each QK vector encode the position and the other
+      d_k - d_k // 2 the heading.
     """
 
     PLAIN = "plain"
@@ -108,6 +108,9 @@ ROTARY_VARIANTS = (Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
 
 #: Query rows per score block: a call holds (..., H, QUERY_BLOCK, M) scores at once.
 QUERY_BLOCK = 128
+
+#: Hidden width of both pairwise encoders; the FLOP ledger counts this width.
+RPE_HIDDEN = 32
 
 
 def _as_finite(name: str, arr, dtype=np.float64) -> np.ndarray:
@@ -208,7 +211,7 @@ class PoseSet:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "headings", headings)
 
-    def pair_angles(self, variant, n_heads, d_k, sched, split, angle_freqs) -> np.ndarray:
+    def pair_angles(self, variant, n_heads, d_k, sched, angle_freqs) -> np.ndarray:
         """Read-only (..., N, H or 1, d_k) rotation angles of a rotary variant's bank.
 
         The last settings' angles are kept. The schedule is compared by
@@ -216,10 +219,11 @@ class PoseSet:
         """
         kept = self._angles
         if (kept is not None and kept[:3] == (variant, n_heads, d_k) and kept[3] is sched
-                and kept[4] == split and (kept[5] is None) == (angle_freqs is None)
-                and (angle_freqs is None or np.array_equal(kept[5], angle_freqs))):
-            return kept[6]
+                and (kept[4] is None) == (angle_freqs is None)
+                and (angle_freqs is None or np.array_equal(kept[4], angle_freqs))):
+            return kept[5]
         if variant is Variant.DROPE_IH:
+            split = d_k // 2
             angles = np.empty(self.headings.shape + (1, d_k))
             angles[..., 0, :split] = planar_pair_angles(self.positions, split, sched.freqs)
             angles[..., 0, split:] = heading_pair_angles(self.headings, d_k - split, angle_freqs)
@@ -231,7 +235,7 @@ class PoseSet:
             angles[..., 1::2, :] = heading_pair_angles(self.headings, d_k, angle_freqs)[..., None, :]
         angles.flags.writeable = False
         freqs = None if angle_freqs is None else np.array(angle_freqs)
-        object.__setattr__(self, "_angles", (variant, n_heads, d_k, sched, split, freqs, angles))
+        object.__setattr__(self, "_angles", (variant, n_heads, d_k, sched, freqs, angles))
         return angles
 
     @property
@@ -310,17 +314,18 @@ class RPEEncoders:
         return self._mlp(rel, self.w1_v, self.b1_v, self.w2_v, self.b2_v)
 
     @classmethod
-    def seeded(cls, d_k: int, d_v: int, hidden: int = 32, seed: int = 0) -> "RPEEncoders":
+    def seeded(cls, d_k: int, d_v: int, seed: int = 0) -> "RPEEncoders":
+        """Encoders of hidden width ``RPE_HIDDEN`` with seeded weights and zero biases."""
         rng = np.random.default_rng(seed)
 
         def dense(n_in, n_out):
             return rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)
 
         return cls(
-            w1_k=dense(3, hidden), b1_k=np.zeros(hidden),
-            w2_k=dense(hidden, 2 * d_k), b2_k=np.zeros(2 * d_k),
-            w1_v=dense(3, hidden), b1_v=np.zeros(hidden),
-            w2_v=dense(hidden, d_v), b2_v=np.zeros(d_v),
+            w1_k=dense(3, RPE_HIDDEN), b1_k=np.zeros(RPE_HIDDEN),
+            w2_k=dense(RPE_HIDDEN, 2 * d_k), b2_k=np.zeros(2 * d_k),
+            w1_v=dense(3, RPE_HIDDEN), b1_v=np.zeros(RPE_HIDDEN),
+            w2_v=dense(RPE_HIDDEN, d_v), b2_v=np.zeros(d_v),
         )
 
 
@@ -392,12 +397,11 @@ def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
     return np.broadcast_to(pairwise[..., None, :], shape).copy()
 
 
-def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split):
+def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc):
     """Check the banks, poses and settings of one attention call.
 
-    Returns ``(sched, split)``. This is the one place that defaults a rotary
-    variant's frequency schedule and the intra-head variant's split, d_k // 2
-    position pairs, and that checks the split is an int in 0..d_k.
+    Returns the frequency schedule: this is the one place that defaults a
+    rotary variant's schedule.
     """
     n_heads, width = q_bank.shape[-2:]
     leading = zip(reversed(q_bank.shape[:-3]), reversed(k_bank.shape[:-3]))
@@ -426,7 +430,7 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
                 f"key encoder width {enc.key_width} mismatches QK width {width}"
             )
     if variant not in ROTARY_VARIANTS:
-        return sched, split
+        return sched
     if sched is None:
         sched = FrequencySchedule.default(d_k)
     if sched.d_k != d_k:
@@ -435,30 +439,26 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, sp
         )
     if variant is Variant.DROPE_HBH and n_heads < 2:
         raise ConfigurationError("head-by-head integration needs at least 2 heads")
-    if variant is Variant.DROPE_IH:
-        split = d_k // 2 if split is None else split
-        if not isinstance(split, (int, np.integer)) or not 0 <= split <= d_k:
-            raise ConfigurationError(f"split must count 0..{d_k} position pairs, got {split!r}")
-    return sched, split
+    return sched
 
 
-def _rotated(variant, banks, poses, sched, split, angle_freqs, undo=False):
+def _rotated(variant, banks, poses, sched, angle_freqs, undo=False):
     """Each QK bank turned by its poses' kept angles, or turned back with ``undo``."""
     turned = []
     for bank, bank_poses in zip(banks, poses):
         angles = bank_poses.pair_angles(variant, bank.shape[-2], bank.shape[-1] // 2,
-                                        sched, split, angle_freqs)
+                                        sched, angle_freqs)
         turned.append(rotate_pairs(bank, -angles if undo else angles))
     return turned
 
 
 def _attend(
     variant, queries: QKVSet, keysvals: QKVSet, poses_q, poses_kv,
-    *, sched=None, enc=None, split=None, angle_freqs=None, causal=False,
+    *, sched=None, enc=None, angle_freqs=None, causal=False,
 ) -> AttentionOutput:
     """The one attention core: Q from ``queries``, K and V from ``keysvals``."""
     q_bank, k_bank, v_bank = queries.q, keysvals.k, keysvals.v
-    sched, split = _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc, split)
+    sched = _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc)
     n_heads, width = q_bank.shape[-2:]
     d_k = width // 2
     d_v = v_bank.shape[-1]
@@ -476,7 +476,7 @@ def _attend(
         del k_offset
     elif variant is not Variant.PLAIN:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv),
-                                sched, split, angle_freqs)
+                                sched, angle_freqs)
 
     n, m = q_bank.shape[-3], k_bank.shape[-3]
     lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
@@ -512,18 +512,17 @@ def _attend(
 
 def mhsa(
     qkv: QKVSet, poses: PoseSet | None, variant: Variant,
-    *, sched=None, enc=None, split=None, angle_freqs=None,
+    *, sched=None, enc=None, angle_freqs=None,
 ) -> AttentionOutput:
     """Self-attention under any of the five variants.
 
     ``sched`` defaults to ``FrequencySchedule.default(d_k)`` for the rotary
-    variants and ``split`` to d_k // 2 position pairs for drope-ih; ``enc`` is
-    required for rpe; ``angle_freqs`` is the fault-injection hook of
-    ``heading_pair_angles``.
+    variants; ``enc`` is required for rpe; ``angle_freqs`` is the
+    fault-injection hook of ``heading_pair_angles``. drope-ih gives the first
+    d_k // 2 rotation pairs to the position.
     """
     return _attend(
-        variant, qkv, qkv, poses, poses,
-        sched=sched, enc=enc, split=split, angle_freqs=angle_freqs,
+        variant, qkv, qkv, poses, poses, sched=sched, enc=enc, angle_freqs=angle_freqs,
     )
 
 
@@ -535,16 +534,14 @@ def mhsa_causal(qkv: QKVSet) -> AttentionOutput:
 def mhca(
     queries: QKVSet, keysvals: QKVSet, poses_q: PoseSet | None, poses_kv: PoseSet | None,
     variant: Variant,
-    *, sched=None, enc=None, split=None,
+    *, sched=None, enc=None,
 ) -> AttentionOutput:
     """Cross-attention: Q from the first bank, K and V from the second.
 
     The math and settings of ``mhsa``; used for the agent-to-map interaction
     and for the cached temporal step.
     """
-    return _attend(
-        variant, queries, keysvals, poses_q, poses_kv, sched=sched, enc=enc, split=split,
-    )
+    return _attend(variant, queries, keysvals, poses_q, poses_kv, sched=sched, enc=enc)
 
 
 def attention_backward(
@@ -554,7 +551,6 @@ def attention_backward(
     upstream: np.ndarray,
     *,
     sched=None,
-    split=None,
 ):
     """Analytic gradients of the merged output w.r.t. the Q, K, V banks.
 
@@ -576,11 +572,11 @@ def attention_backward(
             f"upstream gradient must be (N, H*d_v) = {(n, n_heads * d_v)}, "
             f"got {upstream.shape}"
         )
-    sched, split = _validate_variant(variant, qkv.q, qkv.k, poses, poses, sched, None, split)
+    sched = _validate_variant(variant, qkv.q, qkv.k, poses, poses, sched, None)
 
     q_hat, k_hat = qkv.q, qkv.k
     if variant is not Variant.PLAIN:
-        q_hat, k_hat = _rotated(variant, (q_hat, k_hat), (poses, poses), sched, split, None)
+        q_hat, k_hat = _rotated(variant, (q_hat, k_hat), (poses, poses), sched, None)
 
     scale = 1.0 / math.sqrt(d_k)
     q_heads, k_heads = q_hat.swapaxes(0, 1), k_hat.swapaxes(0, 1)    # (H, N, 2*d_k)
@@ -599,5 +595,5 @@ def attention_backward(
         dk_hat += np.matmul(d_scores.swapaxes(1, 2), q_heads[:, s:e])
     dq, dk, dv = (grad.swapaxes(0, 1) for grad in (dq_hat, dk_hat, dv))
     if variant is not Variant.PLAIN:
-        dq, dk = _rotated(variant, (dq, dk), (poses, poses), sched, split, None, undo=True)
+        dq, dk = _rotated(variant, (dq, dk), (poses, poses), sched, None, undo=True)
     return dq, dk, dv

@@ -81,8 +81,9 @@ _SEED = ("a non-negative 64-bit integer", lambda v: _is_int(v) and v >= 0)
 _NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
 _STRING = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
-_INT_LIST = ("a non-empty list of 64-bit integers",
-             lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
+_SIZE_LIST = ("a non-empty list of positive 64-bit integers",
+              lambda v: isinstance(v, list) and len(v) > 0
+              and all(_is_int(item) and item > 0 for item in v))
 _STRING_LIST = ("a list of strings",
                 lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v))
 
@@ -124,7 +125,7 @@ def cmd_verify(args) -> int:
     fault = _setting(config, "fault_inject", _STRING, None, args.fault_inject)
     cfg = VerificationConfig(
         fault_injection=fault,
-        **_given(config, {"seed": _SEED, "trials": _INT, "d_k_values": _INT_LIST},
+        **_given(config, {"seed": _SEED, "trials": _INT, "d_k_values": _SIZE_LIST},
                  {"seed": args.seed, "trials": args.trials}),
     )
     results = run_verification(cfg)
@@ -152,7 +153,7 @@ def cmd_verify(args) -> int:
 
 def _grid_points(grid: dict) -> list[SweepPoint]:
     for key in ("n_tokens", "n_heads", "d_k", "d_v"):
-        if _setting(grid, key, _INT_LIST, None) is None:
+        if _setting(grid, key, _SIZE_LIST, None) is None:
             raise ConfigurationError(f"profile grid is missing {key!r}")
     return [
         SweepPoint(n_tokens=n, n_heads=h, d_k=d_k, d_v=d_v)
@@ -164,25 +165,26 @@ def _grid_points(grid: dict) -> list[SweepPoint]:
 
 
 def _write_curve_dat(path: Path, rows, value_key: str, axis_label: str) -> None:
-    """Gnuplot-style table: QK width against one column per variant.
+    """Gnuplot-style tables: QK width against one column per variant.
 
-    Uses the largest token count in the sweep; rows must share n_heads/d_v
-    along the width axis for the curve to be meaningful.
+    One block per (n_heads, d_v) of the sweep, at its largest token count;
+    blocks are separated by two blank lines, so gnuplot's ``index`` picks one.
     """
     variants = sorted({row["variant"] for row in rows})
-    n_max = max(row["n_tokens"] for row in rows)
-    widths = sorted({2 * row["d_k"] for row in rows if row["n_tokens"] == n_max})
-    lookup = {
-        (row["variant"], 2 * row["d_k"]): row[value_key]
-        for row in rows
-        if row["n_tokens"] == n_max
-    }
+    blocks = {}
+    for row in rows:
+        blocks.setdefault((row["n_heads"], row["d_v"]), []).append(row)
     with open(path, "w") as fh:
-        fh.write(f"# {axis_label} at n_tokens={n_max}\n")
-        fh.write("# qk_width " + " ".join(variants) + "\n")
-        for width in widths:
-            values = " ".join(str(lookup[(variant, width)]) for variant in variants)
-            fh.write(f"{width} {values}\n")
+        for index, ((n_heads, d_v), block) in enumerate(sorted(blocks.items())):
+            n_max = max(row["n_tokens"] for row in block)
+            lookup = {(row["variant"], 2 * row["d_k"]): row[value_key]
+                      for row in block if row["n_tokens"] == n_max}
+            fh.write("\n\n" if index else "")
+            fh.write(f"# {axis_label} at n_tokens={n_max} n_heads={n_heads} d_v={d_v}\n")
+            fh.write("# qk_width " + " ".join(variants) + "\n")
+            for width in sorted({width for _, width in lookup}):
+                values = " ".join(str(lookup[(variant, width)]) for variant in variants)
+                fh.write(f"{width} {values}\n")
 
 
 def cmd_profile(args) -> int:
@@ -274,7 +276,7 @@ def cmd_rollout(args) -> int:
         result = rollout(history, policy, horizon)
         results.append(result)
         filename = f"trajectories_{sample:02d}.csv"
-        write_trajectory_csv(out / filename, result, scene_id=0)
+        write_trajectory_csv(out / filename, result)
         files.append(filename)
 
     ade_per_agent = None

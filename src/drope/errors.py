@@ -17,7 +17,7 @@ class DimensionMismatchError(DropeError, ValueError):
 
 
 class ConfigurationError(DropeError, ValueError):
-    """A variant, split, or run configuration is self-inconsistent."""
+    """A variant or run configuration is self-inconsistent."""
 
 
 class VerificationError(DropeError, AssertionError):

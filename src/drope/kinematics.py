@@ -90,16 +90,11 @@ class ActionGrid:
     yaw_rate_centers: tuple
 
     @classmethod
-    def default(
-        cls,
-        n_accel: int = 9,
-        n_yaw: int = 9,
-        accel_limit: float = ACCEL_LIMIT,
-        yaw_rate_limit: float = YAW_RATE_LIMIT,
-    ) -> "ActionGrid":
+    def default(cls) -> "ActionGrid":
+        """The pipeline's 9 x 9 grid, spanning +-ACCEL_LIMIT and +-YAW_RATE_LIMIT."""
         return cls(
-            accel_centers=tuple(np.linspace(-accel_limit, accel_limit, n_accel)),
-            yaw_rate_centers=tuple(np.linspace(-yaw_rate_limit, yaw_rate_limit, n_yaw)),
+            accel_centers=tuple(np.linspace(-ACCEL_LIMIT, ACCEL_LIMIT, 9)),
+            yaw_rate_centers=tuple(np.linspace(-YAW_RATE_LIMIT, YAW_RATE_LIMIT, 9)),
         )
 
     @property

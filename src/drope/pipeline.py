@@ -28,9 +28,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,8 +86,7 @@ class PipelineConfig:
     n_blocks: int = 2
     ffn_hidden: int = 64
     variant: Variant = Variant.DROPE_HBH
-    split: int | None = None     # drope-ih position pairs; the engine defaults it
-    grid: ActionGrid = field(default_factory=ActionGrid.default)
+    grid: ClassVar[ActionGrid] = ActionGrid.default()
 
     def __post_init__(self):
         if self.d_model <= 0 or self.d_model % 2 != 0:
@@ -280,10 +280,7 @@ def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
 
 def _self_block(tokens, poses, bw, config) -> np.ndarray:
     qkv = QKVSet(*(_project(tokens, w) for w in (bw.w_q, bw.w_k, bw.w_v)))
-    out = mhsa(
-        qkv, poses, config.variant,
-        sched=config.sched, enc=bw.enc, split=config.split,
-    )
+    out = mhsa(qkv, poses, config.variant, sched=config.sched, enc=bw.enc)
     return tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
@@ -306,7 +303,7 @@ def _agent_interaction(agent_tokens, poses, map_kv: QKVSet, map_poses,
     # only the query bank of ``queries`` is read
     out = mhca(
         QKVSet(queries, queries, queries), map_kv, poses, map_poses, config.variant,
-        sched=config.sched, enc=bw.enc, split=config.split,
+        sched=config.sched, enc=bw.enc,
     )
     return agent_tokens + _ffn(out.merged @ bw.w_o, bw)
 
@@ -615,8 +612,11 @@ def replay_actions(initial_states, actions, dt: float) -> np.ndarray:
     return states
 
 
-def write_trajectory_csv(path, result: RolloutResult, scene_id: int = 0) -> None:
-    """CSV rows: scene_id, agent_id, t, x, y, yaw, v (shortest-roundtrip floats)."""
+def write_trajectory_csv(path, result: RolloutResult) -> None:
+    """CSV rows: scene_id, agent_id, t, x, y, yaw, v (shortest-roundtrip floats).
+
+    A file holds one scene, so its ``scene_id`` column is always 0.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scene_id", "agent_id", "t", "x", "y", "yaw", "v"])
@@ -624,4 +624,4 @@ def write_trajectory_csv(path, result: RolloutResult, scene_id: int = 0) -> None
         for agent in range(n_agents):
             for t in range(horizon):
                 x, y, yaw, v = (float(value) for value in result.states[agent, t])
-                writer.writerow([scene_id, agent, t, repr(x), repr(y), repr(yaw), repr(v)])
+                writer.writerow([0, agent, t, repr(x), repr(y), repr(yaw), repr(v)])

@@ -23,9 +23,10 @@ exp, and tanh count 1 each):
   * weighted sum: 2 * Nq * Nk * H * d_v
   * rotary embed: 6 per 2D pair (4 multiplies, 2 adds), once per token for
     each embedded bank: 6 * (Nq + Nk) * H * d_k
-  * pairwise encoders: the two relative-pose MLPs run once per token pair
-    and are shared across heads; the per-head key/value adds are counted on
-    top. A dense layer in->out costs 2*in*out + out (bias included).
+  * pairwise encoders: the two relative-pose MLPs, of the engine's hidden
+    width ``RPE_HIDDEN``, run once per token pair and are shared across
+    heads; the per-head key/value adds are counted on top. A dense layer
+    in->out costs 2*in*out + out (bias included).
   * ``full=True`` additionally counts the softmax (6 per score: max compare,
     subtract, exp, sum add, divide, scale multiply) and the rotation-angle
     transcendentals (3 per pair: multiply, sin, cos).
@@ -44,6 +45,7 @@ from .attention import (
     QKVSet,
     ROTARY_VARIANTS,
     RPEEncoders,
+    RPE_HIDDEN,
     Variant,
     mhsa,
     recording,
@@ -177,14 +179,15 @@ def count_input_memory(
 
 
 def verify_memory_ledger(
-    variant: Variant, n_tokens: int, n_heads: int, d_k: int, d_v: int, seed: int = 0
+    variant: Variant, n_tokens: int, n_heads: int, d_k: int, d_v: int
 ) -> MemoryReport:
     """Assert that the closed-form counts match the scalar counts the engine
-    records on random inputs, under its default settings."""
+    records under its default settings. The counts depend on array sizes
+    only, so the banks are ones and the poses zeros."""
     predicted = count_input_memory(variant, n_tokens, n_heads, d_k, d_v)
-    rng = np.random.default_rng(seed)
-    qkv = QKVSet.random(n_tokens, n_heads, d_k, d_v, rng)
-    poses = PoseSet.random(n_tokens, rng)
+    qk_shape = (n_tokens, n_heads, 2 * d_k)
+    qkv = QKVSet(np.ones(qk_shape), np.ones(qk_shape), np.ones((n_tokens, n_heads, d_v)))
+    poses = PoseSet(np.zeros((n_tokens, 2)), np.zeros(n_tokens))
     enc = RPEEncoders.seeded(d_k, d_v) if variant is Variant.RPE else None
     with recording() as records:
         mhsa(qkv, poses, variant, enc=enc)
@@ -210,7 +213,6 @@ def count_flops(
     d_k: int,
     d_v: int,
     *,
-    rpe_hidden: int = 32,
     full: bool = False,
 ) -> FlopReport:
     """Deterministic FLOP count; ``m_tokens`` is the KV bank size (None = self)."""
@@ -229,8 +231,8 @@ def count_flops(
     rpe = 0
     if variant is Variant.RPE:
         per_pair = (
-            mlp_flops(3, rpe_hidden, width)
-            + mlp_flops(3, rpe_hidden, d_v)
+            mlp_flops(3, RPE_HIDDEN, width)
+            + mlp_flops(3, RPE_HIDDEN, d_v)
             + REL_DESCRIPTOR_FLOPS
         )
         rpe = n_tokens * m * per_pair + n_tokens * m * n_heads * (width + d_v)
@@ -262,7 +264,6 @@ class SweepPoint:
     n_heads: int
     d_k: int
     d_v: int
-    m_tokens: int | None = None
 
 
 SWEEP_COLUMNS = (
@@ -276,9 +277,7 @@ SWEEP_COLUMNS = (
 
 def _sweep_row(point: SweepPoint, variant: Variant) -> dict:
     mem = count_input_memory(variant, point.n_tokens, point.n_heads, point.d_k, point.d_v)
-    flop = count_flops(
-        variant, point.n_tokens, point.m_tokens, point.n_heads, point.d_k, point.d_v
-    )
+    flop = count_flops(variant, point.n_tokens, None, point.n_heads, point.d_k, point.d_v)
     row = mem.as_dict()
     row["m_tokens"] = flop.m_tokens
     for key, value in flop.as_dict().items():

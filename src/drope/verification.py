@@ -42,6 +42,8 @@ FAULT_ROPE_FREQS_IN_FANGLE = "rope-freqs-in-fangle"
 #: Thresholds on the operator gaps of ``periodicity_gaps`` at d_k = 8.
 ROPE_GAP_MIN = 1e-3
 DROPE_GAP_MAX = 1e-10
+#: Random (q, k) pairs whose gaps the periodicity counterexample reports.
+COUNTEREXAMPLE_SEEDS = 100
 
 
 def periodicity_gaps(embed, q, k):
@@ -83,7 +85,6 @@ class VerificationConfig:
     seed: int = 0
     trials: int = 1000
     d_k_values: tuple = (1, 2, 8, 32)
-    counterexample_seeds: int = 100
     fault_injection: str | None = None
 
     def angle_freqs(self, sched: FrequencySchedule):
@@ -233,13 +234,13 @@ def _check_counterexample(cfg: VerificationConfig) -> PropertyResult:
     freqs = cfg.angle_freqs(sched)
     q, k = np.stack([
         np.random.default_rng(cfg.seed + 1000 + seed).standard_normal((2, 2 * d_k))
-        for seed in range(cfg.counterexample_seeds)
+        for seed in range(COUNTEREXAMPLE_SEEDS)
     ], axis=1)
     rope_lhs, rope_rhs, rope_gap = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
     drope_lhs, drope_rhs, drope_gap = periodicity_gaps(lambda x, t: drope_embed(x, t, freqs), q, k)
     rope_pairs = np.abs(rope_lhs - rope_rhs)
     return PropertyResult(
-        "angle_periodicity_counterexample", cfg.counterexample_seeds, drope_gap, DROPE_GAP_MAX,
+        "angle_periodicity_counterexample", COUNTEREXAMPLE_SEEDS, drope_gap, DROPE_GAP_MAX,
         rope_gap > ROPE_GAP_MIN and drope_gap < DROPE_GAP_MAX,
         f"operator gap ||A - B||_2: multi-frequency {rope_gap:.3e} (must exceed "
         f"{ROPE_GAP_MIN:g}), uniform-frequency {drope_gap:.3e}; random (q, k) pair "
@@ -369,8 +370,7 @@ def run_verification(cfg: VerificationConfig) -> list[PropertyResult]:
     """Run every property check; deterministic for a fixed configuration."""
     if cfg.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {cfg.trials}")
-    if not cfg.d_k_values or cfg.counterexample_seeds < 1:
-        raise ConfigurationError("d_k_values must be non-empty and counterexample_seeds "
-                                 f"positive, got {cfg.d_k_values!r} and {cfg.counterexample_seeds}")
+    if not cfg.d_k_values:
+        raise ConfigurationError(f"d_k_values must be non-empty, got {cfg.d_k_values!r}")
     cfg.angle_freqs(FrequencySchedule.default(2))  # validate the fault name early
     return [check(cfg) for check in _CHECKS]

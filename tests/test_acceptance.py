@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from drope.attention import (
+    RPE_HIDDEN,
     PoseSet,
     QKVSet,
     RPEEncoders,
@@ -157,7 +158,6 @@ def test_c05_flop_trend():
     """
     start = time.perf_counter()
     n, heads, d_v = 64, 4, 64
-    rpe_hidden = 32  # count_flops' default encoder width
     widths = (32, 64, 128)
     rpe = [count_flops(Variant.RPE, n, None, heads, d_k, d_v).total for d_k in widths]
     hbh = [count_flops(Variant.DROPE_HBH, n, None, heads, d_k, d_v).total for d_k in widths]
@@ -171,7 +171,7 @@ def test_c05_flop_trend():
 
     rpe_slopes, hbh_slopes = slopes(rpe), slopes(hbh)
     # scores 4*N*M*H, encoder outputs N*M*(4*hidden + 2), per-head adds 2*N*M*H
-    rpe_slope = n * n * (6 * heads + 4 * rpe_hidden + 2)
+    rpe_slope = n * n * (6 * heads + 4 * RPE_HIDDEN + 2)
     # scores 4*N*M*H, rotary embedding 6*(N + M)*H
     hbh_slope = 4 * n * n * heads + 12 * n * heads
     limit = rpe_slopes[-1] / hbh_slopes[-1]
@@ -214,6 +214,11 @@ VARIANT_NAMES = {
 }
 
 
+def ih_widths(variant, d_k):
+    """The oracle's scalar widths of drope-ih's d_k // 2 position pairs; None otherwise."""
+    return (2 * (d_k // 2), 2 * (d_k - d_k // 2)) if variant is Variant.DROPE_IH else None
+
+
 def test_c06_oracle_equivalence():
     """Every variant matches the loop-based scalar reference on the full grid."""
     start = time.perf_counter()
@@ -236,14 +241,12 @@ def test_c06_oracle_equivalence():
                             RPEEncoders.seeded(d_k, d_v, seed=seed)
                             if variant is Variant.RPE else None
                         )
-                        split = d_k // 2 if variant is Variant.DROPE_IH else None
-                        out = mhsa(qkv, poses, variant, enc=enc, split=split)
+                        out = mhsa(qkv, poses, variant, enc=enc)
                         _, expected = ref_attention(
                             VARIANT_NAMES[variant], qkv.q, qkv.k, qkv.v,
                             poses.positions, poses.headings,
                             poses.positions, poses.headings,
-                            enc=enc,
-                            split=None if split is None else (2 * split, 2 * (d_k - split)),
+                            enc=enc, split=ih_widths(variant, d_k),
                         )
                         gap = float(np.max(np.abs(out.merged - expected)))
                         assert gap < 1e-12, (variant, n, h, d_k, d_v, gap)
@@ -259,13 +262,12 @@ def test_c06_oracle_equivalence():
             poses_q = PoseSet.random(n_q, rng)
             poses_kv = PoseSet.random(n_kv, rng)
             enc = RPEEncoders.seeded(d_k, d_v, seed=seed) if variant is Variant.RPE else None
-            split = d_k // 2 if variant is Variant.DROPE_IH else None
-            out = mhca(queries, keysvals, poses_q, poses_kv, variant, enc=enc, split=split)
+            out = mhca(queries, keysvals, poses_q, poses_kv, variant, enc=enc)
             _, expected = ref_attention(
                 VARIANT_NAMES[variant], queries.q, keysvals.k, keysvals.v,
                 poses_q.positions, poses_q.headings,
                 poses_kv.positions, poses_kv.headings,
-                enc=enc, split=None if split is None else (2 * split, 2 * (d_k - split)),
+                enc=enc, split=ih_widths(variant, d_k),
             )
             assert float(np.max(np.abs(out.merged - expected))) < 1e-12
             checked += 1
@@ -290,15 +292,13 @@ def test_c07_gradient_check():
         rng = np.random.default_rng(700 + seed)
         qkv = QKVSet.random(n, h, d_k, d_v, rng)
         poses = PoseSet.random(n, rng, position_scale=5.0)
-        split = d_k // 2 if variant is Variant.DROPE_IH else None
         probe = rng.standard_normal((n, h * d_v))
-        analytic = attention_backward(variant, qkv, poses, probe, split=split)
+        analytic = attention_backward(variant, qkv, poses, probe)
 
         def loss_for(bank_name):
             def loss(x):
                 banks = {"q": qkv.q, "k": qkv.k, "v": qkv.v, bank_name: x}
-                out = mhsa(QKVSet(banks["q"], banks["k"], banks["v"]), poses, variant,
-                           split=split)
+                out = mhsa(QKVSet(banks["q"], banks["k"], banks["v"]), poses, variant)
                 return float(np.sum(out.merged * probe))
             return loss
 

@@ -43,10 +43,6 @@ def make_case(seed, n=3, h=2, d_k=2, d_v=3):
     return QKVSet.random(n, h, d_k, d_v, rng), PoseSet.random(n, rng)
 
 
-def run_variant(variant, qkv, poses, enc=None, split=None, **kw):
-    return mhsa(qkv, poses, variant, enc=enc, split=split, **kw)
-
-
 def recorded(engine, *args, **kwargs):
     """An engine call's output and the attention weights it recorded."""
     with recording() as records:
@@ -55,11 +51,12 @@ def recorded(engine, *args, **kwargs):
     return out, record.weights
 
 
-def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, split=None, k=None, v=None):
-    """The oracle's output; a drope-ih ``split`` of p position pairs becomes
-    the oracle's scalar widths (2p, 2(d_k - p))."""
+def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, k=None, v=None):
+    """The oracle's output; drope-ih's d_k // 2 position pairs become the
+    oracle's scalar widths (2 * (d_k // 2), 2 * (d_k - d_k // 2))."""
     poses_kv = poses_q if poses_kv is None else poses_kv
-    split_pair = None if split is None else (2 * split, 2 * (qkv.d_k - split))
+    d_k = qkv.d_k
+    split_pair = (2 * (d_k // 2), 2 * (d_k - d_k // 2)) if variant is Variant.DROPE_IH else None
     _, merged = ref_attention(
         VARIANT_NAMES[variant],
         qkv.q,
@@ -167,9 +164,9 @@ class TestRPE:
     @pytest.mark.parametrize("shape", [(6, 7, 3), (2, 6, 7, 3)])
     def test_encoders_are_the_two_layer_formula_bitwise(self, shape):
         enc = RPEEncoders(**{
-            **vars(RPEEncoders.seeded(4, 5, hidden=8, seed=9)),
-            "b1_k": np.linspace(-1, 1, 8), "b2_k": np.linspace(0.5, -0.5, 8),
-            "b1_v": np.linspace(1, -1, 8), "b2_v": np.linspace(-0.3, 0.3, 5),
+            **vars(RPEEncoders.seeded(4, 5, seed=9)),
+            "b1_k": np.linspace(-1, 1, attention.RPE_HIDDEN), "b2_k": np.linspace(0.5, -0.5, 8),
+            "b1_v": np.linspace(1, -1, attention.RPE_HIDDEN), "b2_v": np.linspace(-0.3, 0.3, 5),
         })
         rel = np.random.default_rng(10).uniform(-30.0, 30.0, shape)
         kept = rel.copy()
@@ -189,7 +186,7 @@ class TestRPE:
         ("w2_v", np.zeros(8)),
     ])
     def test_mis_shaped_weights_rejected(self, name, value):
-        weights = vars(RPEEncoders.seeded(2, 3, hidden=8))
+        weights = vars(RPEEncoders.seeded(2, 3))
         with pytest.raises(DimensionMismatchError):
             RPEEncoders(**{**weights, name: value})
 
@@ -274,13 +271,6 @@ class TestDropeHeadByHead:
 
 
 class TestDropeIntraHead:
-    def test_degenerate_angle_split_equals_position_variant(self):
-        qkv, poses = make_case(14)
-        sched = FrequencySchedule.default(qkv.d_k)
-        out = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, split=qkv.d_k)
-        rope = mhsa(qkv, poses, Variant.ROPE, sched=sched)
-        assert out.merged == pytest.approx(rope.merged, abs=1e-12)
-
     def test_identical_poses_match_plain(self):
         rng = np.random.default_rng(15)
         qkv = QKVSet.random(4, 2, 2, 3, rng)
@@ -289,45 +279,29 @@ class TestDropeIntraHead:
         plain = mhsa(qkv, None, Variant.PLAIN)
         assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
-    def test_invalid_splits_rejected(self):
-        qkv, poses = make_case(16)
-        for split in (-1, qkv.d_k + 1, 1.0, "1"):
-            with pytest.raises(ConfigurationError, match="position pairs"):
-                mhsa(qkv, poses, Variant.DROPE_IH,
-                     sched=FrequencySchedule.default(qkv.d_k), split=split)
-
     @pytest.mark.parametrize("d_k", [3, 5])
     def test_default_split_at_odd_pair_count_matches_reference(self, d_k):
         qkv, poses = make_case(30 + d_k, n=4, d_k=d_k)
         out = mhsa(qkv, poses, Variant.DROPE_IH)
         assert out.merged == pytest.approx(
-            run_reference(Variant.DROPE_IH, qkv, poses, split=d_k // 2), abs=1e-12
+            run_reference(Variant.DROPE_IH, qkv, poses), abs=1e-12
         )
 
     @pytest.mark.parametrize("d_k", [1, 2, 3, 4])
     def test_default_split_is_half_the_pairs(self, d_k):
         qkv, poses = make_case(40 + d_k, n=4, d_k=d_k)
-        default = mhsa(qkv, poses, Variant.DROPE_IH, split=None)
-        explicit = mhsa(qkv, PoseSet(poses.positions, poses.headings), Variant.DROPE_IH,
-                        split=d_k // 2)
-        assert np.array_equal(default.merged, explicit.merged)
+        out = mhsa(qkv, poses, Variant.DROPE_IH)
+        _, expected = ref_attention(
+            "drope-ih", qkv.q, qkv.k, qkv.v, poses.positions, poses.headings,
+            poses.positions, poses.headings, split=(2 * (d_k // 2), 2 * (d_k - d_k // 2)),
+        )
+        assert out.merged == pytest.approx(expected, abs=1e-12)
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(17, d_k=4)
-        split = qkv.d_k // 2
-        out = mhsa(qkv, poses, Variant.DROPE_IH,
-                   sched=FrequencySchedule.default(qkv.d_k), split=split)
+        out = mhsa(qkv, poses, Variant.DROPE_IH, sched=FrequencySchedule.default(qkv.d_k))
         assert out.merged == pytest.approx(
-            run_reference(Variant.DROPE_IH, qkv, poses, split=split), abs=1e-12
-        )
-
-    def test_asymmetric_split_matches_reference(self):
-        qkv, poses = make_case(18, d_k=3)
-        split = 2
-        out = mhsa(qkv, poses, Variant.DROPE_IH,
-                   sched=FrequencySchedule.default(qkv.d_k), split=split)
-        assert out.merged == pytest.approx(
-            run_reference(Variant.DROPE_IH, qkv, poses, split=split), abs=1e-12
+            run_reference(Variant.DROPE_IH, qkv, poses), abs=1e-12
         )
 
     def test_heading_shift_invariance_with_wrap(self):
@@ -338,17 +312,6 @@ class TestDropeIntraHead:
         moved = mhsa(qkv, poses.heading_shifted(shift), Variant.DROPE_IH, sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
-
-    def test_degenerate_position_split_ignores_positions(self):
-        qkv, poses = make_case(29)
-        sched = FrequencySchedule.default(qkv.d_k)
-        split = 0
-        base = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, split=split)
-        moved = mhsa(
-            qkv, PoseSet(poses.positions + 500.0, poses.headings), Variant.DROPE_IH,
-            sched=sched, split=split,
-        )
-        assert np.array_equal(base.merged, moved.merged)
 
 
 class TestCross:
@@ -661,7 +624,6 @@ class TestPoseSet:
             "variant": (Variant.DROPE_HBH, Variant.DROPE_IH, Variant.ROPE),
             "n_heads": (2, 4),
             "sched": (FrequencySchedule.default(4), FrequencySchedule(4, freqs)),
-            "split": (2, 1),
             "angle_freqs": (None, freqs, freqs * 2.0),
         }
         base = {name: values[0] for name, values in choices.items()}
@@ -683,9 +645,9 @@ class TestPoseSet:
     def test_angles_follow_angle_freqs_edited_in_place(self):
         poses = PoseSet(np.zeros((2, 2)), np.array([0.5, 1.0]))
         sched, freqs = FrequencySchedule.default(2), np.array([1.0, 2.0])
-        before = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, None, freqs).copy()
+        before = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, freqs).copy()
         freqs[1] = 3.0
-        after = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, None, freqs)
+        after = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, freqs)
         assert np.array_equal(after[:, 1, 1], [1.5, 3.0])
         assert not np.array_equal(before, after)
 
@@ -725,9 +687,8 @@ class TestExhaustiveOracleGrid:
                         if variant is Variant.RPE
                         else None
                     )
-                    split = d_k // 2 if variant is Variant.DROPE_IH else None
                     out = mhsa(qkv, poses, variant, enc=enc)
-                    expected = run_reference(variant, qkv, poses, enc=enc, split=split)
+                    expected = run_reference(variant, qkv, poses, enc=enc)
                     assert out.merged == pytest.approx(expected, abs=1e-12), (
                         variant, n, h, d_k,
                     )
@@ -749,11 +710,9 @@ class TestBlockedSizes:
 
     def check_rows(self, variant, merged, queries, keysvals, poses_q, poses_kv):
         idx = [0, queries.n_tokens - 1]
-        split = self.D_K // 2 if variant is Variant.DROPE_IH else None
         expected = run_reference(
             variant, QKVSet(queries.q[idx], queries.k[idx], queries.v[idx]),
-            self.rows(poses_q, idx), poses_kv, split=split,
-            k=keysvals.k, v=keysvals.v,
+            self.rows(poses_q, idx), poses_kv, k=keysvals.k, v=keysvals.v,
         )
         assert merged[idx] == pytest.approx(expected, abs=1e-12), variant
 
@@ -903,11 +862,10 @@ class TestQueryBlocks:
     def test_rows_at_block_edges_match_the_oracle(self, variant):
         qkv, poses = self.banks(64, 300)
         out = mhsa(qkv, poses, variant)
-        split = self.D_K // 2 if variant is Variant.DROPE_IH else None
         expected = run_reference(
             variant, QKVSet(qkv.q[self.ROWS], qkv.k[self.ROWS], qkv.v[self.ROWS]),
             PoseSet(poses.positions[self.ROWS], poses.headings[self.ROWS]), poses,
-            split=split, k=qkv.k, v=qkv.v,
+            k=qkv.k, v=qkv.v,
         )
         assert out.merged[self.ROWS] == pytest.approx(expected, abs=1e-12)
 

@@ -146,6 +146,30 @@ class TestProfile:
             others = [v for i, v in enumerate(row[1:]) if i != rpe_col]
             assert row[1 + rpe_col] > max(others)
 
+    def test_dat_tables_hold_one_block_per_heads_and_value_width(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": {
+            "n_tokens": [8, 16], "n_heads": [4, 8], "d_k": [2, 4], "d_v": [3, 5]}}))
+        out = tmp_path / "profile"
+        assert main(["profile", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "memory_flops.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for name, column in (("memory_vs_width.dat", "total_scalars_in_place"),
+                             ("flops_vs_width.dat", "flops_total")):
+            blocks = (out / name).read_text().split("\n\n\n")
+            assert len(blocks) == 4
+            for block, (h, d_v) in zip(blocks, [(4, 3), (4, 5), (8, 3), (8, 5)]):
+                title, header, *lines = block.strip().splitlines()
+                assert title.endswith(f" at n_tokens=16 n_heads={h} d_v={d_v}")
+                variants = header.split()[2:]
+                expected = {
+                    (2 * int(row["d_k"]), row["variant"]): row[column] for row in rows
+                    if (row["n_tokens"], row["n_heads"], row["d_v"]) == ("16", str(h), str(d_v))
+                }
+                table = {(int(line.split()[0]), variant): value for line in lines
+                         for variant, value in zip(variants, line.split()[1:])}
+                assert table == expected
+
     def test_empty_grid_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"grid": {"n_tokens": []}}))
@@ -256,8 +280,12 @@ _GRID = {"n_heads": [4], "d_k": [32], "d_v": [64]}
     pytest.param("verify", {"seed": "x"}, "seed", id="verify-seed"),
     pytest.param("verify", {"d_k_values": 3}, "d_k_values", id="verify-d_k_values"),
     pytest.param("verify", {"d_k_values": []}, "d_k_values", id="verify-empty-d_k_values"),
+    pytest.param("verify", {"d_k_values": [-1]}, "d_k_values", id="verify-negative-d_k_values"),
+    pytest.param("verify", {"d_k_values": [0]}, "d_k_values", id="verify-zero-d_k_values"),
     pytest.param("profile", {"grid": {"n_tokens": ["a"], **_GRID}}, "n_tokens",
                  id="profile-grid"),
+    pytest.param("profile", {"grid": {"n_tokens": [0], **_GRID}}, "n_tokens",
+                 id="profile-zero-n_tokens"),
     pytest.param("profile", {"variants": "plain"}, "variants", id="profile-variants"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, payload, key):

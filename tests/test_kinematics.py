@@ -136,7 +136,8 @@ class TestActionGrid:
             ActionGrid.default().action(81)
 
     def test_actions_are_shared_and_unchanged(self):
-        grid = ActionGrid.default(n_accel=5, n_yaw=3)
+        grid = ActionGrid(tuple(np.linspace(-ACCEL_LIMIT, ACCEL_LIMIT, 5)),
+                          tuple(np.linspace(-YAW_RATE_LIMIT, YAW_RATE_LIMIT, 3)))
         for index in range(grid.n_actions):
             action = grid.action(index)
             assert action is grid.action(index)

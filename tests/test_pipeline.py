@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -400,12 +399,12 @@ class TestRollout:
         scene = make_constant_velocity_scene(seed=19, n_steps=3)
         result = rollout(scene, ConstantActionPolicy(ZERO_ACTION), horizon=2)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, result, scene_id=7)
+        write_trajectory_csv(path, result)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "scene_id,agent_id,t,x,y,yaw,v"
         assert len(lines) == 1 + scene.n_agents * 2
         first = lines[1].split(",")
-        assert first[0] == "7" and first[1] == "0" and first[2] == "0"
+        assert first[0] == "0" and first[1] == "0" and first[2] == "0"
         assert float(first[3]) == result.states[0, 0, 0]
 
 
@@ -682,17 +681,6 @@ class TestConfigValidation:
         config = small_config(d_k=4)
         assert config.sched is config.sched
         assert np.array_equal(config.sched.freqs, FrequencySchedule.default(4).freqs)
-
-    @pytest.mark.parametrize("d_k", [2, 3])
-    def test_intra_head_gets_balanced_split(self, d_k):
-        # the config leaves the split to the engine, which gives d_k // 2 pairs
-        config = small_config(Variant.DROPE_IH, d_k=d_k)
-        assert config.split is None
-        weights = PipelineWeights.seeded(config, seed=9)
-        scene = small_scene(9)
-        explicit = dataclasses.replace(config, split=d_k // 2)
-        assert np.array_equal(forward(scene, weights, config)[0].logits,
-                              forward(scene, weights, explicit)[0].logits)
 
     def test_identity_weights_need_matching_dims(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import drope.profiling as profiling
 from drope.attention import PoseSet, QKVSet, RPEEncoders, Variant, mhsa, recording
 from drope.errors import ConfigurationError, VerificationError
 from drope.profiling import (
@@ -72,6 +74,20 @@ class TestMeasuredAgainstPredicted:
             for h in heads:
                 verify_memory_ledger(variant, n, h, 4, 8)
 
+    @pytest.mark.parametrize("category", ["qkv_scalars", "embedded_scalars", "pairwise_scalars"])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_a_count_one_scalar_off_fails(self, monkeypatch, variant, category):
+        # the check's inputs are constant, yet a wrong ledger still fails it
+        count = profiling.count_input_memory
+
+        def off_by_one(*args):
+            report = count(*args)
+            return dataclasses.replace(report, **{category: getattr(report, category) + 1})
+
+        monkeypatch.setattr(profiling, "count_input_memory", off_by_one)
+        with pytest.raises(VerificationError, match=f"^{variant.value} "):
+            verify_memory_ledger(variant, 4, 2, 4, 8)
+
     def test_measured_mode_returns_categories(self):
         rng = np.random.default_rng(0)
         with recording() as records:
@@ -113,9 +129,19 @@ class TestFlopCounts:
             ) >= 0
 
     def test_rpe_encoder_component(self):
-        report = count_flops(Variant.RPE, 4, None, 2, 3, 5, rpe_hidden=32)
+        report = count_flops(Variant.RPE, 4, None, 2, 3, 5)
         per_pair = mlp_flops(3, 32, 6) + mlp_flops(3, 32, 5) + 4
         assert report.flops_rpe_encoders == 16 * per_pair + 16 * 2 * (6 + 5)
+
+    def test_rpe_encoders_counted_at_the_engine_encoders_widths(self):
+        n, m, h, d_k, d_v = 4, 6, 2, 3, 5
+        enc = RPEEncoders.seeded(d_k, d_v)
+        per_pair = 4    # the relative descriptor
+        for w1, w2 in ((enc.w1_k, enc.w2_k), (enc.w1_v, enc.w2_v)):
+            (n_in, hidden), (_, n_out) = w1.shape, w2.shape
+            per_pair += 2 * n_in * hidden + hidden + hidden + 2 * hidden * n_out + n_out
+        report = count_flops(Variant.RPE, n, m, h, d_k, d_v)
+        assert report.flops_rpe_encoders == n * m * per_pair + n * m * h * (2 * d_k + d_v)
 
     def test_rpe_exceeds_drope_by_more_than_two(self):
         rpe = count_flops(Variant.RPE, 64, None, 4, 32, 64)
