@@ -49,6 +49,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
 from .rotary import (
     FrequencySchedule,
+    _as_finite,
     heading_pair_angles,
     planar_pair_angles,
     rotate_pairs,
@@ -111,13 +112,6 @@ QUERY_BLOCK = 128
 
 #: Hidden width of both pairwise encoders; the FLOP ledger counts this width.
 RPE_HIDDEN = 32
-
-
-def _as_finite(name: str, arr, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(arr, dtype=dtype)
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError(f"{name} must be finite")
-    return arr
 
 
 @dataclass

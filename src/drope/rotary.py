@@ -3,9 +3,12 @@
 All angles are radians; canonical angles live in [0, 2*pi). A vector of
 length 2*p is treated as p complex pairs x[2l] + i*x[2l+1], each turned by
 one multiply with its unit phasor e^{i*angle}; a rotation allocates only a
-phasor array the size of its angles beyond the output.
+phasor array the size of its angles beyond the output. ``rotate_pairs`` is
+the one place that takes cosines and sines: ``rotate2d`` is its matrix form,
+the basis pairs (1, 0) and (0, 1) turned by it.
 
-Two embeddings are provided:
+Two embeddings are provided, each taking one position or heading per vector
+(an array broadcasting against ``x.shape[:-1]``, or a scalar for all):
 
 * ``rope_embed`` rotates pair l by ``m * freqs[l]`` for a scalar position m,
   so relative positions appear implicitly in QK dot products.
@@ -57,12 +60,12 @@ def wrap_angle(theta):
     return wrapped
 
 
-def _angle_value(theta) -> float:
-    """Extract a finite float angle from a float or numpy scalar."""
-    value = float(theta)
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"angle must be finite, got {value!r}")
-    return value
+def _as_finite(name: str, arr) -> np.ndarray:
+    """``arr`` as a float64 array; a non-finite entry is an ``InvalidArgumentError``."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,14 @@ class FrequencySchedule:
 
 
 def rotate2d(theta) -> np.ndarray:
-    """2x2 counterclockwise rotation matrix [[c, -s], [s, c]].
+    """Counterclockwise rotation matrices [[c, -s], [s, c]], (..., 2, 2) for angles (...).
 
-    Canonicalization is not required; rotation is periodic in the input.
+    The columns are the basis pairs turned by ``rotate_pairs``, so the matrices
+    hold exactly its cosines and sines. Canonicalization is not required.
     """
-    t = _angle_value(theta)
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
+    theta = _as_finite("angle", theta)
+    basis = np.broadcast_to(np.eye(2), theta.shape + (2, 2))
+    return rotate_pairs(basis, theta[..., None, None]).swapaxes(-2, -1)
 
 
 def rotate_pairs(x, angles) -> np.ndarray:
@@ -132,27 +136,27 @@ def rotate_pairs(x, angles) -> np.ndarray:
 
 
 def rope_embed(x, m, sched: FrequencySchedule) -> np.ndarray:
-    """Embed a scalar position by rotating pair l of ``x`` by ``m * freqs[l]``."""
+    """Embed scalar positions ``m``, one per vector, by rotating pair l of ``x``
+    by ``m * freqs[l]``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (2 * sched.d_k,):
         raise DimensionMismatchError(
             f"vector shape {x.shape} does not end in 2*d_k = {2 * sched.d_k}"
         )
-    m = float(m)
-    if not math.isfinite(m):
-        raise InvalidArgumentError(f"position must be finite, got {m!r}")
-    return rotate_pairs(x, m * sched.freqs)
+    return rotate_pairs(x, _as_finite("position", m)[..., None] * sched.freqs)
 
 
 def drope_embed(x, theta, freqs=None) -> np.ndarray:
-    """Embed a heading by rotating every 2D pair of ``x`` by the same angle.
+    """Embed headings ``theta``, one per vector, by rotating every 2D pair of a
+    vector of ``x`` by its heading.
 
     ``freqs`` is the fault-injection hook of ``heading_pair_angles``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] % 2 != 0:
         raise DimensionMismatchError(f"vector length must be even, got shape {x.shape}")
-    return rotate_pairs(x, heading_pair_angles(_angle_value(theta), x.shape[-1] // 2, freqs))
+    angles = heading_pair_angles(_as_finite("heading", theta), x.shape[-1] // 2, freqs)
+    return rotate_pairs(x, angles)
 
 
 def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:

@@ -1,10 +1,17 @@
 """Numerical property suite behind the verify command.
 
 Each check is pure and seeded; the suite returns one result per property
-with the worst observed error and its tolerance. The optional fault
-injection routes the multi-frequency schedule into the heading embedding,
-which breaks exactly the angle-periodicity properties and serves as the
-negative control for the whole apparatus.
+with the worst observed error and its tolerance. A check is one call per
+d_k or per variant over its whole trial bank, and every rotation goes
+through ``rotate_pairs``, the kernel the engines run: the rotation
+properties compare (trials, 2, 2) stacks of ``rotate2d``, the embedding
+properties embed whole banks, and the engine properties stack their cases
+on a batch axis, so each engine run is one ``mhsa`` call over all cases.
+Row-wise dot products are stacked (n, 1, W) @ (n, W, 1) matmuls, which
+round as a 1-D ``@`` does. The optional fault injection routes the
+multi-frequency schedule into the heading embedding, which breaks exactly
+the angle-periodicity properties and serves as the negative control for the
+whole apparatus.
 """
 
 from __future__ import annotations
@@ -14,16 +21,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import PoseSet, QKVSet, Variant, mhsa, recording
+from .attention import ROTARY_VARIANTS, PoseSet, QKVSet, Variant, mhsa, recording
 from .errors import ConfigurationError, empty_array
 from .rotary import (
     TWO_PI,
     FrequencySchedule,
     drope_embed,
-    heading_pair_angles,
     rope_embed,
     rotate2d,
-    rotate_pairs,
     wrap_angle,
 )
 
@@ -102,9 +107,18 @@ def _shift_errors(d1: np.ndarray, d2: np.ndarray, q: np.ndarray, k: np.ndarray) 
     return np.abs(d1 - d2) / np.maximum(np.sum(q_norms * k_norms, axis=-1), 1e-30)
 
 
-def _rel_err_arrays(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-30)
-    return float(np.max(np.abs(a - b)) / scale)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (n, W) banks, as one stacked
+    (n, 1, W) @ (n, W, 1) product, which rounds as ``a[i] @ b[i]`` does row by row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _rel_errors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per case of two (C, N, W) output stacks, max |a - b| over the larger max |.|."""
+    def peak(x):
+        return np.max(np.abs(x), axis=(-2, -1))
+
+    return peak(a - b) / np.maximum(np.maximum(peak(a), peak(b)), 1e-30)
 
 
 def _check_rotation_group_law(cfg: VerificationConfig) -> PropertyResult:
@@ -116,10 +130,7 @@ def _check_rotation_group_law(cfg: VerificationConfig) -> PropertyResult:
         rng.random(out=angles)
         angles *= 200.0
         angles -= 100.0
-    worst = 0.0
-    for ai, bi in zip(a, b):
-        gap = np.max(np.abs(rotate2d(ai) @ rotate2d(bi) - rotate2d(ai + bi)))
-        worst = max(worst, float(gap))
+    worst = float(np.max(np.abs(rotate2d(a) @ rotate2d(b) - rotate2d(a + b))))
     return PropertyResult(
         "rotation_group_law", cfg.trials, worst, tol, worst < tol,
         "R(a) @ R(b) == R(a+b) for |a|,|b| <= 100",
@@ -129,10 +140,8 @@ def _check_rotation_group_law(cfg: VerificationConfig) -> PropertyResult:
 def _check_transpose_inverse(cfg: VerificationConfig) -> PropertyResult:
     rng = np.random.default_rng(cfg.seed + 2)
     tol = 1e-12
-    worst = 0.0
-    for theta in rng.uniform(-100.0, 100.0, cfg.trials):
-        gap = np.max(np.abs(rotate2d(theta).T - rotate2d(-theta)))
-        worst = max(worst, float(gap))
+    theta = rng.uniform(-100.0, 100.0, cfg.trials)
+    worst = float(np.max(np.abs(rotate2d(theta).swapaxes(-2, -1) - rotate2d(-theta))))
     return PropertyResult(
         "rotation_transpose_inverse", cfg.trials, worst, tol, worst < tol,
         "R(a).T == R(-a)",
@@ -150,11 +159,10 @@ def _check_norm_preservation(cfg: VerificationConfig) -> PropertyResult:
         x = rng.standard_normal((n, 2 * d_k))
         positions = rng.uniform(-100.0, 100.0, n)
         thetas = rng.uniform(0.0, TWO_PI, n)
-        for i in range(n):
-            base = np.linalg.norm(x[i])
-            roped = np.linalg.norm(rope_embed(x[i], positions[i], sched))
-            droped = np.linalg.norm(drope_embed(x[i], thetas[i]))
-            worst = max(worst, abs(roped - base) / base, abs(droped - base) / base)
+        base = np.sqrt(_row_dots(x, x))
+        for embedded in (rope_embed(x, positions, sched), drope_embed(x, thetas)):
+            norms = np.sqrt(_row_dots(embedded, embedded))
+            worst = max(worst, float(np.max(np.abs(norms - base) / base)))
         trials += n
     return PropertyResult(
         "embedding_norm_preservation", trials, worst, tol, worst < tol,
@@ -175,14 +183,8 @@ def _check_position_shift_identity(cfg: VerificationConfig) -> PropertyResult:
         m_i = rng.uniform(-1000.0, 1000.0, n)
         m_j = rng.uniform(-1000.0, 1000.0, n)
         offset = rng.uniform(-500.0, 500.0, n)
-        d1 = np.empty(n)
-        d2 = np.empty(n)
-        for t in range(n):
-            d1[t] = rope_embed(q[t], m_i[t], sched) @ rope_embed(k[t], m_j[t], sched)
-            d2[t] = (
-                rope_embed(q[t], m_i[t] + offset[t], sched)
-                @ rope_embed(k[t], m_j[t] + offset[t], sched)
-            )
+        d1 = _row_dots(rope_embed(q, m_i, sched), rope_embed(k, m_j, sched))
+        d2 = _row_dots(rope_embed(q, m_i + offset, sched), rope_embed(k, m_j + offset, sched))
         worst = max(worst, float(np.max(_shift_errors(d1, d2, q, k))))
         trials += n
     return PropertyResult(
@@ -210,15 +212,12 @@ def _check_angle_shift_identity(cfg: VerificationConfig) -> PropertyResult:
         theta_i[::4] = 0.2
         theta_j[::4] = 5.9
         delta[::4] = 1.0
-        d1 = np.einsum(
-            "td,td->t",
-            rotate_pairs(q, heading_pair_angles(theta_i, d_k, freqs)),
-            rotate_pairs(k, heading_pair_angles(theta_j, d_k, freqs)),
-        )
+        # einsum, not _row_dots: the reported figures carry its rounding
+        d1 = np.einsum("td,td->t", drope_embed(q, theta_i, freqs), drope_embed(k, theta_j, freqs))
         d2 = np.einsum(
             "td,td->t",
-            rotate_pairs(q, heading_pair_angles(wrap_angle(theta_i + delta), d_k, freqs)),
-            rotate_pairs(k, heading_pair_angles(wrap_angle(theta_j + delta), d_k, freqs)),
+            drope_embed(q, wrap_angle(theta_i + delta), freqs),
+            drope_embed(k, wrap_angle(theta_j + delta), freqs),
         )
         worst = max(worst, float(np.max(_shift_errors(d1, d2, q, k))))
         trials += n
@@ -250,63 +249,60 @@ def _check_counterexample(cfg: VerificationConfig) -> PropertyResult:
     )
 
 
-@dataclass
-class _EngineCase:
-    qkv: QKVSet
-    poses: PoseSet
-    sched: FrequencySchedule
+def _engine_bank(cfg: VerificationConfig, salt: int, draw=lambda rng: ()):
+    """The engine checks' cases as one bank: C cases of 6 tokens, 2 heads and
+    d_k = d_v = 4 stacked on a leading axis, so one ``mhsa`` call runs them all.
 
-
-def _engine_cases(cfg: VerificationConfig, salt: int):
+    Each case's ``draw(rng)`` is taken right after its banks and poses, as
+    drawing case by case takes it. Returns the (C, 6, ...) ``QKVSet``, the
+    ``PoseSet``, the stacked draws and the engine's keyword settings.
+    """
     rng = np.random.default_rng(cfg.seed + salt)
     n_cases = max(3, min(cfg.trials // 100, 20))
-    d_k = 4
-    for _ in range(n_cases):
-        yield rng, _EngineCase(
-            qkv=QKVSet.random(6, 2, d_k, 4, rng),
-            poses=PoseSet.random(6, rng),
-            sched=FrequencySchedule.default(d_k),
-        )
 
+    def case():
+        qkv, poses = QKVSet.random(6, 2, 4, 4, rng), PoseSet.random(6, rng)
+        return qkv.q, qkv.k, qkv.v, poses.positions, poses.headings, draw(rng)
 
-def _run_engine(case: _EngineCase, variant, poses, cfg: VerificationConfig):
-    return mhsa(
-        case.qkv, poses, variant,
-        sched=case.sched, angle_freqs=cfg.angle_freqs(case.sched),
-    )
+    q, k, v, positions, headings, draws = map(np.stack, zip(*(case() for _ in range(n_cases))))
+    sched = FrequencySchedule.default(4)
+    engine = {"sched": sched, "angle_freqs": cfg.angle_freqs(sched)}
+    return QKVSet(q, k, v), PoseSet(positions, headings), draws, engine
 
 
 def _check_translation_invariance(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-8
-    worst = 0.0
-    trials = 0
-    for variant in (Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH):
-        for rng, case in _engine_cases(cfg, 6):
-            base = _run_engine(case, variant, case.poses, cfg)
-            shifted = case.poses.translated(*rng.uniform(-100.0, 100.0, 2))
-            moved = _run_engine(case, variant, shifted, cfg)
-            worst = max(worst, _rel_err_arrays(base.merged, moved.merged))
-            trials += 1
+    qkv, poses, shifts, engine = _engine_bank(cfg, 6, lambda rng: rng.uniform(-100.0, 100.0, 2))
+    moved = PoseSet(poses.positions + shifts[:, None, :], poses.headings)
+    errors = np.array([
+        _rel_errors(mhsa(qkv, poses, variant, **engine).merged,
+                    mhsa(qkv, moved, variant, **engine).merged)
+        for variant in ROTARY_VARIANTS
+    ])
+    worst = float(np.max(errors))
     return PropertyResult(
-        "engine_translation_invariance", trials, worst, tol, worst < tol,
+        "engine_translation_invariance", errors.size, worst, tol, worst < tol,
         "rotary-variant outputs are unchanged by common translations",
     )
 
 
 def _check_heading_shift_invariance(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-8
-    worst = 0.0
-    trials = 0
-    for variant in (Variant.DROPE_HBH, Variant.DROPE_IH):
-        for rng, case in _engine_cases(cfg, 7):
-            base = _run_engine(case, variant, case.poses, cfg)
-            wrap_shift = TWO_PI - float(np.max(case.poses.headings)) + 0.1
-            for shift in (float(rng.uniform(0.0, TWO_PI)), TWO_PI, wrap_shift):
-                moved = _run_engine(case, variant, case.poses.heading_shifted(shift), cfg)
-                worst = max(worst, _rel_err_arrays(base.merged, moved.merged))
-                trials += 1
+    qkv, poses, draws, engine = _engine_bank(cfg, 7, lambda rng: rng.uniform(0.0, TWO_PI))
+    wrap_shifts = TWO_PI - np.max(poses.headings, axis=-1) + 0.1
+    shifts = np.stack([draws, np.full_like(draws, TWO_PI), wrap_shifts])[..., None]
+    # the three shifts of every case as one (3, C, 6, ...) bank
+    tiled = QKVSet(*(np.broadcast_to(bank, (3,) + bank.shape) for bank in (qkv.q, qkv.k, qkv.v)))
+    moved = PoseSet(np.broadcast_to(poses.positions, (3,) + poses.positions.shape),
+                    poses.headings + shifts)
+    errors = np.array([
+        _rel_errors(mhsa(qkv, poses, variant, **engine).merged,
+                    mhsa(tiled, moved, variant, **engine).merged)
+        for variant in (Variant.DROPE_HBH, Variant.DROPE_IH)
+    ])
+    worst = float(np.max(errors))
     return PropertyResult(
-        "engine_heading_shift_invariance", trials, worst, tol, worst < tol,
+        "engine_heading_shift_invariance", errors.size, worst, tol, worst < tol,
         "directional-variant outputs are unchanged by common heading shifts, "
         "including shifts that wrap individual headings across 0",
     )
@@ -314,40 +310,34 @@ def _check_heading_shift_invariance(cfg: VerificationConfig) -> PropertyResult:
 
 def _check_rows_stochastic(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-9
-    worst = 0.0
-    trials = 0
-    for variant in Variant:
-        if variant is Variant.RPE:
-            continue
-        for _rng, case in _engine_cases(cfg, 8):
-            with recording() as records:
-                _run_engine(case, variant, case.poses, cfg)
-            alpha = records[0].weights
-            worst = max(worst, float(np.max(np.abs(alpha.sum(axis=-1) - 1.0))))
-            in_range = float(max(np.max(-alpha, initial=0.0), np.max(alpha - 1.0, initial=0.0)))
-            worst = max(worst, in_range)
-            trials += 1
+    qkv, poses, _, engine = _engine_bank(cfg, 8)
+    variants = [variant for variant in Variant if variant is not Variant.RPE]
+    with recording() as records:
+        for variant in variants:
+            mhsa(qkv, poses, variant, **engine)
+    alpha = np.stack([record.weights for record in records])
+    worst = float(max(np.max(np.abs(alpha.sum(axis=-1) - 1.0)),
+                      np.max(-alpha, initial=0.0), np.max(alpha - 1.0, initial=0.0)))
     return PropertyResult(
-        "attention_rows_stochastic", trials, worst, tol, worst < tol,
+        "attention_rows_stochastic", len(variants) * len(qkv.q), worst, tol, worst < tol,
         "retained attention rows sum to 1 with entries in [0, 1]",
     )
 
 
 def _check_permutation_equivariance(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-10
-    worst = 0.0
-    trials = 0
-    for variant in (Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH):
-        for rng, case in _engine_cases(cfg, 9):
-            base = _run_engine(case, variant, case.poses, cfg)
-            perm = rng.permutation(case.qkv.n_tokens)
-            permuted_qkv = QKVSet(case.qkv.q[perm], case.qkv.k[perm], case.qkv.v[perm])
-            permuted_case = _EngineCase(permuted_qkv, case.poses.permuted(perm), case.sched)
-            permuted = _run_engine(permuted_case, variant, permuted_case.poses, cfg)
-            worst = max(worst, float(np.max(np.abs(permuted.merged - base.merged[perm]))))
-            trials += 1
+    qkv, poses, perms, engine = _engine_bank(cfg, 9, lambda rng: rng.permutation(6))
+    rows = (np.arange(len(perms))[:, None], perms)
+    permuted_qkv = QKVSet(qkv.q[rows], qkv.k[rows], qkv.v[rows])
+    permuted_poses = PoseSet(poses.positions[rows], poses.headings[rows])
+    variants = (Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
+    worst = max(
+        float(np.max(np.abs(mhsa(permuted_qkv, permuted_poses, variant, **engine).merged
+                            - mhsa(qkv, poses, variant, **engine).merged[rows])))
+        for variant in variants
+    )
     return PropertyResult(
-        "permutation_equivariance", trials, worst, tol, worst < tol,
+        "permutation_equivariance", len(variants) * len(perms), worst, tol, worst < tol,
         "permuting tokens and poses permutes the output rows",
     )
 

@@ -116,6 +116,21 @@ class TestRotate2d:
         with pytest.raises(InvalidArgumentError):
             rotate2d(float("inf"))
 
+    def test_angle_banks_give_stacked_matrices(self):
+        thetas = np.random.default_rng(10).uniform(-100.0, 100.0, (4, 3))
+        stacked = rotate2d(thetas)
+        assert stacked.shape == (4, 3, 2, 2)
+        for index in np.ndindex(thetas.shape):
+            assert np.array_equal(stacked[index], rotate2d(thetas[index]))
+        with pytest.raises(InvalidArgumentError):
+            rotate2d(np.array([0.5, np.nan]))
+
+    def test_columns_are_the_basis_pairs_turned_by_rotate_pairs(self):
+        theta = 0.83
+        matrix = rotate2d(theta)
+        assert np.array_equal(matrix[:, 0], rotate_pairs(np.array([1.0, 0.0]), theta))
+        assert np.array_equal(matrix[:, 1], rotate_pairs(np.array([0.0, 1.0]), theta))
+
 
 class TestRotatePairs:
     """The one rotation kernel against the scalar oracle, row by row."""
@@ -201,6 +216,38 @@ class TestRotatePairs:
                     lambda: rotate_pairs(1.0, 0.0)):
             with pytest.raises(DimensionMismatchError):
                 bad()
+
+
+class TestEmbeddingBanks:
+    """One position or heading per vector of a bank, as the verify suite calls them."""
+
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((6, 8))
+    values = rng.uniform(-100.0, 100.0, 6)
+
+    @pytest.mark.parametrize("embed", [
+        lambda x, m: rope_embed(x, m, FrequencySchedule.default(4)),
+        drope_embed,
+        lambda x, theta: drope_embed(x, theta, FrequencySchedule.default(4).freqs),
+    ], ids=["rope", "drope", "drope-fault-freqs"])
+    def test_bank_calls_equal_per_row_calls_bitwise(self, embed):
+        bank = embed(self.x, self.values)
+        rows = np.stack([embed(row, value) for row, value in zip(self.x, self.values)])
+        assert np.array_equal(bank, rows)
+        stacked = embed(self.x.reshape(2, 3, 8), self.values.reshape(2, 3))
+        assert np.array_equal(stacked.reshape(6, 8), rows)
+
+    @pytest.mark.parametrize("embed", [
+        lambda x, m: rope_embed(x, m, FrequencySchedule.default(4)), drope_embed,
+    ], ids=["rope", "drope"])
+    def test_bank_errors_are_package_errors(self, embed):
+        bad = self.values.copy()
+        bad[3] = np.inf
+        with pytest.raises(InvalidArgumentError):
+            embed(self.x, bad)
+        for shape in ((5,), (6, 1), (2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                embed(self.x, np.ones(shape))
 
 
 class TestRopeEmbed:

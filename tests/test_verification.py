@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import drope.rotary as rotary
 import drope.verification as verification
 from drope.errors import ConfigurationError
 from drope.rotary import FrequencySchedule, drope_embed, rope_embed
@@ -59,6 +60,43 @@ def test_a_wrong_frequency_in_the_position_shift_fails(monkeypatch):
     monkeypatch.setattr(verification, "rope_embed", mutant)
     result = verification._check_position_shift_identity(VerificationConfig(trials=200))
     assert not result.passed
+
+
+def test_row_dots_equal_per_row_products_bitwise():
+    # the shift identities and norm preservation report figures of 1-D products
+    rng = np.random.default_rng(40)
+    for width in (2, 16, 64):
+        a, b = rng.standard_normal((2, 50, width))
+        assert np.array_equal(verification._row_dots(a, b), [a[i] @ b[i] for i in range(50)])
+        assert np.array_equal(np.sqrt(verification._row_dots(a, a)),
+                              [np.linalg.norm(row) for row in a])
+
+
+def failed_properties(cfg):
+    return [result.name for result in run_verification(cfg) if not result.passed]
+
+
+@pytest.mark.parametrize("mutant, failed", [
+    # phasors of modulus 1 + 1e-9: R(a) @ R(b) grows twice as much as R(a + b)
+    (lambda real, x, angles: real(x, angles) * (1.0 + 1e-9), "rotation_group_law"),
+    # sin(|a|): an odd sine is what makes R(a).T equal R(-a)
+    (lambda real, x, angles: real(x, np.abs(angles)), "rotation_transpose_inverse"),
+], ids=["scaled-phasors", "even-sine"])
+def test_the_rotation_checks_run_through_the_engines_kernel(monkeypatch, mutant, failed):
+    real = rotary.rotate_pairs
+    monkeypatch.setattr(rotary, "rotate_pairs", lambda x, angles: mutant(real, x, angles))
+    assert failed in failed_properties(VerificationConfig(trials=50))
+
+
+def test_seed_sweep_passes_and_the_fault_fails_exactly_the_heading_properties():
+    heading_properties = [
+        "angle_shift_identity", "angle_periodicity_counterexample",
+        "engine_heading_shift_invariance",
+    ]
+    for seed in range(20):
+        assert failed_properties(VerificationConfig(seed=seed)) == []
+        faulty = VerificationConfig(seed=seed, fault_injection=FAULT_ROPE_FREQS_IN_FANGLE)
+        assert failed_properties(faulty) == heading_properties
 
 
 def test_periodicity_checks_the_operators_not_a_random_pair():
