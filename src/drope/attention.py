@@ -243,16 +243,6 @@ class PoseSet:
             headings=rng.uniform(0.0, 2.0 * math.pi, n_tokens),
         )
 
-    def translated(self, dx: float, dy: float) -> "PoseSet":
-        return PoseSet(self.positions + np.array([dx, dy]), self.headings)
-
-    def heading_shifted(self, dtheta: float) -> "PoseSet":
-        return PoseSet(self.positions, self.headings + dtheta)
-
-    def permuted(self, perm) -> "PoseSet":
-        perm = np.asarray(perm)
-        return PoseSet(self.positions[..., perm, :], self.headings[..., perm])
-
 
 @dataclass
 class RPEEncoders:

@@ -86,6 +86,8 @@ _SIZE_LIST = ("a non-empty list of positive 64-bit integers",
               and all(_is_int(item) and item > 0 for item in v))
 _STRING_LIST = ("a list of strings",
                 lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v))
+_POLICY = ("'pipeline' or 'constant'", lambda v: v in ("pipeline", "constant"))
+_MODE = ("'greedy' or 'sample'", lambda v: v in ("greedy", "sample"))
 
 
 def _setting(config: dict, key: str, kind, default, flag=None):
@@ -247,8 +249,8 @@ def cmd_rollout(args) -> int:
     seed = _setting(config, "seed", _SEED, 0, args.seed)
     horizon = _setting(config, "horizon", _INT, 16, args.horizon)
     samples = _setting(config, "samples", _INT, 1, args.samples)
-    policy_name = _setting(config, "policy", _STRING, "pipeline", args.policy)
-    mode = _setting(config, "mode", _STRING, "greedy", args.mode)
+    policy_name = _setting(config, "policy", _POLICY, "pipeline", args.policy)
+    mode = _setting(config, "mode", _MODE, "greedy", args.mode)
     variant = Variant.from_string(_setting(config, "variant", _STRING, "drope-hbh", args.variant))
     if horizon < 1 or samples < 1:
         raise ConfigurationError("horizon and samples must be positive")
@@ -269,10 +271,8 @@ def cmd_rollout(args) -> int:
     for sample in range(samples):
         if policy_name == "constant":
             policy = ConstantActionPolicy(ZERO_ACTION)
-        elif policy_name == "pipeline":
-            policy = PipelinePolicy(weights, pipe_config, mode=mode, seed=seed + sample)
         else:
-            raise ConfigurationError(f"unknown policy {policy_name!r}")
+            policy = PipelinePolicy(weights, pipe_config, mode=mode, seed=seed + sample)
         result = rollout(history, policy, horizon)
         results.append(result)
         filename = f"trajectories_{sample:02d}.csv"

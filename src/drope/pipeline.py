@@ -14,13 +14,13 @@ action (greedy or seeded sampling), advance all agents with one vectorized
 kinematic update, repeat. ``PipelinePolicy`` decodes incrementally: the
 interaction blocks treat each timestep on its own, the map never changes
 during a rollout, and temporal attention is causal with a sinusoidal row per
-step that does not depend on the sequence length. So a step that only
-appends states encodes the new timestep alone, against each block's map
-keys/values and the temporal keys/values of earlier steps (a preallocated
-cache, written in place and grown in fixed chunks), and gives the logits a
-full forward pass over the history would. The attention sub-blocks compute
-``tokens + FFN(W_o @ attention(tokens))``, so a zero-weight FFN makes a
-block the identity regardless of the projections.
+step that does not depend on the sequence length. So its decoder encodes the
+map once, and each call encodes only the timesteps not yet seen (on the
+first, all of them) in one batched pass, writes their temporal keys/values
+into a preallocated cache grown in fixed chunks, and attends from the newest
+step over it, giving the logits a full forward pass over the history would.
+The attention sub-blocks compute ``tokens + FFN(W_o @ attention(tokens))``,
+so a zero-weight FFN makes a block the identity whatever the projections.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ class SceneTokens:
     map_tokens: np.ndarray       # (n_segments, d_model)
     agent_poses: PoseSet         # time-major: (n_steps, n_agents) poses
     map_poses: PoseSet
-    map_kv: QKVSet | None = None  # the map's cross-attention K/V in the last block applied
 
 
 def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> SceneTokens:
@@ -238,19 +237,23 @@ def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfi
     only the anchor-frame shape. The global poses ride along separately for
     the attention embeddings.
     """
+    return SceneTokens(
+        agent_tokens=_agent_tokens(scene.agent_states, weights),
+        map_tokens=_map_tokens(scene, weights, config),
+        agent_poses=_agent_poses(scene.agent_states.swapaxes(0, 1)),
+        map_poses=scene.map_poses(),
+    )
+
+
+def _map_tokens(scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> np.ndarray:
+    """(n_segments, d_model) map tokens; the scene needs agents, steps and segments."""
     if scene.n_agents == 0 or scene.n_steps == 0 or not scene.segments:
         raise InvalidArgumentError("the scene needs agents, steps, and map segments")
-    agent_tokens = _agent_tokens(scene.agent_states, weights)
     map_tokens = np.empty((len(scene.segments), config.d_model))
     for index, segment in enumerate(scene.segments):
         point_feats = np.tanh(segment.local_shape @ weights.map_point_w + weights.map_point_b)
         map_tokens[index] = point_feats.mean(axis=0) @ weights.map_out_w + weights.map_out_b
-    return SceneTokens(
-        agent_tokens=agent_tokens,
-        map_tokens=map_tokens,
-        agent_poses=_agent_poses(scene.agent_states.swapaxes(0, 1)),
-        map_poses=scene.map_poses(),
-    )
+    return map_tokens
 
 
 def _agent_poses(states: np.ndarray) -> PoseSet:
@@ -284,10 +287,13 @@ def _self_block(tokens, poses, bw, config) -> np.ndarray:
     return tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
-def _map_keysvals(map_tokens: np.ndarray, bw: BlockWeights) -> QKVSet:
-    """The map's cross-attention keys and values; its queries are never read."""
-    keys = _project(map_tokens, bw.w_k)
-    return QKVSet(keys, keys, _project(map_tokens, bw.w_v))
+def _map_block(map_tokens: np.ndarray, map_poses: PoseSet, block: InteractionBlockWeights,
+               config: PipelineConfig):
+    """One block's map self-attention: the new map tokens, and their
+    cross-attention keys and values (the queries slot is never read)."""
+    map_tokens = _self_block(map_tokens, map_poses, block.map_sa, config)
+    keys = _project(map_tokens, block.cross.w_k)
+    return map_tokens, QKVSet(keys, keys, _project(map_tokens, block.cross.w_v))
 
 
 def _agent_interaction(agent_tokens, poses, map_kv: QKVSet, map_poses,
@@ -312,14 +318,13 @@ def interaction_step(
     tokens: SceneTokens, block: InteractionBlockWeights, config: PipelineConfig
 ) -> SceneTokens:
     """One interaction block: the map once, then the agents of all timesteps at once."""
-    map_tokens = _self_block(tokens.map_tokens, tokens.map_poses, block.map_sa, config)
-    map_kv = _map_keysvals(map_tokens, block.cross)
+    map_tokens, map_kv = _map_block(tokens.map_tokens, tokens.map_poses, block, config)
     agent_tokens = _agent_interaction(
         tokens.agent_tokens.swapaxes(0, 1), tokens.agent_poses, map_kv, tokens.map_poses,
         block, config,
     )
     return replace(tokens, agent_tokens=np.ascontiguousarray(agent_tokens.swapaxes(0, 1)),
-                   map_tokens=map_tokens, map_kv=map_kv)
+                   map_tokens=map_tokens)
 
 
 @lru_cache(maxsize=8)
@@ -349,15 +354,9 @@ def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineCo
     Output at step t depends only on inputs at steps <= t; masked positions
     are excluded before the softmax, so the guarantee is bitwise.
     """
-    return _temporal(agent_tokens, bw, config)[0]
-
-
-def _temporal(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineConfig):
-    """``temporal_step``'s output and the temporal banks it attended over."""
     n_steps = agent_tokens.shape[1]
     encoded = agent_tokens + sinusoidal_position_encoding(n_steps, config.d_model)[None]
-    banks = _temporal_banks(encoded, bw)
-    return _temporal_residual(encoded, mhsa_causal(banks), bw), banks
+    return _temporal_residual(encoded, mhsa_causal(_temporal_banks(encoded, bw)), bw)
 
 
 def _temporal_banks(encoded: np.ndarray, bw: BlockWeights) -> QKVSet:
@@ -438,14 +437,14 @@ class ConstantActionPolicy:
 
 @dataclass
 class _IncrementalDecoder:
-    """What PipelinePolicy caches to decode the next step of a rollout.
+    """What PipelinePolicy keeps to decode the next step of a rollout.
 
-    Holds the states already encoded, the map segments, per block the
-    cross-attention keys and values of the map tokens after its map
-    self-attention, the temporal keys and values, and the newest step's
-    distribution. The temporal ``cache`` is preallocated, (capacity,
-    n_agents*H, width) with the keys also in the unread query slot; a push
-    writes its row in place, and a full cache grows by ``CACHE_CHUNK_STEPS``.
+    Holds the states encoded so far (none in a fresh decoder), the map
+    segments, per block the cross-attention keys and values of the map
+    tokens after its map self-attention, and the temporal keys and values.
+    The temporal ``cache`` is preallocated, (capacity, n_agents*H, width)
+    with the keys also in the unread query slot; ``advance`` writes its rows
+    in place, and ``_grown_cache`` sizes every buffer.
     """
 
     states: np.ndarray
@@ -453,25 +452,23 @@ class _IncrementalDecoder:
     map_kv: list
     map_poses: PoseSet
     cache: QKVSet
-    newest: ActionDistribution
 
     @classmethod
-    def cold_start(cls, scene: Scene, weights: PipelineWeights,
-                   config: PipelineConfig) -> "_IncrementalDecoder":
-        """Full forward pass over the scene, keeping what later steps reuse."""
-        tokens = tokenize_scene(scene, weights, config)
+    def for_map(cls, scene: Scene, weights: PipelineWeights,
+                config: PipelineConfig) -> "_IncrementalDecoder":
+        """A decoder of ``scene``'s map and agents that has encoded no timestep."""
+        map_tokens, map_poses = _map_tokens(scene, weights, config), scene.map_poses()
         map_kv = []
         for block in weights.blocks:
-            tokens = interaction_step(tokens, block, config)
-            map_kv.append(tokens.map_kv)
-        final, banks = _temporal(tokens.agent_tokens, weights.temporal, config)
+            map_tokens, block_kv = _map_block(map_tokens, map_poses, block, config)
+            map_kv.append(block_kv)
+        keys = np.zeros((0, scene.n_agents * config.n_heads, 2 * config.d_k))
         return cls(
-            states=scene.agent_states.copy(),
+            states=scene.agent_states[:, :0].copy(),
             segments=tuple(scene.segments),
             map_kv=map_kv,
-            map_poses=tokens.map_poses,
-            cache=_grown_cache(banks, scene.n_steps),
-            newest=decode_actions(final[:, -1:], weights, config),
+            map_poses=map_poses,
+            cache=QKVSet(keys, keys, np.zeros(keys.shape[:-1] + (config.d_v,))),
         )
 
     def extends(self, scene: Scene) -> bool:
@@ -485,45 +482,45 @@ class _IncrementalDecoder:
             and np.array_equal(scene.agent_states[:, :n_steps], self.states)
         )
 
-    def advance(self, scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> None:
-        """Encode each new timestep of ``scene`` and decode the newest one."""
-        for t in range(self.states.shape[1], scene.n_steps):
-            final = self._push(scene.agent_states[:, t], t, weights, config)
-        self.states = scene.agent_states.copy()
-        self.newest = decode_actions(final[:, None], weights, config)
-
-    def _push(self, states: np.ndarray, t: int, weights: PipelineWeights,
-              config: PipelineConfig) -> np.ndarray:
-        """Final temporal tokens (n_agents, d_model) of timestep ``t``."""
-        tokens = _agent_tokens(states, weights)
-        poses = _agent_poses(states)
+    def advance(self, scene: Scene, weights: PipelineWeights,
+                config: PipelineConfig) -> ActionDistribution:
+        """Encode the new timesteps of ``scene`` at once; decode the newest one."""
+        start, end = self.states.shape[1], scene.n_steps
+        states = scene.agent_states[:, start:].swapaxes(0, 1)
+        tokens, poses = _agent_tokens(states, weights), _agent_poses(states)
         for block, map_kv in zip(weights.blocks, self.map_kv):
             tokens = _agent_interaction(tokens, poses, map_kv, self.map_poses, block, config)
-        encoded = (tokens + _step_encoding([t], config.d_model))[:, None]
-        row = _temporal_banks(encoded, weights.temporal)
-        if t == self.cache.n_tokens:
-            self.cache = _grown_cache(self.cache, t)
-        self.cache.k[t], self.cache.v[t] = row.k[0], row.v[0]
+        encoded = tokens.swapaxes(0, 1) + _step_encoding(np.arange(start, end), config.d_model)
+        rows = _temporal_banks(encoded, weights.temporal)
+        if end > self.cache.n_tokens:
+            self.cache = _grown_cache(self.cache, start, end)
+        self.cache.k[start:end], self.cache.v[start:end] = rows.k, rows.v
+        self.states = scene.agent_states.copy()
         # the newest step is the last one, so the causal mask hides nothing
-        attended = mhca(row, self.cache.first(t + 1), None, None, Variant.PLAIN)
-        return _temporal_residual(encoded, attended, weights.temporal)[:, 0]
+        query = rows.q[-1:]
+        attended = mhca(QKVSet(query, query, query), self.cache.first(end), None, None,
+                        Variant.PLAIN)
+        return decode_actions(
+            _temporal_residual(encoded[:, -1:], attended, weights.temporal), weights, config
+        )
 
 
-def _grown_cache(banks: QKVSet, n_steps: int) -> QKVSet:
-    """A cache of ``n_steps + CACHE_CHUNK_STEPS`` steps holding the first ``n_steps`` of ``banks``."""
-    keys = np.zeros((n_steps + CACHE_CHUNK_STEPS,) + banks.k.shape[1:])
-    cache = QKVSet(keys, keys, np.zeros(keys.shape[:-1] + banks.v.shape[-1:]))
-    cache.k[:n_steps], cache.v[:n_steps] = banks.k[:n_steps], banks.v[:n_steps]
-    return cache
+def _grown_cache(cache: QKVSet, n_kept: int, n_steps: int) -> QKVSet:
+    """A buffer of ``n_steps + CACHE_CHUNK_STEPS`` steps holding ``cache``'s first ``n_kept``."""
+    keys = np.zeros((n_steps + CACHE_CHUNK_STEPS,) + cache.k.shape[1:])
+    grown = QKVSet(keys, keys, np.zeros(keys.shape[:-1] + cache.v.shape[-1:]))
+    grown.k[:n_kept], grown.v[:n_kept] = cache.k[:n_kept], cache.v[:n_kept]
+    return grown
 
 
 class PipelinePolicy:
     """Decodes the newest-step distribution and picks an action per agent.
 
-    Successive calls on a growing history (the same map segments, the same
-    agents, earlier states unchanged) encode only the new timesteps against
-    a cache; any other scene is encoded from scratch. Either way the logits
-    are those of ``forward`` on the full history, up to rounding.
+    Every call runs one ``_IncrementalDecoder.advance``. On a growing history
+    (the same map segments, the same agents, earlier states unchanged) it
+    encodes only the new timesteps; any other scene first gets a new decoder
+    for its map. Either way the logits are those of ``forward`` on the full
+    history, up to rounding.
     """
 
     def __init__(self, weights: PipelineWeights, config: PipelineConfig,
@@ -537,14 +534,12 @@ class PipelinePolicy:
         self._decoder: _IncrementalDecoder | None = None
 
     def actions(self, scene: Scene):
-        # taken out while it changes, so a push that raises leaves no stale cache
+        # taken out while it changes, so a step that raises leaves no stale cache
         decoder, self._decoder = self._decoder, None
-        if decoder is not None and decoder.extends(scene):
-            decoder.advance(scene, self.weights, self.config)
-        else:
-            decoder = _IncrementalDecoder.cold_start(scene, self.weights, self.config)
+        if decoder is None or not decoder.extends(scene):
+            decoder = _IncrementalDecoder.for_map(scene, self.weights, self.config)
+        last = decoder.advance(scene, self.weights, self.config)
         self._decoder = decoder
-        last = decoder.newest
         if self.mode == "greedy":
             indices = last.greedy_indices()[:, 0]
         else:

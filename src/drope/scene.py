@@ -60,12 +60,20 @@ def polyline_arc_length(points) -> float:
 
 @dataclass(frozen=True)
 class MapSegment:
-    """A short polyline with an anchor pose and its anchor-frame shape."""
+    """A short polyline with an anchor pose and its anchor-frame shape; immutable,
+    with read-only copies of its arrays."""
 
     points: np.ndarray        # (P, 2) global coordinates
     anchor_xy: np.ndarray     # (2,)
     anchor_heading: float     # canonical; 0.0 for single-point segments
     local_shape: np.ndarray   # (P, 2); the anchor maps to the origin, heading 0
+
+    def __post_init__(self):
+        # read-only copies: a decoder that matched this segment by identity keeps its map
+        for name in ("points", "anchor_xy", "local_shape"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_points(cls, points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH):
@@ -85,7 +93,7 @@ class MapSegment:
         else:
             step = points[mid + 1] - points[mid]
             heading = wrap_angle(math.atan2(step[1], step[0]))
-        anchor = points[mid].copy()
+        anchor = points[mid]
         c, s = math.cos(heading), math.sin(heading)
         rel = points - anchor
         local = np.column_stack([c * rel[:, 0] + s * rel[:, 1],

@@ -204,7 +204,8 @@ class TestRope:
         qkv, poses = make_case(8)
         sched = FrequencySchedule.default(qkv.d_k)
         base = mhsa(qkv, poses, Variant.ROPE, sched=sched)
-        moved = mhsa(qkv, poses.translated(5.3, -2.1), Variant.ROPE, sched=sched)
+        moved = mhsa(qkv, PoseSet(poses.positions + [5.3, -2.1], poses.headings), Variant.ROPE,
+                     sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
 
@@ -241,7 +242,8 @@ class TestDropeHeadByHead:
         qkv, poses = make_case(11)
         sched = FrequencySchedule.default(qkv.d_k)
         base = mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
-        moved = mhsa(qkv, poses.heading_shifted(shift), Variant.DROPE_HBH, sched=sched)
+        moved = mhsa(qkv, PoseSet(poses.positions, poses.headings + shift), Variant.DROPE_HBH,
+                     sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
 
@@ -309,7 +311,8 @@ class TestDropeIntraHead:
         sched = FrequencySchedule.default(qkv.d_k)
         base = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched)
         shift = TWO_PI - float(np.max(poses.headings)) + 0.05
-        moved = mhsa(qkv, poses.heading_shifted(shift), Variant.DROPE_IH, sched=sched)
+        moved = mhsa(qkv, PoseSet(poses.positions, poses.headings + shift), Variant.DROPE_IH,
+                     sched=sched)
         scale = np.max(np.abs(base.merged))
         assert np.max(np.abs(base.merged - moved.merged)) / scale < 1e-8
 
@@ -379,7 +382,7 @@ class TestStructuralProperties:
         perm = rng.permutation(5)
         permuted = mhsa(
             QKVSet(qkv.q[perm], qkv.k[perm], qkv.v[perm]),
-            poses.permuted(perm),
+            PoseSet(poses.positions[perm], poses.headings[perm]),
             variant,
             enc=enc,
         )

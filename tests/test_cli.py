@@ -255,6 +255,22 @@ class TestRollout:
         for name in report["trajectory_files"]:
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"policy": "constant", "mode": "bogus"},
+        {"policy": "bogus"},
+        {"mode": "bogus"},
+        {"policy": ["pipeline"]},
+    ])
+    def test_unknown_policy_or_mode_exits_2_before_any_output(self, tmp_path, capsys,
+                                                               monkeypatch, payload):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        assert main(["rollout", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "rollout-out").exists()
+
     def test_synthetic_scene_from_config(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({

@@ -31,3 +31,51 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"drope.{module}"), name), (module, name)
         assert hasattr(drope, name), name
+
+
+#: The defaulted public settings of the package; lower it when one goes.
+SETTINGS_PINNED = 39
+
+
+def defaulted_settings():
+    """(name, count) for each dataclass field with a default and each function
+    or method with keyword defaults, among the names of each module's ``__all__``.
+
+    A class counts its members whose names do not start with an underscore
+    (so not ``__init__``), and ``ClassVar`` annotations are not fields.
+    """
+    found = []
+    for module in MODULES:
+        public = set(getattr(importlib.import_module(f"drope.{module}"), "__all__", ()))
+        tree = ast.parse(Path(drope.__file__).with_name(f"{module}.py").read_text())
+        for node in tree.body:
+            if getattr(node, "name", None) not in public:
+                continue
+            is_class = isinstance(node, ast.ClassDef)
+            is_dataclass = is_class and any(
+                "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+            )
+            for member in node.body if is_class else [node]:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                    count = len(member.args.defaults) + sum(
+                        default is not None for default in member.args.kw_defaults
+                    )
+                elif (is_dataclass and isinstance(member, ast.AnnAssign)
+                      and member.value is not None
+                      and "ClassVar" not in ast.unparse(member.annotation)):
+                    name, count = member.target.id, 1
+                else:
+                    continue
+                if count and not (is_class and name.startswith("_")):
+                    found.append((f"{module}.{node.name}.{name}" if is_class
+                                  else f"{module}.{name}", count))
+    return found
+
+
+def test_defaulted_public_settings_do_not_grow():
+    found = defaulted_settings()
+    # the walk sees fields, keyword-only defaults and classmethods
+    assert {("pipeline.PipelineConfig.d_model", 1), ("attention.mhsa", 3),
+            ("pipeline.PipelineWeights.seeded", 1)} <= set(found)
+    assert sum(count for _, count in found) <= SETTINGS_PINNED, found

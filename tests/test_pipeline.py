@@ -512,10 +512,12 @@ class TestIncrementalDecoding:
         reference = FullRecomputePolicy(weights, config)
         for scene, cold in calls:
             counts, outputs = Counter(), {}
-            spy_on(monkeypatch, ["tokenize_scene", "decode_actions"], counts, outputs)
+            spy_on(monkeypatch, ["_map_tokens", "_map_block", "decode_actions"], counts, outputs)
             actions = policy.actions(scene)
             monkeypatch.undo()
-            assert counts["tokenize_scene"] == int(cold)
+            # a new decoder encodes the map once; a step on the same map never does
+            assert counts["_map_tokens"] == int(cold)
+            assert counts["_map_block"] == config.n_blocks * int(cold)
             assert_newest_logits_match_forward(
                 outputs["decode_actions"][0].logits[:, -1], scene, weights, config
             )
@@ -541,6 +543,28 @@ class TestIncrementalDecoding:
         assert per_push[4] == {"mhsa": 2, "mhca": 3}
         assert per_push[40] == per_push[4]
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_several_new_steps_cost_the_calls_of_one(self, variant, monkeypatch):
+        config = small_config(variant, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=39)
+        scene = small_scene(39, n_agents=3, n_steps=6)
+        policy = PipelinePolicy(weights, config, mode="sample", seed=6)
+        reference = FullRecomputePolicy(weights, config, mode="sample", seed=6)
+        assert policy.actions(scene.prefix(2)) == reference.actions(scene.prefix(2))
+        for n_steps in (3, 6):  # one new step, then three at once
+            history, counts, outputs = scene.prefix(n_steps), Counter(), {}
+            spy_on(monkeypatch, ["mhsa", "mhca", "mhsa_causal", "_map_block"], counts)
+            spy_on(monkeypatch, ["decode_actions"], Counter(), outputs)
+            actions = policy.actions(history)
+            monkeypatch.undo()
+            # per block one agent self-attention and one agent-to-map call over
+            # every new step, then one temporal call for the newest
+            assert counts == {"mhsa": 2, "mhca": 3}
+            assert_newest_logits_match_forward(
+                outputs["decode_actions"][0].logits[:, 0], history, weights, config
+            )
+            assert actions == reference.actions(history)
+
     def test_push_checks_a_fixed_set_of_arrays(self, monkeypatch):
         config = small_config(n_blocks=2)
         weights = PipelineWeights.seeded(config, seed=35)
@@ -561,11 +585,12 @@ class TestIncrementalDecoding:
         assert per_push[4] and per_push[40] == per_push[4]
         # nothing the size of the 40-token cache, before or after the push
         assert not any({39, 40} & set(shape) for shape in per_push[40])
-        # the cache starts CACHE_CHUNK_STEPS past the 3 cold-started steps
+        # every buffer has room for CACHE_CHUNK_STEPS steps past those it is made
+        # for: the first call's 3, then the 3 + chunk + 1 of the step that fills it
         chunk = pipeline.CACHE_CHUNK_STEPS
         assert all(buffers[n] is buffers[4] for n in range(4, 3 + chunk + 1))
         assert buffers[3 + chunk + 1] is not buffers[4]
-        assert buffers[3 + chunk + 1].n_tokens == 3 + 2 * chunk
+        assert buffers[3 + chunk + 1].n_tokens == 4 + 2 * chunk
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_logits_match_forward_across_cache_chunks(self, variant, monkeypatch):
@@ -581,7 +606,8 @@ class TestIncrementalDecoding:
             rollout(scene, policy, horizon=horizon)
         monkeypatch.undo()
         assert counts["decode_actions"] == horizon
-        assert policy.policy._decoder.cache.n_tokens == 2 + 3 * pipeline.CACHE_CHUNK_STEPS
+        # buffers of 2 + chunk, 3 + 2 * chunk and 4 + 3 * chunk steps
+        assert policy.policy._decoder.cache.n_tokens == 4 + 3 * pipeline.CACHE_CHUNK_STEPS
         for history, decoded in zip(policy.scenes, outputs["decode_actions"]):
             assert_newest_logits_match_forward(decoded.logits[:, 0], history, weights, config)
 

@@ -60,6 +60,17 @@ class TestMapSegment:
         assert segment.anchor_xy == pytest.approx(points[mid])
         assert segment.local_shape[mid] == pytest.approx([0.0, 0.0], abs=1e-12)
 
+    def test_keeps_read_only_copies_of_its_arrays(self):
+        points = make_straight_polyline((0.0, 0.0), 0.3, 20.0)
+        segment = MapSegment.from_points(points)
+        names = ("points", "anchor_xy", "local_shape")
+        kept = {name: getattr(segment, name).copy() for name in names}
+        points += 5.0
+        for name in names:
+            assert np.array_equal(getattr(segment, name), kept[name])
+            with pytest.raises(ValueError):
+                getattr(segment, name)[...] += 1.0
+
 
 class TestSegmentPolyline:
     def test_segments_respect_max_length(self):
