@@ -14,10 +14,10 @@ value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
 Leading axes are batch axes that a bank's poses share; query and key stacks
 broadcast, so one key bank (a map, say) serves a (T, A) stack of queries.
 Scores are scaled by 1/sqrt(d_k) with d_k the pair count. A ``PoseSet`` is
-immutable and keeps the rotation angles of its last settings, so calls that
-share poses compute them once. Inside a ``recording()`` block every call
-appends an ``AttentionRecord``: the scalar counts of the arrays it
-materialized, by ledger category, and a view of its attention weights.
+immutable and keeps the unit phasors of its last rotary setting, so calls
+that share poses take cosines and sines once. Inside a ``recording()`` block
+every call appends an ``AttentionRecord``: the scalar counts of the arrays
+it materialized, by ledger category, and a view of its attention weights.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
 (..., H, N, W) and walked in blocks of ``QUERY_BLOCK`` query rows, so scores
@@ -50,6 +50,7 @@ from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentE
 from .rotary import (
     FrequencySchedule,
     _as_finite,
+    _unit_phasors,
     heading_pair_angles,
     planar_pair_angles,
     rotate_pairs,
@@ -181,14 +182,15 @@ class QKVSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseSet:
     """Global 2D positions (..., N, 2) in meters, headings (..., N) in canonical
-    radians; immutable, with read-only copies of both arrays."""
+    radians; immutable, with read-only copies of both arrays and the unit
+    phasors of its last rotary setting; compared and hashed by identity."""
 
     positions: np.ndarray
     headings: np.ndarray
-    _angles: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _phasors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         positions = np.array(_as_finite("positions", self.positions))
@@ -205,32 +207,32 @@ class PoseSet:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "headings", headings)
 
-    def pair_angles(self, variant, n_heads, d_k, sched, angle_freqs) -> np.ndarray:
-        """Read-only (..., N, H or 1, d_k) rotation angles of a rotary variant's bank.
-
-        The last settings' angles are kept. The schedule is compared by
-        identity (its frequencies are read-only), the rest by value.
+    def pair_phasors(self, variant, d_k, sched, angle_freqs) -> np.ndarray:
+        """Read-only unit phasors of a rotary variant's d_k pairs per head:
+        (..., N, 1, d_k) for rope and drope-ih, (..., N, 2, d_k) for drope-hbh
+        (a row for its position heads, then one for its heading heads). The
+        last setting's are kept; the schedule is compared by identity (its
+        frequencies are read-only), the rest by value.
         """
-        kept = self._angles
-        if (kept is not None and kept[:3] == (variant, n_heads, d_k) and kept[3] is sched
-                and (kept[4] is None) == (angle_freqs is None)
-                and (angle_freqs is None or np.array_equal(kept[4], angle_freqs))):
-            return kept[5]
+        kept = self._phasors
+        if (kept is not None and kept[:2] == (variant, d_k) and kept[2] is sched
+                and (kept[3] is None) == (angle_freqs is None)
+                and (angle_freqs is None or np.array_equal(kept[3], angle_freqs))):
+            return kept[4]
+        angles = np.empty(self.headings.shape + (2 if variant is Variant.DROPE_HBH else 1, d_k))
         if variant is Variant.DROPE_IH:
             split = d_k // 2
-            angles = np.empty(self.headings.shape + (1, d_k))
             angles[..., 0, :split] = planar_pair_angles(self.positions, split, sched.freqs)
             angles[..., 0, split:] = heading_pair_angles(self.headings, d_k - split, angle_freqs)
-        elif variant is Variant.ROPE:
-            angles = planar_pair_angles(self.positions, d_k, sched.freqs)[..., None, :]
         else:
-            angles = np.empty(self.headings.shape + (n_heads, d_k))
-            angles[..., 0::2, :] = planar_pair_angles(self.positions, d_k, sched.freqs)[..., None, :]
-            angles[..., 1::2, :] = heading_pair_angles(self.headings, d_k, angle_freqs)[..., None, :]
-        angles.flags.writeable = False
+            angles[..., 0, :] = planar_pair_angles(self.positions, d_k, sched.freqs)
+        if variant is Variant.DROPE_HBH:
+            angles[..., 1, :] = heading_pair_angles(self.headings, d_k, angle_freqs)
+        phasors = _unit_phasors(angles)
+        phasors.flags.writeable = False
         freqs = None if angle_freqs is None else np.array(angle_freqs)
-        object.__setattr__(self, "_angles", (variant, n_heads, d_k, sched, freqs, angles))
-        return angles
+        object.__setattr__(self, "_phasors", (variant, d_k, sched, freqs, phasors))
+        return phasors
 
     @property
     def n_tokens(self) -> int:
@@ -427,12 +429,20 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc):
 
 
 def _rotated(variant, banks, poses, sched, angle_freqs, undo=False):
-    """Each QK bank turned by its poses' kept angles, or turned back with ``undo``."""
+    """Each QK bank turned by its poses' kept phasors in one ``rotate_pairs``
+    call, or turned back by their conjugates with ``undo``. A drope-hbh bank
+    of even H is viewed as (..., N, H // 2, 2, 2*d_k) head pairs, which its
+    two phasor rows broadcast over; an odd H gathers one row per head."""
     turned = []
     for bank, bank_poses in zip(banks, poses):
-        angles = bank_poses.pair_angles(variant, bank.shape[-2], bank.shape[-1] // 2,
-                                        sched, angle_freqs)
-        turned.append(rotate_pairs(bank, -angles if undo else angles))
+        shape, n_heads = bank.shape, bank.shape[-2]
+        phasors = bank_poses.pair_phasors(variant, shape[-1] // 2, sched, angle_freqs)
+        if variant is Variant.DROPE_HBH and n_heads % 2:
+            phasors = phasors[..., np.arange(n_heads) % 2, :]
+        elif variant is Variant.DROPE_HBH:
+            bank = bank.reshape(shape[:-2] + (n_heads // 2, 2, shape[-1]))
+            phasors = phasors[..., None, :, :]
+        turned.append(rotate_pairs(bank, phasors.conj() if undo else phasors).reshape(shape))
     return turned
 
 

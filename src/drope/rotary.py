@@ -2,10 +2,10 @@
 
 All angles are radians; canonical angles live in [0, 2*pi). A vector of
 length 2*p is treated as p complex pairs x[2l] + i*x[2l+1], each turned by
-one multiply with its unit phasor e^{i*angle}; a rotation allocates only a
-phasor array the size of its angles beyond the output. ``rotate_pairs`` is
-the one place that takes cosines and sines: ``rotate2d`` is its matrix form,
-the basis pairs (1, 0) and (0, 1) turned by it.
+one multiply with its unit phasor e^{i*angle}. ``rotate_pairs`` takes real
+angles or kept complex phasors; ``_unit_phasors`` is the one place that takes
+cosines and sines. ``rotate2d`` is the matrix form of ``rotate_pairs``, the
+basis pairs (1, 0) and (0, 1) turned by it.
 
 Two embeddings are provided, each taking one position or heading per vector
 (an array broadcasting against ``x.shape[:-1]``, or a scalar for all):
@@ -113,19 +113,26 @@ def rotate2d(theta) -> np.ndarray:
     return rotate_pairs(basis, theta[..., None, None]).swapaxes(-2, -1)
 
 
+def _unit_phasors(angles) -> np.ndarray:
+    """The unit phasors e^{i*angle} of real ``angles``, complex128 of their shape."""
+    phasors = np.empty(np.shape(angles), dtype=np.complex128)
+    np.cos(angles, out=phasors.real)
+    np.sin(angles, out=phasors.imag)
+    return phasors
+
+
 def rotate_pairs(x, angles) -> np.ndarray:
     """Rotate each consecutive 2D pair along the last axis of ``x``.
 
     ``x`` has shape (..., 2*p), and so has the output; ``angles`` must
-    broadcast to (..., p). ``x`` is never written; pair norms hold up to rounding.
+    broadcast to (..., p), as real angles or complex unit phasors. ``x`` is
+    never written; pair norms hold up to rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] % 2 != 0:
         raise DimensionMismatchError(f"pair vector length must be even, got shape {x.shape}")
-    angles = np.asarray(angles, dtype=np.float64)
-    phasors = np.empty(angles.shape, dtype=np.complex128)
-    np.cos(angles, out=phasors.real)
-    np.sin(angles, out=phasors.imag)
+    angles = np.asarray(angles)
+    phasors = angles if angles.dtype.kind == "c" else _unit_phasors(angles)
     pairs = (x if x.strides[-1] == x.itemsize else x.copy()).view(np.complex128)
     try:
         return np.multiply(pairs, phasors, out=np.empty(pairs.shape, complex)).view(np.float64)

@@ -58,10 +58,10 @@ def polyline_arc_length(points) -> float:
     return float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapSegment:
     """A short polyline with an anchor pose and its anchor-frame shape; immutable,
-    with read-only copies of its arrays."""
+    with read-only copies of its arrays, and compared and hashed by identity."""
 
     points: np.ndarray        # (P, 2) global coordinates
     anchor_xy: np.ndarray     # (2,)

@@ -25,9 +25,9 @@ from drope.errors import (
     VerificationError,
 )
 from drope.profiling import count_input_memory
-from drope.rotary import TWO_PI, FrequencySchedule
+from drope.rotary import TWO_PI, FrequencySchedule, _unit_phasors, rotate_pairs
 
-from oracles import ref_attention
+from oracles import ref_attention, ref_bank_angles
 
 VARIANT_NAMES = {
     Variant.PLAIN: "plain",
@@ -618,14 +618,19 @@ class TestPoseSet:
         positions[0, 0] = headings[0] = 5.0
         assert not poses.positions.any() and not poses.headings.any()
 
-    def test_kept_angles_equal_fresh_ones_for_every_setting(self):
+    def test_compares_and_hashes_by_identity(self):
+        poses = PoseSet(np.zeros((3, 2)), np.zeros(3))
+        twin = PoseSet(poses.positions, poses.headings)
+        assert poses == poses and poses != twin
+        assert len({poses, twin, poses}) == 2
+
+    def test_kept_phasors_equal_fresh_ones_for_every_setting(self):
         rng = np.random.default_rng(61)
         positions, headings = rng.uniform(-9.0, 9.0, (2, 5, 2)), rng.uniform(0.0, TWO_PI, (2, 5))
         poses = PoseSet(positions, headings)
         freqs = np.linspace(0.5, 1.5, 4)
         choices = {
             "variant": (Variant.DROPE_HBH, Variant.DROPE_IH, Variant.ROPE),
-            "n_heads": (2, 4),
             "sched": (FrequencySchedule.default(4), FrequencySchedule(4, freqs)),
             "angle_freqs": (None, freqs, freqs * 2.0),
         }
@@ -639,20 +644,46 @@ class TestPoseSet:
             for change in ({name: value}, {})
         ]
         for setting in walk:
+            rows = 2 if setting["variant"] is Variant.DROPE_HBH else 1
             for _ in range(2):
-                kept = poses.pair_angles(d_k=4, **setting)
-                fresh = PoseSet(positions, headings).pair_angles(d_k=4, **setting)
+                kept = poses.pair_phasors(d_k=4, **setting)
+                fresh = PoseSet(positions, headings).pair_phasors(d_k=4, **setting)
+                assert kept.shape == (2, 5, rows, 4) and kept.dtype == np.complex128
                 assert np.array_equal(kept, fresh)
                 assert not kept.flags.writeable
 
-    def test_angles_follow_angle_freqs_edited_in_place(self):
+    def test_phasors_follow_angle_freqs_edited_in_place(self):
         poses = PoseSet(np.zeros((2, 2)), np.array([0.5, 1.0]))
         sched, freqs = FrequencySchedule.default(2), np.array([1.0, 2.0])
-        before = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, freqs).copy()
+        before = poses.pair_phasors(Variant.DROPE_HBH, 2, sched, freqs).copy()
         freqs[1] = 3.0
-        after = poses.pair_angles(Variant.DROPE_HBH, 2, 2, sched, freqs)
-        assert np.array_equal(after[:, 1, 1], [1.5, 3.0])
+        after = poses.pair_phasors(Variant.DROPE_HBH, 2, sched, freqs)
+        assert np.array_equal(after[:, 1, 1], _unit_phasors(np.array([1.5, 3.0])))
         assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("variant", ROTARY_VARIANTS)
+    @pytest.mark.parametrize("n_heads", [2, 3, 4])
+    @pytest.mark.parametrize("fault", [False, True], ids=["real", "angle-freqs"])
+    def test_each_bank_turns_bitwise_by_its_oracle_angles(self, variant, n_heads, fault):
+        rng = np.random.default_rng(63)
+        d_k, lead = 5, (2, 3)
+        poses = PoseSet(rng.uniform(-40.0, 40.0, lead + (2,)), rng.uniform(-7.0, 7.0, lead))
+        banks = [rng.standard_normal(lead + (n_heads, 2 * d_k)) for _ in range(2)]
+        sched = FrequencySchedule.default(d_k)
+        angle_freqs = rng.uniform(0.5, 2.0, d_k) if fault else None
+        split = (2 * (d_k // 2), 2 * (d_k - d_k // 2)) if variant is Variant.DROPE_IH else None
+        angles = np.array([[[
+            ref_bank_angles(VARIANT_NAMES[variant], poses.positions[b, i], poses.headings[b, i],
+                            head, d_k, sched.freqs, split, angle_freqs)
+            for head in range(n_heads)] for i in range(lead[1])] for b in range(lead[0])])
+        for undo, signed in ((False, angles), (True, -angles)):
+            turned = attention._rotated(variant, banks, (poses, poses), sched, angle_freqs, undo)
+            for bank, got in zip(banks, turned):
+                assert got.shape == bank.shape
+                assert np.array_equal(got, rotate_pairs(bank, signed))
+        kept = poses.pair_phasors(variant, d_k, sched, angle_freqs)
+        with pytest.raises(ValueError):
+            kept[...] = 1.0
 
     def test_self_attention_computes_its_angles_once(self, monkeypatch):
         qkv, poses = make_case(62, n=4, d_k=2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from collections import Counter
@@ -654,15 +655,41 @@ class TestIncrementalDecoding:
         config = small_config(n_blocks=n_blocks)
         weights = PipelineWeights.seeded(config, seed=38)
         scene = small_scene(38, n_agents=3, n_steps=4)
-        built, angled = [], []
-        real_init, real_planar = PoseSet.__post_init__, attention.planar_pair_angles
+        built, phased = [], []
+        real_init, real_phasors = PoseSet.__post_init__, attention._unit_phasors
         monkeypatch.setattr(PoseSet, "__post_init__",
                             lambda self: built.append(1) or real_init(self))
-        monkeypatch.setattr(attention, "planar_pair_angles",
-                            lambda *args: angled.append(1) or real_planar(*args))
-        PipelinePolicy(weights, config).actions(scene)
-        # the map's poses and the agents' time-major poses, each angled once for every block
-        assert len(built) == len(angled) == 2
+        monkeypatch.setattr(attention, "_unit_phasors",
+                            lambda angles: phased.append(1) or real_phasors(angles))
+        rollout(scene, PipelinePolicy(weights, config), 5)
+        # the map's poses once, then each call's agent poses, each phased once for every block
+        assert len(built) == len(phased) == 1 + 5
+
+
+class TestRolloutDigests:
+    """SHA-256 of a seeded 16-step sampled rollout's states, one per variant,
+    as ``drope-bench rollout --mode sample --seed 1`` runs it by default."""
+
+    DIGESTS = {
+        Variant.PLAIN: "f54f709b4564df23f3c01d432c1fa69fe66df272ece0d530d682f8a89110ae84",
+        Variant.RPE: "8962a0f8f8d684b9a8160599044bac1bfade739f1b3a2d9e5b6bb6684ff45e48",
+        Variant.ROPE: "7f180132cc6f6a9a44cdc5597d95345a1bc91870d9c551fe82962c9566ff8193",
+        Variant.DROPE_HBH: "c0c28e74fb015c791391a1534a379fd131a76df0c2fe0ebb13f37c126eb8665a",
+        Variant.DROPE_IH: "2947d0227af248d0edf770e884a26b059641f1b8bb82e7243bd1f54ce2321700",
+    }
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_states_are_bitwise_the_pinned_ones(self, variant):
+        scene = make_scene(seed=1, n_agents=4, n_steps=24, dt=0.5)
+        config = PipelineConfig(variant=variant)
+        policy = PipelinePolicy(PipelineWeights.seeded(config, seed=1), config,
+                                mode="sample", seed=1)
+        states = rollout(scene.prefix(8), policy, 16).states
+        assert hashlib.sha256(states.tobytes()).hexdigest() == self.DIGESTS[variant], (
+            f"{variant.value} rollout states moved. A change meant to keep outputs bitwise "
+            "has changed them; but a numpy or BLAS upgrade may legitimately move these "
+            "digests, in which case check the states against the old build's and re-pin."
+        )
 
 
 class TestSceneRotationProperty:

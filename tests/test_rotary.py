@@ -13,6 +13,7 @@ from drope.errors import (
 from drope.rotary import (
     TWO_PI,
     FrequencySchedule,
+    _unit_phasors,
     drope_embed,
     heading_pair_angles,
     planar_pair_angles,
@@ -197,15 +198,38 @@ class TestRotatePairs:
         back = rotate_pairs(rotate_pairs(x, angles), -angles)
         assert np.all(np.max(np.abs(back - x), axis=-1) <= 1e-15 * np.linalg.norm(x, axis=-1))
 
-    @pytest.mark.parametrize("x_shape, angle_shape", [
+    def test_phasors_rotate_bitwise_as_their_angles(self):
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((6, 3, 16)) * 30.0
+        for angles in (rng.uniform(-60.0, 60.0, (6, 3, 8)), rng.uniform(-60.0, 60.0, (6, 1, 8))):
+            phasors = _unit_phasors(angles)
+            assert phasors.dtype == np.complex128 and phasors.shape == angles.shape
+            assert np.array_equal(rotate_pairs(x, phasors), rotate_pairs(x, angles))
+
+    def test_conjugate_phasors_undo_bitwise_as_negated_angles(self):
+        rng = np.random.default_rng(27)
+        angles = rng.uniform(-100.0, 100.0, (2500, 4))    # 10**4 draws
+        x = rng.standard_normal((2500, 8))
+        undone = rotate_pairs(x, _unit_phasors(angles).conj())
+        assert np.array_equal(undone, rotate_pairs(x, -angles))
+
+    MISMATCHED = [
         ((4,), (3,)),          # pair count differs
         ((2,), (3,)),          # a single pair cannot broadcast up to three
         ((2, 4), (3, 2)),      # leading axes differ
         ((4,), (2, 2)),        # angles would add a leading axis to the output
-    ])
+    ]
+
+    @pytest.mark.parametrize("x_shape, angle_shape", MISMATCHED)
     def test_mismatched_angles_name_both_shapes(self, x_shape, angle_shape):
         with pytest.raises(DimensionMismatchError) as err:
             rotate_pairs(np.ones(x_shape), np.ones(angle_shape))
+        assert str(angle_shape) in str(err.value) and str(x_shape) in str(err.value)
+
+    @pytest.mark.parametrize("x_shape, angle_shape", MISMATCHED)
+    def test_mismatched_phasors_name_both_shapes(self, x_shape, angle_shape):
+        with pytest.raises(DimensionMismatchError) as err:
+            rotate_pairs(np.ones(x_shape), np.ones(angle_shape, dtype=np.complex128))
         assert str(angle_shape) in str(err.value) and str(x_shape) in str(err.value)
 
     def test_embeddings_reject_mismatched_shapes_with_one_error(self):

@@ -71,6 +71,13 @@ class TestMapSegment:
             with pytest.raises(ValueError):
                 getattr(segment, name)[...] += 1.0
 
+    def test_compares_and_hashes_by_identity(self):
+        points = make_straight_polyline((0.0, 0.0), 0.3, 20.0)
+        first, second = MapSegment.from_points(points), MapSegment.from_points(points)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        assert {first: 1}[first] == 1 and second not in {first: 1}
+
 
 class TestSegmentPolyline:
     def test_segments_respect_max_length(self):
