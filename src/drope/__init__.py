@@ -42,6 +42,7 @@ from .pipeline import (
     interaction_step,
     replay_actions,
     rollout,
+    rollout_samples,
     temporal_step,
     tokenize_scene,
     write_trajectory_csv,

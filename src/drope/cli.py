@@ -25,7 +25,7 @@ from .pipeline import (
     PipelineConfig,
     PipelinePolicy,
     PipelineWeights,
-    rollout,
+    rollout_samples,
     write_trajectory_csv,
 )
 from .profiling import (
@@ -265,19 +265,16 @@ def cmd_rollout(args) -> int:
     pipe_config = PipelineConfig(variant=variant, **_given(config, sizes, {}))
     weights = PipelineWeights.seeded(pipe_config, seed=seed)
 
+    if policy_name == "constant":
+        policy = ConstantActionPolicy(ZERO_ACTION)
+    else:
+        policy = PipelinePolicy(weights, pipe_config, mode=mode, seed=seed)
+    # one batched rollout, its arrays allocated before any output is made
+    results = rollout_samples(history, policy, horizon, samples)
     out = _out_dir(args, "rollout")
-    results = []
-    files = []
-    for sample in range(samples):
-        if policy_name == "constant":
-            policy = ConstantActionPolicy(ZERO_ACTION)
-        else:
-            policy = PipelinePolicy(weights, pipe_config, mode=mode, seed=seed + sample)
-        result = rollout(history, policy, horizon)
-        results.append(result)
-        filename = f"trajectories_{sample:02d}.csv"
+    files = [f"trajectories_{sample:02d}.csv" for sample in range(samples)]
+    for filename, result in zip(files, results):
         write_trajectory_csv(out / filename, result)
-        files.append(filename)
 
     ade_per_agent = None
     ade_mean = None

@@ -17,8 +17,9 @@ during a rollout, and temporal attention is causal with a sinusoidal row per
 step that does not depend on the sequence length. So its decoder encodes the
 map once, and each call encodes only the timesteps not yet seen (on the
 first, all of them) in one batched pass, writes their temporal keys/values
-into a preallocated cache grown in fixed chunks, and attends from the newest
-step over it, giving the logits a full forward pass over the history would.
+into a preallocated cache that grows geometrically, and attends from the
+newest step over it, giving the logits a full forward pass over the history
+would. K sampled rollouts are one rollout with K times the rows.
 The attention sub-blocks compute ``tokens + FFN(W_o @ attention(tokens))``,
 so a zero-weight FFN makes a block the identity whatever the projections.
 """
@@ -66,6 +67,7 @@ __all__ = [
     "PipelinePolicy",
     "RolloutResult",
     "rollout",
+    "rollout_samples",
     "replay_actions",
     "write_trajectory_csv",
     "AGENT_FEATURE_WIDTH",
@@ -74,7 +76,7 @@ __all__ = [
 
 AGENT_FEATURE_WIDTH = 2      # [speed, 1.0]
 ROLLOUT_SOFT_LIMIT_S = 8.0   # longer horizons warn but proceed
-CACHE_CHUNK_STEPS = 16       # the temporal K/V cache grows by this many steps
+CACHE_CHUNK_STEPS = 16       # the least number of steps the temporal K/V cache grows by
 
 
 @dataclass
@@ -435,79 +437,119 @@ class ConstantActionPolicy:
         return [self.action] * scene.n_agents
 
 
+def _frozen(states: np.ndarray) -> np.ndarray:
+    """``states`` itself when it is a read-only view of a read-only buffer, as
+    the rows of a scene's track are, which are never written again; else a copy."""
+    base = states.base
+    if states.flags.writeable or base is None or base.flags.writeable:
+        return states.copy()
+    return states
+
+
 @dataclass
 class _IncrementalDecoder:
-    """What PipelinePolicy keeps to decode the next step of a rollout.
+    """What PipelinePolicy keeps to decode the next step of K histories of one map.
 
-    Holds the states encoded so far (none in a fresh decoder), the map
-    segments, per block the cross-attention keys and values of the map
-    tokens after its map self-attention, and the temporal keys and values.
-    The temporal ``cache`` is preallocated, (capacity, n_agents*H, width)
-    with the keys also in the unread query slot; ``advance`` writes its rows
-    in place, and ``_grown_cache`` sizes every buffer.
+    Holds the map segments, per block the cross-attention keys and values of
+    the map tokens after its map self-attention, per history the states
+    encoded so far (none in a fresh decoder; see ``_frozen``), the temporal
+    keys and values of all K histories and their newest distribution. The
+    temporal ``cache`` is preallocated, (capacity, K*n_agents*H, width) with
+    history k's agents in the k-th run of heads and the keys also in the
+    unread query slot; ``advance`` writes its rows in place, and
+    ``_grown_cache`` sizes every buffer.
     """
 
-    states: np.ndarray
     segments: tuple
     map_kv: list
     map_poses: PoseSet
+    seen: tuple
     cache: QKVSet
+    last: ActionDistribution | None = None
 
     @classmethod
-    def for_map(cls, scene: Scene, weights: PipelineWeights,
+    def for_map(cls, scenes: list, weights: PipelineWeights,
                 config: PipelineConfig) -> "_IncrementalDecoder":
-        """A decoder of ``scene``'s map and agents that has encoded no timestep."""
+        """A decoder of the K ``scenes``' one map and agents that has encoded no timestep."""
+        scene = scenes[0]
         map_tokens, map_poses = _map_tokens(scene, weights, config), scene.map_poses()
         map_kv = []
         for block in weights.blocks:
             map_tokens, block_kv = _map_block(map_tokens, map_poses, block, config)
             map_kv.append(block_kv)
-        keys = np.zeros((0, scene.n_agents * config.n_heads, 2 * config.d_k))
+        keys = np.zeros((0, len(scenes) * scene.n_agents * config.n_heads, 2 * config.d_k))
         return cls(
-            states=scene.agent_states[:, :0].copy(),
             segments=tuple(scene.segments),
             map_kv=map_kv,
             map_poses=map_poses,
+            seen=(scene.agent_states[:, :0].copy(),) * len(scenes),
             cache=QKVSet(keys, keys, np.zeros(keys.shape[:-1] + (config.d_v,))),
         )
 
-    def extends(self, scene: Scene) -> bool:
-        """Whether ``scene`` only appends timesteps to the states encoded so far."""
-        n_agents, n_steps, _ = self.states.shape
-        return (
+    def extends(self, scenes: list) -> bool:
+        """Whether each of the K ``scenes`` has this decoder's map segments and
+        agents and only appends timesteps, or none, to its states encoded so far.
+
+        O(1) in the history when a scene's states share the read-only buffer
+        of those encoded, since its rows are never written again; bitwise else.
+        """
+        return len(scenes) == len(self.seen) and all(
             len(scene.segments) == len(self.segments)
             and all(new is old for new, old in zip(scene.segments, self.segments))
-            and scene.n_agents == n_agents
-            and scene.n_steps > n_steps
-            and np.array_equal(scene.agent_states[:, :n_steps], self.states)
+            and scene.n_agents == seen.shape[0]
+            and scene.n_steps >= seen.shape[1]
+            and (scene.agent_states.base is seen.base is not None
+                 or np.array_equal(scene.agent_states[:, :seen.shape[1]], seen))
+            for scene, seen in zip(scenes, self.seen)
         )
 
-    def advance(self, scene: Scene, weights: PipelineWeights,
+    def advance(self, scenes: list, weights: PipelineWeights,
                 config: PipelineConfig) -> ActionDistribution:
-        """Encode the new timesteps of ``scene`` at once; decode the newest one."""
-        start, end = self.states.shape[1], scene.n_steps
-        states = scene.agent_states[:, start:].swapaxes(0, 1)
-        tokens, poses = _agent_tokens(states, weights), _agent_poses(states)
-        for block, map_kv in zip(weights.blocks, self.map_kv):
-            tokens = _agent_interaction(tokens, poses, map_kv, self.map_poses, block, config)
-        encoded = tokens.swapaxes(0, 1) + _step_encoding(np.arange(start, end), config.d_model)
-        rows = _temporal_banks(encoded, weights.temporal)
-        if end > self.cache.n_tokens:
-            self.cache = _grown_cache(self.cache, start, end)
-        self.cache.k[start:end], self.cache.v[start:end] = rows.k, rows.v
-        self.states = scene.agent_states.copy()
-        # the newest step is the last one, so the causal mask hides nothing
-        query = rows.q[-1:]
-        attended = mhca(QKVSet(query, query, query), self.cache.first(end), None, None,
-                        Variant.PLAIN)
-        return decode_actions(
-            _temporal_residual(encoded[:, -1:], attended, weights.temporal), weights, config
-        )
+        """Encode the new timesteps of the K ``scenes`` at once; decode the newest.
+
+        The logits are (K*n_agents, 1, n_actions), history-major. With no new
+        timestep this is the kept distribution. K histories that are one scene,
+        as a rollout's samples are before their first step, go through the
+        interaction blocks once, and their tokens are broadcast over K.
+        """
+        start, end = self.seen[0].shape[1], scenes[0].n_steps
+        if end > start:
+            distinct = scenes[:1] if all(scene is scenes[0] for scene in scenes) else scenes
+            n_agents, n_new = scenes[0].n_agents, end - start
+            # time-major new states of each distinct history, (k*new steps, n_agents, 4)
+            states = np.empty((len(distinct), n_new, n_agents, 4))
+            for index, scene in enumerate(distinct):
+                states[index] = scene.agent_states[:, start:].swapaxes(0, 1)
+            states = states.reshape(-1, n_agents, 4)
+            tokens, poses = _agent_tokens(states, weights), _agent_poses(states)
+            for block, map_kv in zip(weights.blocks, self.map_kv):
+                tokens = _agent_interaction(tokens, poses, map_kv, self.map_poses, block, config)
+            tokens = tokens.reshape(len(distinct), n_new, n_agents, -1).swapaxes(1, 2)
+            if len(distinct) < len(scenes):
+                tokens = np.broadcast_to(tokens, (len(scenes),) + tokens.shape[1:])
+            encoded = (tokens.reshape(len(scenes) * n_agents, n_new, -1)
+                       + _step_encoding(np.arange(start, end), config.d_model))
+            rows = _temporal_banks(encoded, weights.temporal)
+            if end > self.cache.n_tokens:
+                self.cache = _grown_cache(self.cache, start, end)
+            self.cache.k[start:end], self.cache.v[start:end] = rows.k, rows.v
+            # the newest step is the last one, so the causal mask hides nothing
+            query = rows.q[-1:]
+            attended = mhca(QKVSet(query, query, query), self.cache.first(end), None, None,
+                            Variant.PLAIN)
+            self.last = decode_actions(
+                _temporal_residual(encoded[:, -1:], attended, weights.temporal), weights, config
+            )
+        self.seen = tuple(_frozen(scene.agent_states) for scene in scenes)
+        return self.last
 
 
 def _grown_cache(cache: QKVSet, n_kept: int, n_steps: int) -> QKVSet:
-    """A buffer of ``n_steps + CACHE_CHUNK_STEPS`` steps holding ``cache``'s first ``n_kept``."""
-    keys = np.zeros((n_steps + CACHE_CHUNK_STEPS,) + cache.k.shape[1:])
+    """A buffer of ``n_steps`` plus half as many steps again, and at least
+    ``CACHE_CHUNK_STEPS`` more, holding ``cache``'s first ``n_kept``: the
+    buffer grows geometrically, so a rollout copies O(horizon) rows in all."""
+    capacity = n_steps + max(n_steps // 2, CACHE_CHUNK_STEPS)
+    keys = np.zeros((capacity,) + cache.k.shape[1:])
     grown = QKVSet(keys, keys, np.zeros(keys.shape[:-1] + cache.v.shape[-1:]))
     grown.k[:n_kept], grown.v[:n_kept] = cache.k[:n_kept], cache.v[:n_kept]
     return grown
@@ -518,9 +560,11 @@ class PipelinePolicy:
 
     Every call runs one ``_IncrementalDecoder.advance``. On a growing history
     (the same map segments, the same agents, earlier states unchanged) it
-    encodes only the new timesteps; any other scene first gets a new decoder
-    for its map. Either way the logits are those of ``forward`` on the full
-    history, up to rounding.
+    encodes only the new timesteps, and on the same history none; any other
+    scene first gets a new decoder for its map. Either way the logits are
+    those of ``forward`` on the full history, up to rounding. In
+    ``rollout_samples`` one policy decodes K histories as one batch, and
+    history k samples from ``Generator(seed + k)``.
     """
 
     def __init__(self, weights: PipelineWeights, config: PipelineConfig,
@@ -530,21 +574,33 @@ class PipelinePolicy:
         self.weights = weights
         self.config = config
         self.mode = mode
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rngs = [np.random.default_rng(seed)]
         self._decoder: _IncrementalDecoder | None = None
 
     def actions(self, scene: Scene):
+        return self._batch_actions([scene])[0]
+
+    def _batch_actions(self, scenes: list) -> list:
+        """Per-agent actions for each of K scenes of one map, agents and length."""
         # taken out while it changes, so a step that raises leaves no stale cache
         decoder, self._decoder = self._decoder, None
-        if decoder is None or not decoder.extends(scene):
-            decoder = _IncrementalDecoder.for_map(scene, self.weights, self.config)
-        last = decoder.advance(scene, self.weights, self.config)
+        if decoder is None or not decoder.extends(scenes):
+            decoder = _IncrementalDecoder.for_map(scenes, self.weights, self.config)
+        last = decoder.advance(scenes, self.weights, self.config)
         self._decoder = decoder
+        n_agents = scenes[0].n_agents
         if self.mode == "greedy":
             indices = last.greedy_indices()[:, 0]
         else:
-            indices = last.sample_indices(self.rng)[:, 0]
-        return [self.config.grid.action(int(index)) for index in indices]
+            self._rngs.extend(np.random.default_rng(self._seed + k)
+                              for k in range(len(self._rngs), len(scenes)))
+            indices = np.concatenate([
+                ActionDistribution(logits).sample_indices(rng)
+                for logits, rng in zip(last.logits.reshape(len(scenes), n_agents, -1), self._rngs)
+            ])
+        actions = [self.config.grid.action(int(index)) for index in indices]
+        return [actions[k:k + n_agents] for k in range(0, len(actions), n_agents)]
 
 
 @dataclass
@@ -559,39 +615,62 @@ class RolloutResult:
         return self.states[:, :, :2]
 
 
-def rollout(scene: Scene, policy, horizon: int):
-    """Autoregressive closed-loop rollout from the scene's last step.
+def rollout(scene: Scene, policy, horizon: int) -> RolloutResult:
+    """Autoregressive closed-loop rollout from the scene's last step: the
+    one-sample case of ``rollout_samples``."""
+    return rollout_samples(scene, policy, horizon, 1)[0]
 
-    At each step the policy sees the history so far, all agents advance by
-    one ``advance_states`` update, and the new states are appended before the
-    next decision.
-    Horizons beyond the soft 8 s limit warn but proceed.
+
+def rollout_samples(scene: Scene, policy, horizon: int, samples: int) -> list[RolloutResult]:
+    """``samples`` closed-loop rollouts from the scene's last step, run together.
+
+    At each step the policy sees each history so far, all agents of all
+    samples advance by one ``advance_states`` update, and the new states are
+    appended before the next decision. A ``PipelinePolicy`` decodes the K
+    histories as one batch, with the attention calls of one, and sample k
+    draws from ``Generator(seed + k)``; any other policy's ``actions`` is
+    asked once per history. Horizons beyond the soft 8 s limit warn but proceed.
     """
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
-    history = scene
-    n_agents = history.n_agents
-    # allocated before the warning, so a size that cannot fit fails with one message
-    states = empty_array((n_agents, horizon, 4), "the rollout's state array")
-    if horizon * history.dt > ROLLOUT_SOFT_LIMIT_S + 1e-9:
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be positive, got {samples}")
+    n_agents = scene.n_agents
+    # allocated before the warning and any per-sample object, so a size that
+    # cannot fit fails with one message
+    states = empty_array((samples, n_agents, horizon, 4), "the rollout's state array")
+    if horizon * scene.dt > ROLLOUT_SOFT_LIMIT_S + 1e-9:
         warnings.warn(
-            f"horizon {horizon} steps at dt={history.dt} s exceeds the "
+            f"horizon {horizon} steps at dt={scene.dt} s exceeds the "
             f"{ROLLOUT_SOFT_LIMIT_S} s soft limit; proceeding",
             stacklevel=2,
         )
-    actions: list[list[ControlAction]] = [[] for _ in range(n_agents)]
+    histories = [scene] * samples
+    actions = [[[] for _ in range(n_agents)] for _ in range(samples)]
+    # every sample's agents as rows of one (samples*n_agents, 4) array
+    previous = np.concatenate([scene.agent_states[:, -1]] * samples)
     for step in range(horizon):
-        step_actions = policy.actions(history)
-        if len(step_actions) != n_agents:
-            raise DimensionMismatchError(
-                f"policy returned {len(step_actions)} actions for {n_agents} agents"
-            )
-        controls = np.array([(a.accel, a.yaw_rate) for a in step_actions]).reshape(-1, 2)
-        states[:, step] = advance_states(history.agent_states[:, -1], controls, history.dt)
-        for agent_actions, action in zip(actions, step_actions):
-            agent_actions.append(action)
-        history = history.with_appended_states(states[:, step])
-    return RolloutResult(states=states, actions=actions, dt=history.dt)
+        if isinstance(policy, PipelinePolicy):
+            step_actions = policy._batch_actions(histories)
+        else:
+            step_actions = [policy.actions(history) for history in histories]
+        for sample_actions in step_actions:
+            if len(sample_actions) != n_agents:
+                raise DimensionMismatchError(
+                    f"policy returned {len(sample_actions)} actions for {n_agents} agents"
+                )
+        controls = np.array(
+            [(a.accel, a.yaw_rate) for sample_actions in step_actions for a in sample_actions]
+        ).reshape(-1, 2)
+        previous = advance_states(previous, controls, scene.dt)
+        rows = previous.reshape(samples, n_agents, 4)
+        states[:, :, step] = rows
+        for per_agent, sample_actions in zip(actions, step_actions):
+            for agent_actions, action in zip(per_agent, sample_actions):
+                agent_actions.append(action)
+        histories = [history.with_appended_states(row) for history, row in zip(histories, rows)]
+    return [RolloutResult(states=sample_states, actions=per_agent, dt=scene.dt)
+            for sample_states, per_agent in zip(states, actions)]
 
 
 def replay_actions(initial_states, actions, dt: float) -> np.ndarray:

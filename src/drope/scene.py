@@ -18,9 +18,11 @@ Scene files are JSON::
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
 DEFAULT_MAX_SEGMENT_LENGTH = 25.0  # meters
 DEFAULT_DT = 0.5                   # seconds (2 Hz)
 ACTION_SCALE = 0.3                 # random scenes: action std as a fraction of its limit
+TRACK_CHUNK_STEPS = 16             # the least number of steps an appended track grows by
 
 
 def polyline_arc_length(points) -> float:
@@ -147,9 +150,45 @@ def segment_polyline(points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH)
     return [MapSegment.from_points(seg, max_arc_length) for seg in segments]
 
 
+def _checked_states(states: np.ndarray) -> np.ndarray:
+    """``states`` (..., 4), finite with non-negative speeds, headings wrapped in place."""
+    if not np.isfinite(states).all():
+        raise InvalidArgumentError("agent states must be finite")
+    if (states[..., 3] < 0.0).any():
+        raise InvalidArgumentError("agent speeds must be non-negative")
+    states[..., 2] = wrap_angle(states[..., 2])
+    return states
+
+
+class _Track:
+    """An append-only (n_agents, capacity, 4) state buffer shared by the scenes
+    of one history: rows [0, filled) are read-only and never written again."""
+
+    def __init__(self, states: np.ndarray):
+        n_agents, n_steps, _ = states.shape
+        self.array = empty_array((n_agents, n_steps + max(n_steps, TRACK_CHUNK_STEPS), 4),
+                                 "an agent track array")
+        self.array[:, :n_steps] = states
+        self.array.flags.writeable = False
+        self.filled = n_steps
+
+    def append(self, row: np.ndarray) -> np.ndarray:
+        """Write ``row`` after the filled rows; return a read-only view of them all."""
+        self.array.flags.writeable = True
+        self.array[:, self.filled] = row
+        self.array.flags.writeable = False
+        self.filled += 1
+        return self.array[:, :self.filled]
+
+
 @dataclass
 class Scene:
-    """Agent tracks (n_agents, n_steps, 4) as [x, y, yaw, v], plus map segments."""
+    """Agent tracks (n_agents, n_steps, 4) as [x, y, yaw, v], plus map segments.
+
+    A constructed scene holds its own checked copy of the states. A scene made
+    by ``with_appended_states`` holds a read-only view of a track that the
+    scenes of its history share, so that one append copies one row.
+    """
 
     agent_states: np.ndarray
     segments: list = field(default_factory=list)
@@ -162,12 +201,8 @@ class Scene:
             raise InvalidArgumentError(
                 f"agent states must be (n_agents, n_steps, 4), got {states.shape}"
             )
-        if not np.all(np.isfinite(states)):
-            raise InvalidArgumentError("agent states must be finite")
-        if np.any(states[:, :, 3] < 0.0):
-            raise InvalidArgumentError("agent speeds must be non-negative")
-        states[:, :, 2] = wrap_angle(states[:, :, 2])
-        self.agent_states = states
+        self.agent_states = _checked_states(states)
+        self._track = None
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
 
@@ -198,15 +233,26 @@ class Scene:
         return Scene(self.agent_states[:, :n_steps].copy(), self.segments, self.dt)
 
     def with_appended_states(self, states) -> "Scene":
-        """A new scene with one more timestep of (n_agents, 4) states."""
-        states = np.asarray(states, dtype=np.float64)
-        if states.shape != (self.n_agents, 4):
+        """A new scene with one more timestep of (n_agents, 4) states.
+
+        Only the new row is checked and wrapped. It is written in place into
+        this scene's track when this scene ends it, else into a new track,
+        sized to at least twice the history.
+        """
+        row = np.array(states, dtype=np.float64)
+        if row.shape != (self.n_agents, 4):
             raise DimensionMismatchError(
-                f"appended states {states.shape} must be (n_agents, 4) = {(self.n_agents, 4)}"
+                f"appended states {row.shape} must be (n_agents, 4) = {(self.n_agents, 4)}"
             )
-        return Scene(
-            np.concatenate([self.agent_states, states[:, None]], axis=1), self.segments, self.dt
-        )
+        _checked_states(row)
+        track = self._track
+        if (track is None or track.filled != self.n_steps
+                or track.filled == track.array.shape[1]
+                or self.agent_states.base is not track.array):
+            track = _Track(self.agent_states)
+        grown = copy.copy(self)
+        grown.agent_states, grown._track = track.append(row), track
+        return grown
 
     def translated(self, dx: float, dy: float) -> "Scene":
         states = self.agent_states.copy()
@@ -232,7 +278,10 @@ def make_arc_polyline(center, radius: float, start_angle: float, span: float,
     )
 
 
-def _default_map() -> list:
+@lru_cache(maxsize=1)
+def _default_map() -> tuple:
+    """The synthetic scenes' segments, built once per process: segments are
+    immutable, so every scene can hold the same ones."""
     polylines = [
         make_straight_polyline((-40.0, 0.0), 0.0, 80.0),
         make_straight_polyline((-40.0, 3.5), 0.0, 80.0),
@@ -243,7 +292,7 @@ def _default_map() -> list:
         segments.extend(segment_polyline(polyline))
     # a stop sign: a single-point segment with heading 0
     segments.append(MapSegment.from_points(np.array([[35.0, -2.0]])))
-    return segments
+    return tuple(segments)
 
 
 def _initial_states(rng, n_agents: int, n_steps: int, x_high: float, yaw_std: float,
@@ -262,7 +311,7 @@ def _rolled_scene(states: np.ndarray, controls: np.ndarray, dt: float) -> Scene:
     (n_agents, n_steps - 1, 2) controls, so stored tracks replay exactly."""
     for t in range(states.shape[1] - 1):
         states[:, t + 1] = advance_states(states[:, t], controls[:, t], dt)
-    return Scene(states, _default_map(), dt)
+    return Scene(states, list(_default_map()), dt)
 
 
 def make_scene(seed: int = 0, n_agents: int = 4, n_steps: int = 12,

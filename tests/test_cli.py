@@ -12,13 +12,24 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drope
+import drope.pipeline as pipeline
+from drope.attention import Variant, recording
 from drope.cli import main
-from drope.scene import make_constant_velocity_scene, save_scene
+from drope.kinematics import advance_states
+from drope.pipeline import (
+    PipelineConfig,
+    PipelinePolicy,
+    PipelineWeights,
+    rollout,
+    write_trajectory_csv,
+)
+from drope.scene import load_scene, make_constant_velocity_scene, save_scene
 from drope.schemas import (
     PROFILE_REPORT_SCHEMA,
     ROLLOUT_REPORT_SCHEMA,
@@ -255,6 +266,47 @@ class TestRollout:
         for name in report["trajectory_files"]:
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_k_samples_are_one_batched_rollout_of_k_single_ones(self, tmp_path, variant):
+        """``--samples 4`` writes the CSVs of four one-sample rollouts with
+        policy seeds seed + k, and makes the attention calls of one sample."""
+        scene_path = self.write_scene(tmp_path, n_steps=6)
+        args = ["rollout", "--scene", str(scene_path), "--horizon", "5", "--prefix", "4",
+                "--mode", "sample", "--variant", variant.value, "--seed", "11"]
+        calls = {}
+        for samples in (1, 4):
+            with recording() as records, contextlib.redirect_stdout(io.StringIO()):
+                assert main([*args, "--samples", str(samples),
+                             "--out", str(tmp_path / f"k{samples}")]) == 0
+            calls[samples] = len(records)
+        assert calls[4] == calls[1] > 0
+        config = PipelineConfig(variant=variant)
+        weights = PipelineWeights.seeded(config, seed=11)
+        history = load_scene(scene_path).prefix(4)
+        for k in range(4):
+            single = tmp_path / f"single_{k}.csv"
+            policy = PipelinePolicy(weights, config, mode="sample", seed=11 + k)
+            write_trajectory_csv(single, rollout(history, policy, 5))
+            assert (tmp_path / "k4" / f"trajectories_{k:02d}.csv").read_bytes() == (
+                single.read_bytes()), k
+
+    @pytest.mark.parametrize("value, column", [(np.nan, 0), (-1.0, 3)])
+    def test_a_malformed_step_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    value, column):
+        def corrupted(states, controls, dt):
+            out = advance_states(states, controls, dt)
+            out[..., 1, column] = value
+            return out
+
+        monkeypatch.setattr(pipeline, "advance_states", corrupted)
+        scene_path = self.write_scene(tmp_path)
+        code = main(["rollout", "--scene", str(scene_path), "--horizon", "3", "--prefix", "4",
+                     "--samples", "2", "--out", str(tmp_path / "roll")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: agent "), err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("payload", [
         {"policy": "constant", "mode": "bogus"},
         {"policy": "bogus"},
@@ -400,12 +452,15 @@ class TestSizesBeyondMemory:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
 
     @pytest.mark.parametrize("argv", [["verify", "--trials", str(2**62)],
-                                      ["rollout", "--horizon", str(2**62)]])
+                                      ["rollout", "--horizon", str(2**62)],
+                                      ["rollout", "--samples", str(2**62)]])
     def test_flags_beyond_address_space_exit_2_with_one_error_line(self, tmp_path, argv):
         proc = run_cli([*argv, "--out", str(tmp_path / "out")], tmp_path, address_space=2 << 30)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
         assert "cannot be allocated" in proc.stderr
+        if argv[0] == "rollout":
+            assert not (tmp_path / "out").exists()
 
     def test_a_huge_block_count_fails_before_drawing_any_block(self, tmp_path):
         # every block's weights are allocated before any is drawn, so the size fails at once

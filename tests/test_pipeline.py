@@ -24,6 +24,7 @@ from drope.pipeline import (
     interaction_step,
     replay_actions,
     rollout,
+    rollout_samples,
     sinusoidal_position_encoding,
     temporal_step,
     tokenize_scene,
@@ -504,7 +505,7 @@ class TestIncrementalDecoding:
             (grown(4, list(scene_a.segments)), False),  # same segments, new list
             (scene_b, True),                           # an unrelated scene
             (grown(4), True),                          # scene A again, after B
-            (grown(4), True),                          # the same scene: nothing new
+            (grown(4), False),                         # the same scene: nothing new
             (grown(5, other_map), True),               # one map segment differs
             (changed, True),                           # one prefix state differs
             (grown(7, other_map, slice(2)), True),     # fewer agents
@@ -519,10 +520,27 @@ class TestIncrementalDecoding:
             # a new decoder encodes the map once; a step on the same map never does
             assert counts["_map_tokens"] == int(cold)
             assert counts["_map_block"] == config.n_blocks * int(cold)
+            # the kept distribution, which the same scene again does not decode
             assert_newest_logits_match_forward(
-                outputs["decode_actions"][0].logits[:, -1], scene, weights, config
+                policy._decoder.last.logits[:, -1], scene, weights, config
             )
             assert actions == reference.actions(scene)
+
+    def test_a_repeated_scene_draws_again_from_the_kept_distribution(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=34)
+        scene = small_scene(34, n_agents=4, n_steps=3)
+        policy = PipelinePolicy(weights, config, mode="sample", seed=8)
+        reference = FullRecomputePolicy(weights, config, mode="sample", seed=8)
+        assert policy.actions(scene) == reference.actions(scene)
+        expected = [reference.actions(scene) for _ in range(3)]
+        decoder = policy._decoder
+        counts = Counter()
+        spy_on(monkeypatch, ["_map_tokens", "_agent_tokens", "decode_actions", "mhsa", "mhca"],
+               counts)
+        assert [policy.actions(scene) for _ in range(3)] == expected
+        assert policy._decoder is decoder
+        assert not counts
 
     def test_push_cost_is_flat_in_history(self, monkeypatch):
         config = small_config(n_blocks=2)
@@ -607,10 +625,47 @@ class TestIncrementalDecoding:
             rollout(scene, policy, horizon=horizon)
         monkeypatch.undo()
         assert counts["decode_actions"] == horizon
-        # buffers of 2 + chunk, 3 + 2 * chunk and 4 + 3 * chunk steps
-        assert policy.policy._decoder.cache.n_tokens == 4 + 3 * pipeline.CACHE_CHUNK_STEPS
+        # buffers of 2 + chunk, 3 + 2 * chunk and then 1.5 times the 4 + 2 * chunk steps
+        chunk = pipeline.CACHE_CHUNK_STEPS
+        assert policy.policy._decoder.cache.n_tokens == (4 + 2 * chunk) * 3 // 2
         for history, decoded in zip(policy.scenes, outputs["decode_actions"]):
             assert_newest_logits_match_forward(decoded.logits[:, 0], history, weights, config)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_k_samples_decode_as_one_batch_matching_forward(self, variant, monkeypatch):
+        config = small_config(variant, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=37)
+        scene = small_scene(37, n_agents=3, n_steps=3)
+        counts, outputs = Counter(), {}
+        spy_on(monkeypatch, ["decode_actions", "_map_tokens", "_agent_tokens"], counts, outputs)
+        policy = PipelinePolicy(weights, config, mode="sample", seed=4)
+        results = rollout_samples(scene, policy, 6, 3)
+        monkeypatch.undo()
+        # one decoder for all samples, one batch per step, the prefix encoded once
+        assert counts == {"decode_actions": 6, "_map_tokens": 1, "_agent_tokens": 6}
+        assert outputs["_agent_tokens"][0].shape[:-1] == (3, 3)
+        for step, decoded in enumerate(outputs["decode_actions"]):
+            assert decoded.logits.shape == (3 * 3, 1, config.n_actions)
+            for k, result in enumerate(results):
+                history = Scene(np.concatenate([scene.agent_states, result.states[:, :step]],
+                                               axis=1), scene.segments, scene.dt)
+                assert_newest_logits_match_forward(
+                    decoded.logits[3 * k:3 * (k + 1), 0], history, weights, config
+                )
+        for k, result in enumerate(results):
+            single = rollout(scene, PipelinePolicy(weights, config, mode="sample", seed=4 + k), 6)
+            assert np.array_equal(result.states, single.states)
+            assert result.actions == single.actions
+
+    def test_other_policies_are_asked_once_per_sample(self):
+        scene = small_scene(38, n_agents=2, n_steps=2)
+        policy = RecordingPolicy(ConstantActionPolicy(ZERO_ACTION))
+        results = rollout_samples(scene, policy, 3, 2)
+        assert len(policy.scenes) == 6
+        assert policy.scenes[0] is policy.scenes[1] is scene
+        assert np.array_equal(results[0].states, results[1].states)
+        with pytest.raises(InvalidArgumentError, match="samples must be positive"):
+            rollout_samples(scene, policy, 3, 0)
 
     def test_map_is_projected_once_per_rollout(self, monkeypatch):
         config = small_config(n_blocks=2)

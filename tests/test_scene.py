@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from drope.cli import main
 from drope.errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
 from drope.kinematics import ZERO_ACTION, kinematic_step
+from drope.rotary import wrap_angle
 from drope.scene import (
     MapSegment,
     Scene,
@@ -22,6 +23,7 @@ from drope.scene import (
     polyline_arc_length,
     save_scene,
     scene_from_dict,
+    scene_to_dict,
     segment_polyline,
 )
 
@@ -140,6 +142,30 @@ class TestScene:
             sha.update(segment.points.tobytes())
         assert sha.hexdigest() == digest
 
+    @pytest.mark.parametrize("make, digest", [
+        (make_scene, "4681a4b56ec4acc062cd169770029fd89c75cae54b273fb7b2298255b3ac806a"),
+        (make_constant_velocity_scene,
+         "5f0331cf9f45a5f21ebd29880da8c66e62ad32bac3d49642a7b3ad6e2bedd7d4"),
+    ])
+    def test_scene_files_are_pinned_over_seeds_and_agent_counts(self, make, digest):
+        # sha256 of the JSON of every scene over the grid, pinned while each
+        # scene still built its own default map
+        sha = hashlib.sha256()
+        for seed in (0, 1, 17, 123, 2**31):
+            for n_agents in range(2, 9):
+                sha.update(json.dumps(scene_to_dict(make(seed=seed, n_agents=n_agents))).encode())
+        assert sha.hexdigest() == digest
+
+    def test_synthetic_scenes_share_the_default_segments(self):
+        scenes = [make_scene(seed=1), make_scene(seed=2, n_agents=8),
+                  make_constant_velocity_scene(seed=3)]
+        first = scenes[0].segments
+        assert len(first) == 11
+        for scene in scenes[1:]:
+            assert all(mine is theirs for mine, theirs in zip(scene.segments, first))
+            # each scene holds a list of its own
+            assert scene.segments is not first and len(scene.segments) == len(first)
+
     @pytest.mark.parametrize("n_steps", [0, -3])
     def test_constant_velocity_scene_needs_a_step(self, n_steps):
         with pytest.raises(ConfigurationError):
@@ -159,6 +185,52 @@ class TestScene:
         assert prefix.n_steps == 4
         grown = prefix.with_appended_states(prefix.agent_states[:, -1])
         assert grown.n_steps == 5
+
+    def test_appended_scenes_are_read_only_and_share_one_track(self):
+        scene = make_scene(seed=1, n_agents=3, n_steps=4)
+        row = scene.agent_states[:, -1]
+        grown = scene.with_appended_states(row)
+        assert not grown.agent_states.flags.writeable
+        with pytest.raises(ValueError):
+            grown.agent_states[0, 0, 0] = 1.0
+        longer = grown.with_appended_states(row)
+        # the second append writes into the first one's buffer; neither scene moves
+        assert np.shares_memory(longer.agent_states, grown.agent_states)
+        assert grown.n_steps == 5 and longer.n_steps == 6
+        assert np.array_equal(longer.agent_states[:, :5], grown.agent_states)
+        # a branch from an earlier scene of that history gets a buffer of its own
+        branch = grown.with_appended_states(row + [1.0, 0.0, 0.0, 0.0])
+        assert not np.shares_memory(branch.agent_states, longer.agent_states)
+        assert np.array_equal(longer.agent_states[:, 5], row)
+        assert np.array_equal(branch.agent_states[:, 5], row + [1.0, 0.0, 0.0, 0.0])
+        # the scene appended to is left as it was
+        assert scene.n_steps == 4 and scene.agent_states.flags.writeable
+
+    @pytest.mark.parametrize("value, column, message", [
+        (np.nan, 0, "agent states must be finite"),
+        (np.inf, 2, "agent states must be finite"),
+        (-1.0, 3, "agent speeds must be non-negative"),
+    ])
+    def test_append_checks_the_new_row(self, value, column, message):
+        scene = make_scene(seed=1, n_agents=4, n_steps=3).with_appended_states(
+            np.zeros((4, 4)))
+        row = np.ones((4, 4))
+        row[2, column] = value
+        with pytest.raises(InvalidArgumentError) as raised:
+            scene.with_appended_states(row)
+        assert str(raised.value) == message
+        # the same line as a whole scene with that row gives
+        with pytest.raises(InvalidArgumentError) as whole:
+            Scene(np.concatenate([scene.agent_states, row[:, None]], axis=1), scene.segments)
+        assert str(whole.value) == message
+
+    def test_append_wraps_the_new_heading(self):
+        scene = make_scene(seed=1, n_agents=2, n_steps=3)
+        row = np.array([[0.0, 0.0, -0.5, 1.0], [0.0, 0.0, 7.0, 1.0]])
+        grown = scene.with_appended_states(row)
+        assert np.array_equal(grown.agent_states[:, -1, 2], wrap_angle(row[:, 2]))
+        assert np.array_equal(grown.agent_states[:, :-1], scene.agent_states)
+        assert row[0, 2] == -0.5   # the caller's row is left alone
 
     @pytest.mark.parametrize("shape", [(2, 8), (16,), (3, 4), (4, 1, 4), (4,)])
     def test_append_takes_exactly_one_state_per_agent(self, shape):
