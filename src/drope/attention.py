@@ -7,7 +7,7 @@ adds a learned encoding of each pairwise relative pose to the key and value
 vectors, which is what makes its memory footprint quadratic in the token
 count. That pairwise regime materializes each per-pair tensor whole, on
 purpose, so the profiler can count it, but one at a time: the key offsets
-are folded into the scores and dropped before the value offsets are built.
+are folded into the scores before the value offsets are written over them.
 
 Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
 value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
@@ -20,15 +20,17 @@ every call appends an ``AttentionRecord``: the scalar counts of the arrays
 it materialized, by ledger category, and a view of its attention weights.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
-(..., H, N, W) and walked in blocks of ``QUERY_BLOCK`` query rows, so scores
-take memory linear in N. Per block the scores are one batched matmul giving
+(..., H, N, W) and walked in blocks of query rows, so scores take memory
+linear in N. Per block the scores are one batched matmul giving
 (..., H, B, M), exponentiated in place less each row's max; a second one
 with the (..., H, M, d_v) values, divided by the row sums, fills one output
 (weights are normalized only where read as weights); a causal block reads
-only the keys up to its last row. The pairwise regime runs as one block, as
-its offsets are (..., N, M) already, and adds them to the same two products,
-the value offsets built only after the softmax: with per-pair,
-per-head key and value offsets off_ij, a score is
+only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
+pairwise regime takes as many rows as fit a fixed count of token pairs and
+writes each block's offsets into one buffer laid out (..., N, H, M, width):
+first all key offsets, each block folded at once into the (..., H, N, M)
+score offsets, then, block by block after each softmax, the value offsets
+over them. With per-pair, per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
 backward walks the same query-row blocks of one unstacked bank, so
@@ -77,9 +79,10 @@ class Variant(enum.Enum):
     """The five attention regimes.
 
     * ``plain``: standard attention, no pose information.
-    * ``rpe``: learned pairwise key/value offsets; each (N, M, H, width)
+    * ``rpe``: learned pairwise key/value offsets; each (N, H, M, width)
       offset tensor is materialized whole so its storage can be measured,
-      the key offsets and then the value offsets, never both at once.
+      the key offsets and then the value offsets over them in one buffer,
+      built a block of query rows at a time.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -110,6 +113,9 @@ ROTARY_VARIANTS = (Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
 
 #: Query rows per score block: a call holds (..., H, QUERY_BLOCK, M) scores at once.
 QUERY_BLOCK = 128
+
+# Token pairs per pairwise-encoder block, so its encoder temporaries have one size.
+_PAIR_BLOCK = 2048
 
 #: Hidden width of both pairwise encoders; the FLOP ledger counts this width.
 RPE_HIDDEN = 32
@@ -283,6 +289,10 @@ class RPEEncoders:
     def key_width(self) -> int:
         return self.w2_k.shape[1]
 
+    @property
+    def value_width(self) -> int:
+        return self.w2_v.shape[1]
+
     @staticmethod
     def _mlp(rel, w1, b1, w2, b2) -> np.ndarray:
         """``tanh(rel @ w1 + b1) @ w2 + b2``, each sum written into its product."""
@@ -347,19 +357,18 @@ def recording():
         _RECORDS.reset(token)
 
 
-def _weight_blocks(q_heads, k_heads, scale, causal=False, offset=None, alpha_all=None):
+def _weight_blocks(q_heads, k_heads, scale, rows, causal=False, offset=None, alpha_all=None):
     """Yield ``(s, e, alpha, sums)``: the (..., H, e - s, keys) exponentials
     of query rows [s, e) of the head-major banks less each row's max, and
-    their row sums, one ``QUERY_BLOCK`` at a time; the weights are alpha / sums.
+    their row sums, ``rows`` at a time; the weights are alpha / sums.
 
-    A causal block reads only keys [0, e); a score ``offset`` (..., H, N, M)
-    is added before the scale, in one block as it is whole already. With
-    ``alpha_all`` the scores are computed into its rows.
+    A causal block reads only keys [0, e); the block's rows of a score
+    ``offset`` (..., H, N, M) are added before the scale. With ``alpha_all``
+    the scores are computed into its rows.
     """
     n, m = q_heads.shape[-2], k_heads.shape[-2]
-    block = max(n, 1) if offset is not None else QUERY_BLOCK
-    for s in range(0, n, block):
-        e = min(s + block, n)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
         keys = e if causal else m
         scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
                            out=None if alpha_all is None else alpha_all[..., s:e, :keys])
@@ -373,17 +382,7 @@ def _weight_blocks(q_heads, k_heads, scale, causal=False, offset=None, alpha_all
         yield s, e, scores, scores.sum(axis=-1, keepdims=True)
 
 
-def _per_head(pairwise: np.ndarray, n_heads: int) -> np.ndarray:
-    """Materialize a head-shared (..., N, M, W) tensor as (..., N, M, H, W).
-
-    Each call's result is a whole per-pair tensor; the caller drops it after
-    its one product, so at most one is live at a time.
-    """
-    shape = pairwise.shape[:-1] + (n_heads, pairwise.shape[-1])
-    return np.broadcast_to(pairwise[..., None, :], shape).copy()
-
-
-def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc):
+def _validate_variant(variant, q_bank, k_bank, v_bank, poses_q, poses_kv, sched, enc):
     """Check the banks, poses and settings of one attention call.
 
     Returns the frequency schedule: this is the one place that defaults a
@@ -415,6 +414,9 @@ def _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc):
             raise DimensionMismatchError(
                 f"key encoder width {enc.key_width} mismatches QK width {width}"
             )
+        if enc.value_width != v_bank.shape[-1]:
+            raise DimensionMismatchError(f"value encoder width {enc.value_width} "
+                                         f"mismatches value width {v_bank.shape[-1]}")
     if variant not in ROTARY_VARIANTS:
         return sched
     if sched is None:
@@ -452,48 +454,52 @@ def _attend(
 ) -> AttentionOutput:
     """The one attention core: Q from ``queries``, K and V from ``keysvals``."""
     q_bank, k_bank, v_bank = queries.q, keysvals.k, keysvals.v
-    sched = _validate_variant(variant, q_bank, k_bank, poses_q, poses_kv, sched, enc)
+    sched = _validate_variant(variant, q_bank, k_bank, v_bank, poses_q, poses_kv, sched, enc)
     n_heads, width = q_bank.shape[-2:]
     d_k = width // 2
     d_v = v_bank.shape[-1]
+    n, m = q_bank.shape[-3], k_bank.shape[-3]
+    lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
 
-    q_hat, k_hat, offset, pairwise = q_bank, k_bank, None, 0
+    q_hat, k_hat, rows, offset, pairwise = q_bank, k_bank, QUERY_BLOCK, None, 0
     if variant is Variant.RPE:
         heading_offsets = poses_q.headings[..., :, None] - poses_kv.headings[..., None, :]
         rel = np.empty(heading_offsets.shape + (3,))
         rel[..., :2] = poses_q.positions[..., :, None, :] - poses_kv.positions[..., None, :, :]
         rel[..., 2] = wrap_angle(heading_offsets)
-        k_offset = _per_head(enc.encode_key(rel), n_heads)    # (..., N, M, H, 2*d_k)
-        pairwise = k_offset.size
-        # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
-        offset = np.matmul(k_offset.swapaxes(-3, -2), q_bank[..., None])[..., 0].swapaxes(-3, -2)
-        del k_offset
+        rows = max(1, _PAIR_BLOCK // max(m, 1))
+        pairs = math.prod(lead) * n * n_heads * m
+        pairwise = pairs * (width + d_v)
+        buffer = np.empty(pairs * max(width, d_v))   # the key offsets, then the value offsets
+        k_offset = buffer[:pairs * width].reshape(lead + (n, n_heads, m, width))
+        offset = np.empty(lead + (n_heads, n, m))
+        for s in range(0, n, rows):
+            block = k_offset[..., s:s + rows, :, :, :]
+            block[...] = enc.encode_key(rel[..., s:s + rows, :, :])[..., None, :, :]
+            # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
+            np.matmul(block, q_bank[..., s:s + rows, :, :, None],
+                      out=offset.swapaxes(-3, -2)[..., s:s + rows, :, :, None])
+        v_offset = buffer[:pairs * d_v].reshape(lead + (n, n_heads, m, d_v))
     elif variant is not Variant.PLAIN:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv),
                                 sched, angle_freqs)
 
-    n, m = q_bank.shape[-3], k_bank.shape[-3]
-    lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
     v_heads = v_bank.swapaxes(-3, -2)
     per_head = np.empty(lead + (n, n_heads, d_v))
     records = _RECORDS.get()
     alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
     for s, e, alpha, sums in _weight_blocks(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2),
-                                            1.0 / math.sqrt(d_k), causal, offset, alpha_all):
+                                            1.0 / math.sqrt(d_k), rows, causal, offset,
+                                            alpha_all):
         out = per_head[..., s:e, :, :]    # a row's d_v outputs divided, not its M weights
         np.divide(alpha @ v_heads[..., :alpha.shape[-1], :], sums, out=out.swapaxes(-3, -2))
         if alpha_all is not None or variant is Variant.RPE:
             alpha /= sums
         if variant is Variant.RPE:
-            # The single RPE block: the value offsets are built only now that
-            # the key offsets are gone, and dropped after their weighted sum.
-            v_offset = _per_head(enc.encode_value(rel), n_heads)  # (..., N, M, H, d_v)
-            pairwise += v_offset.size
+            block = v_offset[..., s:e, :, :, :]
+            block[...] = enc.encode_value(rel[..., s:e, :, :])[..., None, :, :]
             # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
-            out += np.matmul(
-                alpha.swapaxes(-3, -2)[..., None, :], v_offset.swapaxes(-3, -2)
-            )[..., 0, :]
-            del v_offset
+            out += np.matmul(alpha.swapaxes(-3, -2)[..., None, :], block)[..., 0, :]
 
     if records is not None:
         records.append(AttentionRecord({
@@ -566,7 +572,7 @@ def attention_backward(
             f"upstream gradient must be (N, H*d_v) = {(n, n_heads * d_v)}, "
             f"got {upstream.shape}"
         )
-    sched = _validate_variant(variant, qkv.q, qkv.k, poses, poses, sched, None)
+    sched = _validate_variant(variant, qkv.q, qkv.k, qkv.v, poses, poses, sched, None)
 
     q_hat, k_hat = qkv.q, qkv.k
     if variant is not Variant.PLAIN:
@@ -578,7 +584,7 @@ def attention_backward(
     d_out = upstream.reshape(n, n_heads, d_v).swapaxes(0, 1)
     dq_hat = np.empty((n_heads, n, width))
     dk_hat, dv = np.zeros((n_heads, n, width)), np.zeros((n_heads, n, d_v))
-    for s, e, alpha, sums in _weight_blocks(q_heads, k_heads, scale):
+    for s, e, alpha, sums in _weight_blocks(q_heads, k_heads, scale, QUERY_BLOCK):
         alpha /= sums
         dv += np.matmul(alpha.swapaxes(1, 2), d_out[:, s:e])
         d_scores = np.matmul(d_out[:, s:e], v_heads.swapaxes(1, 2))

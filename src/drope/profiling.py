@@ -11,8 +11,9 @@ category need not be live at the same time):
     and evaluates to the same integer.
   * ``pairwise_scalars`` = N^2*H*(2*d_k + d_v) for the pairwise-encoder
     variant (its per-pair key and value tensors, 0 otherwise). The engine
-    builds them one at a time, so a call holds N^2*H*max(2*d_k, d_v) of them
-    at once, not the sum.
+    writes them block by block into one buffer, the value tensor over the
+    key tensor, so a call holds N^2*H*max(2*d_k, d_v) of them at once, not
+    the sum.
   * ``embedded_scalars`` = 2*N*H*(2*d_k) for the rotary variants when the
     rotated banks are materialized (the engines do materialize them); the
     in-place total reports 0 for this term.

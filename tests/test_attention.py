@@ -178,6 +178,25 @@ class TestRPE:
             assert np.array_equal(encode(rel), expected)
         assert np.array_equal(rel, kept)
 
+    @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
+    @pytest.mark.parametrize("value_width", [5, 1])
+    def test_value_encoder_width_must_match_the_value_bank(self, engine, value_width):
+        """Checked before any offset is built: a width-1 encoder would
+        otherwise broadcast its one column over every value column."""
+        qkv, poses = make_case(12, n=4)
+
+        def never(rel):
+            raise AssertionError("offsets encoded before the width check")
+
+        enc = RPEEncoders.seeded(qkv.d_k, value_width)
+        enc.encode_key = enc.encode_value = never
+        with pytest.raises(DimensionMismatchError,
+                           match=f"value encoder width {value_width} mismatches value width 3"):
+            if engine == "mhsa":
+                mhsa(qkv, poses, Variant.RPE, enc=enc)
+            else:
+                mhca(qkv, qkv, poses, poses, Variant.RPE, enc=enc)
+
     @pytest.mark.parametrize("name, value", [
         ("b1_k", np.zeros(1)),
         ("b2_k", np.zeros((2, 4))),
@@ -813,6 +832,7 @@ class TestQueryBlocks:
     def dense(monkeypatch, engine, *args, **kwargs):
         with monkeypatch.context() as patch:
             patch.setattr(attention, "QUERY_BLOCK", 1 << 30)
+            patch.setattr(attention, "_PAIR_BLOCK", 1 << 30)
             return engine(*args, **kwargs).merged
 
     @staticmethod
@@ -822,11 +842,11 @@ class TestQueryBlocks:
         else:
             assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    # the pairwise tensors of 1024 tokens would take gigabytes; rpe is one block anyway
+    # the pairwise tensors of 1024 tokens would take gigabytes
     @pytest.mark.parametrize("variant, n", [(v, n) for v in Variant for n in (300, 1024)
                                             if v is not Variant.RPE or n == 300])
     def test_mhsa_and_mhca_match_the_dense_path(self, monkeypatch, variant, n):
-        bitwise = n % attention.QUERY_BLOCK == 0 or variant is Variant.RPE
+        bitwise = n % attention.QUERY_BLOCK == 0 and variant is not Variant.RPE
         qkv, poses = self.banks(60, n)
         keysvals, poses_kv = self.banks(61, 200)
         kw = self.kwargs(variant)
@@ -919,12 +939,13 @@ class TestMemoryLinearInN:
 
     H, D_K, D_V = 4, 8, 16
 
-    def peak(self, engine, variant, n):
+    def peak(self, engine, variant, n, widths=None):
+        h, d_k, d_v = widths or (self.H, self.D_K, self.D_V)
         rng = np.random.default_rng(n)
-        qkv = QKVSet.random(n, self.H, self.D_K, self.D_V, rng)
+        qkv = QKVSet.random(n, h, d_k, d_v, rng)
         poses = PoseSet.random(n, rng)
-        kwargs = {"enc": RPEEncoders.seeded(self.D_K, self.D_V)} if variant is Variant.RPE else {}
-        upstream = rng.standard_normal((n, self.H * self.D_V))
+        kwargs = {"enc": RPEEncoders.seeded(d_k, d_v)} if variant is Variant.RPE else {}
+        upstream = rng.standard_normal((n, h * d_v))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -955,3 +976,87 @@ class TestMemoryLinearInN:
         ledger = count_input_memory(Variant.RPE, n, self.H, self.D_K, self.D_V)
         ratio = self.peak(mhsa, Variant.RPE, n) / (8 * ledger.pairwise_scalars)
         assert ratio <= 0.85, ratio
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_pairwise_peak_is_its_per_pair_tensor(self, n):
+        """At the benchmark's widths a call peaks at its larger per-pair
+        tensor, N^2*H*max(2*d_k, d_v) float64s, plus at most a tenth and
+        4 MiB: no head-shared encoder output is held beside it."""
+        h, d_k, d_v = 4, 32, 64
+        tensor = 8 * n * n * h * max(2 * d_k, d_v)
+        peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
+        assert tensor <= peak <= 1.1 * tensor + 4 * 2**20, (peak, tensor)
+
+
+class TestPairBlocks:
+    """The pairwise regime walks blocks of as many query rows as fit
+    ``_PAIR_BLOCK`` token pairs, at least one, writing each block's offsets
+    into one per-pair buffer."""
+
+    H, D_K, D_V = 2, 4, 3
+
+    def banks(self, seed, n, lead=()):
+        rng = np.random.default_rng(seed)
+        qkv = QKVSet(*(rng.standard_normal(lead + (n, self.H, w))
+                       for w in (2 * self.D_K, 2 * self.D_K, self.D_V)))
+        poses = PoseSet(rng.uniform(-50.0, 50.0, lead + (n, 2)),
+                        rng.uniform(0.0, TWO_PI, lead + (n,)))
+        return qkv, poses
+
+    def enc(self):
+        return RPEEncoders.seeded(self.D_K, self.D_V, seed=70)
+
+    def assert_rows_match_the_oracle(self, rows, n, m):
+        queries, poses_q = self.banks(71, n)
+        keysvals, poses_kv = self.banks(72, m)
+        out = mhca(queries, keysvals, poses_q, poses_kv, Variant.RPE, enc=self.enc())
+        expected = run_reference(
+            Variant.RPE, QKVSet(queries.q[rows], queries.k[rows], queries.v[rows]),
+            PoseSet(poses_q.positions[rows], poses_q.headings[rows]), poses_kv,
+            enc=self.enc(), k=keysvals.k, v=keysvals.v,
+        )
+        assert out.merged[rows] == pytest.approx(expected, abs=1e-12)
+
+    def test_rows_at_block_edges_match_the_oracle(self):
+        m = 90
+        rows = attention._PAIR_BLOCK // m
+        n = 4 * rows + rows // 2
+        self.assert_rows_match_the_oracle(
+            [0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1], n, m)
+
+    def test_one_key_matches_the_oracle(self):
+        self.assert_rows_match_the_oracle(list(range(5)), 5, 1)
+
+    def test_more_keys_than_the_pair_bound_take_a_row_per_block(self, monkeypatch):
+        # a bound of 16 pairs keeps the scalar oracle fast over 20 keys
+        monkeypatch.setattr(attention, "_PAIR_BLOCK", 16)
+        self.assert_rows_match_the_oracle(list(range(3)), 3, 20)
+
+    def test_a_query_stack_equals_its_slices_bitwise(self):
+        queries, poses_q = self.banks(73, 20, lead=(3,))
+        keysvals, poses_kv = self.banks(74, 300)
+        out, alpha = recorded(mhca, queries, keysvals, poses_q, poses_kv, Variant.RPE,
+                              enc=self.enc())
+        for t in range(3):
+            part, part_alpha = recorded(
+                mhca, QKVSet(queries.q[t], queries.k[t], queries.v[t]), keysvals,
+                PoseSet(poses_q.positions[t], poses_q.headings[t]), poses_kv, Variant.RPE,
+                enc=self.enc(),
+            )
+            assert np.array_equal(out.merged[t], part.merged)
+            assert np.array_equal(alpha[t], part_alpha)
+
+    def test_records_every_pair_and_the_unblocked_weights(self, monkeypatch):
+        """At this shape BLAS rounds each score alike for any row count, so
+        the blocked weights are bitwise those of one block."""
+        n, m = 100, 90
+        queries, poses_q = self.banks(75, n)
+        keysvals, poses_kv = self.banks(76, m)
+        args = (queries, keysvals, poses_q, poses_kv, Variant.RPE)
+        with recording() as records:
+            mhca(*args, enc=self.enc())
+        monkeypatch.setattr(attention, "_PAIR_BLOCK", 1 << 30)
+        _, unblocked = recorded(mhca, *args, enc=self.enc())
+        (record,) = records
+        assert record.counts["pairwise"] == n * m * self.H * (2 * self.D_K + self.D_V)
+        assert np.array_equal(record.weights, unblocked)
