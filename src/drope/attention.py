@@ -35,6 +35,20 @@ q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
 backward walks the same query-row blocks of one unstacked bank, so
 gradients take memory linear in N too.
+
+A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
+... (round robin, so causal blocks, whose cost grows with the row, balance).
+The calling thread runs lane 0 and a private pool, started by the first call
+with L > 1, runs the rest. Each lane computes its scores into its own
+(..., H, B, M) slot, which the calling thread allocates, so a lane beyond the
+first costs one score block; each block's arithmetic is the one-lane
+arithmetic, so every L gives the same bits. L is the number of blocks, at
+most this process's CPUs, when BLAS was started with one thread (as read from
+its thread-count variables at import); otherwise BLAS threads already use
+the CPUs and L is 1. The pairwise regime keeps one lane: its footprint is the
+per-pair buffer, and a lane would add its encoder temporaries. The backward
+keeps one lane too: lanes would reorder its sums over blocks into dk and dv,
+and so change their bits.
 """
 
 from __future__ import annotations
@@ -43,6 +57,8 @@ import contextlib
 import copy
 import enum
 import math
+import os
+import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -116,6 +132,18 @@ QUERY_BLOCK = 128
 
 # Token pairs per pairwise-encoder block, so its encoder temporaries have one size.
 _PAIR_BLOCK = 2048
+
+# Lanes a forward call may split its query-row blocks over: this process's
+# CPUs when BLAS was started with one thread (every one of its thread-count
+# variables that is set reads 1), else 1, as BLAS threads take those CPUs.
+_BLAS_THREADS = {os.environ.get(name) for name in
+                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} - {None}
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_LANES = _CPUS if _BLAS_THREADS == {"1"} else 1
+# (pid, executor) running lanes 1 .. L - 1, started by the first call with
+# L > 1 in each process: a forked child has none of its parent's threads
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 #: Hidden width of both pairwise encoders; the FLOP ledger counts this width.
 RPE_HIDDEN = 32
@@ -357,29 +385,49 @@ def recording():
         _RECORDS.reset(token)
 
 
-def _weight_blocks(q_heads, k_heads, scale, rows, causal=False, offset=None, alpha_all=None):
-    """Yield ``(s, e, alpha, sums)``: the (..., H, e - s, keys) exponentials
-    of query rows [s, e) of the head-major banks less each row's max, and
-    their row sums, ``rows`` at a time; the weights are alpha / sums.
+def _block_weights(q_heads, k_heads, scale, s, e, causal=False, offset=None, out=None):
+    """The (..., H, e - s, keys) exponentials of query rows [s, e) of the
+    head-major banks less each row's max, and their row sums; the weights
+    are alpha / sums.
 
     A causal block reads only keys [0, e); the block's rows of a score
-    ``offset`` (..., H, N, M) are added before the scale. With ``alpha_all``
-    the scores are computed into its rows.
+    ``offset`` (..., H, N, M) are added before the scale. With ``out``
+    (..., H, >= e - s, M) the scores are computed into its leading rows.
     """
-    n, m = q_heads.shape[-2], k_heads.shape[-2]
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        keys = e if causal else m
-        scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
-                           out=None if alpha_all is None else alpha_all[..., s:e, :keys])
-        if offset is not None:
-            scores += offset[..., s:e, :]
-        scores *= scale
-        if causal:
-            np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        yield s, e, scores, scores.sum(axis=-1, keepdims=True)
+    keys = e if causal else k_heads.shape[-2]
+    scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
+                       out=None if out is None else out[..., :e - s, :keys])
+    if offset is not None:
+        scores += offset[..., s:e, :]
+    scores *= scale
+    if causal:
+        np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores, scores.sum(axis=-1, keepdims=True)
+
+
+def _in_lanes(lanes, run_lane):
+    """Run ``run_lane(0)`` .. ``run_lane(lanes - 1)``: lane 0 on the calling
+    thread, the others on the private pool, which the first call with more
+    than one lane starts. Returns once every lane has ended; an error in any
+    lane is raised."""
+    global _POOL
+    if lanes == 1:
+        run_lane(0)
+        return
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = os.getpid(), ThreadPoolExecutor(_LANES - 1, thread_name_prefix="drope-lane")
+    futures = [_POOL[1].submit(run_lane, lane) for lane in range(1, lanes)]
+    try:
+        run_lane(0)
+    finally:
+        errors = [future.exception() for future in futures]    # waits for each lane
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _validate_variant(variant, q_bank, k_bank, v_bank, poses_q, poses_kv, sched, enc):
@@ -484,23 +532,39 @@ def _attend(
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv),
                                 sched, angle_freqs)
 
+    q_heads, k_heads = q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2)
     v_heads = v_bank.swapaxes(-3, -2)
+    scale = 1.0 / math.sqrt(d_k)
     per_head = np.empty(lead + (n, n_heads, d_v))
     records = _RECORDS.get()
     alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
-    for s, e, alpha, sums in _weight_blocks(q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2),
-                                            1.0 / math.sqrt(d_k), rows, causal, offset,
-                                            alpha_all):
-        out = per_head[..., s:e, :, :]    # a row's d_v outputs divided, not its M weights
-        np.divide(alpha @ v_heads[..., :alpha.shape[-1], :], sums, out=out.swapaxes(-3, -2))
-        if alpha_all is not None or variant is Variant.RPE:
-            alpha /= sums
-        if variant is Variant.RPE:
-            block = v_offset[..., s:e, :, :, :]
-            block[...] = enc.encode_value(rel[..., s:e, :, :])[..., None, :, :]
-            # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
-            out += np.matmul(alpha.swapaxes(-3, -2)[..., None, :], block)[..., 0, :]
+    # lane l walks blocks l, l + L, ... (causal blocks grow with the row) and
+    # computes each block's scores into the recorded weights or into its own
+    # one-block slot; a call of one block lets matmul allocate them, which is
+    # cheaper for the small calls of a rollout. Slots are separate arrays: one
+    # (L, ...) array would raise glibc's mmap threshold to its size, and freed
+    # arrays up to that size would then stay resident.
+    lanes = 1 if variant is Variant.RPE else max(1, min(-(-n // rows), _LANES))
+    slots = [None] * lanes
+    if alpha_all is None and n > rows:
+        slots = [np.empty(lead + (n_heads, rows, m)) for _ in range(lanes)]
 
+    def run_lane(lane):
+        for s in range(lane * rows, n, lanes * rows):
+            e = min(s + rows, n)
+            into = slots[lane] if alpha_all is None else alpha_all[..., s:, :]
+            alpha, sums = _block_weights(q_heads, k_heads, scale, s, e, causal, offset, into)
+            out = per_head[..., s:e, :, :]    # a row's d_v outputs divided, not its M weights
+            np.divide(alpha @ v_heads[..., :alpha.shape[-1], :], sums, out=out.swapaxes(-3, -2))
+            if alpha_all is not None or variant is Variant.RPE:
+                alpha /= sums
+            if variant is Variant.RPE:
+                block = v_offset[..., s:e, :, :, :]
+                block[...] = enc.encode_value(rel[..., s:e, :, :])[..., None, :, :]
+                # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
+                out += np.matmul(alpha.swapaxes(-3, -2)[..., None, :], block)[..., 0, :]
+
+    _in_lanes(lanes, run_lane)
     if records is not None:
         records.append(AttentionRecord({
             "qkv": q_bank.size + k_bank.size + v_bank.size,
@@ -584,7 +648,9 @@ def attention_backward(
     d_out = upstream.reshape(n, n_heads, d_v).swapaxes(0, 1)
     dq_hat = np.empty((n_heads, n, width))
     dk_hat, dv = np.zeros((n_heads, n, width)), np.zeros((n_heads, n, d_v))
-    for s, e, alpha, sums in _weight_blocks(q_heads, k_heads, scale, QUERY_BLOCK):
+    for s in range(0, n, QUERY_BLOCK):
+        e = min(s + QUERY_BLOCK, n)
+        alpha, sums = _block_weights(q_heads, k_heads, scale, s, e)
         alpha /= sums
         dv += np.matmul(alpha.swapaxes(1, 2), d_out[:, s:e])
         d_scores = np.matmul(d_out[:, s:e], v_heads.swapaxes(1, 2))

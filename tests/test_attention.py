@@ -1,5 +1,12 @@
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +77,24 @@ def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, k=None, v=None
         split=split_pair,
     )
     return merged
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """``lanes(count)`` sets how many lanes a forward call may use, as a
+    one-thread BLAS on ``count`` CPUs would; each count starts its own pool,
+    which is shut down when the count changes or the test ends."""
+
+    def force(count):
+        if attention._POOL is not None:
+            attention._POOL[1].shutdown()
+        monkeypatch.setattr(attention, "_POOL", None)
+        monkeypatch.setattr(attention, "_LANES", count)
+
+    monkeypatch.setattr(attention, "_POOL", None)
+    yield force
+    if attention._POOL is not None:
+        attention._POOL[1].shutdown()
 
 
 class TestPlain:
@@ -965,6 +990,25 @@ class TestMemoryLinearInN:
                                                                         1024)
         assert ratio <= 2.5, ratio
 
+    @pytest.mark.parametrize("engine", [mhsa, mhsa_causal])    # the backward keeps one lane
+    def test_rotary_and_causal_peaks_are_linear_in_two_lanes(self, lanes, engine):
+        lanes(2)
+        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+        self.test_rotary_and_causal_peaks_are_linear(engine)
+
+    def test_a_second_lane_costs_one_score_block(self, lanes):
+        """Each lane computes its scores into its own (H, QUERY_BLOCK, N)
+        slot, so a second lane adds one block and its small per-block
+        temporaries."""
+        h, d_k, d_v, n = 4, 32, 64, 1024
+        peaks = []
+        for count in (1, 2):
+            lanes(count)
+            mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+            peaks.append(self.peak(mhsa, Variant.DROPE_HBH, n, (h, d_k, d_v)))
+        block = 8 * h * attention.QUERY_BLOCK * n
+        assert peaks[1] <= peaks[0] + block + 2**20, (peaks, block)
+
     def test_pairwise_peak_is_quadratic(self):
         ratio = self.peak(mhsa, Variant.RPE, 256) / self.peak(mhsa, Variant.RPE, 128)
         assert ratio >= 3.5, ratio
@@ -1060,3 +1104,132 @@ class TestPairBlocks:
         (record,) = records
         assert record.counts["pairwise"] == n * m * self.H * (2 * self.D_K + self.D_V)
         assert np.array_equal(record.weights, unblocked)
+
+
+class TestLanes:
+    """A forward call splits its query-row blocks over lanes, lane l taking
+    blocks l, l + L, ...; each block's arithmetic is that of one lane, so
+    every lane count gives the same bits."""
+
+    H, D_K, D_V = TestQueryBlocks.H, TestQueryBlocks.D_K, TestQueryBlocks.D_V
+    VARIANTS = [Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH]
+    banks = TestQueryBlocks.banks
+
+    def calls(self, variant, n, lead):
+        qkv, poses = self.banks(80, n, lead)
+        keysvals, poses_kv = self.banks(81, 200)
+        calls = [(mhsa, (qkv, poses, variant)),
+                 (mhca, (qkv, keysvals, poses, poses_kv, variant))]
+        if variant is Variant.PLAIN:
+            calls.append((mhsa_causal, (qkv,)))
+        return calls
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["bank", "stack"])
+    @pytest.mark.parametrize("n", [129, 300, 1024])
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_every_lane_count_gives_the_same_bits(self, lanes, variant, n, lead):
+        calls = self.calls(variant, n, lead)
+        results = {}
+        for count in (1, 2, 3):
+            lanes(count)
+            results[count] = [(engine(*args).per_head, recorded(engine, *args))
+                              for engine, args in calls]
+        for count in (2, 3):
+            for (out, (rec_out, weights)), (out1, (rec_out1, weights1)) in zip(
+                    results[count], results[1]):
+                assert np.array_equal(out, out1)
+                assert np.array_equal(rec_out.per_head, rec_out1.per_head)
+                assert np.array_equal(weights, weights1)
+
+    def test_a_single_block_and_the_pairwise_regime_start_no_thread(self, lanes):
+        lanes(2)
+        threads = threading.active_count()
+        qkv, poses = self.banks(82, attention.QUERY_BLOCK)
+        for variant in Variant:
+            kw = {"enc": RPEEncoders.seeded(self.D_K, self.D_V)} if variant is Variant.RPE else {}
+            mhsa(qkv, poses, variant, **kw)
+        big, big_poses = self.banks(83, 3 * attention.QUERY_BLOCK)
+        mhsa(big, big_poses, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
+        attention_backward(Variant.PLAIN, big, None,
+                           np.ones((big.n_tokens, self.H * self.D_V)))
+        assert attention._POOL is None
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("blas, expected", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "1"}, str(len(os.sched_getaffinity(0)))),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "1"),
+    ], ids=["unset", "one-thread", "mixed"])
+    def test_lanes_follow_the_blas_thread_count(self, blas, expected):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(attention.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(blas)
+        done = subprocess.run(
+            [sys.executable, "-c", "import drope.attention as a; print(a._LANES)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == expected
+
+    def test_many_lanes_with_rapid_thread_switches_give_the_same_bits(self, lanes):
+        """More lanes than CPUs, switching threads every microsecond: a lane
+        that wrote another's rows or slot would change the output."""
+        qkv, poses = self.banks(85, 1024)
+        lanes(1)
+        expected = mhsa(qkv, poses, Variant.DROPE_HBH).per_head
+        lanes(2 * len(os.sched_getaffinity(0)) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert np.array_equal(mhsa(qkv, poses, Variant.DROPE_HBH).per_head, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_forked_child_starts_its_own_pool(self, lanes):
+        lanes(2)
+        qkv, poses = self.banks(86, 3 * attention.QUERY_BLOCK)
+        expected = mhsa(qkv, poses, Variant.ROPE).per_head
+        assert attention._POOL is not None
+
+        def child():
+            same = np.array_equal(mhsa(qkv, poses, Variant.ROPE).per_head, expected)
+            os._exit(0 if same else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        if process.is_alive():
+            process.kill()
+        assert process.exitcode == 0
+
+    def failing_blocks(self, monkeypatch, fail_at, slow_at=None):
+        """Patch the block kernel to raise at row ``fail_at`` and to sleep at
+        ``slow_at``; returns the list of blocks still inside it."""
+        inside, kernel = [], attention._block_weights
+
+        def patched(q_heads, k_heads, scale, s, e, *args):
+            inside.append(s)
+            try:
+                if s == slow_at:
+                    time.sleep(0.2)
+                if s == fail_at:
+                    raise RuntimeError(f"block {s}")
+                return kernel(q_heads, k_heads, scale, s, e, *args)
+            finally:
+                inside.remove(s)
+
+        monkeypatch.setattr(attention, "_block_weights", patched)
+        return inside
+
+    @pytest.mark.parametrize("fail_at, slow_at", [(128, None), (0, 128), (128, 0)],
+                             ids=["lane-1", "lane-0-while-lane-1-runs",
+                                  "lane-1-while-lane-0-runs"])
+    def test_a_lane_error_is_raised_after_every_lane_ends(self, lanes, monkeypatch,
+                                                          fail_at, slow_at):
+        lanes(2)
+        inside = self.failing_blocks(monkeypatch, fail_at, slow_at)
+        qkv, poses = self.banks(84, 4 * attention.QUERY_BLOCK)
+        with pytest.raises(RuntimeError, match=f"block {fail_at}"):
+            mhsa(qkv, poses, Variant.DROPE_HBH)
+        assert inside == []
