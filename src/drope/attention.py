@@ -613,8 +613,6 @@ def attention_backward(
     qkv: QKVSet,
     poses: PoseSet | None,
     upstream: np.ndarray,
-    *,
-    sched=None,
 ):
     """Analytic gradients of the merged output w.r.t. the Q, K, V banks.
 
@@ -636,7 +634,7 @@ def attention_backward(
             f"upstream gradient must be (N, H*d_v) = {(n, n_heads * d_v)}, "
             f"got {upstream.shape}"
         )
-    sched = _validate_variant(variant, qkv.q, qkv.k, qkv.v, poses, poses, sched, None)
+    sched = _validate_variant(variant, qkv.q, qkv.k, qkv.v, poses, poses, None, None)
 
     q_hat, k_hat = qkv.q, qkv.k
     if variant is not Variant.PLAIN:
@@ -654,11 +652,12 @@ def attention_backward(
         alpha /= sums
         dv += np.matmul(alpha.swapaxes(1, 2), d_out[:, s:e])
         d_scores = np.matmul(d_out[:, s:e], v_heads.swapaxes(1, 2))
-        d_scores -= np.sum(d_scores * alpha, axis=-1, keepdims=True)
+        d_scores -= np.einsum("...ij,...ij->...i", d_scores, alpha)[..., None]
         d_scores *= alpha
         d_scores *= scale
         np.matmul(d_scores, k_heads, out=dq_hat[:, s:e])
         dk_hat += np.matmul(d_scores.swapaxes(1, 2), q_heads[:, s:e])
+        del alpha, d_scores    # the next block starts with none of this block live
     dq, dk, dv = (grad.swapaxes(0, 1) for grad in (dq_hat, dk_hat, dv))
     if variant is not Variant.PLAIN:
         dq, dk = _rotated(variant, (dq, dk), (poses, poses), sched, None, undo=True)

@@ -30,7 +30,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar
 
@@ -47,7 +47,6 @@ from .attention import (
 )
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
 from .kinematics import ActionGrid, ControlAction, advance_states, kinematic_step
-from .rotary import FrequencySchedule
 from .scene import Scene
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "PipelineWeights",
     "SceneTokens",
     "ActionDistribution",
-    "sinusoidal_position_encoding",
     "tokenize_scene",
     "interaction_step",
     "temporal_step",
@@ -101,10 +99,6 @@ class PipelineConfig:
         if self.variant is Variant.DROPE_HBH and self.n_heads < 2:
             raise ConfigurationError("head-by-head integration needs at least 2 heads")
 
-    @cached_property
-    def sched(self) -> FrequencySchedule:
-        return FrequencySchedule.default(self.d_k)
-
     @property
     def n_actions(self) -> int:
         return self.grid.n_actions
@@ -127,7 +121,7 @@ class BlockWeights:
     ffn_b1: np.ndarray
     ffn_w2: np.ndarray
     ffn_b2: np.ndarray
-    enc: RPEEncoders | None = None   # pairwise-encoder variant only
+    enc: RPEEncoders | None   # pairwise-encoder variant only
 
     @classmethod
     def seeded(cls, config: PipelineConfig, rng, count: int):
@@ -148,26 +142,6 @@ class BlockWeights:
                     else None
                 ),
             )
-
-    @classmethod
-    def identity(cls, config: PipelineConfig) -> "BlockWeights":
-        """Identity QKV/output projections with a zero feed-forward."""
-        d, h = config.d_model, config.n_heads
-        width, d_v = 2 * config.d_k, config.d_v
-        if h * width != d or h * d_v != d:
-            raise ConfigurationError(
-                "identity projections need H*2*d_k == H*d_v == d_model"
-            )
-        return cls(
-            w_q=np.eye(d).reshape(d, h, width),
-            w_k=np.eye(d).reshape(d, h, width),
-            w_v=np.eye(d).reshape(d, h, d_v),
-            w_o=np.eye(d),
-            ffn_w1=np.zeros((d, config.ffn_hidden)),
-            ffn_b1=np.zeros(config.ffn_hidden),
-            ffn_w2=np.zeros((config.ffn_hidden, d)),
-            ffn_b2=np.zeros(d),
-        )
 
 
 @dataclass
@@ -285,7 +259,7 @@ def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
 
 def _self_block(tokens, poses, bw, config) -> np.ndarray:
     qkv = QKVSet(*(_project(tokens, w) for w in (bw.w_q, bw.w_k, bw.w_v)))
-    out = mhsa(qkv, poses, config.variant, sched=config.sched, enc=bw.enc)
+    out = mhsa(qkv, poses, config.variant, enc=bw.enc)
     return tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
@@ -310,8 +284,7 @@ def _agent_interaction(agent_tokens, poses, map_kv: QKVSet, map_poses,
     queries = _project(agent_tokens, bw.w_q)
     # only the query bank of ``queries`` is read
     out = mhca(
-        QKVSet(queries, queries, queries), map_kv, poses, map_poses, config.variant,
-        sched=config.sched, enc=bw.enc,
+        QKVSet(queries, queries, queries), map_kv, poses, map_poses, config.variant, enc=bw.enc
     )
     return agent_tokens + _ffn(out.merged @ bw.w_o, bw)
 
@@ -346,10 +319,6 @@ def _step_encoding(steps, d_model: int) -> np.ndarray:
     return encoding
 
 
-def sinusoidal_position_encoding(n_steps: int, d_model: int) -> np.ndarray:
-    return _step_encoding(np.arange(n_steps), d_model)
-
-
 def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineConfig):
     """Causal self-attention along each agent's token sequence.
 
@@ -357,7 +326,7 @@ def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineCo
     are excluded before the softmax, so the guarantee is bitwise.
     """
     n_steps = agent_tokens.shape[1]
-    encoded = agent_tokens + sinusoidal_position_encoding(n_steps, config.d_model)[None]
+    encoded = agent_tokens + _step_encoding(np.arange(n_steps), config.d_model)[None]
     return _temporal_residual(encoded, mhsa_causal(_temporal_banks(encoded, bw)), bw)
 
 

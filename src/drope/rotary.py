@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,7 +95,10 @@ class FrequencySchedule:
         object.__setattr__(self, "freqs", freqs)
 
     @classmethod
+    @lru_cache(maxsize=16, typed=True)
     def default(cls, d_k: int) -> "FrequencySchedule":
+        """The shared schedule of ``d_k`` pairs: one object per ``d_k``, so a
+        pose set's kept phasors, keyed on the schedule's identity, are reused."""
         freqs = empty_array(d_k, "a frequency schedule")
         for l in range(d_k):
             # scalar pow keeps the values bitwise equal to the closed form

@@ -104,10 +104,6 @@ class MapSegment:
         return cls(points=points, anchor_xy=anchor, anchor_heading=heading,
                    local_shape=local)
 
-    @property
-    def arc_length(self) -> float:
-        return polyline_arc_length(self.points)
-
     def translated(self, dx: float, dy: float) -> "MapSegment":
         return MapSegment.from_points(
             self.points + np.array([dx, dy]), max_arc_length=np.inf

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,20 @@ class TestBackward:
         dq2, _, _ = attention_backward(Variant.ROPE, qkv, poses, g2)
         dq_sum, _, _ = attention_backward(Variant.ROPE, qkv, poses, g1 + g2)
         assert dq_sum == pytest.approx(dq1 + dq2, abs=1e-12)
+
+    def test_a_call_holds_two_score_blocks(self):
+        """One plain call at N=1024 (H=4, QK and value widths 64) peaks at its
+        three head-major gradient banks (6 MiB), one gradient-sized matmul
+        temporary (2 MiB) and two (H, QUERY_BLOCK, N) score blocks (8 MiB),
+        plus 1 MiB."""
+        assert attention.QUERY_BLOCK == 128
+        rng = np.random.default_rng(8)
+        qkv = QKVSet.random(1024, 4, 32, 64, rng)
+        upstream = rng.standard_normal((1024, 4 * 64))
+        tracemalloc.start()
+        try:
+            attention_backward(Variant.PLAIN, qkv, None, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 2**20, peak / 2**20

@@ -73,6 +73,9 @@ class TestFrequencySchedule:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             FrequencySchedule.default(0)
+        FrequencySchedule.default(4)
+        with pytest.raises(TypeError):    # the shared int schedule is not returned
+            FrequencySchedule.default(4.0)
         with pytest.raises(DimensionMismatchError):
             FrequencySchedule(2, np.array([1.0]))
         with pytest.raises(InvalidArgumentError):
