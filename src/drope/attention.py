@@ -149,7 +149,7 @@ _POOL_LOCK = threading.Lock()
 RPE_HIDDEN = 32
 
 
-@dataclass
+@dataclass(eq=False)
 class QKVSet:
     """Query/key/value banks for N tokens and H heads.
 
@@ -241,46 +241,49 @@ class PoseSet:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "headings", headings)
 
-    def pair_phasors(self, variant, d_k, sched, angle_freqs) -> np.ndarray:
+    def pair_phasors(self, variant, d_k, sched) -> np.ndarray:
         """Read-only unit phasors of a rotary variant's d_k pairs per head:
         (..., N, 1, d_k) for rope and drope-ih, (..., N, 2, d_k) for drope-hbh
         (a row for its position heads, then one for its heading heads). The
         last setting's are kept; the schedule is compared by identity (its
-        frequencies are read-only), the rest by value.
+        frequencies are read-only).
         """
         kept = self._phasors
-        if (kept is not None and kept[:2] == (variant, d_k) and kept[2] is sched
-                and (kept[3] is None) == (angle_freqs is None)
-                and (angle_freqs is None or np.array_equal(kept[3], angle_freqs))):
-            return kept[4]
+        if kept is not None and kept[:2] == (variant, d_k) and kept[2] is sched:
+            return kept[3]
         angles = np.empty(self.headings.shape + (2 if variant is Variant.DROPE_HBH else 1, d_k))
         if variant is Variant.DROPE_IH:
             split = d_k // 2
             angles[..., 0, :split] = planar_pair_angles(self.positions, split, sched.freqs)
-            angles[..., 0, split:] = heading_pair_angles(self.headings, d_k - split, angle_freqs)
+            angles[..., 0, split:] = self._heading_angles(d_k - split, sched)
         else:
             angles[..., 0, :] = planar_pair_angles(self.positions, d_k, sched.freqs)
         if variant is Variant.DROPE_HBH:
-            angles[..., 1, :] = heading_pair_angles(self.headings, d_k, angle_freqs)
+            angles[..., 1, :] = self._heading_angles(d_k, sched)
         phasors = _unit_phasors(angles)
         phasors.flags.writeable = False
-        freqs = None if angle_freqs is None else np.array(angle_freqs)
-        object.__setattr__(self, "_phasors", (variant, d_k, sched, freqs, phasors))
+        object.__setattr__(self, "_phasors", (variant, d_k, sched, phasors))
         return phasors
+
+    def _heading_angles(self, n_pairs, sched) -> np.ndarray:
+        """Every heading pair turns by the heading; the negative control in
+        ``drope.verification`` overrides this seam with per-pair frequencies."""
+        return heading_pair_angles(self.headings, n_pairs)
 
     @property
     def n_tokens(self) -> int:
         return self.positions.shape[-2]
 
     @classmethod
-    def random(cls, n_tokens: int, rng, position_scale: float = 50.0) -> "PoseSet":
+    def random(cls, n_tokens: int, rng) -> "PoseSet":
+        """Positions uniform in [-50, 50) m per axis, headings in [0, 2*pi)."""
         return cls(
-            positions=rng.uniform(-position_scale, position_scale, (n_tokens, 2)),
+            positions=rng.uniform(-50.0, 50.0, (n_tokens, 2)),
             headings=rng.uniform(0.0, 2.0 * math.pi, n_tokens),
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class RPEEncoders:
     """Two-layer tanh perceptrons mapping (dx, dy, dtheta) to QK/V offsets.
 
@@ -353,7 +356,7 @@ class RPEEncoders:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class AttentionOutput:
     """Per-head outputs and their concatenation."""
 
@@ -361,7 +364,7 @@ class AttentionOutput:
     merged: np.ndarray            # (..., N, H * d_v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionRecord:
     """One call's materialized scalars per ledger category (``qkv``,
     ``embedded``, ``pairwise``) and a view of its (..., N, H, M) weights."""
@@ -478,7 +481,7 @@ def _validate_variant(variant, q_bank, k_bank, v_bank, poses_q, poses_kv, sched,
     return sched
 
 
-def _rotated(variant, banks, poses, sched, angle_freqs, undo=False):
+def _rotated(variant, banks, poses, sched, undo=False):
     """Each QK bank turned by its poses' kept phasors in one ``rotate_pairs``
     call, or turned back by their conjugates with ``undo``. A drope-hbh bank
     of even H is viewed as (..., N, H // 2, 2, 2*d_k) head pairs, which its
@@ -486,7 +489,7 @@ def _rotated(variant, banks, poses, sched, angle_freqs, undo=False):
     turned = []
     for bank, bank_poses in zip(banks, poses):
         shape, n_heads = bank.shape, bank.shape[-2]
-        phasors = bank_poses.pair_phasors(variant, shape[-1] // 2, sched, angle_freqs)
+        phasors = bank_poses.pair_phasors(variant, shape[-1] // 2, sched)
         if variant is Variant.DROPE_HBH and n_heads % 2:
             phasors = phasors[..., np.arange(n_heads) % 2, :]
         elif variant is Variant.DROPE_HBH:
@@ -498,7 +501,7 @@ def _rotated(variant, banks, poses, sched, angle_freqs, undo=False):
 
 def _attend(
     variant, queries: QKVSet, keysvals: QKVSet, poses_q, poses_kv,
-    *, sched=None, enc=None, angle_freqs=None, causal=False,
+    *, sched=None, enc=None, causal=False,
 ) -> AttentionOutput:
     """The one attention core: Q from ``queries``, K and V from ``keysvals``."""
     q_bank, k_bank, v_bank = queries.q, keysvals.k, keysvals.v
@@ -529,8 +532,7 @@ def _attend(
                       out=offset.swapaxes(-3, -2)[..., s:s + rows, :, :, None])
         v_offset = buffer[:pairs * d_v].reshape(lead + (n, n_heads, m, d_v))
     elif variant is not Variant.PLAIN:
-        q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv),
-                                sched, angle_freqs)
+        q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv), sched)
 
     q_heads, k_heads = q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2)
     v_heads = v_bank.swapaxes(-3, -2)
@@ -576,18 +578,16 @@ def _attend(
 
 def mhsa(
     qkv: QKVSet, poses: PoseSet | None, variant: Variant,
-    *, sched=None, enc=None, angle_freqs=None,
+    *, sched=None, enc=None,
 ) -> AttentionOutput:
     """Self-attention under any of the five variants.
 
     ``sched`` defaults to ``FrequencySchedule.default(d_k)`` for the rotary
-    variants; ``enc`` is required for rpe; ``angle_freqs`` is the
-    fault-injection hook of ``heading_pair_angles``. drope-ih gives the first
+    variants; ``enc`` is required for rpe. Heading pairs turn as ``poses``
+    turn them (see ``PoseSet._heading_angles``). drope-ih gives the first
     d_k // 2 rotation pairs to the position.
     """
-    return _attend(
-        variant, qkv, qkv, poses, poses, sched=sched, enc=enc, angle_freqs=angle_freqs,
-    )
+    return _attend(variant, qkv, qkv, poses, poses, sched=sched, enc=enc)
 
 
 def mhsa_causal(qkv: QKVSet) -> AttentionOutput:
@@ -638,7 +638,7 @@ def attention_backward(
 
     q_hat, k_hat = qkv.q, qkv.k
     if variant is not Variant.PLAIN:
-        q_hat, k_hat = _rotated(variant, (q_hat, k_hat), (poses, poses), sched, None)
+        q_hat, k_hat = _rotated(variant, (q_hat, k_hat), (poses, poses), sched)
 
     scale = 1.0 / math.sqrt(d_k)
     q_heads, k_heads = q_hat.swapaxes(0, 1), k_hat.swapaxes(0, 1)    # (H, N, 2*d_k)
@@ -660,5 +660,5 @@ def attention_backward(
         del alpha, d_scores    # the next block starts with none of this block live
     dq, dk, dv = (grad.swapaxes(0, 1) for grad in (dq_hat, dk_hat, dv))
     if variant is not Variant.PLAIN:
-        dq, dk = _rotated(variant, (dq, dk), (poses, poses), sched, None, undo=True)
+        dq, dk = _rotated(variant, (dq, dk), (poses, poses), sched, undo=True)
     return dq, dk, dv

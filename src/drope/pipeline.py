@@ -109,7 +109,7 @@ def _dense(rng, n_in: int, n_out: int, out=None) -> np.ndarray:
     return np.divide(rng.standard_normal(out=out), math.sqrt(n_in), out=out)
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockWeights:
     """Projections and feed-forward weights for one attention sub-block."""
 
@@ -151,7 +151,7 @@ class InteractionBlockWeights:
     cross: BlockWeights
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineWeights:
     """All learnable arrays of the pipeline, explicit and seed-reproducible."""
 
@@ -196,7 +196,7 @@ class PipelineWeights:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class SceneTokens:
     """Pose-free token banks plus the stripped global poses."""
 
@@ -351,7 +351,7 @@ def _temporal_residual(encoded: np.ndarray, attended, bw: BlockWeights) -> np.nd
     return encoded + _ffn(merged @ bw.w_o, bw)
 
 
-@dataclass
+@dataclass(eq=False)
 class ActionDistribution:
     """Per-agent, per-step logits over the flat action grid."""
 
@@ -572,7 +572,7 @@ class PipelinePolicy:
         return [actions[k:k + n_agents] for k in range(0, len(actions), n_agents)]
 
 
-@dataclass
+@dataclass(eq=False)
 class RolloutResult:
     """Predicted states (n_agents, horizon, 4) and the actions that produced them."""
 

@@ -13,7 +13,8 @@ Two embeddings are provided, each taking one position or heading per vector
 * ``rope_embed`` rotates pair l by ``m * freqs[l]`` for a scalar position m,
   so relative positions appear implicitly in QK dot products.
 * ``drope_embed`` rotates every pair by the same heading angle, which keeps
-  the dot product a function of the wrapped relative angle only.
+  the dot product a function of the wrapped relative angle only. It takes no
+  frequencies; verify's negative control applies ``rope_embed`` to headings.
 
 ``planar_pair_angles`` and ``heading_pair_angles`` give the per-pair angles
 of whole token banks for ``rotate_pairs``. 2D positions split the pair axis
@@ -69,7 +70,7 @@ def _as_finite(name: str, arr) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencySchedule:
     """Per-pair rotation frequencies for the position embedding.
 
@@ -157,17 +158,13 @@ def rope_embed(x, m, sched: FrequencySchedule) -> np.ndarray:
     return rotate_pairs(x, _as_finite("position", m)[..., None] * sched.freqs)
 
 
-def drope_embed(x, theta, freqs=None) -> np.ndarray:
+def drope_embed(x, theta) -> np.ndarray:
     """Embed headings ``theta``, one per vector, by rotating every 2D pair of a
-    vector of ``x`` by its heading.
-
-    ``freqs`` is the fault-injection hook of ``heading_pair_angles``.
-    """
+    vector of ``x`` by its heading."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] % 2 != 0:
         raise DimensionMismatchError(f"vector length must be even, got shape {x.shape}")
-    angles = heading_pair_angles(_as_finite("heading", theta), x.shape[-1] // 2, freqs)
-    return rotate_pairs(x, angles)
+    return rotate_pairs(x, heading_pair_angles(_as_finite("heading", theta), x.shape[-1] // 2))
 
 
 def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:
@@ -194,20 +191,8 @@ def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:
     return angles
 
 
-def heading_pair_angles(headings, n_pairs: int, freqs=None) -> np.ndarray:
-    """Per-pair rotation angles encoding headings across ``n_pairs`` pairs.
-
-    Every pair turns by the heading itself. ``freqs`` deliberately
-    reintroduces per-pair frequencies (pair l turns by heading * freqs[l]) so
-    the verification suite can demonstrate why they break angle periodicity;
-    leave it None for the real embedding.
-    """
+def heading_pair_angles(headings, n_pairs: int) -> np.ndarray:
+    """Per-pair rotation angles encoding headings across ``n_pairs`` pairs:
+    every pair turns by the heading itself."""
     headings = np.asarray(headings, dtype=np.float64)[..., None]
-    if freqs is None:
-        return np.repeat(headings, n_pairs, axis=-1)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.shape[-1] < n_pairs:
-        raise DimensionMismatchError(
-            f"need at least {n_pairs} frequencies, got {freqs.shape[-1]}"
-        )
-    return headings * freqs[:n_pairs]
+    return np.repeat(headings, n_pairs, axis=-1)

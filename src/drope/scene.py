@@ -104,11 +104,6 @@ class MapSegment:
         return cls(points=points, anchor_xy=anchor, anchor_heading=heading,
                    local_shape=local)
 
-    def translated(self, dx: float, dy: float) -> "MapSegment":
-        return MapSegment.from_points(
-            self.points + np.array([dx, dy]), max_arc_length=np.inf
-        )
-
 
 def segment_polyline(points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH):
     """Split a polyline into segments of arc length at most ``max_arc_length``.
@@ -177,7 +172,7 @@ class _Track:
         return self.array[:, :self.filled]
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     """Agent tracks (n_agents, n_steps, 4) as [x, y, yaw, v], plus map segments.
 
@@ -249,12 +244,6 @@ class Scene:
         grown = copy.copy(self)
         grown.agent_states, grown._track = track.append(row), track
         return grown
-
-    def translated(self, dx: float, dy: float) -> "Scene":
-        states = self.agent_states.copy()
-        states[:, :, 0] += dx
-        states[:, :, 1] += dy
-        return Scene(states, [seg.translated(dx, dy) for seg in self.segments], self.dt)
 
 
 def make_straight_polyline(start, heading: float, length: float, spacing: float = 5.0):

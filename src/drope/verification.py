@@ -8,10 +8,11 @@ properties compare (trials, 2, 2) stacks of ``rotate2d``, the embedding
 properties embed whole banks, and the engine properties stack their cases
 on a batch axis, so each engine run is one ``mhsa`` call over all cases.
 Row-wise dot products are stacked (n, 1, W) @ (n, W, 1) matmuls, which
-round as a 1-D ``@`` does. The optional fault injection routes the
-multi-frequency schedule into the heading embedding, which breaks exactly
-the angle-periodicity properties and serves as the negative control for the
-whole apparatus.
+round as a 1-D ``@`` does. The optional fault injection, the negative
+control for the whole apparatus, turns heading pair l by heading * freqs[l],
+which breaks exactly the angle-periodicity properties. Its mutants live here
+only: ``rope_embed`` of the headings for the embedding checks and
+``_FaultyPoseSet`` poses for the engine checks.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class PropertyResult:
     max_error: float
     tolerance: float
     passed: bool
-    detail: str = ""
+    detail: str
 
     def __post_init__(self):
         self.trials = int(self.trials)
@@ -92,12 +93,27 @@ class VerificationConfig:
     d_k_values: tuple = (1, 2, 8, 32)
     fault_injection: str | None = None
 
-    def angle_freqs(self, sched: FrequencySchedule):
-        if self.fault_injection is None:
-            return None
-        if self.fault_injection == FAULT_ROPE_FREQS_IN_FANGLE:
-            return sched.freqs
-        raise ConfigurationError(f"unknown fault injection {self.fault_injection!r}")
+
+class _FaultyPoseSet(PoseSet):
+    """Poses whose heading pairs turn by heading * freqs[l] with the engine's
+    schedule: the per-pair-frequency mutant of the engine checks."""
+
+    def _heading_angles(self, n_pairs, sched):
+        return self.headings[..., None] * sched.freqs[:n_pairs]
+
+
+def _injects_fault(cfg: VerificationConfig) -> bool:
+    """Whether ``cfg`` injects the fault; an unknown fault name is a ``ConfigurationError``."""
+    if cfg.fault_injection not in (None, FAULT_ROPE_FREQS_IN_FANGLE):
+        raise ConfigurationError(f"unknown fault injection {cfg.fault_injection!r}")
+    return cfg.fault_injection is not None
+
+
+def _heading_embed(cfg: VerificationConfig, sched: FrequencySchedule):
+    """The heading embedding: ``drope_embed``, or under the fault ``rope_embed``."""
+    if _injects_fault(cfg):
+        return lambda x, theta: rope_embed(x, theta, sched)
+    return drope_embed
 
 
 def _shift_errors(d1: np.ndarray, d2: np.ndarray, q: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -199,8 +215,7 @@ def _check_angle_shift_identity(cfg: VerificationConfig) -> PropertyResult:
     worst = 0.0
     trials = 0
     for d_k in cfg.d_k_values:
-        sched = FrequencySchedule.default(d_k)
-        freqs = cfg.angle_freqs(sched)
+        embed = _heading_embed(cfg, FrequencySchedule.default(d_k))
         n = max(4, cfg.trials // len(cfg.d_k_values))
         q = rng.standard_normal((n, 2 * d_k))
         k = rng.standard_normal((n, 2 * d_k))
@@ -213,11 +228,9 @@ def _check_angle_shift_identity(cfg: VerificationConfig) -> PropertyResult:
         theta_j[::4] = 5.9
         delta[::4] = 1.0
         # einsum, not _row_dots: the reported figures carry its rounding
-        d1 = np.einsum("td,td->t", drope_embed(q, theta_i, freqs), drope_embed(k, theta_j, freqs))
+        d1 = np.einsum("td,td->t", embed(q, theta_i), embed(k, theta_j))
         d2 = np.einsum(
-            "td,td->t",
-            drope_embed(q, wrap_angle(theta_i + delta), freqs),
-            drope_embed(k, wrap_angle(theta_j + delta), freqs),
+            "td,td->t", embed(q, wrap_angle(theta_i + delta)), embed(k, wrap_angle(theta_j + delta))
         )
         worst = max(worst, float(np.max(_shift_errors(d1, d2, q, k))))
         trials += n
@@ -230,13 +243,12 @@ def _check_angle_shift_identity(cfg: VerificationConfig) -> PropertyResult:
 def _check_counterexample(cfg: VerificationConfig) -> PropertyResult:
     d_k = 8
     sched = FrequencySchedule.default(d_k)
-    freqs = cfg.angle_freqs(sched)
     q, k = np.stack([
         np.random.default_rng(cfg.seed + 1000 + seed).standard_normal((2, 2 * d_k))
         for seed in range(COUNTEREXAMPLE_SEEDS)
     ], axis=1)
     rope_lhs, rope_rhs, rope_gap = periodicity_gaps(lambda x, t: rope_embed(x, t, sched), q, k)
-    drope_lhs, drope_rhs, drope_gap = periodicity_gaps(lambda x, t: drope_embed(x, t, freqs), q, k)
+    drope_lhs, drope_rhs, drope_gap = periodicity_gaps(_heading_embed(cfg, sched), q, k)
     rope_pairs = np.abs(rope_lhs - rope_rhs)
     return PropertyResult(
         "angle_periodicity_counterexample", COUNTEREXAMPLE_SEEDS, drope_gap, DROPE_GAP_MAX,
@@ -255,7 +267,8 @@ def _engine_bank(cfg: VerificationConfig, salt: int, draw=lambda rng: ()):
 
     Each case's ``draw(rng)`` is taken right after its banks and poses, as
     drawing case by case takes it. Returns the (C, 6, ...) ``QKVSet``, the
-    ``PoseSet``, the stacked draws and the engine's keyword settings.
+    poses and the stacked draws. The poses are a ``_FaultyPoseSet`` under
+    the fault, so a check builds its moved poses as ``type(poses)``.
     """
     rng = np.random.default_rng(cfg.seed + salt)
     n_cases = max(3, min(cfg.trials // 100, 20))
@@ -265,18 +278,16 @@ def _engine_bank(cfg: VerificationConfig, salt: int, draw=lambda rng: ()):
         return qkv.q, qkv.k, qkv.v, poses.positions, poses.headings, draw(rng)
 
     q, k, v, positions, headings, draws = map(np.stack, zip(*(case() for _ in range(n_cases))))
-    sched = FrequencySchedule.default(4)
-    engine = {"sched": sched, "angle_freqs": cfg.angle_freqs(sched)}
-    return QKVSet(q, k, v), PoseSet(positions, headings), draws, engine
+    pose_type = _FaultyPoseSet if _injects_fault(cfg) else PoseSet
+    return QKVSet(q, k, v), pose_type(positions, headings), draws
 
 
 def _check_translation_invariance(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-8
-    qkv, poses, shifts, engine = _engine_bank(cfg, 6, lambda rng: rng.uniform(-100.0, 100.0, 2))
-    moved = PoseSet(poses.positions + shifts[:, None, :], poses.headings)
+    qkv, poses, shifts = _engine_bank(cfg, 6, lambda rng: rng.uniform(-100.0, 100.0, 2))
+    moved = type(poses)(poses.positions + shifts[:, None, :], poses.headings)
     errors = np.array([
-        _rel_errors(mhsa(qkv, poses, variant, **engine).merged,
-                    mhsa(qkv, moved, variant, **engine).merged)
+        _rel_errors(mhsa(qkv, poses, variant).merged, mhsa(qkv, moved, variant).merged)
         for variant in ROTARY_VARIANTS
     ])
     worst = float(np.max(errors))
@@ -288,16 +299,15 @@ def _check_translation_invariance(cfg: VerificationConfig) -> PropertyResult:
 
 def _check_heading_shift_invariance(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-8
-    qkv, poses, draws, engine = _engine_bank(cfg, 7, lambda rng: rng.uniform(0.0, TWO_PI))
+    qkv, poses, draws = _engine_bank(cfg, 7, lambda rng: rng.uniform(0.0, TWO_PI))
     wrap_shifts = TWO_PI - np.max(poses.headings, axis=-1) + 0.1
     shifts = np.stack([draws, np.full_like(draws, TWO_PI), wrap_shifts])[..., None]
     # the three shifts of every case as one (3, C, 6, ...) bank
     tiled = QKVSet(*(np.broadcast_to(bank, (3,) + bank.shape) for bank in (qkv.q, qkv.k, qkv.v)))
-    moved = PoseSet(np.broadcast_to(poses.positions, (3,) + poses.positions.shape),
-                    poses.headings + shifts)
+    moved = type(poses)(np.broadcast_to(poses.positions, (3,) + poses.positions.shape),
+                        poses.headings + shifts)
     errors = np.array([
-        _rel_errors(mhsa(qkv, poses, variant, **engine).merged,
-                    mhsa(tiled, moved, variant, **engine).merged)
+        _rel_errors(mhsa(qkv, poses, variant).merged, mhsa(tiled, moved, variant).merged)
         for variant in (Variant.DROPE_HBH, Variant.DROPE_IH)
     ])
     worst = float(np.max(errors))
@@ -310,11 +320,11 @@ def _check_heading_shift_invariance(cfg: VerificationConfig) -> PropertyResult:
 
 def _check_rows_stochastic(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-9
-    qkv, poses, _, engine = _engine_bank(cfg, 8)
+    qkv, poses, _ = _engine_bank(cfg, 8)
     variants = [variant for variant in Variant if variant is not Variant.RPE]
     with recording() as records:
         for variant in variants:
-            mhsa(qkv, poses, variant, **engine)
+            mhsa(qkv, poses, variant)
     alpha = np.stack([record.weights for record in records])
     worst = float(max(np.max(np.abs(alpha.sum(axis=-1) - 1.0)),
                       np.max(-alpha, initial=0.0), np.max(alpha - 1.0, initial=0.0)))
@@ -326,14 +336,14 @@ def _check_rows_stochastic(cfg: VerificationConfig) -> PropertyResult:
 
 def _check_permutation_equivariance(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-10
-    qkv, poses, perms, engine = _engine_bank(cfg, 9, lambda rng: rng.permutation(6))
+    qkv, poses, perms = _engine_bank(cfg, 9, lambda rng: rng.permutation(6))
     rows = (np.arange(len(perms))[:, None], perms)
     permuted_qkv = QKVSet(qkv.q[rows], qkv.k[rows], qkv.v[rows])
-    permuted_poses = PoseSet(poses.positions[rows], poses.headings[rows])
+    permuted_poses = type(poses)(poses.positions[rows], poses.headings[rows])
     variants = (Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
     worst = max(
-        float(np.max(np.abs(mhsa(permuted_qkv, permuted_poses, variant, **engine).merged
-                            - mhsa(qkv, poses, variant, **engine).merged[rows])))
+        float(np.max(np.abs(mhsa(permuted_qkv, permuted_poses, variant).merged
+                            - mhsa(qkv, poses, variant).merged[rows])))
         for variant in variants
     )
     return PropertyResult(
@@ -362,5 +372,5 @@ def run_verification(cfg: VerificationConfig) -> list[PropertyResult]:
         raise ConfigurationError(f"trials must be positive, got {cfg.trials}")
     if not cfg.d_k_values:
         raise ConfigurationError(f"d_k_values must be non-empty, got {cfg.d_k_values!r}")
-    cfg.angle_freqs(FrequencySchedule.default(2))  # validate the fault name early
+    _injects_fault(cfg)  # validate the fault name early
     return [check(cfg) for check in _CHECKS]

@@ -37,6 +37,7 @@ from drope.scene import make_constant_velocity_scene, make_scene
 from drope.verification import periodicity_gaps
 
 from oracles import fd_gradient, ref_attention
+from scene_moves import translated
 
 
 def report_line(number, name, elapsed, limit, passed=True, detail=""):
@@ -291,7 +292,7 @@ def test_c07_gradient_check():
     for seed, (variant, n, h, d_k, d_v) in enumerate(configs):
         rng = np.random.default_rng(700 + seed)
         qkv = QKVSet.random(n, h, d_k, d_v, rng)
-        poses = PoseSet.random(n, rng, position_scale=5.0)
+        poses = PoseSet(rng.uniform(-5.0, 5.0, (n, 2)), rng.uniform(0.0, TWO_PI, n))
         probe = rng.standard_normal((n, h * d_v))
         analytic = attention_backward(variant, qkv, poses, probe)
 
@@ -325,7 +326,7 @@ def test_c08_pipeline_translation_invariance():
 
     base = rollout(scene, PipelinePolicy(weights, config), horizon=16)
     moved = rollout(
-        scene.translated(*shift), PipelinePolicy(weights, config), horizon=16
+        translated(scene, *shift), PipelinePolicy(weights, config), horizon=16
     )
     position_gap = np.max(np.abs(moved.states[:, :, :2] - shift - base.states[:, :, :2]))
     other_gap = np.max(np.abs(moved.states[:, :, 2:] - base.states[:, :, 2:]))

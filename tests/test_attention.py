@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import drope.attention as attention
+import drope.verification as verification
 from drope.attention import (
     AttentionRecord,
     PoseSet,
@@ -32,7 +33,7 @@ from drope.errors import (
     VerificationError,
 )
 from drope.profiling import count_input_memory
-from drope.rotary import TWO_PI, FrequencySchedule, _unit_phasors, rotate_pairs
+from drope.rotary import TWO_PI, FrequencySchedule, rotate_pairs
 
 from oracles import ref_attention, ref_bank_angles
 
@@ -297,16 +298,6 @@ class TestDropeHeadByHead:
         with pytest.raises(ConfigurationError):
             mhsa(qkv, PoseSet.random(3, rng), Variant.DROPE_HBH,
                  sched=FrequencySchedule.default(2))
-
-    def test_short_angle_freqs_rejected(self):
-        qkv, poses = make_case(32, d_k=4)
-        sched = FrequencySchedule.default(qkv.d_k)
-        with pytest.raises(DimensionMismatchError):
-            mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched, angle_freqs=sched.freqs[:3])
-        # intra-head integration turns only its angle pairs, so it needs fewer
-        short = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, angle_freqs=sched.freqs[:2])
-        full = mhsa(qkv, poses, Variant.DROPE_IH, sched=sched, angle_freqs=sched.freqs)
-        assert np.array_equal(short.merged, full.merged)
 
     def test_matches_scalar_reference(self):
         qkv, poses = make_case(13)
@@ -676,7 +667,6 @@ class TestPoseSet:
         choices = {
             "variant": (Variant.DROPE_HBH, Variant.DROPE_IH, Variant.ROPE),
             "sched": (FrequencySchedule.default(4), FrequencySchedule(4, freqs)),
-            "angle_freqs": (None, freqs, freqs * 2.0),
         }
         base = {name: values[0] for name, values in choices.items()}
         # per variant, change one setting at a time and change it back
@@ -696,36 +686,29 @@ class TestPoseSet:
                 assert np.array_equal(kept, fresh)
                 assert not kept.flags.writeable
 
-    def test_phasors_follow_angle_freqs_edited_in_place(self):
-        poses = PoseSet(np.zeros((2, 2)), np.array([0.5, 1.0]))
-        sched, freqs = FrequencySchedule.default(2), np.array([1.0, 2.0])
-        before = poses.pair_phasors(Variant.DROPE_HBH, 2, sched, freqs).copy()
-        freqs[1] = 3.0
-        after = poses.pair_phasors(Variant.DROPE_HBH, 2, sched, freqs)
-        assert np.array_equal(after[:, 1, 1], _unit_phasors(np.array([1.5, 3.0])))
-        assert not np.array_equal(before, after)
-
     @pytest.mark.parametrize("variant", ROTARY_VARIANTS)
     @pytest.mark.parametrize("n_heads", [2, 3, 4])
     @pytest.mark.parametrize("fault", [False, True], ids=["real", "angle-freqs"])
     def test_each_bank_turns_bitwise_by_its_oracle_angles(self, variant, n_heads, fault):
+        """The fault cases run the negative control's poses of the verify suite."""
         rng = np.random.default_rng(63)
         d_k, lead = 5, (2, 3)
-        poses = PoseSet(rng.uniform(-40.0, 40.0, lead + (2,)), rng.uniform(-7.0, 7.0, lead))
+        pose_type = verification._FaultyPoseSet if fault else PoseSet
+        poses = pose_type(rng.uniform(-40.0, 40.0, lead + (2,)), rng.uniform(-7.0, 7.0, lead))
         banks = [rng.standard_normal(lead + (n_heads, 2 * d_k)) for _ in range(2)]
         sched = FrequencySchedule.default(d_k)
-        angle_freqs = rng.uniform(0.5, 2.0, d_k) if fault else None
+        angle_freqs = sched.freqs if fault else None
         split = (2 * (d_k // 2), 2 * (d_k - d_k // 2)) if variant is Variant.DROPE_IH else None
         angles = np.array([[[
             ref_bank_angles(VARIANT_NAMES[variant], poses.positions[b, i], poses.headings[b, i],
                             head, d_k, sched.freqs, split, angle_freqs)
             for head in range(n_heads)] for i in range(lead[1])] for b in range(lead[0])])
         for undo, signed in ((False, angles), (True, -angles)):
-            turned = attention._rotated(variant, banks, (poses, poses), sched, angle_freqs, undo)
+            turned = attention._rotated(variant, banks, (poses, poses), sched, undo)
             for bank, got in zip(banks, turned):
                 assert got.shape == bank.shape
                 assert np.array_equal(got, rotate_pairs(bank, signed))
-        kept = poses.pair_phasors(variant, d_k, sched, angle_freqs)
+        kept = poses.pair_phasors(variant, d_k, sched)
         with pytest.raises(ValueError):
             kept[...] = 1.0
 

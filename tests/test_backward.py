@@ -30,7 +30,7 @@ def check_gradients(variant, n, h, d_k, d_v, seed, monkeypatch=None):
     query blocks of 2 rows and must also match its one-block result."""
     rng = np.random.default_rng(seed)
     qkv = QKVSet.random(n, h, d_k, d_v, rng)
-    poses = PoseSet.random(n, rng, position_scale=5.0)
+    poses = PoseSet(rng.uniform(-5.0, 5.0, (n, 2)), rng.uniform(0.0, 2.0 * np.pi, n))
     probe = rng.standard_normal((n, h * d_v))
     dq, dk, dv = attention_backward(variant, qkv, poses, probe)
     if monkeypatch is not None:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -95,6 +96,21 @@ class TestVerify:
         report_a = strip_timestamp(read_json(out_a / "verify_report.json"))
         report_b = strip_timestamp(read_json(out_b / "verify_report.json"))
         assert report_a == report_b
+
+    #: SHA-256 of the sorted-key JSON of the ``--seed 3 --trials 200`` report
+    #: without its timestamp, per fault flag, with the exit code.
+    REPORT_DIGESTS = {
+        (): ("ebf8b7e9a0cb7a2028b521c266bde596f65514a811ac16802957909ba03318b9", 0),
+        ("--fault-inject", "rope-freqs-in-fangle"): (
+            "b15ce1fc52dcba3b4b382d0f2de60de872b8debe68607c11ad43c351a396d78f", 1),
+    }
+
+    @pytest.mark.parametrize("fault", list(REPORT_DIGESTS), ids=["clean", "fault"])
+    def test_report_is_pinned(self, tmp_path, fault):
+        code = main(["verify", *SMALL_VERIFY, "--seed", "3", *fault, "--out", str(tmp_path)])
+        report = strip_timestamp(read_json(tmp_path / "verify_report.json"))
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert (digest, code) == self.REPORT_DIGESTS[fault]
 
 
 class TestProfile:

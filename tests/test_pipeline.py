@@ -32,6 +32,8 @@ from drope.pipeline import (
 from drope.rotary import TWO_PI, FrequencySchedule
 from drope.scene import Scene, make_constant_velocity_scene, make_scene
 
+from scene_moves import translated
+
 from oracles import (
     ref_attention_block,
     ref_ffn,
@@ -87,7 +89,7 @@ class TestTokenize:
         config = small_config()
         weights = PipelineWeights.seeded(config, seed=1)
         scene = small_scene(1)
-        moved = scene.translated(40.0, -7.0)
+        moved = translated(scene, 40.0, -7.0)
         base = tokenize_scene(scene, weights, config)
         shifted = tokenize_scene(moved, weights, config)
         assert shifted.map_tokens == pytest.approx(base.map_tokens, abs=1e-9)
@@ -126,7 +128,7 @@ class TestInteraction:
             tokenize_scene(scene, weights, config), weights.blocks[0], config
         )
         moved = interaction_step(
-            tokenize_scene(scene.translated(12.3, -45.6), weights, config),
+            tokenize_scene(translated(scene, 12.3, -45.6), weights, config),
             weights.blocks[0],
             config,
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drope.verification as verification
 from drope.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -22,6 +23,7 @@ from drope.rotary import (
     rotate_pairs,
     wrap_angle,
 )
+from drope.verification import FAULT_ROPE_FREQS_IN_FANGLE, VerificationConfig
 
 from oracles import ref_default_freqs, ref_embed, ref_matmul2, ref_planar_angles, ref_rotate
 
@@ -237,8 +239,6 @@ class TestRotatePairs:
 
     def test_embeddings_reject_mismatched_shapes_with_one_error(self):
         sched = FrequencySchedule.default(4)
-        with pytest.raises(DimensionMismatchError):
-            drope_embed(np.ones((3, 8)), 1.0, freqs=np.ones((2, 4)))
         for bad in (lambda: rope_embed(1.0, 1.0, sched), lambda: drope_embed(1.0, 1.0),
                     lambda: rotate_pairs(1.0, 0.0)):
             with pytest.raises(DimensionMismatchError):
@@ -255,8 +255,7 @@ class TestEmbeddingBanks:
     @pytest.mark.parametrize("embed", [
         lambda x, m: rope_embed(x, m, FrequencySchedule.default(4)),
         drope_embed,
-        lambda x, theta: drope_embed(x, theta, FrequencySchedule.default(4).freqs),
-    ], ids=["rope", "drope", "drope-fault-freqs"])
+    ], ids=["rope", "drope"])
     def test_bank_calls_equal_per_row_calls_bitwise(self, embed):
         bank = embed(self.x, self.values)
         rows = np.stack([embed(row, value) for row, value in zip(self.x, self.values)])
@@ -384,19 +383,17 @@ class TestDropeEmbed:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 8))
         thetas = rng.uniform(0.0, TWO_PI, 5)
-        freqs = FrequencySchedule.default(4).freqs
-        for f in (None, freqs):
-            bank = rotate_pairs(x, heading_pair_angles(thetas, 4, f))
-            rows = np.stack([drope_embed(x[i], thetas[i], f) for i in range(5)])
-            assert np.array_equal(bank, rows)
+        bank = rotate_pairs(x, heading_pair_angles(thetas, 4))
+        rows = np.stack([drope_embed(x[i], thetas[i]) for i in range(5)])
+        assert np.array_equal(bank, rows)
 
     def test_fault_frequencies_change_the_result(self):
+        """The verify suite's per-pair-frequency mutant differs from the real rule."""
         rng = np.random.default_rng(6)
         x = rng.standard_normal(8)
-        sched = FrequencySchedule.default(4)
-        assert not np.allclose(
-            drope_embed(x, 1.0), drope_embed(x, 1.0, freqs=sched.freqs)
-        )
+        faulty = VerificationConfig(fault_injection=FAULT_ROPE_FREQS_IN_FANGLE)
+        mutant = verification._heading_embed(faulty, FrequencySchedule.default(4))
+        assert not np.allclose(drope_embed(x, 1.0), mutant(x, 1.0))
 
 
 class TestPlanarEmbedding:

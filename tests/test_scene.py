@@ -27,6 +27,8 @@ from drope.scene import (
     segment_polyline,
 )
 
+from scene_moves import translated
+
 
 class TestMapSegment:
     def test_straight_segment_local_frame(self):
@@ -241,7 +243,7 @@ class TestScene:
 
     def test_translation_moves_states_and_map(self):
         scene = make_scene(seed=4)
-        moved = scene.translated(10.0, -3.0)
+        moved = translated(scene, 10.0, -3.0)
         assert moved.agent_states[:, :, 0] == pytest.approx(scene.agent_states[:, :, 0] + 10.0)
         assert moved.segments[0].anchor_xy == pytest.approx(
             scene.segments[0].anchor_xy + np.array([10.0, -3.0])

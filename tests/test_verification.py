@@ -7,7 +7,8 @@ import pytest
 import drope.rotary as rotary
 import drope.verification as verification
 from drope.errors import ConfigurationError
-from drope.rotary import FrequencySchedule, drope_embed, rope_embed
+from drope.attention import PoseSet, QKVSet, Variant, mhsa
+from drope.rotary import FrequencySchedule, drope_embed, rope_embed, rotate_pairs
 from drope.verification import (
     DROPE_GAP_MAX,
     FAULT_ROPE_FREQS_IN_FANGLE,
@@ -17,7 +18,7 @@ from drope.verification import (
     run_verification,
 )
 
-from oracles import ref_default_freqs, ref_embed
+from oracles import ref_attention, ref_default_freqs, ref_embed
 
 
 @pytest.mark.parametrize("settings", [
@@ -120,6 +121,31 @@ def test_periodicity_operator_gap_has_its_closed_form():
     assert not faulty.passed
     assert faulty.max_error == pytest.approx(closed_form, rel=1e-12)
     assert np.isclose(closed_form, 1.676, atol=1e-3)
+
+
+@pytest.mark.parametrize("variant", [Variant.DROPE_HBH, Variant.DROPE_IH])
+def test_fault_mutants_turn_heading_pair_l_by_heading_times_freq_l(variant):
+    """Under the fault the embedding is ``rope_embed`` of the headings, and
+    the engine's poses turn their heading pairs as the oracle with the
+    schedule's frequencies does; without it, the checks run the real rule."""
+    rng = np.random.default_rng(45)
+    sched = FrequencySchedule.default(4)
+    x, theta = rng.standard_normal((5, 8)), rng.uniform(0.0, 2.0 * math.pi, 5)
+    faulty = VerificationConfig(fault_injection=FAULT_ROPE_FREQS_IN_FANGLE)
+    embed = verification._heading_embed(faulty, sched)
+    assert np.array_equal(embed(x, theta), rotate_pairs(x, theta[:, None] * sched.freqs))
+    assert verification._heading_embed(VerificationConfig(), sched) is drope_embed
+
+    qkv = QKVSet.random(5, 2, 4, 3, rng)
+    positions, headings = rng.uniform(-9.0, 9.0, (5, 2)), rng.uniform(0.0, 2.0 * math.pi, 5)
+    out = mhsa(qkv, verification._FaultyPoseSet(positions, headings), variant)
+    _, expected = ref_attention(
+        variant.value, qkv.q, qkv.k, qkv.v, positions, headings, positions, headings,
+        split=(4, 4), angle_freqs=sched.freqs,
+    )
+    assert out.merged == pytest.approx(expected, abs=1e-12)
+    real = mhsa(qkv, PoseSet(positions, headings), variant)
+    assert not np.allclose(out.merged, real.merged)
 
 
 def pair_and_operator_gaps(d_k, q, k):
