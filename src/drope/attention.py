@@ -69,7 +69,6 @@ from .rotary import (
     FrequencySchedule,
     _as_finite,
     _unit_phasors,
-    heading_pair_angles,
     planar_pair_angles,
     rotate_pairs,
     wrap_angle,
@@ -187,10 +186,6 @@ class QKVSet:
         return self.q.shape[-3]
 
     @property
-    def n_heads(self) -> int:
-        return self.q.shape[-2]
-
-    @property
     def d_k(self) -> int:
         """Number of 2D rotation pairs per head (QK width is 2*d_k)."""
         return self.q.shape[-1] // 2
@@ -266,13 +261,10 @@ class PoseSet:
         return phasors
 
     def _heading_angles(self, n_pairs, sched) -> np.ndarray:
-        """Every heading pair turns by the heading; the negative control in
-        ``drope.verification`` overrides this seam with per-pair frequencies."""
-        return heading_pair_angles(self.headings, n_pairs)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.positions.shape[-2]
+        """Every heading pair turns by the heading: (..., N, 1), broadcast over
+        the pairs. The negative control in ``drope.verification`` overrides
+        this seam with per-pair frequencies."""
+        return self.headings[..., None]
 
     @classmethod
     def random(cls, n_tokens: int, rng) -> "PoseSet":

@@ -125,10 +125,10 @@ class ActionGrid:
 
 
 def _checked_dt(dt) -> float:
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
+    """``dt`` as a float; a string is a ``TypeError``, not a number."""
+    if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidArgumentError(f"dt must be a positive finite number, got {dt}")
-    return dt
+    return float(dt)
 
 
 def kinematic_step(state: AgentState, action: ControlAction, dt: float) -> AgentState:

@@ -18,10 +18,13 @@ step that does not depend on the sequence length. So its decoder encodes the
 map once, and each call encodes only the timesteps not yet seen (on the
 first, all of them) in one batched pass, writes their temporal keys/values
 into a preallocated cache that grows geometrically, and attends from the
-newest step over it, giving the logits a full forward pass over the history
-would. K sampled rollouts are one rollout with K times the rows.
+newest step over it, giving the logits that tokenize_scene, the
+interaction blocks, temporal_step and decode_actions give on the whole
+history. K sampled rollouts are one rollout with K times the rows.
 The attention sub-blocks compute ``tokens + FFN(W_o @ attention(tokens))``,
 so a zero-weight FFN makes a block the identity whatever the projections.
+Dense layers have no biases; the agent features carry a constant channel
+instead.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = [
     "interaction_step",
     "temporal_step",
     "decode_actions",
-    "forward",
     "ConstantActionPolicy",
     "PipelinePolicy",
     "RolloutResult",
@@ -69,10 +71,12 @@ __all__ = [
     "replay_actions",
     "write_trajectory_csv",
     "AGENT_FEATURE_WIDTH",
+    "FFN_HIDDEN",
     "ROLLOUT_SOFT_LIMIT_S",
 ]
 
 AGENT_FEATURE_WIDTH = 2      # [speed, 1.0]
+FFN_HIDDEN = 64              # hidden width of the sub-blocks' FFNs and the decoder
 ROLLOUT_SOFT_LIMIT_S = 8.0   # longer horizons warn but proceed
 CACHE_CHUNK_STEPS = 16       # the least number of steps the temporal K/V cache grows by
 
@@ -84,7 +88,6 @@ class PipelineConfig:
     d_k: int = 16                # rotary pairs per head; QK width 2*d_k
     d_v: int = 32
     n_blocks: int = 2
-    ffn_hidden: int = 64
     variant: Variant = Variant.DROPE_HBH
     grid: ClassVar[ActionGrid] = ActionGrid.default()
 
@@ -93,7 +96,7 @@ class PipelineConfig:
             raise ConfigurationError(f"d_model must be a positive even int, got {self.d_model}")
         if self.n_blocks < 1:
             raise ConfigurationError("need at least one interaction block")
-        for name in ("n_heads", "d_k", "d_v", "ffn_hidden"):
+        for name in ("n_heads", "d_k", "d_v"):
             if (value := getattr(self, name)) <= 0:
                 raise ConfigurationError(f"{name} must be a positive int, got {value}")
         if self.variant is Variant.DROPE_HBH and self.n_heads < 2:
@@ -117,16 +120,14 @@ class BlockWeights:
     w_k: np.ndarray    # (d_model, H, 2*d_k)
     w_v: np.ndarray    # (d_model, H, d_v)
     w_o: np.ndarray    # (H*d_v, d_model)
-    ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
+    ffn_w1: np.ndarray   # (d_model, FFN_HIDDEN)
+    ffn_w2: np.ndarray   # (FFN_HIDDEN, d_model)
     enc: RPEEncoders | None   # pairwise-encoder variant only
 
     @classmethod
     def seeded(cls, config: PipelineConfig, rng, count: int):
         """Yield ``count`` sub-blocks, drawn in turn into one array allocated up front."""
-        d, h, f, d_v = config.d_model, config.n_heads, config.ffn_hidden, config.d_v
+        d, h, f, d_v = config.d_model, config.n_heads, FFN_HIDDEN, config.d_v
         shapes = ((d, h * 2 * config.d_k),) * 2 + ((d, h * d_v), (h * d_v, d), (d, f), (f, d))
         ends = list(accumulate(n_in * n_out for n_in, n_out in shapes))
         for arena in empty_array((count, ends[-1]), "the attention blocks' weights"):
@@ -135,7 +136,7 @@ class BlockWeights:
             )
             yield cls(
                 w_q.reshape(d, h, -1), w_k.reshape(d, h, -1), w_v.reshape(d, h, -1), w_o,
-                ffn_w1, np.zeros(f), ffn_w2, np.zeros(d),
+                ffn_w1, ffn_w2,
                 enc=(
                     RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
                     if config.variant is Variant.RPE
@@ -156,19 +157,13 @@ class PipelineWeights:
     """All learnable arrays of the pipeline, explicit and seed-reproducible."""
 
     agent_w1: np.ndarray   # (AGENT_FEATURE_WIDTH, d_model)
-    agent_b1: np.ndarray
     agent_w2: np.ndarray   # (d_model, d_model)
-    agent_b2: np.ndarray
     map_point_w: np.ndarray  # (2, d_model), applied per local-frame point
-    map_point_b: np.ndarray
     map_out_w: np.ndarray    # (d_model, d_model), after mean pooling
-    map_out_b: np.ndarray
     blocks: list
     temporal: BlockWeights
-    dec_w1: np.ndarray     # (d_model, ffn_hidden)
-    dec_b1: np.ndarray
-    dec_w2: np.ndarray     # (ffn_hidden, n_actions)
-    dec_b2: np.ndarray
+    dec_w1: np.ndarray     # (d_model, FFN_HIDDEN)
+    dec_w2: np.ndarray     # (FFN_HIDDEN, n_actions)
 
     @classmethod
     def seeded(cls, config: PipelineConfig, seed: int = 0) -> "PipelineWeights":
@@ -177,22 +172,16 @@ class PipelineWeights:
         subs = BlockWeights.seeded(config, rng, 3 * config.n_blocks + 1)
         return cls(
             agent_w1=_dense(rng, AGENT_FEATURE_WIDTH, d),
-            agent_b1=np.zeros(d),
             agent_w2=_dense(rng, d, d),
-            agent_b2=np.zeros(d),
             map_point_w=_dense(rng, 2, d),
-            map_point_b=np.zeros(d),
             map_out_w=_dense(rng, d, d),
-            map_out_b=np.zeros(d),
             blocks=[
                 InteractionBlockWeights(agent_sa=next(subs), map_sa=next(subs), cross=next(subs))
                 for _ in range(config.n_blocks)
             ],
             temporal=next(subs),
-            dec_w1=_dense(rng, d, config.ffn_hidden),
-            dec_b1=np.zeros(config.ffn_hidden),
-            dec_w2=_dense(rng, config.ffn_hidden, config.n_actions),
-            dec_b2=np.zeros(config.n_actions),
+            dec_w1=_dense(rng, d, FFN_HIDDEN),
+            dec_w2=_dense(rng, FFN_HIDDEN, config.n_actions),
         )
 
 
@@ -227,8 +216,8 @@ def _map_tokens(scene: Scene, weights: PipelineWeights, config: PipelineConfig) 
         raise InvalidArgumentError("the scene needs agents, steps, and map segments")
     map_tokens = np.empty((len(scene.segments), config.d_model))
     for index, segment in enumerate(scene.segments):
-        point_feats = np.tanh(segment.local_shape @ weights.map_point_w + weights.map_point_b)
-        map_tokens[index] = point_feats.mean(axis=0) @ weights.map_out_w + weights.map_out_b
+        point_feats = np.tanh(segment.local_shape @ weights.map_point_w)
+        map_tokens[index] = point_feats.mean(axis=0) @ weights.map_out_w
     return map_tokens
 
 
@@ -241,10 +230,7 @@ def _agent_tokens(states: np.ndarray, weights: PipelineWeights) -> np.ndarray:
     """Agent tokens from [x, y, yaw, v] states of any leading shape; speed only."""
     speeds = states[..., 3]
     feats = np.stack([speeds, np.ones_like(speeds)], axis=-1)
-    return (
-        np.tanh(feats @ weights.agent_w1 + weights.agent_b1) @ weights.agent_w2
-        + weights.agent_b2
-    )
+    return np.tanh(feats @ weights.agent_w1) @ weights.agent_w2
 
 
 def _project(tokens: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -254,7 +240,7 @@ def _project(tokens: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
-    return np.tanh(x @ bw.ffn_w1 + bw.ffn_b1) @ bw.ffn_w2 + bw.ffn_b2
+    return np.tanh(x @ bw.ffn_w1) @ bw.ffn_w2
 
 
 def _self_block(tokens, poses, bw, config) -> np.ndarray:
@@ -380,20 +366,10 @@ def decode_actions(agent_tokens: np.ndarray, weights: PipelineWeights,
     """MLP from final agent tokens to action-grid logits; both must be finite."""
     if not np.isfinite(agent_tokens).all():
         raise InvalidArgumentError("agent tokens must be finite")
-    hidden = np.tanh(agent_tokens @ weights.dec_w1 + weights.dec_b1)
-    logits = hidden @ weights.dec_w2 + weights.dec_b2
+    logits = np.tanh(agent_tokens @ weights.dec_w1) @ weights.dec_w2
     if not np.isfinite(logits).all():
         raise InvalidArgumentError("decoder logits must be finite; check the decoder weights")
     return ActionDistribution(logits)
-
-
-def forward(scene: Scene, weights: PipelineWeights, config: PipelineConfig):
-    """Full pipeline forward pass; returns the distribution and final tokens."""
-    tokens = tokenize_scene(scene, weights, config)
-    for block in weights.blocks:
-        tokens = interaction_step(tokens, block, config)
-    final_tokens = temporal_step(tokens.agent_tokens, weights.temporal, config)
-    return decode_actions(final_tokens, weights, config), final_tokens
 
 
 class ConstantActionPolicy:
@@ -531,9 +507,10 @@ class PipelinePolicy:
     (the same map segments, the same agents, earlier states unchanged) it
     encodes only the new timesteps, and on the same history none; any other
     scene first gets a new decoder for its map. Either way the logits are
-    those of ``forward`` on the full history, up to rounding. In
-    ``rollout_samples`` one policy decodes K histories as one batch, and
-    history k samples from ``Generator(seed + k)``.
+    those of the stages (``tokenize_scene``, every ``interaction_step``,
+    ``temporal_step``, ``decode_actions``) on the full history, up to
+    rounding. In ``rollout_samples`` one policy decodes K histories as one
+    batch, and history k samples from ``Generator(seed + k)``.
     """
 
     def __init__(self, weights: PipelineWeights, config: PipelineConfig,

@@ -16,11 +16,11 @@ Two embeddings are provided, each taking one position or heading per vector
   the dot product a function of the wrapped relative angle only. It takes no
   frequencies; verify's negative control applies ``rope_embed`` to headings.
 
-``planar_pair_angles`` and ``heading_pair_angles`` give the per-pair angles
-of whole token banks for ``rotate_pairs``. 2D positions split the pair axis
-into two halves, the first encoding x and the second encoding y, each half
-consuming the leading entries of the frequency schedule; headings turn
-every pair by the same angle.
+``planar_pair_angles`` gives the per-pair angles of 2D positions for
+``rotate_pairs``: the pair axis splits into two halves, the first encoding x
+and the second encoding y, each half consuming the leading entries of the
+frequency schedule. A heading needs no per-pair angles: it is one angle
+with a trailing axis of 1, which ``rotate_pairs`` broadcasts over the pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "rope_embed",
     "drope_embed",
     "planar_pair_angles",
-    "heading_pair_angles",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -161,10 +160,7 @@ def rope_embed(x, m, sched: FrequencySchedule) -> np.ndarray:
 def drope_embed(x, theta) -> np.ndarray:
     """Embed headings ``theta``, one per vector, by rotating every 2D pair of a
     vector of ``x`` by its heading."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] % 2 != 0:
-        raise DimensionMismatchError(f"vector length must be even, got shape {x.shape}")
-    return rotate_pairs(x, heading_pair_angles(_as_finite("heading", theta), x.shape[-1] // 2))
+    return rotate_pairs(x, _as_finite("heading", theta)[..., None])
 
 
 def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:
@@ -190,9 +186,3 @@ def planar_pair_angles(positions, n_pairs: int, freqs) -> np.ndarray:
     angles[..., h1:] = positions[..., 1:2] * freqs[: n_pairs - h1]
     return angles
 
-
-def heading_pair_angles(headings, n_pairs: int) -> np.ndarray:
-    """Per-pair rotation angles encoding headings across ``n_pairs`` pairs:
-    every pair turns by the heading itself."""
-    headings = np.asarray(headings, dtype=np.float64)[..., None]
-    return np.repeat(headings, n_pairs, axis=-1)

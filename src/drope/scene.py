@@ -1,11 +1,13 @@
 """Synthetic driving scenes: agent tracks, segmented map polylines, JSON I/O.
 
 A scene holds ``n_agents`` state tracks sampled at ``dt`` seconds (default
-0.5 s, i.e. 2 Hz) and a set of map segments. Long polylines are split into
-segments of bounded arc length; each segment is anchored at its middle
-point with the heading toward the next point, and stores its shape
-re-expressed in that anchor frame so the shape carries no absolute pose.
-Single-point segments (stop signs) get heading 0.
+0.5 s, i.e. 2 Hz) and a set of map segments. Synthetic polylines have
+evenly spaced points at most ``POLYLINE_SPACING`` meters apart, and long
+polylines are split into segments of at most ``MAX_SEGMENT_LENGTH`` meters
+of arc. Each segment is anchored at its middle point with the heading
+toward the next point, and stores its shape re-expressed in that anchor
+frame so the shape carries no absolute pose. Single-point segments (stop
+signs) get heading 0.
 
 Scene files are JSON::
 
@@ -28,11 +30,12 @@ import numpy as np
 
 from .attention import PoseSet
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
-from .kinematics import ACCEL_LIMIT, YAW_RATE_LIMIT, AgentState, advance_states
+from .kinematics import ACCEL_LIMIT, YAW_RATE_LIMIT, AgentState, _checked_dt, advance_states
 from .rotary import wrap_angle
 
 __all__ = [
-    "DEFAULT_MAX_SEGMENT_LENGTH",
+    "MAX_SEGMENT_LENGTH",
+    "POLYLINE_SPACING",
     "DEFAULT_DT",
     "MapSegment",
     "Scene",
@@ -48,10 +51,11 @@ __all__ = [
     "scene_from_dict",
 ]
 
-DEFAULT_MAX_SEGMENT_LENGTH = 25.0  # meters
-DEFAULT_DT = 0.5                   # seconds (2 Hz)
-ACTION_SCALE = 0.3                 # random scenes: action std as a fraction of its limit
-TRACK_CHUNK_STEPS = 16             # the least number of steps an appended track grows by
+MAX_SEGMENT_LENGTH = 25.0   # most meters of arc in a map segment
+POLYLINE_SPACING = 5.0      # most meters between the points of a synthetic polyline
+DEFAULT_DT = 0.5            # seconds (2 Hz)
+ACTION_SCALE = 0.3          # random scenes: action std as a fraction of its limit
+TRACK_CHUNK_STEPS = 16      # the least number of steps an appended track grows by
 
 
 def polyline_arc_length(points) -> float:
@@ -79,16 +83,16 @@ class MapSegment:
             object.__setattr__(self, name, array)
 
     @classmethod
-    def from_points(cls, points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH):
+    def from_points(cls, points):
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
             raise InvalidArgumentError(f"segment points must be (P, 2), got {points.shape}")
         if not np.all(np.isfinite(points)):
             raise InvalidArgumentError("segment points must be finite")
-        if polyline_arc_length(points) > max_arc_length + 1e-9:
+        if polyline_arc_length(points) > MAX_SEGMENT_LENGTH + 1e-9:
             raise InvalidArgumentError(
                 f"segment arc length {polyline_arc_length(points):.3f} exceeds "
-                f"{max_arc_length} m; split the polyline first"
+                f"{MAX_SEGMENT_LENGTH} m; split the polyline first"
             )
         mid = (len(points) - 1) // 2
         if len(points) == 1:
@@ -105,8 +109,8 @@ class MapSegment:
                    local_shape=local)
 
 
-def segment_polyline(points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH):
-    """Split a polyline into segments of arc length at most ``max_arc_length``.
+def segment_polyline(points):
+    """Split a polyline into segments of arc length at most ``MAX_SEGMENT_LENGTH``.
 
     Cut points are interpolated exactly on the polyline, so consecutive
     segments share their boundary point and jointly cover the input.
@@ -114,10 +118,8 @@ def segment_polyline(points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
         raise InvalidArgumentError(f"polyline must be (P, 2), got {points.shape}")
-    if max_arc_length <= 0.0:
-        raise InvalidArgumentError("max_arc_length must be positive")
     if len(points) == 1:
-        return [MapSegment.from_points(points, max_arc_length)]
+        return [MapSegment.from_points(points)]
 
     segments = []
     current = [points[0]]
@@ -125,8 +127,8 @@ def segment_polyline(points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH)
     for start, end in zip(points[:-1], points[1:]):
         cursor = start
         remaining = float(np.linalg.norm(end - cursor))
-        while used + remaining > max_arc_length + 1e-12:
-            fraction = (max_arc_length - used) / remaining
+        while used + remaining > MAX_SEGMENT_LENGTH + 1e-12:
+            fraction = (MAX_SEGMENT_LENGTH - used) / remaining
             cut = cursor + fraction * (end - cursor)
             current.append(cut)
             segments.append(np.array(current))
@@ -138,7 +140,7 @@ def segment_polyline(points, max_arc_length: float = DEFAULT_MAX_SEGMENT_LENGTH)
         used += remaining
     if len(current) >= 2:
         segments.append(np.array(current))
-    return [MapSegment.from_points(seg, max_arc_length) for seg in segments]
+    return [MapSegment.from_points(seg) for seg in segments]
 
 
 def _checked_states(states: np.ndarray) -> np.ndarray:
@@ -194,8 +196,7 @@ class Scene:
             )
         self.agent_states = _checked_states(states)
         self._track = None
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
+        _checked_dt(self.dt)   # unstored: an int dt is kept, and reported, as given
 
     @property
     def n_agents(self) -> int:
@@ -246,17 +247,16 @@ class Scene:
         return grown
 
 
-def make_straight_polyline(start, heading: float, length: float, spacing: float = 5.0):
-    n_points = max(2, int(math.ceil(length / spacing)) + 1)
+def make_straight_polyline(start, heading: float, length: float):
+    n_points = max(2, int(math.ceil(length / POLYLINE_SPACING)) + 1)
     distances = np.linspace(0.0, length, n_points)
     direction = np.array([math.cos(heading), math.sin(heading)])
     return np.asarray(start, dtype=np.float64) + distances[:, None] * direction[None, :]
 
 
-def make_arc_polyline(center, radius: float, start_angle: float, span: float,
-                      spacing: float = 5.0):
+def make_arc_polyline(center, radius: float, start_angle: float, span: float):
     arc = abs(span) * radius
-    n_points = max(2, int(math.ceil(arc / spacing)) + 1)
+    n_points = max(2, int(math.ceil(arc / POLYLINE_SPACING)) + 1)
     angles = start_angle + np.linspace(0.0, span, n_points)
     return np.asarray(center, dtype=np.float64) + radius * np.column_stack(
         [np.cos(angles), np.sin(angles)]

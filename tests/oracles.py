@@ -182,8 +182,8 @@ def ref_linear(x, w, b=None):
 
 
 def ref_ffn(x, bw):
-    hidden = [math.tanh(value) for value in ref_linear(x, bw.ffn_w1, bw.ffn_b1)]
-    return ref_linear(hidden, bw.ffn_w2, bw.ffn_b2)
+    hidden = [math.tanh(value) for value in ref_linear(x, bw.ffn_w1)]
+    return ref_linear(hidden, bw.ffn_w2)
 
 
 def ref_project_qkv(tokens, bw):

@@ -10,6 +10,5 @@ def translated(scene: Scene, dx: float, dy: float) -> Scene:
     states = scene.agent_states.copy()
     states[:, :, 0] += dx
     states[:, :, 1] += dy
-    segments = [MapSegment.from_points(seg.points + np.array([dx, dy]), max_arc_length=np.inf)
-                for seg in scene.segments]
+    segments = [MapSegment.from_points(seg.points + np.array([dx, dy])) for seg in scene.segments]
     return Scene(states, segments, scene.dt)

@@ -184,7 +184,7 @@ class TestRPE:
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v)
         with recording() as records:
             mhsa(qkv, poses, Variant.RPE, enc=enc)
-        n, h, w, d_v = 4, qkv.n_heads, 2 * qkv.d_k, qkv.d_v
+        n, h, w, d_v = 4, qkv.q.shape[-2], 2 * qkv.d_k, qkv.d_v
         assert records[0].counts["pairwise"] == n * n * h * (w + d_v)
 
     @pytest.mark.parametrize("shape", [(6, 7, 3), (2, 6, 7, 3)])

@@ -18,6 +18,7 @@ from drope.kinematics import (
     min_ade,
 )
 from drope.rotary import TWO_PI
+from drope.scene import Scene
 
 action_st = st.tuples(
     st.floats(min_value=-ACCEL_LIMIT, max_value=ACCEL_LIMIT),
@@ -114,7 +115,16 @@ class TestAdvanceStates:
             kinematic_step(AgentState(0, 0, 0, 1.0), ZERO_ACTION, dt)
         with pytest.raises(InvalidArgumentError) as array:
             advance_states(np.array([[0.0, 0.0, 0.0, 1.0]]), np.zeros((1, 2)), dt)
-        assert str(array.value) == str(scalar.value)
+        with pytest.raises(InvalidArgumentError) as scene:
+            Scene(np.zeros((2, 1, 4)), [], dt)
+        assert str(array.value) == str(scalar.value) == str(scene.value)
+
+    def test_string_dt_is_not_a_number(self):
+        for check in (lambda: kinematic_step(AgentState(0, 0, 0, 1.0), ZERO_ACTION, "0.5"),
+                      lambda: advance_states(np.zeros((1, 4)), np.zeros((1, 2)), "0.5"),
+                      lambda: Scene(np.zeros((2, 1, 4)), [], "0.5")):
+            with pytest.raises(TypeError):
+                check()
 
 
 class TestActionGrid:

@@ -12,6 +12,7 @@ from drope.attention import PoseSet, Variant
 from drope.errors import ConfigurationError, InvalidArgumentError
 from drope.kinematics import YAW_RATE_LIMIT, ZERO_ACTION, ControlAction
 from drope.pipeline import (
+    FFN_HIDDEN,
     ActionDistribution,
     BlockWeights,
     ConstantActionPolicy,
@@ -20,7 +21,6 @@ from drope.pipeline import (
     PipelinePolicy,
     PipelineWeights,
     decode_actions,
-    forward,
     interaction_step,
     replay_actions,
     rollout,
@@ -43,21 +43,28 @@ from oracles import (
 
 
 def small_config(variant=Variant.DROPE_HBH, **kw):
-    defaults = dict(d_model=8, n_heads=2, d_k=2, d_v=2, n_blocks=1, ffn_hidden=6,
-                    variant=variant)
+    defaults = dict(d_model=8, n_heads=2, d_k=2, d_v=2, n_blocks=1, variant=variant)
     defaults.update(kw)
     return PipelineConfig(**defaults)
 
 
 def identity_block(config):
     """Identity QKV/output projections with a zero feed-forward."""
-    d, h, f = config.d_model, config.n_heads, config.ffn_hidden
+    d, h, f = config.d_model, config.n_heads, FFN_HIDDEN
     return BlockWeights(
         w_q=np.eye(d).reshape(d, h, -1), w_k=np.eye(d).reshape(d, h, -1),
         w_v=np.eye(d).reshape(d, h, -1), w_o=np.eye(d),
-        ffn_w1=np.zeros((d, f)), ffn_b1=np.zeros(f), ffn_w2=np.zeros((f, d)), ffn_b2=np.zeros(d),
-        enc=None,
+        ffn_w1=np.zeros((d, f)), ffn_w2=np.zeros((f, d)), enc=None,
     )
+
+
+def forward(scene, weights, config):
+    """The pipeline stages over the whole scene: the distribution and the final tokens."""
+    tokens = tokenize_scene(scene, weights, config)
+    for block in weights.blocks:
+        tokens = interaction_step(tokens, block, config)
+    final_tokens = temporal_step(tokens.agent_tokens, weights.temporal, config)
+    return decode_actions(final_tokens, weights, config), final_tokens
 
 
 def small_scene(seed=0, n_agents=3, n_steps=3):
@@ -220,9 +227,7 @@ class TestDecode:
         config = small_config()
         weights = PipelineWeights.seeded(config, seed=9)
         weights.dec_w1 = np.zeros_like(weights.dec_w1)
-        weights.dec_b1 = np.zeros_like(weights.dec_b1)
         weights.dec_w2 = np.zeros_like(weights.dec_w2)
-        weights.dec_b2 = np.zeros_like(weights.dec_b2)
         tokens = np.zeros((2, 3, config.d_model))
         probs = decode_actions(tokens, weights, config).probabilities()
         assert probs == pytest.approx(1.0 / config.n_actions)
@@ -273,9 +278,9 @@ class TestDecode:
             for t in range(2):
                 hidden = [
                     math.tanh(v)
-                    for v in ref_linear(tokens[i, t], weights.dec_w1, weights.dec_b1)
+                    for v in ref_linear(tokens[i, t], weights.dec_w1)
                 ]
-                expected = ref_linear(hidden, weights.dec_w2, weights.dec_b2)
+                expected = ref_linear(hidden, weights.dec_w2)
                 assert logits[i, t] == pytest.approx(expected, abs=1e-12)
 
 
@@ -320,9 +325,9 @@ class TestForward:
             for t in range(scene.n_steps):
                 hidden = [
                     math.tanh(v)
-                    for v in ref_linear(agents[i, t], weights.dec_w1, weights.dec_b1)
+                    for v in ref_linear(agents[i, t], weights.dec_w1)
                 ]
-                expected = ref_linear(hidden, weights.dec_w2, weights.dec_b2)
+                expected = ref_linear(hidden, weights.dec_w2)
                 assert distribution.logits[i, t] == pytest.approx(expected, abs=1e-10)
 
 
@@ -791,7 +796,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             small_config(n_heads=1)
 
-    @pytest.mark.parametrize("field", ["n_heads", "d_k", "d_v", "ffn_hidden"])
+    @pytest.mark.parametrize("field", ["n_heads", "d_k", "d_v"])
     @pytest.mark.parametrize("value", [0, -4])
     def test_sizes_must_be_positive(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be a positive int"):

@@ -16,7 +16,6 @@ from drope.rotary import (
     FrequencySchedule,
     _unit_phasors,
     drope_embed,
-    heading_pair_angles,
     planar_pair_angles,
     rope_embed,
     rotate2d,
@@ -383,7 +382,7 @@ class TestDropeEmbed:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 8))
         thetas = rng.uniform(0.0, TWO_PI, 5)
-        bank = rotate_pairs(x, heading_pair_angles(thetas, 4))
+        bank = rotate_pairs(x, thetas[:, None])
         rows = np.stack([drope_embed(x[i], thetas[i]) for i in range(5)])
         assert np.array_equal(bank, rows)
 

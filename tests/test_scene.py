@@ -13,6 +13,8 @@ from drope.errors import ConfigurationError, DimensionMismatchError, InvalidArgu
 from drope.kinematics import ZERO_ACTION, kinematic_step
 from drope.rotary import wrap_angle
 from drope.scene import (
+    MAX_SEGMENT_LENGTH,
+    POLYLINE_SPACING,
     MapSegment,
     Scene,
     load_scene,
@@ -33,7 +35,7 @@ from scene_moves import translated
 class TestMapSegment:
     def test_straight_segment_local_frame(self):
         # 25 m straight road, 11 points: midpoint index 5 sits exactly at center
-        points = make_straight_polyline((10.0, 5.0), 0.0, 25.0, spacing=2.5)
+        points = np.column_stack([10.0 + np.linspace(0.0, 25.0, 11), np.full(11, 5.0)])
         assert len(points) == 11
         segment = MapSegment.from_points(points)
         assert segment.local_shape[0] == pytest.approx([-12.5, 0.0], abs=1e-9)
@@ -42,7 +44,9 @@ class TestMapSegment:
 
     def test_rotated_segment_recovers_shape(self):
         heading = 0.7
-        points = make_straight_polyline((0.0, 0.0), heading, 20.0, spacing=5.0)
+        points = make_straight_polyline((0.0, 0.0), heading, 20.0)
+        steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        assert steps == pytest.approx(np.full(4, POLYLINE_SPACING))
         segment = MapSegment.from_points(points)
         assert segment.anchor_heading == pytest.approx(heading)
         assert np.max(np.abs(segment.local_shape[:, 1])) < 1e-9
@@ -58,7 +62,7 @@ class TestMapSegment:
             MapSegment.from_points(points)
 
     def test_anchor_maps_to_origin(self):
-        points = make_arc_polyline((0, 0), 20.0, 0.0, 1.0, spacing=4.0)
+        points = make_arc_polyline((0, 0), 20.0, 0.0, 1.0)
         segment = MapSegment.from_points(points)
         mid = (len(points) - 1) // 2
         assert segment.anchor_xy == pytest.approx(points[mid])
@@ -85,14 +89,15 @@ class TestMapSegment:
 
 class TestSegmentPolyline:
     def test_segments_respect_max_length(self):
-        points = make_straight_polyline((0, 0), 0.3, 90.0, spacing=3.0)
-        segments = segment_polyline(points, 25.0)
+        points = make_straight_polyline((0, 0), 0.3, 90.0)
+        segments = segment_polyline(points)
+        assert len(segments) == 4
         for segment in segments:
-            assert polyline_arc_length(segment.points) <= 25.0 + 1e-9
+            assert polyline_arc_length(segment.points) <= MAX_SEGMENT_LENGTH + 1e-9
 
     def test_segments_cover_the_polyline(self):
-        points = make_arc_polyline((0, 0), 40.0, -1.0, 2.0, spacing=2.0)
-        segments = segment_polyline(points, 25.0)
+        points = make_arc_polyline((0, 0), 40.0, -1.0, 2.0)
+        segments = segment_polyline(points)
         total = sum(polyline_arc_length(segment.points) for segment in segments)
         assert total == pytest.approx(polyline_arc_length(points), rel=1e-9)
         for first, second in zip(segments, segments[1:]):
