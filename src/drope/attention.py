@@ -27,10 +27,11 @@ with the (..., H, M, d_v) values, divided by the row sums, fills one output
 (weights are normalized only where read as weights); a causal block reads
 only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
 pairwise regime takes as many rows as fit a fixed count of token pairs and
-writes each block's offsets into one buffer laid out (..., N, H, M, width):
-first all key offsets, each block folded at once into the (..., H, N, M)
-score offsets, then, block by block after each softmax, the value offsets
-over them. With per-pair, per-head key and value offsets off_ij, a score is
+writes each block's relative poses into one (..., N, M, 3) array and its
+offsets into one buffer laid out (..., N, H, M, width): first all key
+offsets, each block folded at once into the (..., H, N, M) score offsets,
+then, block by block after each softmax, the value offsets over them. With
+per-pair, per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
 off_ij, so zero encoders give exactly the plain result. The analytic
 backward walks the same query-row blocks of one unstacked bank, so
@@ -43,12 +44,17 @@ with L > 1, runs the rest. Each lane computes its scores into its own
 (..., H, B, M) slot, which the calling thread allocates, so a lane beyond the
 first costs one score block; each block's arithmetic is the one-lane
 arithmetic, so every L gives the same bits. L is the number of blocks, at
-most this process's CPUs, when BLAS was started with one thread (as read from
-its thread-count variables at import); otherwise BLAS threads already use
-the CPUs and L is 1. The pairwise regime keeps one lane: its footprint is the
-per-pair buffer, and a lane would add its encoder temporaries. The backward
-keeps one lane too: lanes would reorder its sums over blocks into dk and dv,
-and so change their bits.
+most this process's CPUs and at most one per ``QUERY_BLOCK`` query rows, when
+BLAS was started with one thread (as read from its thread-count variables at
+import); otherwise BLAS threads already use the CPUs and L is 1. So a call of
+at most ``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. The
+pairwise regime walks its blocks in the lanes twice: the key pass, then the
+softmax and value pass. Lanes write disjoint rows of the one per-pair buffer,
+so a lane beyond the first costs one pair block of encoder temporaries and
+one score block; the first pass ends in every lane before the second starts,
+because a value block's rows overlap other rows' key offsets unless
+2*d_k == d_v. The backward keeps one lane: lanes would reorder its sums over
+blocks into dk and dv, and so change their bits.
 """
 
 from __future__ import annotations
@@ -97,7 +103,8 @@ class Variant(enum.Enum):
     * ``rpe``: learned pairwise key/value offsets; each (N, H, M, width)
       offset tensor is materialized whole so its storage can be measured,
       the key offsets and then the value offsets over them in one buffer,
-      built a block of query rows at a time.
+      built a block of query rows at a time, with the blocks split over the
+      lanes of a large call.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -395,8 +402,8 @@ def _block_weights(q_heads, k_heads, scale, s, e, causal=False, offset=None, out
     if offset is not None:
         scores += offset[..., s:e, :]
     scores *= scale
-    if causal:
-        np.copyto(scores, -np.inf, where=~np.tri(e - s, e, s, dtype=bool))
+    if causal:    # only keys [s, e) can lie above the diagonal
+        np.copyto(scores[..., s:], -np.inf, where=~np.tri(e - s, dtype=bool))
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     return scores, scores.sum(axis=-1, keepdims=True)
@@ -504,25 +511,39 @@ def _attend(
     n, m = q_bank.shape[-3], k_bank.shape[-3]
     lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
 
-    q_hat, k_hat, rows, offset, pairwise = q_bank, k_bank, QUERY_BLOCK, None, 0
+    q_hat, k_hat, offset, pairwise = q_bank, k_bank, None, 0
+    rows = max(1, _PAIR_BLOCK // max(m, 1)) if variant is Variant.RPE else QUERY_BLOCK
+    # lane l walks blocks l, l + L, ... (causal blocks grow with the row); at
+    # most one lane per QUERY_BLOCK query rows, so a small pairwise call
+    # starts no thread either
+    lanes = max(1, min(-(-n // QUERY_BLOCK), -(-n // rows), _LANES))
     if variant is Variant.RPE:
-        heading_offsets = poses_q.headings[..., :, None] - poses_kv.headings[..., None, :]
-        rel = np.empty(heading_offsets.shape + (3,))
-        rel[..., :2] = poses_q.positions[..., :, None, :] - poses_kv.positions[..., None, :, :]
-        rel[..., 2] = wrap_angle(heading_offsets)
-        rows = max(1, _PAIR_BLOCK // max(m, 1))
         pairs = math.prod(lead) * n * n_heads * m
         pairwise = pairs * (width + d_v)
         buffer = np.empty(pairs * max(width, d_v))   # the key offsets, then the value offsets
         k_offset = buffer[:pairs * width].reshape(lead + (n, n_heads, m, width))
-        offset = np.empty(lead + (n_heads, n, m))
-        for s in range(0, n, rows):
-            block = k_offset[..., s:s + rows, :, :, :]
-            block[...] = enc.encode_key(rel[..., s:s + rows, :, :])[..., None, :, :]
-            # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
-            np.matmul(block, q_bank[..., s:s + rows, :, :, None],
-                      out=offset.swapaxes(-3, -2)[..., s:s + rows, :, :, None])
         v_offset = buffer[:pairs * d_v].reshape(lead + (n, n_heads, m, d_v))
+        rel = np.empty(lead + (n, m, 3))
+        offset = np.empty(lead + (n_heads, n, m))
+
+        def encode_keys(lane):
+            for s in range(lane * rows, n, lanes * rows):
+                e = min(s + rows, n)
+                block_rel = rel[..., s:e, :, :]
+                block_rel[..., :2] = (poses_q.positions[..., s:e, None, :]
+                                      - poses_kv.positions[..., None, :, :])
+                block_rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
+                                               - poses_kv.headings[..., None, :])
+                block = k_offset[..., s:e, :, :, :]
+                block[...] = enc.encode_key(block_rel)[..., None, :, :]
+                # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
+                np.matmul(block, q_bank[..., s:e, :, :, None],
+                          out=offset.swapaxes(-3, -2)[..., s:e, :, :, None])
+
+        # every key offset is folded before any value block overwrites the
+        # buffer: unless 2*d_k == d_v, a value block's rows overlap other
+        # rows' key offsets
+        _in_lanes(lanes, encode_keys)
     elif variant is not Variant.PLAIN:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv), sched)
 
@@ -532,13 +553,11 @@ def _attend(
     per_head = np.empty(lead + (n, n_heads, d_v))
     records = _RECORDS.get()
     alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
-    # lane l walks blocks l, l + L, ... (causal blocks grow with the row) and
-    # computes each block's scores into the recorded weights or into its own
-    # one-block slot; a call of one block lets matmul allocate them, which is
-    # cheaper for the small calls of a rollout. Slots are separate arrays: one
-    # (L, ...) array would raise glibc's mmap threshold to its size, and freed
-    # arrays up to that size would then stay resident.
-    lanes = 1 if variant is Variant.RPE else max(1, min(-(-n // rows), _LANES))
+    # each lane computes its blocks' scores into the recorded weights or into
+    # its own one-block slot; a call of one block lets matmul allocate them,
+    # which is cheaper for the small calls of a rollout. Slots are separate
+    # arrays: one (L, ...) array would raise glibc's mmap threshold to its
+    # size, and freed arrays up to that size would then stay resident.
     slots = [None] * lanes
     if alpha_all is None and n > rows:
         slots = [np.empty(lead + (n_heads, rows, m)) for _ in range(lanes)]

@@ -36,7 +36,7 @@ exp, and tanh count 1 each):
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -124,7 +124,7 @@ class MemoryReport:
     bytes_fp64: int
 
     def as_dict(self) -> dict:
-        row = asdict(self)
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
         row["variant"] = self.variant.value
         return row
 
@@ -147,7 +147,7 @@ class FlopReport:
     total: int
 
     def as_dict(self) -> dict:
-        row = asdict(self)
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
         row["variant"] = self.variant.value
         return row
 

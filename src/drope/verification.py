@@ -18,7 +18,7 @@ only: ``rope_embed`` of the headings for the embedding checks and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class PropertyResult:
         self.passed = bool(self.passed)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

@@ -824,10 +824,11 @@ class TestQueryBlocks:
 
     H, D_K, D_V = 2, 8, 8
 
-    def banks(self, seed, n, lead=()):
+    def banks(self, seed, n, lead=(), widths=None):
+        d_k, d_v = widths or (self.D_K, self.D_V)
         rng = np.random.default_rng(seed)
         qkv = QKVSet(*(rng.standard_normal(lead + (n, self.H, w))
-                       for w in (2 * self.D_K, 2 * self.D_K, self.D_V)))
+                       for w in (2 * d_k, 2 * d_k, d_v)))
         poses = PoseSet(rng.uniform(-50.0, 50.0, lead + (n, 2)),
                         rng.uniform(0.0, TWO_PI, lead + (n,)))
         return qkv, poses
@@ -1014,6 +1015,22 @@ class TestMemoryLinearInN:
         peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
         assert tensor <= peak <= 1.1 * tensor + 4 * 2**20, (peak, tensor)
 
+    def test_pairwise_peak_is_its_per_pair_tensor_in_two_lanes(self, lanes):
+        lanes(2)
+        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+        self.test_pairwise_peak_is_its_per_pair_tensor(256)
+
+    def test_a_second_lane_costs_one_pair_block(self, lanes):
+        """Lanes write disjoint rows of the one per-pair buffer, so a second
+        lane adds one pair block of encoder temporaries and one score slot:
+        about 1.6 MiB at these widths."""
+        peaks = []
+        for count in (1, 2):
+            lanes(count)
+            mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+            peaks.append(self.peak(mhsa, Variant.RPE, 256, (4, 32, 64)))
+        assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
+
 
 class TestPairBlocks:
     """The pairwise regime walks blocks of as many query rows as fit
@@ -1092,51 +1109,69 @@ class TestPairBlocks:
 class TestLanes:
     """A forward call splits its query-row blocks over lanes, lane l taking
     blocks l, l + L, ...; each block's arithmetic is that of one lane, so
-    every lane count gives the same bits."""
+    every lane count gives the same bits. The pairwise regime runs its key
+    pass and then its value pass in the lanes, each lane writing its own rows
+    of the one per-pair buffer."""
 
     H, D_K, D_V = TestQueryBlocks.H, TestQueryBlocks.D_K, TestQueryBlocks.D_V
     VARIANTS = [Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH]
+    # the pairwise regime's (d_k, d_v): key offsets wider than the value
+    # offsets written over them in the shared buffer, and narrower
+    RPE_WIDTHS = {"keys-wider": (8, 3), "values-wider": (2, 16)}
+    CASES = [pytest.param(v, n, None, id=f"{v.value}-{n}")
+             for v in VARIANTS for n in (129, 300, 1024)] + [
+        pytest.param(Variant.RPE, n, widths, id=f"rpe-{name}-{n}")
+        for name, widths in RPE_WIDTHS.items() for n in (129, 300)]
     banks = TestQueryBlocks.banks
 
-    def calls(self, variant, n, lead):
-        qkv, poses = self.banks(80, n, lead)
-        keysvals, poses_kv = self.banks(81, 200)
-        calls = [(mhsa, (qkv, poses, variant)),
-                 (mhca, (qkv, keysvals, poses, poses_kv, variant))]
+    def calls(self, variant, n, lead, widths=None):
+        qkv, poses = self.banks(80, n, lead, widths)
+        keysvals, poses_kv = self.banks(81, 200, (), widths)
+        kw = {"enc": RPEEncoders.seeded(*widths, seed=9)} if variant is Variant.RPE else {}
+        calls = [(mhsa, (qkv, poses, variant), kw),
+                 (mhca, (qkv, keysvals, poses, poses_kv, variant), kw)]
         if variant is Variant.PLAIN:
-            calls.append((mhsa_causal, (qkv,)))
+            calls.append((mhsa_causal, (qkv,), {}))
         return calls
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["bank", "stack"])
-    @pytest.mark.parametrize("n", [129, 300, 1024])
-    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
-    def test_every_lane_count_gives_the_same_bits(self, lanes, variant, n, lead):
-        calls = self.calls(variant, n, lead)
+    @pytest.mark.parametrize("variant, n, widths", CASES)
+    def test_every_lane_count_gives_the_same_bits(self, lanes, variant, n, widths, lead):
+        calls = self.calls(variant, n, lead, widths)
         results = {}
         for count in (1, 2, 3):
             lanes(count)
-            results[count] = [(engine(*args).per_head, recorded(engine, *args))
-                              for engine, args in calls]
+            results[count] = []
+            for engine, args, kw in calls:
+                with recording() as records:
+                    rec_out = engine(*args, **kw)
+                (record,) = records
+                results[count].append((engine(*args, **kw).per_head, rec_out.per_head,
+                                       record.weights, record.counts))
         for count in (2, 3):
-            for (out, (rec_out, weights)), (out1, (rec_out1, weights1)) in zip(
-                    results[count], results[1]):
-                assert np.array_equal(out, out1)
-                assert np.array_equal(rec_out.per_head, rec_out1.per_head)
-                assert np.array_equal(weights, weights1)
+            for got, expected in zip(results[count], results[1]):
+                for array, array1 in zip(got[:3], expected[:3]):
+                    assert np.array_equal(array, array1)
+                assert got[3] == expected[3]
 
     def test_a_single_block_and_the_pairwise_regime_start_no_thread(self, lanes):
+        """A call of at most QUERY_BLOCK query rows runs on the calling
+        thread, pairwise ones too (the ledger check's size class), and so does
+        the backward; a pairwise call of 3 * QUERY_BLOCK rows starts the pool."""
         lanes(2)
         threads = threading.active_count()
         qkv, poses = self.banks(82, attention.QUERY_BLOCK)
+        keysvals, poses_kv = self.banks(88, 3 * attention.QUERY_BLOCK)
         for variant in Variant:
             kw = {"enc": RPEEncoders.seeded(self.D_K, self.D_V)} if variant is Variant.RPE else {}
             mhsa(qkv, poses, variant, **kw)
-        big, big_poses = self.banks(83, 3 * attention.QUERY_BLOCK)
-        mhsa(big, big_poses, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
-        attention_backward(Variant.PLAIN, big, None,
-                           np.ones((big.n_tokens, self.H * self.D_V)))
+            mhca(qkv, keysvals, poses, poses_kv, variant, **kw)
+        attention_backward(Variant.PLAIN, keysvals, None,
+                           np.ones((keysvals.n_tokens, self.H * self.D_V)))
         assert attention._POOL is None
         assert threading.active_count() == threads
+        mhsa(keysvals, poses_kv, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
+        assert attention._POOL is not None
 
     @pytest.mark.parametrize("blas, expected", [
         ({}, "1"),
@@ -1204,6 +1239,42 @@ class TestLanes:
 
         monkeypatch.setattr(attention, "_block_weights", patched)
         return inside
+
+    @pytest.mark.parametrize("fail_lane, slow_lane", [(1, None), (0, 1), (1, 0)],
+                             ids=["lane-1", "lane-0-while-lane-1-runs",
+                                  "lane-1-while-lane-0-runs"])
+    def test_a_key_pass_error_is_raised_after_every_lane_ends(self, lanes, monkeypatch,
+                                                              fail_lane, slow_lane):
+        """The pairwise regime's key pass ends in every lane before an error
+        in one is raised, and no value block runs after it."""
+        lanes(2)
+        caller, inside, slept, value_blocks = threading.current_thread(), [], [], []
+        encode_key, kernel = RPEEncoders.encode_key, attention._block_weights
+
+        def patched(enc, rel):
+            lane = 0 if threading.current_thread() is caller else 1
+            inside.append(lane)
+            try:
+                if lane == slow_lane and not slept:
+                    slept.append(lane)
+                    time.sleep(0.2)
+                if lane == fail_lane:
+                    raise RuntimeError(f"lane {lane}")
+                return encode_key(enc, rel)
+            finally:
+                inside.remove(lane)
+
+        def counted(q_heads, k_heads, scale, s, e, *args):
+            value_blocks.append(s)
+            return kernel(q_heads, k_heads, scale, s, e, *args)
+
+        monkeypatch.setattr(RPEEncoders, "encode_key", patched)
+        monkeypatch.setattr(attention, "_block_weights", counted)
+        qkv, poses = self.banks(89, 3 * attention.QUERY_BLOCK)
+        with pytest.raises(RuntimeError, match=f"lane {fail_lane}"):
+            mhsa(qkv, poses, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
+        assert inside == []
+        assert value_blocks == []
 
     @pytest.mark.parametrize("fail_at, slow_at", [(128, None), (0, 128), (128, 0)],
                              ids=["lane-1", "lane-0-while-lane-1-runs",

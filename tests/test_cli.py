@@ -31,7 +31,8 @@ from drope.pipeline import (
     write_trajectory_csv,
 )
 from drope.scene import load_scene, make_constant_velocity_scene, save_scene
-from drope.schemas import (
+
+from schemas import (
     PROFILE_REPORT_SCHEMA,
     ROLLOUT_REPORT_SCHEMA,
     VERIFY_REPORT_SCHEMA,
