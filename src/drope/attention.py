@@ -74,6 +74,9 @@ from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentE
 from .rotary import (
     FrequencySchedule,
     _as_finite,
+    _drawn,
+    _frozen,
+    _shaped,
     _unit_phasors,
     planar_pair_angles,
     rotate_pairs,
@@ -288,7 +291,8 @@ class RPEEncoders:
 
     The key encoder outputs the full QK width 2*d_k, the value encoder
     outputs d_v. One encoder pair is shared across heads; its output is
-    broadcast into every head's pairwise key/value tensors.
+    broadcast into every head's pairwise key/value tensors. Its arrays are
+    read-only (see ``_frozen``).
     """
 
     w1_k: np.ndarray
@@ -302,7 +306,7 @@ class RPEEncoders:
 
     def __post_init__(self):
         for name in ("w1_k", "b1_k", "w2_k", "b2_k", "w1_v", "b1_v", "w2_v", "b2_v"):
-            setattr(self, name, _as_finite(name, getattr(self, name)))
+            setattr(self, name, _frozen(_as_finite(name, getattr(self, name))))
         for w1, b1, w2, b2 in ((self.w1_k, self.b1_k, self.w2_k, self.b2_k),
                                (self.w1_v, self.b1_v, self.w2_v, self.b2_v)):
             if w1.ndim != 2 or w1.shape[0] != 3:
@@ -341,18 +345,16 @@ class RPEEncoders:
 
     @classmethod
     def seeded(cls, d_k: int, d_v: int, seed: int = 0) -> "RPEEncoders":
-        """Encoders of hidden width ``RPE_HIDDEN`` with seeded weights and zero biases."""
+        """Encoders of hidden width ``RPE_HIDDEN`` with seeded weights and zero
+        biases, read-only views of one read-only buffer."""
         rng = np.random.default_rng(seed)
-
-        def dense(n_in, n_out):
-            return rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)
-
-        return cls(
-            w1_k=dense(3, RPE_HIDDEN), b1_k=np.zeros(RPE_HIDDEN),
-            w2_k=dense(RPE_HIDDEN, 2 * d_k), b2_k=np.zeros(2 * d_k),
-            w1_v=dense(3, RPE_HIDDEN), b1_v=np.zeros(RPE_HIDDEN),
-            w2_v=dense(RPE_HIDDEN, d_v), b2_v=np.zeros(d_v),
-        )
+        shapes = [(3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, 2 * d_k), (2 * d_k,),
+                  (3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, d_v), (d_v,)]
+        buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
+        for weights in _shaped(buffer, shapes)[::2]:   # the biases stay zero
+            _drawn(rng, weights)
+        buffer.flags.writeable = False
+        return cls(*_shaped(buffer, shapes))
 
 
 @dataclass(eq=False)

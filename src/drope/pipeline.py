@@ -14,11 +14,11 @@ action (greedy or seeded sampling), advance all agents with one vectorized
 kinematic update, repeat. ``PipelinePolicy`` decodes incrementally: the
 interaction blocks treat each timestep on its own, the map never changes
 during a rollout, and temporal attention is causal with a sinusoidal row per
-step that does not depend on the sequence length. So its decoder encodes the
-map once, and each call encodes only the timesteps not yet seen (on the
-first, all of them) in one batched pass, writes their temporal keys/values
-into a preallocated cache that grows geometrically, and attends from the
-newest step over it, giving the logits that tokenize_scene, the
+step that does not depend on the sequence length. So the weights keep the
+last map's keys/values, and each call encodes only the timesteps not yet seen
+(on the first, all of them) in one batched pass, writes their temporal
+keys/values into a preallocated cache that grows geometrically, and attends
+from the newest step over it, giving the logits that tokenize_scene, the
 interaction blocks, temporal_step and decode_actions give on the whole
 history. K sampled rollouts are one rollout with K times the rows.
 The attention sub-blocks compute ``tokens + FFN(W_o @ attention(tokens))``,
@@ -32,9 +32,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -50,6 +49,7 @@ from .attention import (
 )
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
 from .kinematics import ActionGrid, ControlAction, advance_states, kinematic_step
+from .rotary import _drawn, _frozen, _shaped
 from .scene import Scene
 
 __all__ = [
@@ -81,7 +81,7 @@ ROLLOUT_SOFT_LIMIT_S = 8.0   # longer horizons warn but proceed
 CACHE_CHUNK_STEPS = 16       # the least number of steps the temporal K/V cache grows by
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     d_model: int = 64
     n_heads: int = 2
@@ -107,14 +107,16 @@ class PipelineConfig:
         return self.grid.n_actions
 
 
-def _dense(rng, n_in: int, n_out: int, out=None) -> np.ndarray:
-    out = empty_array((n_in, n_out), "a weight matrix") if out is None else out.reshape(n_in, -1)
-    return np.divide(rng.standard_normal(out=out), math.sqrt(n_in), out=out)
+def _dense(rng, n_in: int, n_out: int) -> np.ndarray:
+    """A new seeded weight matrix: a read-only view of a read-only buffer."""
+    buffer = _drawn(rng, empty_array((n_in, n_out), "a weight matrix"))
+    buffer.flags.writeable = False
+    return buffer[...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BlockWeights:
-    """Projections and feed-forward weights for one attention sub-block."""
+    """Projections and feed-forward weights for one attention sub-block (read-only)."""
 
     w_q: np.ndarray    # (d_model, H, 2*d_k)
     w_k: np.ndarray    # (d_model, H, 2*d_k)
@@ -124,65 +126,72 @@ class BlockWeights:
     ffn_w2: np.ndarray   # (FFN_HIDDEN, d_model)
     enc: RPEEncoders | None   # pairwise-encoder variant only
 
+    def __post_init__(self):
+        for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_w2"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
     @classmethod
     def seeded(cls, config: PipelineConfig, rng, count: int):
-        """Yield ``count`` sub-blocks, drawn in turn into one array allocated up front."""
+        """Yield ``count`` sub-blocks, all drawn in turn, before the first is
+        yielded, into one array allocated up front and then made read-only."""
         d, h, f, d_v = config.d_model, config.n_heads, FFN_HIDDEN, config.d_v
-        shapes = ((d, h * 2 * config.d_k),) * 2 + ((d, h * d_v), (h * d_v, d), (d, f), (f, d))
-        ends = list(accumulate(n_in * n_out for n_in, n_out in shapes))
-        for arena in empty_array((count, ends[-1]), "the attention blocks' weights"):
-            w_q, w_k, w_v, w_o, ffn_w1, ffn_w2 = (
-                _dense(rng, *shape, out) for shape, out in zip(shapes, np.split(arena, ends[:-1]))
-            )
-            yield cls(
-                w_q.reshape(d, h, -1), w_k.reshape(d, h, -1), w_v.reshape(d, h, -1), w_o,
-                ffn_w1, ffn_w2,
-                enc=(
-                    RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
-                    if config.variant is Variant.RPE
-                    else None
-                ),
-            )
+        shapes = ((d, h, 2 * config.d_k),) * 2 + ((d, h, d_v), (h * d_v, d), (d, f), (f, d))
+        arena = empty_array((count, sum(math.prod(shape) for shape in shapes)),
+                            "the attention blocks' weights")
+        encs = []
+        for row in arena:
+            for view in _shaped(row, shapes):
+                _drawn(rng, view)
+            encs.append(RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
+                        if config.variant is Variant.RPE else None)
+        arena.flags.writeable = False
+        for row, enc in zip(arena, encs):
+            yield cls(*_shaped(row, shapes), enc=enc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionBlockWeights:
     agent_sa: BlockWeights
     map_sa: BlockWeights
     cross: BlockWeights
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PipelineWeights:
-    """All learnable arrays of the pipeline, explicit and seed-reproducible."""
+    """All learnable arrays of the pipeline, explicit, seed-reproducible and
+    immutable (read-only arrays, see ``_frozen``; a tuple of blocks). ``_map``
+    keeps the config, segments, per-block map keys and values, and map poses
+    that ``_IncrementalDecoder.for_map`` encoded last; a ``replace`` keeps none.
+    """
 
     agent_w1: np.ndarray   # (AGENT_FEATURE_WIDTH, d_model)
     agent_w2: np.ndarray   # (d_model, d_model)
     map_point_w: np.ndarray  # (2, d_model), applied per local-frame point
     map_out_w: np.ndarray    # (d_model, d_model), after mean pooling
-    blocks: list
+    blocks: tuple
     temporal: BlockWeights
     dec_w1: np.ndarray     # (d_model, FFN_HIDDEN)
     dec_w2: np.ndarray     # (FFN_HIDDEN, n_actions)
+    _map: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("agent_w1", "agent_w2", "map_point_w", "map_out_w", "dec_w1", "dec_w2"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @classmethod
     def seeded(cls, config: PipelineConfig, seed: int = 0) -> "PipelineWeights":
         rng = np.random.default_rng(seed)
         d = config.d_model
+        # the token weights, the sub-blocks in turn, then the decoder's
+        tokens = [_dense(rng, AGENT_FEATURE_WIDTH, d), _dense(rng, d, d), _dense(rng, 2, d),
+                  _dense(rng, d, d)]
         subs = BlockWeights.seeded(config, rng, 3 * config.n_blocks + 1)
-        return cls(
-            agent_w1=_dense(rng, AGENT_FEATURE_WIDTH, d),
-            agent_w2=_dense(rng, d, d),
-            map_point_w=_dense(rng, 2, d),
-            map_out_w=_dense(rng, d, d),
-            blocks=[
-                InteractionBlockWeights(agent_sa=next(subs), map_sa=next(subs), cross=next(subs))
-                for _ in range(config.n_blocks)
-            ],
-            temporal=next(subs),
-            dec_w1=_dense(rng, d, FFN_HIDDEN),
-            dec_w2=_dense(rng, FFN_HIDDEN, config.n_actions),
-        )
+        blocks = [InteractionBlockWeights(next(subs), next(subs), next(subs))
+                  for _ in range(config.n_blocks)]
+        temporal = next(subs)
+        return cls(*tokens, blocks, temporal, _dense(rng, d, FFN_HIDDEN),
+                   _dense(rng, FFN_HIDDEN, config.n_actions))
 
 
 @dataclass(eq=False)
@@ -202,6 +211,7 @@ def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfi
     only the anchor-frame shape. The global poses ride along separately for
     the attention embeddings.
     """
+    _check_scene(scene)
     return SceneTokens(
         agent_tokens=_agent_tokens(scene.agent_states, weights),
         map_tokens=_map_tokens(scene, weights, config),
@@ -210,10 +220,13 @@ def tokenize_scene(scene: Scene, weights: PipelineWeights, config: PipelineConfi
     )
 
 
-def _map_tokens(scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> np.ndarray:
-    """(n_segments, d_model) map tokens; the scene needs agents, steps and segments."""
+def _check_scene(scene: Scene) -> None:
     if scene.n_agents == 0 or scene.n_steps == 0 or not scene.segments:
         raise InvalidArgumentError("the scene needs agents, steps, and map segments")
+
+
+def _map_tokens(scene: Scene, weights: PipelineWeights, config: PipelineConfig) -> np.ndarray:
+    """(n_segments, d_model) map tokens."""
     map_tokens = np.empty((len(scene.segments), config.d_model))
     for index, segment in enumerate(scene.segments):
         point_feats = np.tanh(segment.local_shape @ weights.map_point_w)
@@ -382,31 +395,22 @@ class ConstantActionPolicy:
         return [self.action] * scene.n_agents
 
 
-def _frozen(states: np.ndarray) -> np.ndarray:
-    """``states`` itself when it is a read-only view of a read-only buffer, as
-    the rows of a scene's track are, which are never written again; else a copy."""
-    base = states.base
-    if states.flags.writeable or base is None or base.flags.writeable:
-        return states.copy()
-    return states
-
-
 @dataclass
 class _IncrementalDecoder:
     """What PipelinePolicy keeps to decode the next step of K histories of one map.
 
-    Holds the map segments, per block the cross-attention keys and values of
-    the map tokens after its map self-attention, per history the states
-    encoded so far (none in a fresh decoder; see ``_frozen``), the temporal
-    keys and values of all K histories and their newest distribution. The
-    temporal ``cache`` is preallocated, (capacity, K*n_agents*H, width) with
-    history k's agents in the k-th run of heads and the keys also in the
+    Holds the map segments, per block the weights' kept cross-attention keys
+    and values of the map tokens after its map self-attention, per history the
+    states encoded so far (none in a fresh decoder; see ``_frozen``), the
+    temporal keys and values of all K histories and their newest distribution.
+    The temporal ``cache`` is preallocated, (capacity, K*n_agents*H, width)
+    with history k's agents in the k-th run of heads and the keys also in the
     unread query slot; ``advance`` writes its rows in place, and
     ``_grown_cache`` sizes every buffer.
     """
 
     segments: tuple
-    map_kv: list
+    map_kv: tuple
     map_poses: PoseSet
     seen: tuple
     cache: QKVSet
@@ -415,16 +419,28 @@ class _IncrementalDecoder:
     @classmethod
     def for_map(cls, scenes: list, weights: PipelineWeights,
                 config: PipelineConfig) -> "_IncrementalDecoder":
-        """A decoder of the K ``scenes``' one map and agents that has encoded no timestep."""
+        """A decoder of the K ``scenes``' one map and agents that has encoded no timestep.
+
+        The map's keys and values depend only on the immutable ``weights``, the
+        config and the segments, so those the weights kept for a config equal
+        to ``config`` and the scenes' segment objects are reused; else the map
+        is encoded and kept in their place.
+        """
         scene = scenes[0]
-        map_tokens, map_poses = _map_tokens(scene, weights, config), scene.map_poses()
-        map_kv = []
-        for block in weights.blocks:
-            map_tokens, block_kv = _map_block(map_tokens, map_poses, block, config)
-            map_kv.append(block_kv)
+        _check_scene(scene)
+        key = (config, tuple(scene.segments))   # segments compare by identity
+        if weights._map is None or weights._map[:2] != key:
+            map_tokens, map_poses = _map_tokens(scene, weights, config), scene.map_poses()
+            map_kv = []
+            for block in weights.blocks:
+                map_tokens, block_kv = _map_block(map_tokens, map_poses, block, config)
+                block_kv.k.flags.writeable = block_kv.v.flags.writeable = False
+                map_kv.append(block_kv)
+            object.__setattr__(weights, "_map", key + (tuple(map_kv), map_poses))
+        _, segments, map_kv, map_poses = weights._map
         keys = np.zeros((0, len(scenes) * scene.n_agents * config.n_heads, 2 * config.d_k))
         return cls(
-            segments=tuple(scene.segments),
+            segments=segments,
             map_kv=map_kv,
             map_poses=map_poses,
             seen=(scene.agent_states[:, :0].copy(),) * len(scenes),
@@ -439,8 +455,7 @@ class _IncrementalDecoder:
         of those encoded, since its rows are never written again; bitwise else.
         """
         return len(scenes) == len(self.seen) and all(
-            len(scene.segments) == len(self.segments)
-            and all(new is old for new, old in zip(scene.segments, self.segments))
+            tuple(scene.segments) == self.segments   # segments compare by identity
             and scene.n_agents == seen.shape[0]
             and scene.n_steps >= seen.shape[1]
             and (scene.agent_states.base is seen.base is not None
@@ -506,11 +521,12 @@ class PipelinePolicy:
     Every call runs one ``_IncrementalDecoder.advance``. On a growing history
     (the same map segments, the same agents, earlier states unchanged) it
     encodes only the new timesteps, and on the same history none; any other
-    scene first gets a new decoder for its map. Either way the logits are
-    those of the stages (``tokenize_scene``, every ``interaction_step``,
-    ``temporal_step``, ``decode_actions``) on the full history, up to
-    rounding. In ``rollout_samples`` one policy decodes K histories as one
-    batch, and history k samples from ``Generator(seed + k)``.
+    scene first gets a new decoder, which encodes its map unless the weights
+    keep it (see ``for_map``). Either way the logits are those of the stages
+    (``tokenize_scene``, every ``interaction_step``, ``temporal_step``,
+    ``decode_actions``) on the full history, up to rounding. In
+    ``rollout_samples`` one policy decodes K histories as one batch, and
+    history k samples from ``Generator(seed + k)``.
     """
 
     def __init__(self, weights: PipelineWeights, config: PipelineConfig,

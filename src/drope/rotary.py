@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,6 +68,27 @@ def _as_finite(name: str, arr) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} must be finite")
     return arr
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it is a read-only view of a read-only buffer, never
+    written again (seeded weights, a track's rows); else a read-only copy."""
+    base = array.base
+    if array.flags.writeable or base is None or base.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
+def _shaped(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of the 1-D ``flat`` with the given shapes."""
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    return [part.reshape(shape) for shape, part in zip(shapes, np.split(flat, ends[:-1]))]
+
+
+def _drawn(rng, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with N(0, 1/out.shape[0]) draws, as seeded weights are."""
+    return np.divide(rng.standard_normal(out=out), math.sqrt(out.shape[0]), out=out)
 
 
 @dataclass(frozen=True, eq=False)

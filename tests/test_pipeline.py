@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from drope.pipeline import (
     write_trajectory_csv,
 )
 from drope.rotary import TWO_PI, FrequencySchedule
-from drope.scene import Scene, make_constant_velocity_scene, make_scene
+from drope.scene import MapSegment, Scene, make_constant_velocity_scene, make_scene
 
 from scene_moves import translated
 
@@ -216,7 +217,9 @@ class TestDecode:
         # a NaN logit row once made every agent pick grid action 0
         config = small_config()
         weights = PipelineWeights.seeded(config, seed=8)
-        weights.dec_w2[0, 0] = np.nan
+        bad = weights.dec_w2.copy()
+        bad[0, 0] = np.nan
+        weights = replace(weights, dec_w2=bad)
         scene = small_scene(8)
         with pytest.raises(InvalidArgumentError, match="logits"):
             forward(scene, weights, config)
@@ -226,8 +229,8 @@ class TestDecode:
     def test_zero_tokens_and_weights_give_uniform(self):
         config = small_config()
         weights = PipelineWeights.seeded(config, seed=9)
-        weights.dec_w1 = np.zeros_like(weights.dec_w1)
-        weights.dec_w2 = np.zeros_like(weights.dec_w2)
+        weights = replace(weights, dec_w1=np.zeros_like(weights.dec_w1),
+                          dec_w2=np.zeros_like(weights.dec_w2))
         tokens = np.zeros((2, 3, config.d_model))
         probs = decode_actions(tokens, weights, config).probabilities()
         assert probs == pytest.approx(1.0 / config.n_actions)
@@ -514,29 +517,32 @@ class TestIncrementalDecoding:
         other_map = scene_a.segments[:-1] + scene_a.segments[:1]
         changed = grown(6, other_map)
         changed.agent_states[2, 0, 3] += 0.25
-        # each cold case differs from the cached scene in one respect only
+        # each cold case differs from the decoder's scene in one respect only;
+        # the map is encoded when its segments are not those the weights keep
         calls = [
-            (scene_a, True),                           # first call
-            (grown(1), False),                         # one new timestep
-            (grown(3), False),                         # two more at once
-            (grown(4, list(scene_a.segments)), False),  # same segments, new list
-            (scene_b, True),                           # an unrelated scene
-            (grown(4), True),                          # scene A again, after B
-            (grown(4), False),                         # the same scene: nothing new
-            (grown(5, other_map), True),               # one map segment differs
-            (changed, True),                           # one prefix state differs
-            (grown(7, other_map, slice(2)), True),     # fewer agents
+            (scene_a, True, True),                           # first call
+            (grown(1), False, False),                        # one new timestep
+            (grown(3), False, False),                        # two more at once
+            (grown(4, list(scene_a.segments)), False, False),  # same segments, new list
+            (scene_b, True, False),                          # an unrelated scene, same map
+            (grown(4), True, False),                         # scene A again, after B
+            (grown(4), False, False),                        # the same scene: nothing new
+            (grown(5, other_map), True, True),               # one map segment differs
+            (changed, True, False),                          # one prefix state differs
+            (grown(7, other_map, slice(2)), True, False),    # fewer agents
+            (grown(4), True, True),                          # the first map: one is kept
         ]
         policy = PipelinePolicy(weights, config)
         reference = FullRecomputePolicy(weights, config)
-        for scene, cold in calls:
+        for scene, cold, encodes_map in calls:
+            decoder = policy._decoder
             counts, outputs = Counter(), {}
             spy_on(monkeypatch, ["_map_tokens", "_map_block", "decode_actions"], counts, outputs)
             actions = policy.actions(scene)
             monkeypatch.undo()
-            # a new decoder encodes the map once; a step on the same map never does
-            assert counts["_map_tokens"] == int(cold)
-            assert counts["_map_block"] == config.n_blocks * int(cold)
+            assert (policy._decoder is not decoder) == cold
+            assert counts["_map_tokens"] == int(encodes_map)
+            assert counts["_map_block"] == config.n_blocks * int(encodes_map)
             # the kept distribution, which the same scene again does not decode
             assert_newest_logits_match_forward(
                 policy._decoder.last.logits[:, -1], scene, weights, config
@@ -736,6 +742,91 @@ class TestIncrementalDecoding:
         rollout(scene, PipelinePolicy(weights, config), 5)
         # the map's poses once, then each call's agent poses, each phased once for every block
         assert len(built) == len(phased) == 1 + 5
+
+
+def weight_arrays(weights):
+    """Every array of ``weights``, its blocks' and their pairwise encoders'."""
+    subs = [weights.temporal] + [sub for block in weights.blocks for sub in vars(block).values()]
+    holders = [weights] + subs + [sub.enc for sub in subs if sub.enc is not None]
+    return [value for holder in holders for value in vars(holder).values()
+            if isinstance(value, np.ndarray)]
+
+
+class TestKeptMap:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_new_policy_on_the_kept_map_starts_at_the_agents(self, variant, monkeypatch):
+        config = small_config(variant, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=40)
+        rollout(small_scene(40, n_agents=3, n_steps=3), PipelinePolicy(weights, config), 2)
+        # another scene on the same map segment objects
+        scene = small_scene(41, n_agents=4, n_steps=3)
+        for mode in ("greedy", "sample"):
+            for samples in (1, 3):
+                counts = Counter()
+                spy_on(monkeypatch, ["_map_tokens", "_map_block"], counts)
+                kept = rollout_samples(scene, PipelinePolicy(weights, config, mode=mode, seed=2),
+                                       5, samples)
+                monkeypatch.undo()
+                assert not counts
+                spy_on(monkeypatch, ["_map_tokens"], counts)
+                fresh = rollout_samples(
+                    scene, PipelinePolicy(replace(weights), config, mode=mode, seed=2), 5, samples
+                )
+                monkeypatch.undo()
+                assert counts == {"_map_tokens": 1}
+                for one, other in zip(kept, fresh, strict=True):
+                    assert one.states.tobytes() == other.states.tobytes()
+                    assert one.actions == other.actions
+
+    def test_another_variant_segment_list_or_weights_encode_the_map(self, monkeypatch):
+        config = small_config(n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=41)
+        scene = small_scene(41)
+        copied = Scene(scene.agent_states,
+                       [MapSegment.from_points(seg.points) for seg in scene.segments], scene.dt)
+        other_weights = replace(weights)
+        calls = [
+            (weights, config, scene, True),                       # nothing kept
+            (weights, small_config(n_blocks=2), scene, False),    # an equal config
+            (weights, small_config(Variant.ROPE, n_blocks=2), scene, True),  # another variant
+            (weights, config, scene, True),                       # the first again: one is kept
+            (weights, config, copied, True),                      # equal segments, new objects
+            (weights, config, copied, False),                     # the copies, now kept
+            (other_weights, config, copied, True),                # other weights, equal arrays
+        ]
+        for model, model_config, history, encodes_map in calls:
+            counts = Counter()
+            spy_on(monkeypatch, ["_map_tokens", "_map_block"], counts)
+            policy = PipelinePolicy(model, model_config)
+            policy.actions(history)
+            monkeypatch.undo()
+            assert counts["_map_tokens"] == int(encodes_map)
+            assert counts["_map_block"] == config.n_blocks * int(encodes_map)
+            assert_newest_logits_match_forward(
+                policy._decoder.last.logits[:, -1], history, model, model_config
+            )
+
+    def test_weights_and_config_are_immutable(self):
+        config = small_config(Variant.RPE, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=42)
+        policy = PipelinePolicy(weights, config)
+        policy.actions(small_scene(42))
+        kept = [bank for kv in policy._decoder.map_kv for bank in (kv.k, kv.v)]
+        arrays = weight_arrays(weights)
+        assert len(arrays) == 6 + 6 * (3 * config.n_blocks + 1) + 8 * (3 * config.n_blocks + 1)
+        for array in arrays + kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+        # seeded arrays are kept as they are; a caller's become read-only copies
+        assert all(new is old for new, old in zip(weight_arrays(replace(weights)), arrays))
+        source = np.zeros_like(weights.dec_w1)
+        zeroed = replace(weights, dec_w1=source)
+        source[0, 0] = 1.0
+        assert not zeroed.dec_w1.any() and not zeroed.dec_w1.flags.writeable
+        for holder, name in ((config, "d_model"), (weights, "dec_w1"), (weights, "blocks"),
+                             (weights.blocks[0], "cross"), (weights.temporal, "w_q")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(holder, name, getattr(holder, name))
 
 
 class TestRolloutDigests:
