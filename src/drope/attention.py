@@ -29,13 +29,18 @@ only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
 pairwise regime takes as many rows as fit a fixed count of token pairs and
 writes each block's relative poses into one (..., N, M, 3) array and its
 offsets into one buffer laid out (..., N, H, M, width): first all key
-offsets, each block folded at once into the (..., H, N, M) score offsets,
-then, block by block after each softmax, the value offsets over them. With
-per-pair, per-head key and value offsets off_ij, a score is
+offsets, then, block by block after each softmax, the value offsets over
+them. With per-pair, per-head key and value offsets off_ij, a score is
 q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
-off_ij, so zero encoders give exactly the plain result. The analytic
-backward walks the same query-row blocks of one unstacked bank, so
-gradients take memory linear in N too.
+off_ij, so zero encoders give exactly the plain result. The heads share one
+encoder, so per query row one product over all heads folds the block's
+(..., B, M, width) encoder output into the (..., H, N, M) score offsets and
+another sums its value offsets; the output is released before the next
+block encodes. The products do not read the buffer: it is written as the
+materialized per-pair baseline whose size the memory ledger counts and
+whose peak the tests measure. The analytic backward walks the same
+query-row blocks of one unstacked bank, so gradients take memory linear in
+N too.
 
 A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
 ... (round robin, so causal blocks, whose cost grows with the row, balance).
@@ -52,8 +57,8 @@ pairwise regime walks its blocks in the lanes twice: the key pass, then the
 softmax and value pass. Lanes write disjoint rows of the one per-pair buffer,
 so a lane beyond the first costs one pair block of encoder temporaries and
 one score block; the first pass ends in every lane before the second starts,
-because a value block's rows overlap other rows' key offsets unless
-2*d_k == d_v. The backward keeps one lane: lanes would reorder its sums over
+so the whole key-offset tensor is written before any value offset goes over
+it. The backward keeps one lane: lanes would reorder its sums over
 blocks into dk and dv, and so change their bits.
 """
 
@@ -107,7 +112,8 @@ class Variant(enum.Enum):
       offset tensor is materialized whole so its storage can be measured,
       the key offsets and then the value offsets over them in one buffer,
       built a block of query rows at a time, with the blocks split over the
-      lanes of a large call.
+      lanes of a large call; the products read each block's encoder output,
+      which the heads share, once per query row.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -285,14 +291,16 @@ class PoseSet:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RPEEncoders:
     """Two-layer tanh perceptrons mapping (dx, dy, dtheta) to QK/V offsets.
 
     The key encoder outputs the full QK width 2*d_k, the value encoder
-    outputs d_v. One encoder pair is shared across heads; its output is
-    broadcast into every head's pairwise key/value tensors. Its arrays are
-    read-only (see ``_frozen``).
+    outputs d_v. One encoder pair is shared across heads: each block's
+    output is copied into every head's rows of the pairwise tensor, and the
+    score and value products read it once for all heads. Immutable, with
+    read-only arrays (see ``_frozen``), so weights that keep an encoded map
+    stay valid.
     """
 
     w1_k: np.ndarray
@@ -306,7 +314,7 @@ class RPEEncoders:
 
     def __post_init__(self):
         for name in ("w1_k", "b1_k", "w2_k", "b2_k", "w1_v", "b1_v", "w2_v", "b2_v"):
-            setattr(self, name, _frozen(_as_finite(name, getattr(self, name))))
+            object.__setattr__(self, name, _frozen(_as_finite(name, getattr(self, name))))
         for w1, b1, w2, b2 in ((self.w1_k, self.b1_k, self.w2_k, self.b2_k),
                                (self.w1_v, self.b1_v, self.w2_v, self.b2_v)):
             if w1.ndim != 2 or w1.shape[0] != 3:
@@ -536,15 +544,15 @@ def _attend(
                                       - poses_kv.positions[..., None, :, :])
                 block_rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
                                                - poses_kv.headings[..., None, :])
-                block = k_offset[..., s:e, :, :, :]
-                block[...] = enc.encode_key(block_rel)[..., None, :, :]
-                # q_i . off_ij per head, as one (M, 2*d_k) @ (2*d_k,) product per (i, h)
-                np.matmul(block, q_bank[..., s:e, :, :, None],
-                          out=offset.swapaxes(-3, -2)[..., s:e, :, :, None])
+                shared = enc.encode_key(block_rel)
+                k_offset[..., s:e, :, :, :] = shared[..., None, :, :]
+                # q_i . off_ij for every head, as one (H, 2*d_k) @ (2*d_k, M) product per i
+                np.matmul(q_bank[..., s:e, :, :], shared.swapaxes(-2, -1),
+                          out=offset.swapaxes(-3, -2)[..., s:e, :, :])
+                del shared    # the next block encodes with none of this one live
 
-        # every key offset is folded before any value block overwrites the
-        # buffer: unless 2*d_k == d_v, a value block's rows overlap other
-        # rows' key offsets
+        # the whole key-offset tensor is written before any value block goes
+        # over it
         _in_lanes(lanes, encode_keys)
     elif variant is not Variant.PLAIN:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv), sched)
@@ -574,10 +582,11 @@ def _attend(
             if alpha_all is not None or variant is Variant.RPE:
                 alpha /= sums
             if variant is Variant.RPE:
-                block = v_offset[..., s:e, :, :, :]
-                block[...] = enc.encode_value(rel[..., s:e, :, :])[..., None, :, :]
-                # sum_j alpha_ij off_ij per head, as one (M,) @ (M, d_v) product per (i, h)
-                out += np.matmul(alpha.swapaxes(-3, -2)[..., None, :], block)[..., 0, :]
+                shared = enc.encode_value(rel[..., s:e, :, :])
+                v_offset[..., s:e, :, :, :] = shared[..., None, :, :]
+                # sum_j alpha_ij off_ij for every head, as one (H, M) @ (M, d_v) product per i
+                out += np.matmul(alpha.swapaxes(-3, -2), shared)
+                del shared
 
     _in_lanes(lanes, run_lane)
     if records is not None:

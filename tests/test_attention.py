@@ -206,22 +206,32 @@ class TestRPE:
 
     @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
     @pytest.mark.parametrize("value_width", [5, 1])
-    def test_value_encoder_width_must_match_the_value_bank(self, engine, value_width):
+    def test_value_encoder_width_must_match_the_value_bank(self, monkeypatch, engine,
+                                                           value_width):
         """Checked before any offset is built: a width-1 encoder would
         otherwise broadcast its one column over every value column."""
         qkv, poses = make_case(12, n=4)
 
-        def never(rel):
+        def never(enc, rel):
             raise AssertionError("offsets encoded before the width check")
 
         enc = RPEEncoders.seeded(qkv.d_k, value_width)
-        enc.encode_key = enc.encode_value = never
+        monkeypatch.setattr(RPEEncoders, "encode_key", never)
+        monkeypatch.setattr(RPEEncoders, "encode_value", never)
         with pytest.raises(DimensionMismatchError,
                            match=f"value encoder width {value_width} mismatches value width 3"):
             if engine == "mhsa":
                 mhsa(qkv, poses, Variant.RPE, enc=enc)
             else:
                 mhca(qkv, qkv, poses, poses, Variant.RPE, enc=enc)
+
+    def test_fields_are_frozen(self):
+        """Pipeline weights keep the map their encoders encoded, so no
+        encoder field can be reassigned."""
+        enc = RPEEncoders.seeded(2, 3)
+        for name in [f.name for f in dataclasses.fields(enc)] + ["encode_key", "encode_value"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(enc, name, getattr(enc, name))
 
     @pytest.mark.parametrize("name, value", [
         ("b1_k", np.zeros(1)),
@@ -1014,6 +1024,17 @@ class TestMemoryLinearInN:
         tensor = 8 * n * n * h * max(2 * d_k, d_v)
         peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
         assert tensor <= peak <= 1.1 * tensor + 4 * 2**20, (peak, tensor)
+
+    def test_a_pair_block_releases_its_encoder_output(self):
+        """At the profile grid's largest pairwise point (one lane, as N is at
+        most ``QUERY_BLOCK``) a call peaks at its per-pair tensor plus one
+        key-encoder block and 1 MiB: a block's encoder output is released
+        before the next block encodes, so two blocks' outputs are never live."""
+        h, d_k, d_v, n = 4, 128, 64, 64
+        tensor = 8 * n * n * h * max(2 * d_k, d_v)
+        block = 8 * (attention._PAIR_BLOCK // n) * n * 2 * d_k
+        peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
+        assert peak <= tensor + block + 2**20, (peak, tensor, block)
 
     def test_pairwise_peak_is_its_per_pair_tensor_in_two_lanes(self, lanes):
         lanes(2)
