@@ -6,8 +6,8 @@ the dot products (none, positions, headings, or a mix of both); the fifth
 adds a learned encoding of each pairwise relative pose to the key and value
 vectors, which is what makes its memory footprint quadratic in the token
 count. That pairwise regime materializes each per-pair tensor whole, on
-purpose, so the profiler can count it, but one at a time: the key offsets
-are folded into the scores before the value offsets are written over them.
+purpose, so the profiler can count it, but one at a time: a query row's
+value offsets are written over its key offsets once those are scored.
 
 Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
 value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
@@ -26,21 +26,20 @@ linear in N. Per block the scores are one batched matmul giving
 with the (..., H, M, d_v) values, divided by the row sums, fills one output
 (weights are normalized only where read as weights); a causal block reads
 only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
-pairwise regime takes as many rows as fit a fixed count of token pairs and
-writes each block's relative poses into one (..., N, M, 3) array and its
-offsets into one buffer laid out (..., N, H, M, width): first all key
-offsets, then, block by block after each softmax, the value offsets over
-them. With per-pair, per-head key and value offsets off_ij, a score is
-q_i.k_j + q_i.off_ij and an output is sum_j alpha_ij v_j + sum_j alpha_ij
-off_ij, so zero encoders give exactly the plain result. The heads share one
-encoder, so per query row one product over all heads folds the block's
-(..., B, M, width) encoder output into the (..., H, N, M) score offsets and
-another sums its value offsets; the output is released before the next
-block encodes. The products do not read the buffer: it is written as the
-materialized per-pair baseline whose size the memory ledger counts and
-whose peak the tests measure. The analytic backward walks the same
-query-row blocks of one unstacked bank, so gradients take memory linear in
-N too.
+pairwise regime takes as many rows as fit a fixed count of token pairs, and
+a block does all its pairwise work in one pass: it encodes its (..., B, M, 3)
+relative poses, folds the key offsets into its (..., H, B, M) score offsets,
+and after the softmax sums the value offsets. With per-pair, per-head key
+and value offsets off_ij, a score is q_i.k_j + q_i.off_ij and an output is
+sum_j alpha_ij v_j + sum_j alpha_ij off_ij, so zero encoders give exactly
+the plain result. The heads share one encoder, so each fold and each sum is
+one product per query row over all heads. The products do not read the
+per-pair buffer, which is written as the materialized baseline whose size
+the memory ledger counts and whose peak the tests measure: laid out
+(..., N, H * M * max(2*d_k, d_v)), each query row's slice takes its key
+offsets and then its value offsets at its front. The analytic backward
+walks the same query-row blocks of one unstacked bank, so gradients take
+memory linear in N too.
 
 A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
 ... (round robin, so causal blocks, whose cost grows with the row, balance).
@@ -52,14 +51,12 @@ arithmetic, so every L gives the same bits. L is the number of blocks, at
 most this process's CPUs and at most one per ``QUERY_BLOCK`` query rows, when
 BLAS was started with one thread (as read from its thread-count variables at
 import); otherwise BLAS threads already use the CPUs and L is 1. So a call of
-at most ``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. The
-pairwise regime walks its blocks in the lanes twice: the key pass, then the
-softmax and value pass. Lanes write disjoint rows of the one per-pair buffer,
-so a lane beyond the first costs one pair block of encoder temporaries and
-one score block; the first pass ends in every lane before the second starts,
-so the whole key-offset tensor is written before any value offset goes over
-it. The backward keeps one lane: lanes would reorder its sums over
-blocks into dk and dv, and so change their bits.
+at most ``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. A
+pairwise block writes only its own query rows of the per-pair buffer, so its
+lanes need no barrier, and a lane beyond the first costs one pair block of
+encoder temporaries, its score offsets and one score block. The backward
+keeps one lane: lanes would reorder its sums over blocks into dk and dv, and
+so change their bits.
 """
 
 from __future__ import annotations
@@ -110,10 +107,10 @@ class Variant(enum.Enum):
     * ``plain``: standard attention, no pose information.
     * ``rpe``: learned pairwise key/value offsets; each (N, H, M, width)
       offset tensor is materialized whole so its storage can be measured,
-      the key offsets and then the value offsets over them in one buffer,
-      built a block of query rows at a time, with the blocks split over the
-      lanes of a large call; the products read each block's encoder output,
-      which the heads share, once per query row.
+      in one buffer where each query row's value offsets go over its key
+      offsets, built in one pass per block of query rows, with the blocks
+      split over the lanes of a large call; the products read each block's
+      encoder output, which the heads share, once per query row.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -402,15 +399,15 @@ def _block_weights(q_heads, k_heads, scale, s, e, causal=False, offset=None, out
     head-major banks less each row's max, and their row sums; the weights
     are alpha / sums.
 
-    A causal block reads only keys [0, e); the block's rows of a score
-    ``offset`` (..., H, N, M) are added before the scale. With ``out``
+    A causal block reads only keys [0, e); the block's score ``offset``
+    (..., H, e - s, M) is added before the scale. With ``out``
     (..., H, >= e - s, M) the scores are computed into its leading rows.
     """
     keys = e if causal else k_heads.shape[-2]
     scores = np.matmul(q_heads[..., s:e, :], k_heads[..., :keys, :].swapaxes(-2, -1),
                        out=None if out is None else out[..., :e - s, :keys])
     if offset is not None:
-        scores += offset[..., s:e, :]
+        scores += offset
     scores *= scale
     if causal:    # only keys [s, e) can lie above the diagonal
         np.copyto(scores[..., s:], -np.inf, where=~np.tri(e - s, dtype=bool))
@@ -521,39 +518,18 @@ def _attend(
     n, m = q_bank.shape[-3], k_bank.shape[-3]
     lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
 
-    q_hat, k_hat, offset, pairwise = q_bank, k_bank, None, 0
+    q_hat, k_hat, pairwise = q_bank, k_bank, 0
     rows = max(1, _PAIR_BLOCK // max(m, 1)) if variant is Variant.RPE else QUERY_BLOCK
     # lane l walks blocks l, l + L, ... (causal blocks grow with the row); at
     # most one lane per QUERY_BLOCK query rows, so a small pairwise call
     # starts no thread either
     lanes = max(1, min(-(-n // QUERY_BLOCK), -(-n // rows), _LANES))
     if variant is Variant.RPE:
-        pairs = math.prod(lead) * n * n_heads * m
-        pairwise = pairs * (width + d_v)
-        buffer = np.empty(pairs * max(width, d_v))   # the key offsets, then the value offsets
-        k_offset = buffer[:pairs * width].reshape(lead + (n, n_heads, m, width))
-        v_offset = buffer[:pairs * d_v].reshape(lead + (n, n_heads, m, d_v))
-        rel = np.empty(lead + (n, m, 3))
-        offset = np.empty(lead + (n_heads, n, m))
-
-        def encode_keys(lane):
-            for s in range(lane * rows, n, lanes * rows):
-                e = min(s + rows, n)
-                block_rel = rel[..., s:e, :, :]
-                block_rel[..., :2] = (poses_q.positions[..., s:e, None, :]
-                                      - poses_kv.positions[..., None, :, :])
-                block_rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
-                                               - poses_kv.headings[..., None, :])
-                shared = enc.encode_key(block_rel)
-                k_offset[..., s:e, :, :, :] = shared[..., None, :, :]
-                # q_i . off_ij for every head, as one (H, 2*d_k) @ (2*d_k, M) product per i
-                np.matmul(q_bank[..., s:e, :, :], shared.swapaxes(-2, -1),
-                          out=offset.swapaxes(-3, -2)[..., s:e, :, :])
-                del shared    # the next block encodes with none of this one live
-
-        # the whole key-offset tensor is written before any value block goes
-        # over it
-        _in_lanes(lanes, encode_keys)
+        pairwise = math.prod(lead) * n * n_heads * m * (width + d_v)
+        # one slice per query row: its key offsets, then its value offsets over them
+        buffer = np.empty(lead + (n, n_heads * m * max(width, d_v)))
+        k_offset = buffer[..., :n_heads * m * width].reshape(lead + (n, n_heads, m, width))
+        v_offset = buffer[..., :n_heads * m * d_v].reshape(lead + (n, n_heads, m, d_v))
     elif variant is not Variant.PLAIN:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv), sched)
 
@@ -575,18 +551,31 @@ def _attend(
     def run_lane(lane):
         for s in range(lane * rows, n, lanes * rows):
             e = min(s + rows, n)
+            offset = None
+            if variant is Variant.RPE:
+                rel = np.empty(lead + (e - s, m, 3))
+                rel[..., :2] = (poses_q.positions[..., s:e, None, :]
+                                - poses_kv.positions[..., None, :, :])
+                rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
+                                         - poses_kv.headings[..., None, :])
+                shared = enc.encode_key(rel)
+                k_offset[..., s:e, :, :, :] = shared[..., None, :, :]
+                # q_i . off_ij for every head, as one (H, 2*d_k) @ (2*d_k, M) product per i
+                offset = np.matmul(q_bank[..., s:e, :, :], shared.swapaxes(-2, -1)).swapaxes(-3, -2)
+                del shared
             into = slots[lane] if alpha_all is None else alpha_all[..., s:, :]
             alpha, sums = _block_weights(q_heads, k_heads, scale, s, e, causal, offset, into)
+            del offset
             out = per_head[..., s:e, :, :]    # a row's d_v outputs divided, not its M weights
             np.divide(alpha @ v_heads[..., :alpha.shape[-1], :], sums, out=out.swapaxes(-3, -2))
             if alpha_all is not None or variant is Variant.RPE:
                 alpha /= sums
             if variant is Variant.RPE:
-                shared = enc.encode_value(rel[..., s:e, :, :])
+                shared = enc.encode_value(rel)
                 v_offset[..., s:e, :, :, :] = shared[..., None, :, :]
                 # sum_j alpha_ij off_ij for every head, as one (H, M) @ (M, d_v) product per i
                 out += np.matmul(alpha.swapaxes(-3, -2), shared)
-                del shared
+                del shared, rel    # the next block encodes with none of this one live
 
     _in_lanes(lanes, run_lane)
     if records is not None:

@@ -1025,6 +1025,17 @@ class TestMemoryLinearInN:
         peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
         assert tensor <= peak <= 1.1 * tensor + 4 * 2**20, (peak, tensor)
 
+    def test_pairwise_excess_over_its_per_pair_tensor_does_not_grow_with_n(self, lanes):
+        """Beside its per-pair tensor a one-lane call holds only block-sized
+        arrays (a pair block, its score offsets and one score block), so its
+        excess over that tensor grows by at most 1 MiB from N=64 to N=256;
+        whole (N, M, 3) poses and (H, N, M) score offsets would add 3.3 MiB."""
+        lanes(1)
+        h, d_k, d_v = 4, 32, 64
+        excess = [self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
+                  - 8 * n * n * h * max(2 * d_k, d_v) for n in (64, 256)]
+        assert excess[1] - excess[0] <= 2**20, excess
+
     def test_a_pair_block_releases_its_encoder_output(self):
         """At the profile grid's largest pairwise point (one lane, as N is at
         most ``QUERY_BLOCK``) a call peaks at its per-pair tensor plus one
@@ -1043,8 +1054,8 @@ class TestMemoryLinearInN:
 
     def test_a_second_lane_costs_one_pair_block(self, lanes):
         """Lanes write disjoint rows of the one per-pair buffer, so a second
-        lane adds one pair block of encoder temporaries and one score slot:
-        about 1.6 MiB at these widths."""
+        lane adds one pair block of encoder temporaries, its score offsets
+        and one score slot: about 1.7 MiB at these widths."""
         peaks = []
         for count in (1, 2):
             lanes(count)
@@ -1055,8 +1066,9 @@ class TestMemoryLinearInN:
 
 class TestPairBlocks:
     """The pairwise regime walks blocks of as many query rows as fit
-    ``_PAIR_BLOCK`` token pairs, at least one, writing each block's offsets
-    into one per-pair buffer."""
+    ``_PAIR_BLOCK`` token pairs, at least one, each block building its own
+    relative poses and score offsets and writing its rows' key offsets,
+    then their value offsets, into one per-pair buffer."""
 
     H, D_K, D_V = 2, 4, 3
 
@@ -1130,14 +1142,15 @@ class TestPairBlocks:
 class TestLanes:
     """A forward call splits its query-row blocks over lanes, lane l taking
     blocks l, l + L, ...; each block's arithmetic is that of one lane, so
-    every lane count gives the same bits. The pairwise regime runs its key
-    pass and then its value pass in the lanes, each lane writing its own rows
-    of the one per-pair buffer."""
+    every lane count gives the same bits. A pairwise block encodes, scores
+    and sums in one pass, each lane writing its own query rows of the one
+    per-pair buffer."""
 
     H, D_K, D_V = TestQueryBlocks.H, TestQueryBlocks.D_K, TestQueryBlocks.D_V
     VARIANTS = [Variant.PLAIN, Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH]
-    # the pairwise regime's (d_k, d_v): key offsets wider than the value
-    # offsets written over them in the shared buffer, and narrower
+    # the pairwise regime's (d_k, d_v): each query row's key offsets wider
+    # than the value offsets written over them at the front of its slice of
+    # the per-pair buffer, and narrower
     RPE_WIDTHS = {"keys-wider": (8, 3), "values-wider": (2, 16)}
     CASES = [pytest.param(v, n, None, id=f"{v.value}-{n}")
              for v in VARIANTS for n in (129, 300, 1024)] + [
@@ -1261,16 +1274,17 @@ class TestLanes:
         monkeypatch.setattr(attention, "_block_weights", patched)
         return inside
 
+    @pytest.mark.parametrize("encoder", ["encode_key", "encode_value"])
     @pytest.mark.parametrize("fail_lane, slow_lane", [(1, None), (0, 1), (1, 0)],
                              ids=["lane-1", "lane-0-while-lane-1-runs",
                                   "lane-1-while-lane-0-runs"])
-    def test_a_key_pass_error_is_raised_after_every_lane_ends(self, lanes, monkeypatch,
-                                                              fail_lane, slow_lane):
-        """The pairwise regime's key pass ends in every lane before an error
-        in one is raised, and no value block runs after it."""
+    def test_an_encoder_error_in_either_lane_is_raised_after_every_lane_ends(
+            self, lanes, monkeypatch, fail_lane, slow_lane, encoder):
+        """An error in one lane's pairwise key or value encoder is raised
+        once no lane is still inside an encoder."""
         lanes(2)
-        caller, inside, slept, value_blocks = threading.current_thread(), [], [], []
-        encode_key, kernel = RPEEncoders.encode_key, attention._block_weights
+        caller, inside, slept = threading.current_thread(), [], []
+        encode = getattr(RPEEncoders, encoder)
 
         def patched(enc, rel):
             lane = 0 if threading.current_thread() is caller else 1
@@ -1281,21 +1295,15 @@ class TestLanes:
                     time.sleep(0.2)
                 if lane == fail_lane:
                     raise RuntimeError(f"lane {lane}")
-                return encode_key(enc, rel)
+                return encode(enc, rel)
             finally:
                 inside.remove(lane)
 
-        def counted(q_heads, k_heads, scale, s, e, *args):
-            value_blocks.append(s)
-            return kernel(q_heads, k_heads, scale, s, e, *args)
-
-        monkeypatch.setattr(RPEEncoders, "encode_key", patched)
-        monkeypatch.setattr(attention, "_block_weights", counted)
+        monkeypatch.setattr(RPEEncoders, encoder, patched)
         qkv, poses = self.banks(89, 3 * attention.QUERY_BLOCK)
         with pytest.raises(RuntimeError, match=f"lane {fail_lane}"):
             mhsa(qkv, poses, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
         assert inside == []
-        assert value_blocks == []
 
     @pytest.mark.parametrize("fail_at, slow_at", [(128, None), (0, 128), (128, 0)],
                              ids=["lane-1", "lane-0-while-lane-1-runs",
