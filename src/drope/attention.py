@@ -525,11 +525,11 @@ def _attend(
     # starts no thread either
     lanes = max(1, min(-(-n // QUERY_BLOCK), -(-n // rows), _LANES))
     if variant is Variant.RPE:
-        pairwise = math.prod(lead) * n * n_heads * m * (width + d_v)
         # one slice per query row: its key offsets, then its value offsets over them
         buffer = np.empty(lead + (n, n_heads * m * max(width, d_v)))
         k_offset = buffer[..., :n_heads * m * width].reshape(lead + (n, n_heads, m, width))
         v_offset = buffer[..., :n_heads * m * d_v].reshape(lead + (n, n_heads, m, d_v))
+        pairwise = k_offset.size + v_offset.size
     elif variant is not Variant.PLAIN:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv), sched)
 

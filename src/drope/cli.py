@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from .pipeline import (
     write_trajectory_csv,
 )
 from .profiling import (
-    SweepPoint,
     WIDTH_CONVENTION,
     check_sweep_trends,
     sweep,
@@ -153,17 +153,13 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else VIOLATION_EXIT
 
 
-def _grid_points(grid: dict) -> list[SweepPoint]:
-    for key in ("n_tokens", "n_heads", "d_k", "d_v"):
+def _grid_points(grid: dict):
+    """Every (n_tokens, n_heads, d_k, d_v) point of the grid, the last varying fastest."""
+    keys = ("n_tokens", "n_heads", "d_k", "d_v")
+    for key in keys:
         if _setting(grid, key, _SIZE_LIST, None) is None:
             raise ConfigurationError(f"profile grid is missing {key!r}")
-    return [
-        SweepPoint(n_tokens=n, n_heads=h, d_k=d_k, d_v=d_v)
-        for n in grid["n_tokens"]
-        for h in grid["n_heads"]
-        for d_k in grid["d_k"]
-        for d_v in grid["d_v"]
-    ]
+    return itertools.product(*(grid[key] for key in keys))
 
 
 def _write_curve_dat(path: Path, rows, value_key: str, axis_label: str) -> None:

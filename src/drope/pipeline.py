@@ -107,13 +107,6 @@ class PipelineConfig:
         return self.grid.n_actions
 
 
-def _dense(rng, n_in: int, n_out: int) -> np.ndarray:
-    """A new seeded weight matrix: a read-only view of a read-only buffer."""
-    buffer = _drawn(rng, empty_array((n_in, n_out), "a weight matrix"))
-    buffer.flags.writeable = False
-    return buffer[...]
-
-
 @dataclass(frozen=True, eq=False)
 class BlockWeights:
     """Projections and feed-forward weights for one attention sub-block (read-only)."""
@@ -130,24 +123,6 @@ class BlockWeights:
         for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_w2"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    @classmethod
-    def seeded(cls, config: PipelineConfig, rng, count: int):
-        """Yield ``count`` sub-blocks, all drawn in turn, before the first is
-        yielded, into one array allocated up front and then made read-only."""
-        d, h, f, d_v = config.d_model, config.n_heads, FFN_HIDDEN, config.d_v
-        shapes = ((d, h, 2 * config.d_k),) * 2 + ((d, h, d_v), (h * d_v, d), (d, f), (f, d))
-        arena = empty_array((count, sum(math.prod(shape) for shape in shapes)),
-                            "the attention blocks' weights")
-        encs = []
-        for row in arena:
-            for view in _shaped(row, shapes):
-                _drawn(rng, view)
-            encs.append(RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
-                        if config.variant is Variant.RPE else None)
-        arena.flags.writeable = False
-        for row, enc in zip(arena, encs):
-            yield cls(*_shaped(row, shapes), enc=enc)
-
 
 @dataclass(frozen=True)
 class InteractionBlockWeights:
@@ -159,10 +134,10 @@ class InteractionBlockWeights:
 @dataclass(frozen=True, eq=False)
 class PipelineWeights:
     """All learnable arrays of the pipeline, explicit, seed-reproducible and
-    immutable (read-only arrays, see ``_frozen``; a tuple of blocks). ``_map``
-    keeps the config, segments, per-block map keys and values, and map poses
-    that ``_IncrementalDecoder.for_map`` encoded last; a ``replace`` keeps none.
-    """
+    immutable (read-only arrays, see ``_frozen``; a tuple of blocks). A seeded
+    model is one read-only buffer, its pairwise encoders aside. ``_map`` keeps
+    the config, segments, per-block map keys and values, and map poses that
+    ``_IncrementalDecoder.for_map`` encoded last; a ``replace`` keeps none."""
 
     agent_w1: np.ndarray   # (AGENT_FEATURE_WIDTH, d_model)
     agent_w2: np.ndarray   # (d_model, d_model)
@@ -181,17 +156,30 @@ class PipelineWeights:
 
     @classmethod
     def seeded(cls, config: PipelineConfig, seed: int = 0) -> "PipelineWeights":
+        """Every array drawn in turn into one buffer allocated up front, then made
+        read-only: the token weights, each attention sub-block (then, for the
+        pairwise-encoder variant, its encoders' seed), the decoder's."""
         rng = np.random.default_rng(seed)
-        d = config.d_model
-        # the token weights, the sub-blocks in turn, then the decoder's
-        tokens = [_dense(rng, AGENT_FEATURE_WIDTH, d), _dense(rng, d, d), _dense(rng, 2, d),
-                  _dense(rng, d, d)]
-        subs = BlockWeights.seeded(config, rng, 3 * config.n_blocks + 1)
-        blocks = [InteractionBlockWeights(next(subs), next(subs), next(subs))
-                  for _ in range(config.n_blocks)]
-        temporal = next(subs)
-        return cls(*tokens, blocks, temporal, _dense(rng, d, FFN_HIDDEN),
-                   _dense(rng, FFN_HIDDEN, config.n_actions))
+        d, h, f, d_v = config.d_model, config.n_heads, FFN_HIDDEN, config.d_v
+        sub = ((d, h, 2 * config.d_k),) * 2 + ((d, h, d_v), (h * d_v, d), (d, f), (f, d))
+        ends = ((AGENT_FEATURE_WIDTH, d), (d, d), (2, d), (d, d), (d, f), (f, config.n_actions))
+        n_subs = 3 * config.n_blocks + 1
+        # sized before the shapes are listed, so a huge block count fails here at once
+        size = sum(map(math.prod, ends)) + n_subs * sum(map(math.prod, sub))
+        buffer = empty_array(size, "the model's weights")
+        shapes = ends[:4] + sub * n_subs + ends[4:]   # in drawing order
+        starts = range(4, len(shapes) - 2, 6)   # the sub-blocks' first arrays
+        encs = []
+        for index, array in enumerate(_shaped(buffer, shapes)):
+            _drawn(rng, array)
+            if index - 5 in starts:   # a sub-block's last array
+                encs.append(RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
+                            if config.variant is Variant.RPE else None)
+        buffer.flags.writeable = False   # so the views taken from here on are read-only
+        arrays = _shaped(buffer, shapes)
+        subs = [BlockWeights(*arrays[i:i + 6], enc=enc) for i, enc in zip(starts, encs)]
+        blocks = [InteractionBlockWeights(*subs[i:i + 3]) for i in range(0, n_subs - 1, 3)]
+        return cls(*arrays[:4], blocks, subs[-1], *arrays[-2:])
 
 
 @dataclass(eq=False)

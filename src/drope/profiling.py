@@ -56,7 +56,6 @@ from .errors import ConfigurationError, VerificationError
 __all__ = [
     "MemoryReport",
     "FlopReport",
-    "SweepPoint",
     "count_input_memory",
     "verify_memory_ledger",
     "count_flops",
@@ -257,16 +256,6 @@ def count_flops(
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One attention configuration in a sweep grid."""
-
-    n_tokens: int
-    n_heads: int
-    d_k: int
-    d_v: int
-
-
 SWEEP_COLUMNS = (
     "variant", "n_tokens", "m_tokens", "n_heads", "d_k", "d_v",
     "qkv_scalars", "pairwise_scalars", "embedded_scalars",
@@ -276,9 +265,10 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(point: SweepPoint, variant: Variant) -> dict:
-    mem = count_input_memory(variant, point.n_tokens, point.n_heads, point.d_k, point.d_v)
-    flop = count_flops(variant, point.n_tokens, None, point.n_heads, point.d_k, point.d_v)
+def _sweep_row(point: tuple, variant: Variant) -> dict:
+    n_tokens, n_heads, d_k, d_v = point
+    mem = count_input_memory(variant, n_tokens, n_heads, d_k, d_v)
+    flop = count_flops(variant, n_tokens, None, n_heads, d_k, d_v)
     row = mem.as_dict()
     row["m_tokens"] = flop.m_tokens
     for key, value in flop.as_dict().items():
@@ -289,7 +279,7 @@ def _sweep_row(point: SweepPoint, variant: Variant) -> dict:
 
 
 def sweep(points, variants) -> list[dict]:
-    """One ledger row per (configuration, variant), in deterministic order."""
+    """One ledger row per ((n_tokens, n_heads, d_k, d_v), variant), points outermost."""
     points = list(points)
     variants = list(variants)
     if not points or not variants:

@@ -222,7 +222,7 @@ class Scene:
             raise InvalidArgumentError(
                 f"prefix length {n_steps} outside 1..{self.n_steps}"
             )
-        return Scene(self.agent_states[:, :n_steps].copy(), self.segments, self.dt)
+        return Scene(self.agent_states[:, :n_steps], self.segments, self.dt)
 
     def with_appended_states(self, states) -> "Scene":
         """A new scene with one more timestep of (n_agents, 4) states.

@@ -13,7 +13,6 @@ import drope
 from drope.attention import AttentionOutput, AttentionRecord, PoseSet, QKVSet, RPEEncoders
 from drope.pipeline import (
     ActionDistribution,
-    BlockWeights,
     PipelineConfig,
     PipelineWeights,
     RolloutResult,
@@ -99,7 +98,7 @@ ARRAY_HOLDERS = {
     "AttentionOutput": lambda: AttentionOutput(np.zeros((3, 2, 2)), np.zeros((3, 4))),
     "AttentionRecord": lambda: AttentionRecord({"qkv": 4}, np.zeros((3, 2, 3))),
     "FrequencySchedule": lambda: FrequencySchedule(4, np.ones(4)),
-    "BlockWeights": lambda: next(BlockWeights.seeded(CONFIG, np.random.default_rng(0), 1)),
+    "BlockWeights": lambda: PipelineWeights.seeded(CONFIG).temporal,
     "PipelineWeights": lambda: PipelineWeights.seeded(CONFIG),
     "SceneTokens": lambda: tokenize_scene(make_scene(seed=1), PipelineWeights.seeded(CONFIG),
                                           CONFIG),

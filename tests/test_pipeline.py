@@ -855,6 +855,45 @@ class TestRolloutDigests:
         )
 
 
+class TestSeededWeights:
+    #: SHA-256 over the shape and bytes of each array of ``weight_arrays``, per
+    #: config: (without encoders, with). Only the pairwise-encoder variant draws
+    #: differently, an encoder seed after each sub-block; the others share a pin.
+    DIGESTS = {
+        "default": ("14254a62302e762be50fd067e9518ef49ba39a8c37ac6cb4c013fb1cf42bfbd9",
+                    "3e5e265c627f243245f4ada7eb177ff007c5bfc34db0726ebba0702d12fe13e4"),
+        "wide": ("588ceac5fb067ce2a581a5642ee005bd273e39eccaf8dc4ff61d6c675414951a",
+                 "15d1b74d302e63d8e4b3ec256935bd7084ea8a357227136b34ae37af113442be"),
+    }
+    CONFIGS = {
+        "default": {},
+        "wide": dict(d_model=12, n_heads=3, d_k=4, d_v=6, n_blocks=3),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_arrays_are_bitwise_the_pinned_ones(self, variant, name):
+        """Guards the draw order: token weights, each sub-block then its
+        encoders' seed, the decoder's."""
+        weights = PipelineWeights.seeded(PipelineConfig(variant=variant, **self.CONFIGS[name]),
+                                         seed=5)
+        digest = hashlib.sha256()
+        for array in weight_arrays(weights):
+            digest.update(repr(array.shape).encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[name][variant is Variant.RPE]
+
+    @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.RPE], ids=lambda v: v.value)
+    def test_a_model_is_read_only_views_of_one_read_only_buffer(self, variant):
+        config = small_config(variant, n_blocks=2)
+        arrays = weight_arrays(PipelineWeights.seeded(config, seed=3))
+        # the pairwise encoders' arrays, which ``weight_arrays`` lists last, have their own
+        arrays = arrays[:6 + 6 * (3 * config.n_blocks + 1)]
+        base = arrays[0].base
+        assert base.base is None and not base.flags.writeable
+        assert all(array.base is base and not array.flags.writeable for array in arrays)
+
+
 class TestSceneRotationProperty:
     def test_angle_head_attention_invariant_under_scene_rotation(self):
         """Rotating the scene rigidly preserves the heading-head attention rows.

@@ -9,7 +9,6 @@ import drope.profiling as profiling
 from drope.attention import PoseSet, QKVSet, RPEEncoders, Variant, mhsa, recording
 from drope.errors import ConfigurationError, VerificationError
 from drope.profiling import (
-    SweepPoint,
     check_sweep_trends,
     count_flops,
     count_input_memory,
@@ -165,7 +164,7 @@ class TestFlopCounts:
 
 class TestSweep:
     def make_rows(self):
-        points = [SweepPoint(n, 2, 4, 8) for n in (16, 32, 64)]
+        points = [(n, 2, 4, 8) for n in (16, 32, 64)]
         return sweep(points, ALL_VARIANTS)
 
     def test_row_count_and_order(self):
@@ -200,7 +199,7 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep([], ALL_VARIANTS)
         with pytest.raises(ConfigurationError):
-            sweep([SweepPoint(2, 1, 1, 1)], [])
+            sweep([(2, 1, 1, 1)], [])
 
     def test_csv_round_trip(self, tmp_path):
         rows = self.make_rows()

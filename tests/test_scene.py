@@ -190,6 +190,7 @@ class TestScene:
         scene = make_scene(seed=1, n_steps=10)
         prefix = scene.prefix(4)
         assert prefix.n_steps == 4
+        assert not np.shares_memory(prefix.agent_states, scene.agent_states)
         grown = prefix.with_appended_states(prefix.agent_states[:, -1])
         assert grown.n_steps == 5
 
