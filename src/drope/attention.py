@@ -4,10 +4,11 @@ Five scoring regimes share one softmax/weighted-sum core. Four of them
 differ only in the per-pair rotation angles applied to the QK banks before
 the dot products (none, positions, headings, or a mix of both); the fifth
 adds a learned encoding of each pairwise relative pose to the key and value
-vectors, which is what makes its memory footprint quadratic in the token
-count. That pairwise regime materializes each per-pair tensor whole, on
-purpose, so the profiler can count it, but one at a time: a query row's
-value offsets are written over its key offsets once those are scored.
+vectors, which makes its time quadratic in the token count: one encoder
+evaluation per token pair. It streams those encodings block by block and
+keeps no per-pair tensor whole, so its memory, like the others', is linear
+in N; the memory ledger's pairwise count is what an implementation that
+materializes the per-pair tensors holds.
 
 Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
 value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
@@ -33,13 +34,9 @@ and after the softmax sums the value offsets. With per-pair, per-head key
 and value offsets off_ij, a score is q_i.k_j + q_i.off_ij and an output is
 sum_j alpha_ij v_j + sum_j alpha_ij off_ij, so zero encoders give exactly
 the plain result. The heads share one encoder, so each fold and each sum is
-one product per query row over all heads. The products do not read the
-per-pair buffer, which is written as the materialized baseline whose size
-the memory ledger counts and whose peak the tests measure: laid out
-(..., N, H * M * max(2*d_k, d_v)), each query row's slice takes its key
-offsets and then its value offsets at its front. The analytic backward
-walks the same query-row blocks of one unstacked bank, so gradients take
-memory linear in N too.
+one product per query row over all heads. The analytic backward walks the
+same query-row blocks of one unstacked bank, so gradients take memory linear
+in N too.
 
 A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
 ... (round robin, so causal blocks, whose cost grows with the row, balance).
@@ -52,11 +49,9 @@ most this process's CPUs and at most one per ``QUERY_BLOCK`` query rows, when
 BLAS was started with one thread (as read from its thread-count variables at
 import); otherwise BLAS threads already use the CPUs and L is 1. So a call of
 at most ``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. A
-pairwise block writes only its own query rows of the per-pair buffer, so its
-lanes need no barrier, and a lane beyond the first costs one pair block of
-encoder temporaries, its score offsets and one score block. The backward
-keeps one lane: lanes would reorder its sums over blocks into dk and dv, and
-so change their bits.
+pairwise lane beyond the first costs one pair block of encoder temporaries,
+its score offsets and one score block. The backward keeps one lane: lanes
+would reorder its sums over blocks into dk and dv, and so change their bits.
 """
 
 from __future__ import annotations
@@ -105,12 +100,11 @@ class Variant(enum.Enum):
     """The five attention regimes.
 
     * ``plain``: standard attention, no pose information.
-    * ``rpe``: learned pairwise key/value offsets; each (N, H, M, width)
-      offset tensor is materialized whole so its storage can be measured,
-      in one buffer where each query row's value offsets go over its key
-      offsets, built in one pass per block of query rows, with the blocks
-      split over the lanes of a large call; the products read each block's
-      encoder output, which the heads share, once per query row.
+    * ``rpe``: learned pairwise key/value offsets, encoded in one pass per
+      block of query rows, with the blocks split over the lanes of a large
+      call; the products read each block's encoder output, which the heads
+      share, once per query row, and no (N, H, M, width) offset tensor is
+      kept whole.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -293,11 +287,10 @@ class RPEEncoders:
     """Two-layer tanh perceptrons mapping (dx, dy, dtheta) to QK/V offsets.
 
     The key encoder outputs the full QK width 2*d_k, the value encoder
-    outputs d_v. One encoder pair is shared across heads: each block's
-    output is copied into every head's rows of the pairwise tensor, and the
-    score and value products read it once for all heads. Immutable, with
-    read-only arrays (see ``_frozen``), so weights that keep an encoded map
-    stay valid.
+    outputs d_v. One encoder pair is shared across heads: the score and
+    value products read each block's output once for all heads. Immutable,
+    with read-only arrays (see ``_frozen``), so weights that keep an encoded
+    map stay valid.
     """
 
     w1_k: np.ndarray
@@ -372,8 +365,8 @@ class AttentionOutput:
 
 @dataclass(frozen=True, eq=False)
 class AttentionRecord:
-    """One call's materialized scalars per ledger category (``qkv``,
-    ``embedded``, ``pairwise``) and a view of its (..., N, H, M) weights."""
+    """One call's materialized scalars per ledger category (``qkv`` and
+    ``embedded``) and a view of its (..., N, H, M) weights."""
 
     counts: dict
     weights: np.ndarray
@@ -518,19 +511,13 @@ def _attend(
     n, m = q_bank.shape[-3], k_bank.shape[-3]
     lead = np.broadcast_shapes(q_bank.shape[:-3], k_bank.shape[:-3])
 
-    q_hat, k_hat, pairwise = q_bank, k_bank, 0
+    q_hat, k_hat = q_bank, k_bank
     rows = max(1, _PAIR_BLOCK // max(m, 1)) if variant is Variant.RPE else QUERY_BLOCK
     # lane l walks blocks l, l + L, ... (causal blocks grow with the row); at
     # most one lane per QUERY_BLOCK query rows, so a small pairwise call
     # starts no thread either
     lanes = max(1, min(-(-n // QUERY_BLOCK), -(-n // rows), _LANES))
-    if variant is Variant.RPE:
-        # one slice per query row: its key offsets, then its value offsets over them
-        buffer = np.empty(lead + (n, n_heads * m * max(width, d_v)))
-        k_offset = buffer[..., :n_heads * m * width].reshape(lead + (n, n_heads, m, width))
-        v_offset = buffer[..., :n_heads * m * d_v].reshape(lead + (n, n_heads, m, d_v))
-        pairwise = k_offset.size + v_offset.size
-    elif variant is not Variant.PLAIN:
+    if variant in ROTARY_VARIANTS:
         q_hat, k_hat = _rotated(variant, (q_bank, k_bank), (poses_q, poses_kv), sched)
 
     q_heads, k_heads = q_hat.swapaxes(-3, -2), k_hat.swapaxes(-3, -2)
@@ -559,7 +546,6 @@ def _attend(
                 rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
                                          - poses_kv.headings[..., None, :])
                 shared = enc.encode_key(rel)
-                k_offset[..., s:e, :, :, :] = shared[..., None, :, :]
                 # q_i . off_ij for every head, as one (H, 2*d_k) @ (2*d_k, M) product per i
                 offset = np.matmul(q_bank[..., s:e, :, :], shared.swapaxes(-2, -1)).swapaxes(-3, -2)
                 del shared
@@ -572,7 +558,6 @@ def _attend(
                 alpha /= sums
             if variant is Variant.RPE:
                 shared = enc.encode_value(rel)
-                v_offset[..., s:e, :, :, :] = shared[..., None, :, :]
                 # sum_j alpha_ij off_ij for every head, as one (H, M) @ (M, d_v) product per i
                 out += np.matmul(alpha.swapaxes(-3, -2), shared)
                 del shared, rel    # the next block encodes with none of this one live
@@ -582,7 +567,6 @@ def _attend(
         records.append(AttentionRecord({
             "qkv": q_bank.size + k_bank.size + v_bank.size,
             "embedded": 0 if q_hat is q_bank else q_hat.size + k_hat.size,
-            "pairwise": pairwise,
         }, alpha_all.swapaxes(-3, -2)))
     return AttentionOutput(per_head, per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,)))
 

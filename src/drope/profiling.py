@@ -10,10 +10,10 @@ category need not be live at the same time):
     symbolic form N*H*(2*d_k + d_v) uses d_k for the full QK width instead,
     and evaluates to the same integer.
   * ``pairwise_scalars`` = N^2*H*(2*d_k + d_v) for the pairwise-encoder
-    variant (its per-pair key and value tensors, 0 otherwise). The engine
-    writes them block by block into one buffer, the value tensor over the
-    key tensor, so a call holds N^2*H*max(2*d_k, d_v) of them at once, not
-    the sum.
+    variant (0 otherwise): the per-pair key and value tensors that an
+    implementation materializing them holds, as autograd does in training.
+    The engine streams them block by block and keeps neither, so this count
+    is a prediction of that cost, not an engine measurement.
   * ``embedded_scalars`` = 2*N*H*(2*d_k) for the rotary variants when the
     rotated banks are materialized (the engines do materialize them); the
     in-place total reports 0 for this term.
@@ -181,9 +181,9 @@ def count_input_memory(
 def verify_memory_ledger(
     variant: Variant, n_tokens: int, n_heads: int, d_k: int, d_v: int
 ) -> MemoryReport:
-    """Assert that the closed-form counts match the scalar counts the engine
-    records under its default settings. The counts depend on array sizes
-    only, so the banks are ones and the poses zeros."""
+    """Assert that the closed-form ``qkv`` and ``embedded`` counts match the
+    scalar counts the engine records under its default settings. The counts
+    depend on array sizes only, so the banks are ones and the poses zeros."""
     predicted = count_input_memory(variant, n_tokens, n_heads, d_k, d_v)
     qk_shape = (n_tokens, n_heads, 2 * d_k)
     qkv = QKVSet(np.ones(qk_shape), np.ones(qk_shape), np.ones((n_tokens, n_heads, d_v)))
@@ -195,7 +195,6 @@ def verify_memory_ledger(
     expectation = {
         "qkv": predicted.qkv_scalars,
         "embedded": predicted.embedded_scalars,
-        "pairwise": predicted.pairwise_scalars,
     }
     if measured != expectation:
         raise VerificationError(

@@ -73,7 +73,7 @@ class TestMeasuredAgainstPredicted:
             for h in heads:
                 verify_memory_ledger(variant, n, h, 4, 8)
 
-    @pytest.mark.parametrize("category", ["qkv_scalars", "embedded_scalars", "pairwise_scalars"])
+    @pytest.mark.parametrize("category", ["qkv_scalars", "embedded_scalars"])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_a_count_one_scalar_off_fails(self, monkeypatch, variant, category):
         # the check's inputs are constant, yet a wrong ledger still fails it
@@ -93,8 +93,8 @@ class TestMeasuredAgainstPredicted:
             mhsa(QKVSet.random(3, 2, 2, 4, rng), PoseSet.random(3, rng), Variant.RPE,
                  enc=RPEEncoders.seeded(2, 4))
         measured = records[0].counts
-        assert set(measured) == {"qkv", "embedded", "pairwise"}
-        assert measured["pairwise"] == 9 * 2 * (4 + 4)
+        assert set(measured) == {"qkv", "embedded"}
+        assert measured["qkv"] == 3 * 2 * (2 * 4 + 4)
 
 
 class TestFlopCounts:
