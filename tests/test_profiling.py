@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import drope.profiling as profiling
+import oracles
 from drope.attention import PoseSet, QKVSet, RPEEncoders, Variant, mhsa, recording
 from drope.errors import ConfigurationError, VerificationError
 from drope.profiling import (
@@ -55,6 +56,33 @@ class TestMemoryCounts:
             Fraction(big.pairwise_scalars, big.qkv_scalars)
             == 2 * Fraction(small.pairwise_scalars, small.qkv_scalars)
         )
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_pairwise_count_is_what_the_oracle_materializes(self, monkeypatch, variant):
+        """The engine streams the per-pair tensors and records none, so the
+        count is measured on the scalar oracle, which builds each (query, key,
+        head) triple's key and value offsets whole: their scalars, summed over
+        a call, are the ledger's pairwise count (0 where no encoder runs)."""
+        built = []
+
+        def counted(*args):
+            offsets = ref_mlp3(*args)
+            built.append(len(offsets))
+            return offsets
+
+        ref_mlp3 = oracles.ref_mlp3
+        monkeypatch.setattr(oracles, "ref_mlp3", counted)
+        for n, d_k, d_v in ((4, 4, 8), (3, 3, 2)):     # value offsets wider, then narrower
+            rng = np.random.default_rng(n)
+            qkv, poses = QKVSet.random(n, 2, d_k, d_v, rng), PoseSet.random(n, rng)
+            built.clear()
+            oracles.ref_attention(
+                variant.value, qkv.q, qkv.k, qkv.v,
+                poses.positions, poses.headings, poses.positions, poses.headings,
+                enc=RPEEncoders.seeded(d_k, d_v), split=(2 * (d_k // 2), 2 * (d_k - d_k // 2)),
+            )
+            ledger = count_input_memory(variant, n, 2, d_k, d_v)
+            assert sum(built) == ledger.pairwise_scalars, (n, d_k, d_v)
 
     def test_dimension_validation(self):
         with pytest.raises(ConfigurationError):
