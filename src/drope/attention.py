@@ -71,9 +71,8 @@ from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentE
 from .rotary import (
     FrequencySchedule,
     _as_finite,
-    _drawn,
     _frozen,
-    _shaped,
+    _seeded,
     _unit_phasors,
     planar_pair_angles,
     rotate_pairs,
@@ -345,14 +344,15 @@ class RPEEncoders:
     def seeded(cls, d_k: int, d_v: int, seed: int = 0) -> "RPEEncoders":
         """Encoders of hidden width ``RPE_HIDDEN`` with seeded weights and zero
         biases, read-only views of one read-only buffer."""
-        rng = np.random.default_rng(seed)
-        shapes = [(3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, 2 * d_k), (2 * d_k,),
-                  (3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, d_v), (d_v,)]
-        buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
-        for weights in _shaped(buffer, shapes)[::2]:   # the biases stay zero
-            _drawn(rng, weights)
-        buffer.flags.writeable = False
-        return cls(*_shaped(buffer, shapes))
+        shapes = _encoder_shapes(d_k, d_v)
+        buffer = np.empty(sum(map(math.prod, shapes)))
+        return cls(*_seeded(np.random.default_rng(seed), buffer, shapes))
+
+
+def _encoder_shapes(d_k: int, d_v: int) -> tuple:
+    """The shapes of the eight ``RPEEncoders`` arrays, in field order."""
+    return ((3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, 2 * d_k), (2 * d_k,),
+            (3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, d_v), (d_v,))
 
 
 @dataclass(eq=False)

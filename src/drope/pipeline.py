@@ -33,7 +33,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -43,13 +42,14 @@ from .attention import (
     QKVSet,
     RPEEncoders,
     Variant,
+    _encoder_shapes,
     mhca,
     mhsa,
     mhsa_causal,
 )
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError, empty_array
 from .kinematics import ActionGrid, ControlAction, advance_states, kinematic_step
-from .rotary import _drawn, _frozen, _shaped
+from .rotary import _frozen, _seeded
 from .scene import Scene
 
 __all__ = [
@@ -117,7 +117,7 @@ class BlockWeights:
     w_o: np.ndarray    # (H*d_v, d_model)
     ffn_w1: np.ndarray   # (d_model, FFN_HIDDEN)
     ffn_w2: np.ndarray   # (FFN_HIDDEN, d_model)
-    enc: RPEEncoders | None   # pairwise-encoder variant only
+    enc: RPEEncoders | None   # pairwise-encoder variant's interaction sub-blocks only
 
     def __post_init__(self):
         for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_w2"):
@@ -135,8 +135,8 @@ class InteractionBlockWeights:
 class PipelineWeights:
     """All learnable arrays of the pipeline, explicit, seed-reproducible and
     immutable (read-only arrays, see ``_frozen``; a tuple of blocks). A seeded
-    model is one read-only buffer, its pairwise encoders aside. ``_map`` keeps
-    the config, segments, per-block map keys and values, and map poses that
+    model is one read-only buffer. ``_map`` keeps the config, segments,
+    per-block map keys and values, and map poses that
     ``_IncrementalDecoder.for_map`` encoded last; a ``replace`` keeps none."""
 
     agent_w1: np.ndarray   # (AGENT_FEATURE_WIDTH, d_model)
@@ -157,29 +157,24 @@ class PipelineWeights:
     @classmethod
     def seeded(cls, config: PipelineConfig, seed: int = 0) -> "PipelineWeights":
         """Every array drawn in turn into one buffer allocated up front, then made
-        read-only: the token weights, each attention sub-block (then, for the
-        pairwise-encoder variant, its encoders' seed), the decoder's."""
-        rng = np.random.default_rng(seed)
+        read-only: the token weights, each interaction sub-block (then, for the
+        pairwise-encoder variant, its encoders), the temporal sub-block, the
+        decoder's."""
         d, h, f, d_v = config.d_model, config.n_heads, FFN_HIDDEN, config.d_v
         sub = ((d, h, 2 * config.d_k),) * 2 + ((d, h, d_v), (h * d_v, d), (d, f), (f, d))
+        enc = _encoder_shapes(config.d_k, d_v) if config.variant is Variant.RPE else ()
         ends = ((AGENT_FEATURE_WIDTH, d), (d, d), (2, d), (d, d), (d, f), (f, config.n_actions))
-        n_subs = 3 * config.n_blocks + 1
+        n_subs, step = 3 * config.n_blocks, len(sub + enc)
         # sized before the shapes are listed, so a huge block count fails here at once
-        size = sum(map(math.prod, ends)) + n_subs * sum(map(math.prod, sub))
+        size = sum(map(math.prod, ends + sub)) + n_subs * sum(map(math.prod, sub + enc))
         buffer = empty_array(size, "the model's weights")
-        shapes = ends[:4] + sub * n_subs + ends[4:]   # in drawing order
-        starts = range(4, len(shapes) - 2, 6)   # the sub-blocks' first arrays
-        encs = []
-        for index, array in enumerate(_shaped(buffer, shapes)):
-            _drawn(rng, array)
-            if index - 5 in starts:   # a sub-block's last array
-                encs.append(RPEEncoders.seeded(config.d_k, d_v, seed=int(rng.integers(2**31)))
-                            if config.variant is Variant.RPE else None)
-        buffer.flags.writeable = False   # so the views taken from here on are read-only
-        arrays = _shaped(buffer, shapes)
-        subs = [BlockWeights(*arrays[i:i + 6], enc=enc) for i, enc in zip(starts, encs)]
-        blocks = [InteractionBlockWeights(*subs[i:i + 3]) for i in range(0, n_subs - 1, 3)]
-        return cls(*arrays[:4], blocks, subs[-1], *arrays[-2:])
+        shapes = ends[:4] + (sub + enc) * n_subs + sub + ends[4:]   # in drawing order
+        arrays = _seeded(np.random.default_rng(seed), buffer, shapes)
+        subs = [BlockWeights(*arrays[i:i + 6],
+                             enc=RPEEncoders(*arrays[i + 6:i + step]) if enc else None)
+                for i in range(4, 4 + n_subs * step, step)]
+        blocks = [InteractionBlockWeights(*subs[i:i + 3]) for i in range(0, n_subs, 3)]
+        return cls(*arrays[:4], blocks, BlockWeights(*arrays[-8:-2], enc=None), *arrays[-2:])
 
 
 @dataclass(eq=False)
@@ -289,17 +284,10 @@ def interaction_step(
                    map_tokens=map_tokens)
 
 
-@lru_cache(maxsize=8)
-def _step_scales(d_model: int) -> np.ndarray:
-    """The sinusoid's read-only frequency row (1, d_model/2)."""
-    scales = np.exp(-math.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model)
-    scales.flags.writeable = False
-    return scales[None, :]
-
-
 def _step_encoding(steps, d_model: int) -> np.ndarray:
     """Sinusoidal encoding rows of the given steps; each row depends on its step only."""
-    angles = np.asarray(steps, dtype=np.float64)[:, None] * _step_scales(d_model)
+    scales = np.exp(-math.log(10000.0) * np.arange(0, d_model, 2, dtype=np.float64) / d_model)
+    angles = np.asarray(steps, dtype=np.float64)[:, None] * scales
     encoding = np.empty((angles.shape[0], d_model))
     encoding[:, 0::2] = np.sin(angles)
     encoding[:, 1::2] = np.cos(angles)

@@ -86,9 +86,17 @@ def _shaped(flat: np.ndarray, shapes) -> list:
     return [part.reshape(shape) for shape, part in zip(shapes, np.split(flat, ends[:-1]))]
 
 
-def _drawn(rng, out: np.ndarray) -> np.ndarray:
-    """``out`` filled with N(0, 1/out.shape[0]) draws, as seeded weights are."""
-    return np.divide(rng.standard_normal(out=out), math.sqrt(out.shape[0]), out=out)
+def _seeded(rng, buffer: np.ndarray, shapes) -> list:
+    """The 1-D ``buffer`` filled in turn with arrays of the given shapes (a
+    matrix with N(0, 1/rows) draws, a 1-D bias with zeros), then made
+    read-only; the arrays' read-only views."""
+    for out in _shaped(buffer, shapes):
+        if out.ndim == 1:
+            out.fill(0.0)
+        else:
+            np.divide(rng.standard_normal(out=out), math.sqrt(out.shape[0]), out=out)
+    buffer.flags.writeable = False   # so the views taken from here on are read-only
+    return _shaped(buffer, shapes)
 
 
 @dataclass(frozen=True, eq=False)

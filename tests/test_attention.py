@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -236,6 +237,24 @@ class TestRPE:
         for name in [f.name for f in dataclasses.fields(enc)] + ["encode_key", "encode_value"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(enc, name, getattr(enc, name))
+
+    #: SHA-256 over the shape and bytes of each ``RPEEncoders.seeded`` array in
+    #: field order, per (d_k, d_v, seed); the profile command's ledger check seeds these.
+    SEEDED_DIGESTS = {
+        (4, 8, 0): "5123d8d662a31a7a128e81f7301032e3762fb6d6a8424b725ffaff77d2508a37",
+        (2, 3, 7): "c68a5721ab4f94de73cad3c1c27e5503ca4f95da255de044ddb9759153e4d5be",
+        (16, 32, 12345): "34d1cdf56e4b5a953589aefe2cb86132fcf1e2dfe814bcbeac7decd56fc59951",
+    }
+
+    @pytest.mark.parametrize("d_k, d_v, seed", list(SEEDED_DIGESTS))
+    def test_seeded_arrays_are_bitwise_the_pinned_ones(self, d_k, d_v, seed):
+        enc = RPEEncoders.seeded(d_k, d_v, seed)
+        digest = hashlib.sha256()
+        for field in dataclasses.fields(enc):
+            array = getattr(enc, field.name)
+            digest.update(repr(array.shape).encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.SEEDED_DIGESTS[d_k, d_v, seed]
 
     @pytest.mark.parametrize("name, value", [
         ("b1_k", np.zeros(1)),

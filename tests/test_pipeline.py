@@ -2,7 +2,7 @@ import hashlib
 import math
 import warnings
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -752,6 +752,19 @@ def weight_arrays(weights):
             if isinstance(value, np.ndarray)]
 
 
+def with_array(holder, old, new):
+    """``holder`` rebuilt with its array ``old`` (by identity) replaced by ``new``
+    in whichever block or encoder holds it."""
+    if holder is old:
+        return new
+    if isinstance(holder, tuple):
+        return tuple(with_array(item, old, new) for item in holder)
+    if is_dataclass(holder):
+        return replace(holder, **{f.name: with_array(getattr(holder, f.name), old, new)
+                                  for f in fields(holder) if f.init})
+    return holder
+
+
 class TestKeptMap:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_a_new_policy_on_the_kept_map_starts_at_the_agents(self, variant, monkeypatch):
@@ -813,7 +826,7 @@ class TestKeptMap:
         policy.actions(small_scene(42))
         kept = [bank for kv in policy._decoder.map_kv for bank in (kv.k, kv.v)]
         arrays = weight_arrays(weights)
-        assert len(arrays) == 6 + 6 * (3 * config.n_blocks + 1) + 8 * (3 * config.n_blocks + 1)
+        assert len(arrays) == 6 + 6 * (3 * config.n_blocks + 1) + 8 * 3 * config.n_blocks
         for array in arrays + kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
@@ -835,7 +848,7 @@ class TestRolloutDigests:
 
     DIGESTS = {
         Variant.PLAIN: "f54f709b4564df23f3c01d432c1fa69fe66df272ece0d530d682f8a89110ae84",
-        Variant.RPE: "8962a0f8f8d684b9a8160599044bac1bfade739f1b3a2d9e5b6bb6684ff45e48",
+        Variant.RPE: "6979fd2b9ff00a7ae16b2a6249fc97e74b0b00c17087aeca846ab68d3ee8cd37",
         Variant.ROPE: "7f180132cc6f6a9a44cdc5597d95345a1bc91870d9c551fe82962c9566ff8193",
         Variant.DROPE_HBH: "c0c28e74fb015c791391a1534a379fd131a76df0c2fe0ebb13f37c126eb8665a",
         Variant.DROPE_IH: "2947d0227af248d0edf770e884a26b059641f1b8bb82e7243bd1f54ce2321700",
@@ -858,12 +871,13 @@ class TestRolloutDigests:
 class TestSeededWeights:
     #: SHA-256 over the shape and bytes of each array of ``weight_arrays``, per
     #: config: (without encoders, with). Only the pairwise-encoder variant draws
-    #: differently, an encoder seed after each sub-block; the others share a pin.
+    #: differently, its encoders after each interaction sub-block; the others
+    #: share a pin.
     DIGESTS = {
         "default": ("14254a62302e762be50fd067e9518ef49ba39a8c37ac6cb4c013fb1cf42bfbd9",
-                    "3e5e265c627f243245f4ada7eb177ff007c5bfc34db0726ebba0702d12fe13e4"),
+                    "fe0c1820b24d71a17089c034dc42241d888c22965519104481ef94674c5f731d"),
         "wide": ("588ceac5fb067ce2a581a5642ee005bd273e39eccaf8dc4ff61d6c675414951a",
-                 "15d1b74d302e63d8e4b3ec256935bd7084ea8a357227136b34ae37af113442be"),
+                 "28d5a94fa218ee5282d95476106c23e10b3bf758d5d6cde23753eb88520477cf"),
     }
     CONFIGS = {
         "default": {},
@@ -873,8 +887,8 @@ class TestSeededWeights:
     @pytest.mark.parametrize("name", list(CONFIGS))
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_arrays_are_bitwise_the_pinned_ones(self, variant, name):
-        """Guards the draw order: token weights, each sub-block then its
-        encoders' seed, the decoder's."""
+        """Guards the draw order: token weights, each interaction sub-block then
+        its encoders, the temporal sub-block, the decoder's."""
         weights = PipelineWeights.seeded(PipelineConfig(variant=variant, **self.CONFIGS[name]),
                                          seed=5)
         digest = hashlib.sha256()
@@ -887,11 +901,28 @@ class TestSeededWeights:
     def test_a_model_is_read_only_views_of_one_read_only_buffer(self, variant):
         config = small_config(variant, n_blocks=2)
         arrays = weight_arrays(PipelineWeights.seeded(config, seed=3))
-        # the pairwise encoders' arrays, which ``weight_arrays`` lists last, have their own
-        arrays = arrays[:6 + 6 * (3 * config.n_blocks + 1)]
         base = arrays[0].base
         assert base.base is None and not base.flags.writeable
         assert all(array.base is base and not array.flags.writeable for array in arrays)
+        assert base.size == sum(array.size for array in arrays)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_every_array_is_read(self, variant):
+        """Noise on any one seeded array moves the newest logits of a short rollout."""
+        config = small_config(variant)
+        weights = PipelineWeights.seeded(config, seed=1)
+        scene = small_scene(1, n_agents=4)
+        rng = np.random.default_rng(1)
+
+        def newest_logits(model):
+            policy = PipelinePolicy(model, config)
+            rollout(scene, policy, 2)
+            return policy._decoder.last.logits[:, -1]
+
+        unperturbed = newest_logits(weights)
+        for index, array in enumerate(weight_arrays(weights)):
+            noisy = with_array(weights, array, array + rng.standard_normal(array.shape))
+            assert not np.array_equal(newest_logits(noisy), unperturbed), index
 
 
 class TestSceneRotationProperty:
