@@ -40,18 +40,18 @@ in N too.
 
 A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
 ... (round robin, so causal blocks, whose cost grows with the row, balance).
-The calling thread runs lane 0 and a private pool, started by the first call
-with L > 1, runs the rest. Each lane computes its scores into its own
-(..., H, B, M) slot, which the calling thread allocates, so a lane beyond the
-first costs one score block; each block's arithmetic is the one-lane
-arithmetic, so every L gives the same bits. L is the number of blocks, at
-most this process's CPUs and at most one per ``QUERY_BLOCK`` query rows, when
-BLAS was started with one thread (as read from its thread-count variables at
-import); otherwise BLAS threads already use the CPUs and L is 1. So a call of
-at most ``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. A
-pairwise lane beyond the first costs one pair block of encoder temporaries,
-its score offsets and one score block. The backward keeps one lane: lanes
-would reorder its sums over blocks into dk and dv, and so change their bits.
+The calling thread runs lane 0, and threads that live only for the call run
+the rest. Each lane computes its scores into its own (..., H, B, M) slot,
+which the calling thread allocates, so a lane beyond the first costs one
+score block; each block's arithmetic is the one-lane arithmetic, so every L
+gives the same bits. L is the number of blocks, at most this process's CPUs
+and at most one per ``QUERY_BLOCK`` query rows, when BLAS was started with
+one thread (as read from its thread-count variables at import); otherwise
+BLAS threads already use the CPUs and L is 1. So a call of at most
+``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. A pairwise
+lane beyond the first costs one pair block of encoder temporaries, its score
+offsets and one score block. The backward keeps one lane: lanes would
+reorder its sums over blocks into dk and dv, and so change their bits.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ import copy
 import enum
 import math
 import os
-import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -145,10 +144,6 @@ _BLAS_THREADS = {os.environ.get(name) for name in
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")} - {None}
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES = _CPUS if _BLAS_THREADS == {"1"} else 1
-# (pid, executor) running lanes 1 .. L - 1, started by the first call with
-# L > 1 in each process: a forked child has none of its parent's threads
-_POOL = None
-_POOL_LOCK = threading.Lock()
 
 #: Hidden width of both pairwise encoders; the FLOP ledger counts this width.
 RPE_HIDDEN = 32
@@ -411,25 +406,17 @@ def _block_weights(q_heads, k_heads, scale, s, e, causal=False, offset=None, out
 
 def _in_lanes(lanes, run_lane):
     """Run ``run_lane(0)`` .. ``run_lane(lanes - 1)``: lane 0 on the calling
-    thread, the others on the private pool, which the first call with more
-    than one lane starts. Returns once every lane has ended; an error in any
-    lane is raised."""
-    global _POOL
+    thread, the others on threads this call starts and joins. Returns once
+    every lane has ended; an error in any lane is raised."""
     if lanes == 1:
         run_lane(0)
         return
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = os.getpid(), ThreadPoolExecutor(_LANES - 1, thread_name_prefix="drope-lane")
-    futures = [_POOL[1].submit(run_lane, lane) for lane in range(1, lanes)]
-    try:
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="drope-lane") as pool:
+        futures = [pool.submit(run_lane, lane) for lane in range(1, lanes)]
         run_lane(0)
-    finally:
-        errors = [future.exception() for future in futures]    # waits for each lane
-    for error in errors:
-        if error is not None:
-            raise error
+    for future in futures:
+        future.result()
 
 
 def _validate_variant(variant, q_bank, k_bank, v_bank, poses_q, poses_kv, sched, enc):

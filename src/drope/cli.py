@@ -60,11 +60,11 @@ def _timestamp() -> str:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:    # not UTF-8, not JSON, or nested too deep
+            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError("the config file must hold a JSON object")
     return config
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         # an overflow or a NaN in any numpy operation ends the command, never a warning
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
-    except (ConfigurationError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
+    except (ConfigurationError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except MemoryError as exc:

@@ -358,6 +358,6 @@ def load_scene(path) -> Scene:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:    # not UTF-8, not JSON, or nested too deep
             raise ConfigurationError(f"scene file {path} is not valid JSON: {exc}") from exc
     return scene_from_dict(payload)

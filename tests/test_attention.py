@@ -84,19 +84,8 @@ def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, k=None, v=None
 @pytest.fixture
 def lanes(monkeypatch):
     """``lanes(count)`` sets how many lanes a forward call may use, as a
-    one-thread BLAS on ``count`` CPUs would; each count starts its own pool,
-    which is shut down when the count changes or the test ends."""
-
-    def force(count):
-        if attention._POOL is not None:
-            attention._POOL[1].shutdown()
-        monkeypatch.setattr(attention, "_POOL", None)
-        monkeypatch.setattr(attention, "_LANES", count)
-
-    monkeypatch.setattr(attention, "_POOL", None)
-    yield force
-    if attention._POOL is not None:
-        attention._POOL[1].shutdown()
+    one-thread BLAS on ``count`` CPUs would."""
+    return lambda count: monkeypatch.setattr(attention, "_LANES", count)
 
 
 class TestPlain:
@@ -1014,7 +1003,7 @@ class TestMemoryLinearInN:
     @pytest.mark.parametrize("engine", [mhsa, mhsa_causal])    # the backward keeps one lane
     def test_rotary_and_causal_peaks_are_linear_in_two_lanes(self, lanes, engine):
         lanes(2)
-        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
         self.test_rotary_and_causal_peaks_are_linear(engine)
 
     def test_a_second_lane_costs_one_score_block(self, lanes):
@@ -1025,7 +1014,7 @@ class TestMemoryLinearInN:
         peaks = []
         for count in (1, 2):
             lanes(count)
-            mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+            mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
             peaks.append(self.peak(mhsa, Variant.DROPE_HBH, n, (h, d_k, d_v)))
         block = 8 * h * attention.QUERY_BLOCK * n
         assert peaks[1] <= peaks[0] + block + 2**20, (peaks, block)
@@ -1047,7 +1036,7 @@ class TestMemoryLinearInN:
         widths."""
         h, d_k, d_v = 4, 32, 64
         lanes(count)
-        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
         used = min(count, -(-n // attention.QUERY_BLOCK))
         block = 8 * attention._PAIR_BLOCK * (3 + attention.RPE_HIDDEN + 2 * d_k + d_v + h)
         plain = self.peak(mhsa, Variant.PLAIN, n, (h, d_k, d_v))
@@ -1078,7 +1067,7 @@ class TestMemoryLinearInN:
         peaks = []
         for count in (1, 2):
             lanes(count)
-            mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # starts the pool
+            mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
             peaks.append(self.peak(mhsa, Variant.RPE, 256, (4, 32, 64)))
         assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
 
@@ -1208,12 +1197,18 @@ class TestLanes:
                     assert np.array_equal(array, array1)
                 assert got[3] == expected[3]
 
-    def test_a_single_block_and_the_pairwise_regime_start_no_thread(self, lanes):
+    def test_a_single_block_and_the_pairwise_regime_start_no_thread(self, lanes, monkeypatch):
         """A call of at most QUERY_BLOCK query rows runs on the calling
         thread, pairwise ones too (the ledger check's size class), and so does
-        the backward; a pairwise call of 3 * QUERY_BLOCK rows starts the pool."""
+        the backward; a pairwise call of 3 * QUERY_BLOCK rows starts L - 1."""
         lanes(2)
-        threads = threading.active_count()
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
         qkv, poses = self.banks(82, attention.QUERY_BLOCK)
         keysvals, poses_kv = self.banks(88, 3 * attention.QUERY_BLOCK)
         for variant in Variant:
@@ -1222,10 +1217,17 @@ class TestLanes:
             mhca(qkv, keysvals, poses, poses_kv, variant, **kw)
         attention_backward(Variant.PLAIN, keysvals, None,
                            np.ones((keysvals.n_tokens, self.H * self.D_V)))
-        assert attention._POOL is None
-        assert threading.active_count() == threads
+        assert started == []
         mhsa(keysvals, poses_kv, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
-        assert attention._POOL is not None
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_no_lane_thread_outlives_its_call(self, lanes, count):
+        lanes(count)
+        threads = threading.active_count()
+        qkv, poses = self.banks(87, 3 * attention.QUERY_BLOCK)
+        mhsa(qkv, poses, Variant.DROPE_HBH)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("blas, expected", [
         ({}, "1"),
@@ -1258,11 +1260,10 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_forked_child_starts_its_own_pool(self, lanes):
+    def test_a_forked_child_gives_the_same_bits(self, lanes):
         lanes(2)
         qkv, poses = self.banks(86, 3 * attention.QUERY_BLOCK)
         expected = mhsa(qkv, poses, Variant.ROPE).per_head
-        assert attention._POOL is not None
 
         def child():
             same = np.array_equal(mhsa(qkv, poses, Variant.ROPE).per_head, expected)

@@ -383,6 +383,24 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, payloa
     assert err.count("\n") == 1 and err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b"[" * 200_000, id="nested-too-deep"),
+])
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--config"), ("profile", "--config"), ("rollout", "--scene")])
+def test_an_unreadable_json_file_exits_2_with_one_line(tmp_path, capsys, command, flag,
+                                                       content):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    code = main([command, flag, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert not out.exists()
+
+
 def scene_payload(**changes):
     """A small valid scene file's JSON payload, with top-level keys replaced."""
     payload = {
