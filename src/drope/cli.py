@@ -35,7 +35,7 @@ from .profiling import (
     sweep,
     write_sweep_csv,
 )
-from .scene import load_scene, make_constant_velocity_scene, make_scene
+from .scene import _read_json, load_scene, make_constant_velocity_scene, make_scene
 from .verification import (
     FAULT_ROPE_FREQS_IN_FANGLE,
     VerificationConfig,
@@ -60,11 +60,7 @@ def _timestamp() -> str:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except (ValueError, RecursionError) as exc:    # not UTF-8, not JSON, or nested too deep
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    config = _read_json(path, "config file")
     if not isinstance(config, dict):
         raise ConfigurationError("the config file must hold a JSON object")
     return config
@@ -104,7 +100,10 @@ def _setting(config: dict, key: str, kind, default, flag=None):
 
 def _out_dir(args, command: str) -> Path:
     out = Path(args.out if args.out is not None else f"{command}-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:    # a NUL in the path
+        raise ConfigurationError(f"output directory {str(out)!r} cannot be made: {exc}") from exc
     return out
 
 
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
         # an overflow or a NaN in any numpy operation ends the command, never a warning
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
-    except (ConfigurationError, OSError, ArithmeticError) as exc:
+    except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except MemoryError as exc:

@@ -239,9 +239,13 @@ def _ffn(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
     return np.tanh(x @ bw.ffn_w1) @ bw.ffn_w2
 
 
+def _qkv(tokens: np.ndarray, bw: BlockWeights) -> QKVSet:
+    """The sub-block's Q/K/V banks of (..., d_model) tokens, (..., H, width) each."""
+    return QKVSet(*(_project(tokens, w) for w in (bw.w_q, bw.w_k, bw.w_v)))
+
+
 def _self_block(tokens, poses, bw, config) -> np.ndarray:
-    qkv = QKVSet(*(_project(tokens, w) for w in (bw.w_q, bw.w_k, bw.w_v)))
-    out = mhsa(qkv, poses, config.variant, enc=bw.enc)
+    out = mhsa(_qkv(tokens, bw), poses, config.variant, enc=bw.enc)
     return tokens + _ffn(out.merged @ bw.w_o, bw)
 
 
@@ -295,35 +299,16 @@ def _step_encoding(steps, d_model: int) -> np.ndarray:
 
 
 def temporal_step(agent_tokens: np.ndarray, bw: BlockWeights, config: PipelineConfig):
-    """Causal self-attention along each agent's token sequence.
+    """Causal self-attention along each agent's sequence of (n_agents, T, d_model)
+    tokens, with the agents as the attention's batch axis.
 
     Output at step t depends only on inputs at steps <= t; masked positions
     are excluded before the softmax, so the guarantee is bitwise.
     """
     n_steps = agent_tokens.shape[1]
     encoded = agent_tokens + _step_encoding(np.arange(n_steps), config.d_model)[None]
-    return _temporal_residual(encoded, mhsa_causal(_temporal_banks(encoded, bw)), bw)
-
-
-def _temporal_banks(encoded: np.ndarray, bw: BlockWeights) -> QKVSet:
-    """Temporal Q/K/V of (n_agents, T, d_model) encoded tokens, time-major.
-
-    Each agent's heads become heads of their own, (T, n_agents*H, width):
-    attention treats heads independently, so one call over these banks is
-    every agent attending over its own sequence.
-    """
-    def fold(bank):
-        n_agents, n_steps, n_heads, width = bank.shape
-        return bank.transpose(1, 0, 2, 3).reshape(n_steps, n_agents * n_heads, width)
-
-    return QKVSet(*(fold(_project(encoded, w)) for w in (bw.w_q, bw.w_k, bw.w_v)))
-
-
-def _temporal_residual(encoded: np.ndarray, attended, bw: BlockWeights) -> np.ndarray:
-    """``encoded + FFN(W_o @ attention)`` from the attention over folded banks."""
-    n_agents, n_steps, _ = encoded.shape
-    merged = attended.per_head.reshape(n_steps, n_agents, -1).transpose(1, 0, 2)
-    return encoded + _ffn(merged @ bw.w_o, bw)
+    out = mhsa_causal(_qkv(encoded, bw))
+    return encoded + _ffn(out.merged @ bw.w_o, bw)
 
 
 @dataclass(eq=False)
@@ -379,9 +364,9 @@ class _IncrementalDecoder:
     and values of the map tokens after its map self-attention, per history the
     states encoded so far (none in a fresh decoder; see ``_frozen``), the
     temporal keys and values of all K histories and their newest distribution.
-    The temporal ``cache`` is preallocated, (capacity, K*n_agents*H, width)
-    with history k's agents in the k-th run of heads and the keys also in the
-    unread query slot; ``advance`` writes its rows in place, and
+    The temporal ``cache`` is preallocated, (K*n_agents, capacity, H, width)
+    with history k's agents in the k-th run of rows and the keys also in the
+    unread query slot; ``advance`` writes its steps in place, and
     ``_grown_cache`` sizes every buffer.
     """
 
@@ -414,7 +399,7 @@ class _IncrementalDecoder:
                 map_kv.append(block_kv)
             object.__setattr__(weights, "_map", key + (tuple(map_kv), map_poses))
         _, segments, map_kv, map_poses = weights._map
-        keys = np.zeros((0, len(scenes) * scene.n_agents * config.n_heads, 2 * config.d_k))
+        keys = np.zeros((len(scenes) * scene.n_agents, 0, config.n_heads, 2 * config.d_k))
         return cls(
             segments=segments,
             map_kv=map_kv,
@@ -465,17 +450,17 @@ class _IncrementalDecoder:
                 tokens = np.broadcast_to(tokens, (len(scenes),) + tokens.shape[1:])
             encoded = (tokens.reshape(len(scenes) * n_agents, n_new, -1)
                        + _step_encoding(np.arange(start, end), config.d_model))
-            rows = _temporal_banks(encoded, weights.temporal)
+            bw = weights.temporal
+            rows = _qkv(encoded, bw)
             if end > self.cache.n_tokens:
                 self.cache = _grown_cache(self.cache, start, end)
-            self.cache.k[start:end], self.cache.v[start:end] = rows.k, rows.v
+            self.cache.k[:, start:end], self.cache.v[:, start:end] = rows.k, rows.v
             # the newest step is the last one, so the causal mask hides nothing
-            query = rows.q[-1:]
+            query = rows.q[:, -1:]
             attended = mhca(QKVSet(query, query, query), self.cache.first(end), None, None,
                             Variant.PLAIN)
-            self.last = decode_actions(
-                _temporal_residual(encoded[:, -1:], attended, weights.temporal), weights, config
-            )
+            self.last = decode_actions(encoded[:, -1:] + _ffn(attended.merged @ bw.w_o, bw),
+                                       weights, config)
         self.seen = tuple(_frozen(scene.agent_states) for scene in scenes)
         return self.last
 
@@ -485,9 +470,9 @@ def _grown_cache(cache: QKVSet, n_kept: int, n_steps: int) -> QKVSet:
     ``CACHE_CHUNK_STEPS`` more, holding ``cache``'s first ``n_kept``: the
     buffer grows geometrically, so a rollout copies O(horizon) rows in all."""
     capacity = n_steps + max(n_steps // 2, CACHE_CHUNK_STEPS)
-    keys = np.zeros((capacity,) + cache.k.shape[1:])
+    keys = np.zeros(cache.k.shape[:1] + (capacity,) + cache.k.shape[2:])
     grown = QKVSet(keys, keys, np.zeros(keys.shape[:-1] + cache.v.shape[-1:]))
-    grown.k[:n_kept], grown.v[:n_kept] = cache.k[:n_kept], cache.v[:n_kept]
+    grown.k[:, :n_kept], grown.v[:, :n_kept] = cache.k[:, :n_kept], cache.v[:, :n_kept]
     return grown
 
 

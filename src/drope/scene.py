@@ -334,15 +334,25 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _numbers(value, name: str):
+    """``value`` if it is a JSON number or nested lists of them, else a ``ConfigurationError``."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending += item
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ConfigurationError(f"{name!r} must hold JSON numbers, got {item!r}")
+    return value
+
+
 def scene_from_dict(payload: dict) -> Scene:
     try:
-        dt = float(payload["dt"])
-        states = np.array([agent["states"] for agent in payload["agents"]],
+        dt = float(_numbers(payload["dt"], "dt"))
+        states = np.array([_numbers(agent["states"], "states") for agent in payload["agents"]],
                           dtype=np.float64)
-        segments = [
-            MapSegment.from_points(np.asarray(entry["points"], dtype=np.float64))
-            for entry in payload["map"]
-        ]
+        segments = [MapSegment.from_points(_numbers(entry["points"], "points"))
+                    for entry in payload["map"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed scene payload: {exc}") from exc
     return Scene(states, segments, dt)
@@ -354,10 +364,14 @@ def save_scene(scene: Scene, path) -> None:
         fh.write("\n")
 
 
+def _read_json(path, what: str):
+    """The JSON value in the ``what`` file at ``path``; a missing file is an ``OSError``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:    # NUL in the path, not UTF-8 or JSON, or too deep
+        raise ConfigurationError(f"{what} {path!r} is not readable JSON: {exc}") from exc
+
+
 def load_scene(path) -> Scene:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:    # not UTF-8, not JSON, or nested too deep
-            raise ConfigurationError(f"scene file {path} is not valid JSON: {exc}") from exc
-    return scene_from_dict(payload)
+    return scene_from_dict(_read_json(path, "scene file"))

@@ -420,6 +420,41 @@ OVERFLOWING_STATE = scene_payload(agents=[
 HUGE_GRID = {"n_tokens": [4294967296], "n_heads": [256], "d_k": [65536], "d_v": [65536]}
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--config", "nul.json"], id="config-scene"),
+    pytest.param(["--config", "a\0b"], id="config"),
+    pytest.param(["--scene", "a\0b"], id="scene"),
+    pytest.param(["--out", "a\0b", "--horizon", "2"], id="out"),
+])
+def test_a_path_with_a_nul_byte_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "nul.json").write_text(json.dumps({"scene": "a\0b"}))
+    monkeypatch.chdir(tmp_path)
+    code = main(["rollout", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert [path.name for path in tmp_path.iterdir()] == ["nul.json"]
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(scene_payload(dt="0.5"), id="string-dt"),
+    pytest.param(scene_payload(dt=True), id="boolean-dt"),
+    pytest.param(scene_payload(agents=[
+        {"states": [["0.0", 0.0, 0.0, 2.0]] + [[float(t), 0.0, 0.0, 2.0] for t in range(1, 4)]},
+        {"states": [[float(t), 1.0, 0.0, 2.0] for t in range(4)]},
+    ]), id="string-state"),
+])
+def test_a_scene_number_that_is_not_a_json_number_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    code = main(["rollout", "--scene", str(path), "--horizon", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert not out.exists()
+
+
 def run_cli(argv, cwd, address_space=None):
     """``drope-bench`` in a fresh interpreter, so that its warnings reach stderr;
     ``address_space`` caps the child's virtual memory in bytes."""

@@ -680,6 +680,36 @@ class TestIncrementalDecoding:
             assert np.array_equal(result.states, single.states)
             assert result.actions == single.actions
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_the_decoder_reads_only_the_cache_rows_it_filled(self, variant, samples,
+                                                             monkeypatch):
+        class FillingPolicy(PipelinePolicy):
+            """After each step, NaN in every cache row from the history's length on."""
+
+            def _batch_actions(self, scenes):
+                actions = super()._batch_actions(scenes)
+                cache, end = self._decoder.cache, scenes[0].n_steps
+                cache.k[..., end:, :, :] = cache.v[..., end:, :, :] = np.nan
+                return actions
+
+        config = small_config(variant, n_blocks=2)
+        weights = PipelineWeights.seeded(config, seed=40)
+        scene = small_scene(40, n_agents=3, n_steps=2)
+        horizon = pipeline.CACHE_CHUNK_STEPS + 4    # the cache grows once on the way
+        logits = []
+        for policy_type in (PipelinePolicy, FillingPolicy):
+            outputs = {}
+            spy_on(monkeypatch, ["decode_actions"], Counter(), outputs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rollout_samples(scene, policy_type(weights, config, mode="sample", seed=7),
+                                horizon, samples)
+            monkeypatch.undo()
+            logits.append([decoded.logits for decoded in outputs["decode_actions"]])
+        assert len(logits[0]) == len(logits[1]) == horizon
+        assert all(np.array_equal(a, b) for a, b in zip(*logits))
+
     def test_other_policies_are_asked_once_per_sample(self):
         scene = small_scene(38, n_agents=2, n_steps=2)
         policy = RecordingPolicy(ConstantActionPolicy(ZERO_ACTION))
