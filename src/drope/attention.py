@@ -4,11 +4,11 @@ Five scoring regimes share one softmax/weighted-sum core. Four of them
 differ only in the per-pair rotation angles applied to the QK banks before
 the dot products (none, positions, headings, or a mix of both); the fifth
 adds a learned encoding of each pairwise relative pose to the key and value
-vectors, which makes its time quadratic in the token count: one encoder
-evaluation per token pair. It streams those encodings block by block and
-keeps no per-pair tensor whole, so its memory, like the others', is linear
-in N; the memory ledger's pairwise count is what an implementation that
-materializes the per-pair tensors holds.
+vectors, which makes its time quadratic in the token count: the encoders'
+hidden layers are evaluated once per token pair. It streams them block by
+block and keeps no per-pair tensor whole, so its memory, like the others',
+is linear in N; the memory ledger's pairwise count is what an implementation
+that materializes the per-pair offset tensors holds.
 
 Shapes: QK banks are (..., N, H, 2*d_k) with d_k rotation pairs per head,
 value banks (..., N, H, d_v), positions (..., N, 2) and headings (..., N).
@@ -28,15 +28,16 @@ with the (..., H, M, d_v) values, divided by the row sums, fills one output
 (weights are normalized only where read as weights); a causal block reads
 only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
 pairwise regime takes as many rows as fit a fixed count of token pairs, and
-a block does all its pairwise work in one pass: it encodes its (..., B, M, 3)
-relative poses, folds the key offsets into its (..., H, B, M) score offsets,
-and after the softmax sums the value offsets. With per-pair, per-head key
-and value offsets off_ij, a score is q_i.k_j + q_i.off_ij and an output is
-sum_j alpha_ij v_j + sum_j alpha_ij off_ij, so zero encoders give exactly
-the plain result. The heads share one encoder, so each fold and each sum is
-one product per query row over all heads. The analytic backward walks the
-same query-row blocks of one unstacked bank, so gradients take memory linear
-in N too.
+a block does all its pairwise work in one pass through the encoders' hidden
+layers h_ij of its (..., B, M, 3) relative poses, forming no offset: as an
+offset off_ij = h_ij W2 + b2 is linear in h_ij, a score's q_i.off_ij is
+(q_i W2k').h_ij + q_i.b2k, and an output's sum_j alpha_ij off_ij is
+(sum_j alpha_ij h_ij) W2v + b2v, each row of weights summing to 1; zero
+encoders give exactly the plain result. The heads share one encoder, so each
+score term and each hidden sum is one product per query row over all heads,
+and a second layer runs once per row, never per pair. The analytic backward
+walks the same query-row blocks of one unstacked bank, so gradients take
+memory linear in N too.
 
 A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
 ... (round robin, so causal blocks, whose cost grows with the row, balance).
@@ -49,8 +50,8 @@ and at most one per ``QUERY_BLOCK`` query rows, when BLAS was started with
 one thread (as read from its thread-count variables at import); otherwise
 BLAS threads already use the CPUs and L is 1. So a call of at most
 ``QUERY_BLOCK`` rows, as every rollout call is, starts no thread. A pairwise
-lane beyond the first costs one pair block of encoder temporaries, its score
-offsets and one score block. The backward keeps one lane: lanes would
+lane beyond the first costs one pair block (relative poses, hidden layers and
+score offsets) and one score block. The backward keeps one lane: lanes would
 reorder its sums over blocks into dk and dv, and so change their bits.
 """
 
@@ -63,6 +64,7 @@ import math
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,11 +100,10 @@ class Variant(enum.Enum):
     """The five attention regimes.
 
     * ``plain``: standard attention, no pose information.
-    * ``rpe``: learned pairwise key/value offsets, encoded in one pass per
-      block of query rows, with the blocks split over the lanes of a large
-      call; the products read each block's encoder output, which the heads
-      share, once per query row, and no (N, H, M, width) offset tensor is
-      kept whole.
+    * ``rpe``: learned pairwise key/value offsets, taken through the
+      encoders' hidden layer in one pass per block of query rows, with the
+      blocks split over the lanes of a large call; no pair's offset is
+      formed, and each second layer runs once per query row.
     * ``rope``: the position embedding applied to the QK banks.
     * ``drope-hbh``: head-by-head integration, even heads encode positions and
       odd heads headings.
@@ -134,8 +135,10 @@ ROTARY_VARIANTS = (Variant.ROPE, Variant.DROPE_HBH, Variant.DROPE_IH)
 #: Query rows per score block: a call holds (..., H, QUERY_BLOCK, M) scores at once.
 QUERY_BLOCK = 128
 
-# Token pairs per pairwise-encoder block, so its encoder temporaries have one size.
-_PAIR_BLOCK = 2048
+# Token pairs per pairwise-encoder block, so its temporaries have one size. A
+# pair holds 3 + 2 * RPE_HIDDEN + H scalars whatever d_k and d_v (its relative
+# pose, both hidden layers and its H score offsets), so a block is 1.7 MB at H=4.
+_PAIR_BLOCK = 3072
 
 # Lanes a forward call may split its query-row blocks over: this process's
 # CPUs when BLAS was started with one thread (every one of its thread-count
@@ -281,10 +284,12 @@ class RPEEncoders:
     """Two-layer tanh perceptrons mapping (dx, dy, dtheta) to QK/V offsets.
 
     The key encoder outputs the full QK width 2*d_k, the value encoder
-    outputs d_v. One encoder pair is shared across heads: the score and
-    value products read each block's output once for all heads. Immutable,
-    with read-only arrays (see ``_frozen``), so weights that keep an encoded
-    map stay valid.
+    outputs d_v. One encoder pair is shared across heads. Both second layers
+    are linear, so the engine forms no offset: it reads each pair's two
+    hidden layers (``hidden``) and applies a second layer once per query
+    row, the key encoder's to the queries and the value encoder's to the
+    weighted sums of hidden layers. Immutable, with read-only arrays (see
+    ``_frozen``), so weights that keep an encoded map stay valid.
     """
 
     w1_k: np.ndarray
@@ -319,21 +324,22 @@ class RPEEncoders:
     def value_width(self) -> int:
         return self.w2_v.shape[1]
 
-    @staticmethod
-    def _mlp(rel, w1, b1, w2, b2) -> np.ndarray:
-        """``tanh(rel @ w1 + b1) @ w2 + b2``, each sum written into its product."""
+    @cached_property
+    def _first_layers(self) -> tuple:
+        """``[w1_k | w1_v]`` and ``[b1_k | b1_v]``, read-only, joined once."""
+        joined = (np.concatenate(pair, axis=-1)
+                  for pair in ((self.w1_k, self.w1_v), (self.b1_k, self.b1_v)))
+        return tuple(map(_frozen, joined))
+
+    def hidden(self, rel) -> np.ndarray:
+        """``tanh(rel @ [w1_k | w1_v] + [b1_k | b1_v])``: both encoders' hidden
+        layers in one array, the key encoder's first, each sum written into
+        its product."""
+        w1, b1 = self._first_layers
         h = rel @ w1
         h += b1
         np.tanh(h, out=h)
-        out = h @ w2
-        out += b2
-        return out
-
-    def encode_key(self, rel) -> np.ndarray:
-        return self._mlp(rel, self.w1_k, self.b1_k, self.w2_k, self.b2_k)
-
-    def encode_value(self, rel) -> np.ndarray:
-        return self._mlp(rel, self.w1_v, self.b1_v, self.w2_v, self.b2_v)
+        return h
 
     @classmethod
     def seeded(cls, d_k: int, d_v: int, seed: int = 0) -> "RPEEncoders":
@@ -500,6 +506,7 @@ def _attend(
 
     q_hat, k_hat = q_bank, k_bank
     rows = max(1, _PAIR_BLOCK // max(m, 1)) if variant is Variant.RPE else QUERY_BLOCK
+    key_hidden = enc.w1_k.shape[1] if variant is Variant.RPE else 0
     # lane l walks blocks l, l + L, ... (causal blocks grow with the row); at
     # most one lane per QUERY_BLOCK query rows, so a small pairwise call
     # starts no thread either
@@ -532,10 +539,15 @@ def _attend(
                                 - poses_kv.positions[..., None, :, :])
                 rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
                                          - poses_kv.headings[..., None, :])
-                shared = enc.encode_key(rel)
-                # q_i . off_ij for every head, as one (H, 2*d_k) @ (2*d_k, M) product per i
-                offset = np.matmul(q_bank[..., s:e, :, :], shared.swapaxes(-2, -1)).swapaxes(-3, -2)
-                del shared
+                hidden = enc.hidden(rel)
+                del rel
+                # q_i . (h_ij W2k + b2k) = (q_i W2k') . h_ij + q_i . b2k for every head:
+                # one (H, hidden) @ (hidden, M) product per i, then the row term the
+                # oracle adds (constant over j, so only rounding lets the softmax see it)
+                q_rows = q_bank[..., s:e, :, :]
+                offset = np.matmul(q_rows @ enc.w2_k.T, hidden[..., :key_hidden].swapaxes(-2, -1))
+                offset += (q_rows @ enc.b2_k)[..., None]
+                offset = offset.swapaxes(-3, -2)
             into = slots[lane] if alpha_all is None else alpha_all[..., s:, :]
             alpha, sums = _block_weights(q_heads, k_heads, scale, s, e, causal, offset, into)
             del offset
@@ -544,10 +556,11 @@ def _attend(
             if alpha_all is not None or variant is Variant.RPE:
                 alpha /= sums
             if variant is Variant.RPE:
-                shared = enc.encode_value(rel)
-                # sum_j alpha_ij off_ij for every head, as one (H, M) @ (M, d_v) product per i
-                out += np.matmul(alpha.swapaxes(-3, -2), shared)
-                del shared, rel    # the next block encodes with none of this one live
+                # sum_j alpha_ij (h_ij W2v + b2v) = (sum_j alpha_ij h_ij) W2v + b2v, as each
+                # row sums to 1: one (H, M) @ (M, hidden) product per i, then W2v
+                out += np.matmul(alpha.swapaxes(-3, -2), hidden[..., key_hidden:]) @ enc.w2_v
+                out += enc.b2_v
+                del hidden    # the next block encodes with none of this one live
 
     _in_lanes(lanes, run_lane)
     if records is not None:

@@ -99,11 +99,16 @@ def _setting(config: dict, key: str, kind, default, flag=None):
 
 
 def _out_dir(args, command: str) -> Path:
+    """The output directory, checked before a command's work (no NUL byte, its
+    nearest existing ancestor a directory); the command makes it after the work."""
     out = Path(args.out if args.out is not None else f"{command}-out")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except ValueError as exc:    # a NUL in the path
-        raise ConfigurationError(f"output directory {str(out)!r} cannot be made: {exc}") from exc
+    if "\0" in str(out):
+        raise ConfigurationError(f"output directory {str(out)!r} cannot be made: "
+                                 "it holds a NUL byte")
+    existing = next((path for path in (out, *out.parents) if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigurationError(f"output directory {str(out)!r} cannot be made: "
+                                 f"{str(existing)!r} is not a directory")
     return out
 
 
@@ -129,6 +134,7 @@ def cmd_verify(args) -> int:
         **_given(config, {"seed": _SEED, "trials": _INT, "d_k_values": _SIZE_LIST},
                  {"seed": args.seed, "trials": args.trials}),
     )
+    out = _out_dir(args, "verify")
     results = run_verification(cfg)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -146,7 +152,7 @@ def cmd_verify(args) -> int:
         "properties": [result.as_dict() for result in results],
         "all_passed": all_passed,
     }
-    out = _out_dir(args, "verify")
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify_report.json", report)
     print(f"report written to {out / 'verify_report.json'}")
     return 0 if all_passed else VIOLATION_EXIT
@@ -191,13 +197,14 @@ def cmd_profile(args) -> int:
                              args.variant)
     variants = [Variant.from_string(name) for name in variant_names]
     points = _grid_points(grid)
+    out = _out_dir(args, "profile")
     rows = sweep(points, variants)
     try:
         check_sweep_trends(rows)
         trend_error = None
     except VerificationError as exc:
         trend_error = str(exc)
-    out = _out_dir(args, "profile")
+    out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, out / "memory_flops.csv")
     _write_json(
         out / "profile_report.json",
@@ -249,6 +256,7 @@ def cmd_rollout(args) -> int:
     variant = Variant.from_string(_setting(config, "variant", _STRING, "drope-hbh", args.variant))
     if horizon < 1 or samples < 1:
         raise ConfigurationError("horizon and samples must be positive")
+    out = _out_dir(args, "rollout")
 
     scene = _build_scene(config, seed)
     prefix = _setting(config, "prefix_steps", _INT, None, args.prefix)
@@ -266,7 +274,7 @@ def cmd_rollout(args) -> int:
         policy = PipelinePolicy(weights, pipe_config, mode=mode, seed=seed)
     # one batched rollout, its arrays allocated before any output is made
     results = rollout_samples(history, policy, horizon, samples)
-    out = _out_dir(args, "rollout")
+    out.mkdir(parents=True, exist_ok=True)
     files = [f"trajectories_{sample:02d}.csv" for sample in range(samples)]
     for filename, result in zip(files, results):
         write_trajectory_csv(out / filename, result)

@@ -27,7 +27,13 @@ exp, and tanh count 1 each):
   * pairwise encoders: the two relative-pose MLPs, of the engine's hidden
     width ``RPE_HIDDEN``, run once per token pair and are shared across
     heads; the per-head key/value adds are counted on top. A dense layer
-    in->out costs 2*in*out + out (bias included).
+    in->out costs 2*in*out + out (bias included). This is the cost of an
+    implementation that forms each pair's key and value offsets. The engine
+    forms none: per pair it runs the relative pose, both first layers and,
+    per head, one RPE_HIDDEN-wide product for the score and one for the
+    hidden sum, 4 + 16*RPE_HIDDEN + 4*H*RPE_HIDDEN + 2*H (1,036 at H=4,
+    whatever d_k and d_v), plus about 2*H*RPE_HIDDEN*(2*d_k + d_v) per query
+    row for the second layers.
   * ``full=True`` additionally counts the softmax (6 per score: max compare,
     subtract, exp, sum add, divide, scale multiply) and the rotation-angle
     transcendentals (3 per pair: multiply, sin, cos).

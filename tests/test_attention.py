@@ -154,10 +154,10 @@ class TestRPE:
         pose = PoseSet(np.tile([1.5, -2.0], (4, 1)), np.full(4, 0.7))
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v, seed=5)
         out = mhsa(qkv, pose, Variant.RPE, enc=enc)
-        zero_rel = np.zeros(3)
-        shifted = QKVSet(
-            qkv.q, qkv.k + enc.encode_key(zero_rel), qkv.v + enc.encode_value(zero_rel)
-        )
+        # a zero relative pose makes each first layer tanh(b1)
+        off_k, off_v = (np.tanh(b1) @ w2 + b2 for b1, w2, b2 in (
+            (enc.b1_k, enc.w2_k, enc.b2_k), (enc.b1_v, enc.w2_v, enc.b2_v)))
+        shifted = QKVSet(qkv.q, qkv.k + off_k, qkv.v + off_v)
         plain = mhsa(shifted, None, Variant.PLAIN)
         assert out.merged == pytest.approx(plain.merged, abs=1e-12)
 
@@ -182,7 +182,7 @@ class TestRPE:
         assert ledger.pairwise_scalars == n * n * h * (w + d_v)
 
     @pytest.mark.parametrize("shape", [(6, 7, 3), (2, 6, 7, 3)])
-    def test_encoders_are_the_two_layer_formula_bitwise(self, shape):
+    def test_hidden_is_both_first_layers_bitwise(self, shape):
         enc = RPEEncoders(**{
             **vars(RPEEncoders.seeded(4, 5, seed=9)),
             "b1_k": np.linspace(-1, 1, attention.RPE_HIDDEN), "b2_k": np.linspace(0.5, -0.5, 8),
@@ -190,12 +190,9 @@ class TestRPE:
         })
         rel = np.random.default_rng(10).uniform(-30.0, 30.0, shape)
         kept = rel.copy()
-        for encode, (w1, b1, w2, b2) in (
-            (enc.encode_key, (enc.w1_k, enc.b1_k, enc.w2_k, enc.b2_k)),
-            (enc.encode_value, (enc.w1_v, enc.b1_v, enc.w2_v, enc.b2_v)),
-        ):
-            expected = np.tanh(rel @ w1 + b1) @ w2 + b2
-            assert np.array_equal(encode(rel), expected)
+        expected = np.concatenate([np.tanh(rel @ enc.w1_k + enc.b1_k),
+                                   np.tanh(rel @ enc.w1_v + enc.b1_v)], axis=-1)
+        assert np.array_equal(enc.hidden(rel), expected)
         assert np.array_equal(rel, kept)
 
     @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
@@ -207,11 +204,10 @@ class TestRPE:
         qkv, poses = make_case(12, n=4)
 
         def never(enc, rel):
-            raise AssertionError("offsets encoded before the width check")
+            raise AssertionError("pairs encoded before the width check")
 
         enc = RPEEncoders.seeded(qkv.d_k, value_width)
-        monkeypatch.setattr(RPEEncoders, "encode_key", never)
-        monkeypatch.setattr(RPEEncoders, "encode_value", never)
+        monkeypatch.setattr(RPEEncoders, "hidden", never)
         with pytest.raises(DimensionMismatchError,
                            match=f"value encoder width {value_width} mismatches value width 3"):
             if engine == "mhsa":
@@ -223,7 +219,7 @@ class TestRPE:
         """Pipeline weights keep the map their encoders encoded, so no
         encoder field can be reassigned."""
         enc = RPEEncoders.seeded(2, 3)
-        for name in [f.name for f in dataclasses.fields(enc)] + ["encode_key", "encode_value"]:
+        for name in [f.name for f in dataclasses.fields(enc)] + ["hidden"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(enc, name, getattr(enc, name))
 
@@ -1031,14 +1027,13 @@ class TestMemoryLinearInN:
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_pairwise_peak_is_plain_plus_a_pair_block_per_lane(self, lanes, n, count):
         """Beside what plain attention holds, each lane of a pairwise call
-        holds one pair block: its relative poses, encoder hidden layer, key
-        and value encoder outputs and score offsets, about 2.6 MiB at these
-        widths."""
+        holds one pair block: its relative poses, both encoders' hidden
+        layers and its score offsets, about 1.7 MiB at these widths."""
         h, d_k, d_v = 4, 32, 64
         lanes(count)
         mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
         used = min(count, -(-n // attention.QUERY_BLOCK))
-        block = 8 * attention._PAIR_BLOCK * (3 + attention.RPE_HIDDEN + 2 * d_k + d_v + h)
+        block = 8 * attention._PAIR_BLOCK * (3 + 2 * attention.RPE_HIDDEN + h)
         plain = self.peak(mhsa, Variant.PLAIN, n, (h, d_k, d_v))
         peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
         assert peak <= plain + used * block, (peak, plain, block)
@@ -1053,13 +1048,21 @@ class TestMemoryLinearInN:
 
     def test_a_pair_block_releases_its_encoder_output(self):
         """At the profile grid's largest pairwise point (one lane, as N is at
-        most ``QUERY_BLOCK``) a call peaks at one key-encoder block plus
-        2 MiB: a block's encoder output is released before the next block
-        encodes, so two blocks' outputs are never live."""
+        most ``QUERY_BLOCK``) a call peaks at one pair block plus 2 MiB: a
+        block's hidden layers are released before the next block encodes,
+        so two blocks' are never live."""
         h, d_k, d_v, n = 4, 128, 64, 64
-        block = 8 * (attention._PAIR_BLOCK // n) * n * 2 * d_k
+        block = 8 * (attention._PAIR_BLOCK // n) * n * (3 + 2 * attention.RPE_HIDDEN + h)
         peak = self.peak(mhsa, Variant.RPE, n, (h, d_k, d_v))
         assert peak <= block + 2 * 2**20, (peak, block)
+
+    def test_a_pair_block_does_not_grow_with_d_k(self, lanes):
+        """No block applies an encoder's second layer per pair, so no pair
+        holds a 2*d_k-wide key offset: a one-lane call's peak at d_k=128
+        is its peak at d_k=32."""
+        lanes(1)
+        peaks = [self.peak(mhsa, Variant.RPE, 64, (4, d_k, 64)) for d_k in (32, 128)]
+        assert abs(peaks[1] - peaks[0]) <= 64 * 2**10, peaks
 
     def test_a_second_lane_costs_one_pair_block(self, lanes):
         """A second lane adds one pair block of encoder temporaries, its
@@ -1115,6 +1118,35 @@ class TestPairBlocks:
         # a bound of 16 pairs keeps the scalar oracle fast over 20 keys
         monkeypatch.setattr(attention, "_PAIR_BLOCK", 16)
         self.assert_rows_match_the_oracle(list(range(3)), 3, 20)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
+    def test_nonzero_encoder_biases_match_the_oracle(self, lanes, monkeypatch, engine, count):
+        """With every encoder bias nonzero, a stacked call matches the
+        oracle, which adds both biases to each pair's offsets; the engine
+        takes b2_k once per query row and b2_v once per output row."""
+        lanes(count)
+        # blocks of at most 2 rows and a lane per 4 rows keep the scalar oracle fast
+        monkeypatch.setattr(attention, "QUERY_BLOCK", 4)
+        monkeypatch.setattr(attention, "_PAIR_BLOCK", 16)
+        rng = np.random.default_rng(77)
+        enc = RPEEncoders(**{name: w + rng.uniform(-1.0, 1.0, w.shape) if w.ndim == 1 else w
+                             for name, w in vars(self.enc()).items()})
+        queries, poses_q = self.banks(78, 10, lead=(2,))
+        if engine == "mhsa":
+            keysvals, poses_kv = queries, poses_q
+            out = mhsa(queries, poses_q, Variant.RPE, enc=enc)
+        else:
+            keysvals, poses_kv = self.banks(79, 7, lead=(2,))
+            out = mhca(queries, keysvals, poses_q, poses_kv, Variant.RPE, enc=enc)
+        for t in range(2):
+            expected = run_reference(
+                Variant.RPE, QKVSet(queries.q[t], queries.k[t], queries.v[t]),
+                PoseSet(poses_q.positions[t], poses_q.headings[t]),
+                PoseSet(poses_kv.positions[t], poses_kv.headings[t]),
+                enc=enc, k=keysvals.k[t], v=keysvals.v[t],
+            )
+            assert out.merged[t] == pytest.approx(expected, abs=1e-12)
 
     def test_a_query_stack_equals_its_slices_bitwise(self):
         queries, poses_q = self.banks(73, 20, lead=(3,))
@@ -1295,17 +1327,17 @@ class TestLanes:
         monkeypatch.setattr(attention, "_block_weights", patched)
         return inside
 
-    @pytest.mark.parametrize("encoder", ["encode_key", "encode_value"])
+    @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
     @pytest.mark.parametrize("fail_lane, slow_lane", [(1, None), (0, 1), (1, 0)],
                              ids=["lane-1", "lane-0-while-lane-1-runs",
                                   "lane-1-while-lane-0-runs"])
     def test_an_encoder_error_in_either_lane_is_raised_after_every_lane_ends(
-            self, lanes, monkeypatch, fail_lane, slow_lane, encoder):
-        """An error in one lane's pairwise key or value encoder is raised
-        once no lane is still inside an encoder."""
+            self, lanes, monkeypatch, fail_lane, slow_lane, engine):
+        """An error in one lane's pairwise encoder is raised once no lane is
+        still inside an encoder."""
         lanes(2)
         caller, inside, slept = threading.current_thread(), [], []
-        encode = getattr(RPEEncoders, encoder)
+        encode = RPEEncoders.hidden
 
         def patched(enc, rel):
             lane = 0 if threading.current_thread() is caller else 1
@@ -1320,10 +1352,14 @@ class TestLanes:
             finally:
                 inside.remove(lane)
 
-        monkeypatch.setattr(RPEEncoders, encoder, patched)
+        monkeypatch.setattr(RPEEncoders, "hidden", patched)
         qkv, poses = self.banks(89, 3 * attention.QUERY_BLOCK)
+        enc = RPEEncoders.seeded(self.D_K, self.D_V)
         with pytest.raises(RuntimeError, match=f"lane {fail_lane}"):
-            mhsa(qkv, poses, Variant.RPE, enc=RPEEncoders.seeded(self.D_K, self.D_V))
+            if engine == "mhsa":
+                mhsa(qkv, poses, Variant.RPE, enc=enc)
+            else:
+                mhca(qkv, qkv, poses, poses, Variant.RPE, enc=enc)
         assert inside == []
 
     @pytest.mark.parametrize("fail_at, slow_at", [(128, None), (0, 128), (128, 0)],

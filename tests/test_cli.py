@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drope
+import drope.cli as cli
 import drope.pipeline as pipeline
 from drope.attention import Variant, recording
 from drope.cli import main
@@ -434,6 +435,24 @@ def test_a_path_with_a_nul_byte_exits_2_with_one_line(tmp_path, capsys, monkeypa
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert [path.name for path in tmp_path.iterdir()] == ["nul.json"]
+
+
+@pytest.mark.parametrize("command, work", [
+    ("rollout", "rollout_samples"), ("verify", "run_verification"), ("profile", "sweep"),
+])
+def test_an_out_path_under_a_regular_file_exits_2_before_the_work(tmp_path, capsys, monkeypatch,
+                                                                  command, work):
+    (tmp_path / "file").write_text("")
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, work, never)
+    code = main([command, "--out", str(tmp_path / "file" / "sub")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 @pytest.mark.parametrize("payload", [
