@@ -29,15 +29,15 @@ with the (..., H, M, d_v) values, divided by the row sums, fills one output
 only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
 pairwise regime takes as many rows as fit a fixed count of token pairs, and
 a block does all its pairwise work in one pass through the encoders' hidden
-layers h_ij of its (..., B, M, 3) relative poses, forming no offset: as an
-offset off_ij = h_ij W2 + b2 is linear in h_ij, a score's q_i.off_ij is
-(q_i W2k').h_ij + q_i.b2k, and an output's sum_j alpha_ij off_ij is
-(sum_j alpha_ij h_ij) W2v + b2v, each row of weights summing to 1; zero
-encoders give exactly the plain result. The heads share one encoder, so each
-score term and each hidden sum is one product per query row over all heads,
-and a second layer runs once per row, never per pair. The analytic backward
-walks the same query-row blocks of one unstacked bank, so gradients take
-memory linear in N too.
+layers h_ij of its (..., B, M, 3) relative poses, forming no offset: a
+score's q_i.off_ij is (q_i W2k').h_ij (a key bias would add one term to a
+whole row, which the softmax removes, so there is none), and an output's
+sum_j alpha_ij off_ij is (sum_j alpha_ij h_ij) W2v + b2v, each row of
+weights summing to 1; zero encoders give exactly the plain result. The
+heads share one encoder, so each score term and each hidden sum is one
+product per query row over all heads, and a second layer runs once per row,
+never per pair. The analytic backward walks the same query-row blocks of one
+unstacked bank, so gradients take memory linear in N too.
 
 A forward call splits its blocks over L lanes: lane l takes blocks l, l + L,
 ... (round robin, so causal blocks, whose cost grows with the row, balance).
@@ -70,6 +70,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, InvalidArgumentError
 from .rotary import (
+    TWO_PI,
     FrequencySchedule,
     _as_finite,
     _frozen,
@@ -283,7 +284,8 @@ class PoseSet:
 class RPEEncoders:
     """Two-layer tanh perceptrons mapping (dx, dy, dtheta) to QK/V offsets.
 
-    The key encoder outputs the full QK width 2*d_k, the value encoder
+    The key encoder outputs the full QK width 2*d_k and has no second-layer
+    bias (it would add one score to every key of a row); the value encoder
     outputs d_v. One encoder pair is shared across heads. Both second layers
     are linear, so the engine forms no offset: it reads each pair's two
     hidden layers (``hidden``) and applies a second layer once per query
@@ -295,26 +297,25 @@ class RPEEncoders:
     w1_k: np.ndarray
     b1_k: np.ndarray
     w2_k: np.ndarray
-    b2_k: np.ndarray
     w1_v: np.ndarray
     b1_v: np.ndarray
     w2_v: np.ndarray
     b2_v: np.ndarray
 
     def __post_init__(self):
-        for name in ("w1_k", "b1_k", "w2_k", "b2_k", "w1_v", "b1_v", "w2_v", "b2_v"):
+        for name in ("w1_k", "b1_k", "w2_k", "w1_v", "b1_v", "w2_v", "b2_v"):
             object.__setattr__(self, name, _frozen(_as_finite(name, getattr(self, name))))
-        for w1, b1, w2, b2 in ((self.w1_k, self.b1_k, self.w2_k, self.b2_k),
-                               (self.w1_v, self.b1_v, self.w2_v, self.b2_v)):
+        for w1, b1, w2 in ((self.w1_k, self.b1_k, self.w2_k), (self.w1_v, self.b1_v, self.w2_v)):
             if w1.ndim != 2 or w1.shape[0] != 3:
                 raise DimensionMismatchError("encoders take a 3-dim relative descriptor")
             if w2.ndim != 2 or w2.shape[0] != w1.shape[1]:
                 raise DimensionMismatchError("encoder hidden widths are inconsistent")
-            if b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]:
+            if b1.shape != w1.shape[1:]:
                 raise DimensionMismatchError(
-                    f"encoder biases {b1.shape} and {b2.shape} mismatch layer widths "
-                    f"{w1.shape[1:]} and {w2.shape[1:]}"
-                )
+                    f"encoder bias {b1.shape} mismatches hidden width {w1.shape[1:]}")
+        if self.b2_v.shape != self.w2_v.shape[1:]:
+            raise DimensionMismatchError(f"value encoder bias {self.b2_v.shape} mismatches "
+                                         f"its output width {self.w2_v.shape[1:]}")
 
     @property
     def key_width(self) -> int:
@@ -351,8 +352,8 @@ class RPEEncoders:
 
 
 def _encoder_shapes(d_k: int, d_v: int) -> tuple:
-    """The shapes of the eight ``RPEEncoders`` arrays, in field order."""
-    return ((3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, 2 * d_k), (2 * d_k,),
+    """The shapes of the seven ``RPEEncoders`` arrays, in field order."""
+    return ((3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, 2 * d_k),
             (3, RPE_HIDDEN), (RPE_HIDDEN,), (RPE_HIDDEN, d_v), (d_v,))
 
 
@@ -537,17 +538,18 @@ def _attend(
                 rel = np.empty(lead + (e - s, m, 3))
                 rel[..., :2] = (poses_q.positions[..., s:e, None, :]
                                 - poses_kv.positions[..., None, :, :])
-                rel[..., 2] = wrap_angle(poses_q.headings[..., s:e, None]
-                                         - poses_kv.headings[..., None, :])
+                d_theta = poses_q.headings[..., s:e, None] - poses_kv.headings[..., None, :]
+                # headings lie in [0, 2*pi), so one add of 2*pi wraps bitwise as
+                # wrap_angle does, whose guard sets a sum that rounds up to 2*pi to 0
+                np.add(d_theta, TWO_PI, out=d_theta, where=d_theta < 0)
+                d_theta[d_theta == TWO_PI] = 0.0
+                rel[..., 2] = d_theta
                 hidden = enc.hidden(rel)
-                del rel
-                # q_i . (h_ij W2k + b2k) = (q_i W2k') . h_ij + q_i . b2k for every head:
-                # one (H, hidden) @ (hidden, M) product per i, then the row term the
-                # oracle adds (constant over j, so only rounding lets the softmax see it)
-                q_rows = q_bank[..., s:e, :, :]
-                offset = np.matmul(q_rows @ enc.w2_k.T, hidden[..., :key_hidden].swapaxes(-2, -1))
-                offset += (q_rows @ enc.b2_k)[..., None]
-                offset = offset.swapaxes(-3, -2)
+                del rel, d_theta
+                # q_i . h_ij W2k = (q_i W2k') . h_ij for every head: one (H, hidden) @
+                # (hidden, M) product per i
+                offset = np.matmul(q_bank[..., s:e, :, :] @ enc.w2_k.T,
+                                   hidden[..., :key_hidden].swapaxes(-2, -1)).swapaxes(-3, -2)
             into = slots[lane] if alpha_all is None else alpha_all[..., s:, :]
             alpha, sums = _block_weights(q_heads, k_heads, scale, s, e, causal, offset, into)
             del offset

@@ -42,7 +42,8 @@ exp, and tanh count 1 each):
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,10 +55,12 @@ from .attention import (
     RPEEncoders,
     RPE_HIDDEN,
     Variant,
+    _encoder_shapes,
     mhsa,
     recording,
 )
 from .errors import ConfigurationError, VerificationError
+from .rotary import _shaped
 
 __all__ = [
     "MemoryReport",
@@ -128,11 +131,6 @@ class MemoryReport:
     bytes_fp32: int
     bytes_fp64: int
 
-    def as_dict(self) -> dict:
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        row["variant"] = self.variant.value
-        return row
-
 
 @dataclass(frozen=True)
 class FlopReport:
@@ -150,11 +148,6 @@ class FlopReport:
     flops_rpe_encoders: int
     flops_softmax: int
     total: int
-
-    def as_dict(self) -> dict:
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        row["variant"] = self.variant.value
-        return row
 
 
 def count_input_memory(
@@ -189,12 +182,19 @@ def verify_memory_ledger(
 ) -> MemoryReport:
     """Assert that the closed-form ``qkv`` and ``embedded`` counts match the
     scalar counts the engine records under its default settings. The counts
-    depend on array sizes only, so the banks are ones and the poses zeros."""
+    depend on array sizes only, so one array of ones is both Q and K (each
+    is still counted and rotated), the poses are zeros and the encoders are
+    views of one read-only zeros buffer, which they keep without a copy."""
     predicted = count_input_memory(variant, n_tokens, n_heads, d_k, d_v)
-    qk_shape = (n_tokens, n_heads, 2 * d_k)
-    qkv = QKVSet(np.ones(qk_shape), np.ones(qk_shape), np.ones((n_tokens, n_heads, d_v)))
+    qk = np.ones((n_tokens, n_heads, 2 * d_k))
+    qkv = QKVSet(qk, qk, np.ones((n_tokens, n_heads, d_v)))
     poses = PoseSet(np.zeros((n_tokens, 2)), np.zeros(n_tokens))
-    enc = RPEEncoders.seeded(d_k, d_v) if variant is Variant.RPE else None
+    enc = None
+    if variant is Variant.RPE:
+        shapes = _encoder_shapes(d_k, d_v)
+        zeros = np.zeros(sum(map(math.prod, shapes)))
+        zeros.flags.writeable = False
+        enc = RPEEncoders(*_shaped(zeros, shapes))
     with recording() as records:
         mhsa(qkv, poses, variant, enc=enc)
     measured = records[0].counts
@@ -274,11 +274,8 @@ def _sweep_row(point: tuple, variant: Variant) -> dict:
     n_tokens, n_heads, d_k, d_v = point
     mem = count_input_memory(variant, n_tokens, n_heads, d_k, d_v)
     flop = count_flops(variant, n_tokens, None, n_heads, d_k, d_v)
-    row = mem.as_dict()
-    row["m_tokens"] = flop.m_tokens
-    for key, value in flop.as_dict().items():
-        if key.startswith("flops_"):
-            row[key] = value
+    row = {**vars(mem), "variant": variant.value, "m_tokens": flop.m_tokens}
+    row.update((key, value) for key, value in vars(flop).items() if key.startswith("flops_"))
     row["flops_total"] = flop.total
     return row
 

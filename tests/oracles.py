@@ -75,8 +75,8 @@ def ref_bank_angles(variant, pos, heading, head, d_k, freqs, split=None, angle_f
     raise ValueError(variant)
 
 
-def ref_mlp3(rel, w1, b1, w2, b2):
-    """Two-layer tanh MLP on a 3-vector, all loops."""
+def ref_mlp3(rel, w1, b1, w2, b2=None):
+    """Two-layer tanh MLP on a 3-vector, all loops; no ``b2``, no output bias."""
     hidden = []
     for j in range(w1.shape[1]):
         acc = float(b1[j])
@@ -85,7 +85,7 @@ def ref_mlp3(rel, w1, b1, w2, b2):
         hidden.append(math.tanh(acc))
     out = []
     for j in range(w2.shape[1]):
-        acc = float(b2[j])
+        acc = float(b2[j]) if b2 is not None else 0.0
         for i in range(len(hidden)):
             acc += hidden[i] * float(w2[i, j])
         out.append(acc)
@@ -130,7 +130,7 @@ def ref_attention(
                         float(pos_q[i][1]) - float(pos_kv[j][1]),
                         ref_wrap(float(head_q[i]) - float(head_kv[j])),
                     ]
-                    off_k = ref_mlp3(rel, enc.w1_k, enc.b1_k, enc.w2_k, enc.b2_k)
+                    off_k = ref_mlp3(rel, enc.w1_k, enc.b1_k, enc.w2_k)
                     off_v = ref_mlp3(rel, enc.w1_v, enc.b1_v, enc.w2_v, enc.b2_v)
                     k_ij = [float(k[j, h, d]) + off_k[d] for d in range(width)]
                     v_ij = [float(v[j, h, d]) + off_v[d] for d in range(d_v)]

@@ -34,7 +34,7 @@ from drope.errors import (
     VerificationError,
 )
 from drope.profiling import count_input_memory
-from drope.rotary import TWO_PI, FrequencySchedule, rotate_pairs
+from drope.rotary import TWO_PI, FrequencySchedule, rotate_pairs, wrap_angle
 
 from oracles import ref_attention, ref_bank_angles
 
@@ -155,8 +155,8 @@ class TestRPE:
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v, seed=5)
         out = mhsa(qkv, pose, Variant.RPE, enc=enc)
         # a zero relative pose makes each first layer tanh(b1)
-        off_k, off_v = (np.tanh(b1) @ w2 + b2 for b1, w2, b2 in (
-            (enc.b1_k, enc.w2_k, enc.b2_k), (enc.b1_v, enc.w2_v, enc.b2_v)))
+        off_k = np.tanh(enc.b1_k) @ enc.w2_k
+        off_v = np.tanh(enc.b1_v) @ enc.w2_v + enc.b2_v
         shifted = QKVSet(qkv.q, qkv.k + off_k, qkv.v + off_v)
         plain = mhsa(shifted, None, Variant.PLAIN)
         assert out.merged == pytest.approx(plain.merged, abs=1e-12)
@@ -185,7 +185,7 @@ class TestRPE:
     def test_hidden_is_both_first_layers_bitwise(self, shape):
         enc = RPEEncoders(**{
             **vars(RPEEncoders.seeded(4, 5, seed=9)),
-            "b1_k": np.linspace(-1, 1, attention.RPE_HIDDEN), "b2_k": np.linspace(0.5, -0.5, 8),
+            "b1_k": np.linspace(-1, 1, attention.RPE_HIDDEN),
             "b1_v": np.linspace(1, -1, attention.RPE_HIDDEN), "b2_v": np.linspace(-0.3, 0.3, 5),
         })
         rel = np.random.default_rng(10).uniform(-30.0, 30.0, shape)
@@ -194,6 +194,37 @@ class TestRPE:
                                    np.tanh(rel @ enc.w1_v + enc.b1_v)], axis=-1)
         assert np.array_equal(enc.hidden(rel), expected)
         assert np.array_equal(rel, kept)
+
+    @pytest.mark.parametrize("lead, n, blocks", [
+        ((1,), 8, [(1, 8, 8)]),             # a tiny stacked call: one block
+        ((), 64, [(48, 64), (16, 64)]),     # profile's N=64: blocks of 48 rows
+    ])
+    def test_relative_headings_wrap_bitwise_as_wrap_angle(self, monkeypatch, lead, n, blocks):
+        """The engine wraps theta_q - theta_k with one add of 2*pi. Over edge
+        headings (0, the largest below 2*pi, equal ones, one ulp apart, the
+        smallest subnormal) and random ones, each block's wrapped differences
+        are bitwise ``wrap_angle`` of them."""
+        rng = np.random.default_rng(83)
+        edges = [0.0, np.nextafter(TWO_PI, 0.0), 0.7, 0.7, 1.0, np.nextafter(1.0, 2.0), 5e-324]
+        headings = np.concatenate([edges, rng.uniform(0.0, TWO_PI, n - len(edges))])
+        qkv = QKVSet(*(bank.reshape(lead + bank.shape)
+                       for bank in vars(QKVSet.random(n, 2, 2, 3, rng)).values()))
+        poses = PoseSet(rng.uniform(-50.0, 50.0, lead + (n, 2)), headings.reshape(lead + (n,)))
+        assert np.array_equal(poses.headings.reshape(-1), headings)
+        seen, hidden = [], RPEEncoders.hidden
+
+        def spy(enc, rel):
+            seen.append(rel[..., 2].copy())
+            return hidden(enc, rel)
+
+        monkeypatch.setattr(RPEEncoders, "hidden", spy)
+        mhsa(qkv, poses, Variant.RPE, enc=RPEEncoders.seeded(2, 3))
+        assert [block.shape for block in seen] == blocks
+        difference = poses.headings[..., :, None] - poses.headings[..., None, :]
+        expected = wrap_angle(difference)
+        assert np.concatenate(seen, axis=-2).tobytes() == expected.tobytes()
+        # the guard's case occurs: a negative difference whose sum rounds up to 2*pi
+        assert np.any((difference < 0) & (expected == 0.0))
 
     @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
     @pytest.mark.parametrize("value_width", [5, 1])
@@ -224,11 +255,11 @@ class TestRPE:
                 setattr(enc, name, getattr(enc, name))
 
     #: SHA-256 over the shape and bytes of each ``RPEEncoders.seeded`` array in
-    #: field order, per (d_k, d_v, seed); the profile command's ledger check seeds these.
+    #: field order, per (d_k, d_v, seed).
     SEEDED_DIGESTS = {
-        (4, 8, 0): "5123d8d662a31a7a128e81f7301032e3762fb6d6a8424b725ffaff77d2508a37",
-        (2, 3, 7): "c68a5721ab4f94de73cad3c1c27e5503ca4f95da255de044ddb9759153e4d5be",
-        (16, 32, 12345): "34d1cdf56e4b5a953589aefe2cb86132fcf1e2dfe814bcbeac7decd56fc59951",
+        (4, 8, 0): "2af8be53af0c6b1f4df652c9c88c8c2541d881fbec9a9a3ddb4b86637cc37235",
+        (2, 3, 7): "5b0c2b440d17480c433c9c5b7da6594d215bd755142bffa64d9c76bb91a8280e",
+        (16, 32, 12345): "0764ffdb9a3feb55bc78c138c54a839e0b246d01630490abba2aa61ee77a5bcc",
     }
 
     @pytest.mark.parametrize("d_k, d_v, seed", list(SEEDED_DIGESTS))
@@ -243,7 +274,7 @@ class TestRPE:
 
     @pytest.mark.parametrize("name, value", [
         ("b1_k", np.zeros(1)),
-        ("b2_k", np.zeros((2, 4))),
+        ("b1_v", np.zeros((2, 4))),
         ("b2_v", np.zeros(4)),
         ("w1_k", np.zeros(3)),
         ("w2_v", np.zeros(8)),
@@ -1123,8 +1154,8 @@ class TestPairBlocks:
     @pytest.mark.parametrize("engine", ["mhsa", "mhca"])
     def test_nonzero_encoder_biases_match_the_oracle(self, lanes, monkeypatch, engine, count):
         """With every encoder bias nonzero, a stacked call matches the
-        oracle, which adds both biases to each pair's offsets; the engine
-        takes b2_k once per query row and b2_v once per output row."""
+        oracle, which adds them to each pair's hidden layers and value
+        offsets; the engine takes b2_v once per output row."""
         lanes(count)
         # blocks of at most 2 rows and a lane per 4 rows keep the scalar oracle fast
         monkeypatch.setattr(attention, "QUERY_BLOCK", 4)

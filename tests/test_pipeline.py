@@ -856,7 +856,7 @@ class TestKeptMap:
         policy.actions(small_scene(42))
         kept = [bank for kv in policy._decoder.map_kv for bank in (kv.k, kv.v)]
         arrays = weight_arrays(weights)
-        assert len(arrays) == 6 + 6 * (3 * config.n_blocks + 1) + 8 * 3 * config.n_blocks
+        assert len(arrays) == 6 + 6 * (3 * config.n_blocks + 1) + 7 * 3 * config.n_blocks
         for array in arrays + kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
@@ -905,9 +905,9 @@ class TestSeededWeights:
     #: share a pin.
     DIGESTS = {
         "default": ("14254a62302e762be50fd067e9518ef49ba39a8c37ac6cb4c013fb1cf42bfbd9",
-                    "fe0c1820b24d71a17089c034dc42241d888c22965519104481ef94674c5f731d"),
+                    "fae74727f9699bea95debe06a5cf8ac62c280668e4b16ba5f1ba082540398d07"),
         "wide": ("588ceac5fb067ce2a581a5642ee005bd273e39eccaf8dc4ff61d6c675414951a",
-                 "28d5a94fa218ee5282d95476106c23e10b3bf758d5d6cde23753eb88520477cf"),
+                 "8a5567d3ad03c40fed062e67338ba70768d526ece8c1cb0d7e23904a64a9ed5e"),
     }
     CONFIGS = {
         "default": {},

@@ -8,6 +8,7 @@ import pytest
 import drope.profiling as profiling
 import oracles
 from drope.attention import PoseSet, QKVSet, RPEEncoders, Variant, mhsa, recording
+from drope.cli import DEFAULT_PROFILE_GRID
 from drope.errors import ConfigurationError, VerificationError
 from drope.profiling import (
     check_sweep_trends,
@@ -22,6 +23,8 @@ from drope.profiling import (
 )
 
 ALL_VARIANTS = list(Variant)
+#: the default profile grid's largest (n_tokens, n_heads, d_k, d_v), which the gate checks
+GRID_MAX = tuple(max(DEFAULT_PROFILE_GRID[key]) for key in ("n_tokens", "n_heads", "d_k", "d_v"))
 
 
 class TestMemoryCounts:
@@ -100,6 +103,31 @@ class TestMeasuredAgainstPredicted:
         for n in (2, 4, 16):
             for h in heads:
                 verify_memory_ledger(variant, n, h, 4, 8)
+        assert verify_memory_ledger(variant, *GRID_MAX) == count_input_memory(variant, *GRID_MAX)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_inputs_are_one_qk_bank_and_read_only_zero_encoders(self, monkeypatch, variant):
+        """The check passes one array as Q and K, and encoders that are
+        read-only views of one read-only zeros buffer, so none is copied."""
+        calls, engine = [], profiling.mhsa
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(profiling, "mhsa", spy)
+        verify_memory_ledger(variant, *GRID_MAX)
+        ((qkv, poses, _), kwargs), = calls
+        assert qkv.q is qkv.k and not poses.headings.any()
+        enc = kwargs["enc"]
+        if variant is not Variant.RPE:
+            assert enc is None
+            return
+        arrays = [getattr(enc, field.name) for field in dataclasses.fields(enc)]
+        base = arrays[0].base
+        assert not base.flags.writeable and not base.any()
+        assert all(array.base is base for array in arrays)
+        assert base.size == sum(array.size for array in arrays)
 
     @pytest.mark.parametrize("category", ["qkv_scalars", "embedded_scalars"])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -112,8 +140,9 @@ class TestMeasuredAgainstPredicted:
             return dataclasses.replace(report, **{category: getattr(report, category) + 1})
 
         monkeypatch.setattr(profiling, "count_input_memory", off_by_one)
-        with pytest.raises(VerificationError, match=f"^{variant.value} "):
-            verify_memory_ledger(variant, 4, 2, 4, 8)
+        for point in ((4, 2, 4, 8), GRID_MAX):
+            with pytest.raises(VerificationError, match=f"^{variant.value} N={point[0]} "):
+                verify_memory_ledger(variant, *point)
 
     def test_measured_mode_returns_categories(self):
         rng = np.random.default_rng(0)
