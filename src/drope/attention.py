@@ -18,7 +18,9 @@ Scores are scaled by 1/sqrt(d_k) with d_k the pair count. A ``PoseSet`` is
 immutable and keeps the unit phasors of its last rotary setting, so calls
 that share poses take cosines and sines once. Inside a ``recording()`` block
 every call appends an ``AttentionRecord``: the scalar counts of the arrays
-it materialized, by ledger category, and a view of its attention weights.
+it materialized, by ledger category, and, only inside
+``recording(weights=True)``, a view of its whole attention weights, so a
+call recorded without them keeps the memory of an unrecorded one.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
 (..., H, N, W) and walked in blocks of query rows, so scores take memory
@@ -368,21 +370,24 @@ class AttentionOutput:
 @dataclass(frozen=True, eq=False)
 class AttentionRecord:
     """One call's materialized scalars per ledger category (``qkv`` and
-    ``embedded``) and a view of its (..., N, H, M) weights."""
+    ``embedded``) and a view of its (..., N, H, M) weights, or ``None`` where
+    the block did not ask for them."""
 
     counts: dict
-    weights: np.ndarray
+    weights: np.ndarray | None
 
 
-_RECORDS: ContextVar[list | None] = ContextVar("drope_attention_records", default=None)
+_RECORDS: ContextVar[tuple | None] = ContextVar("drope_attention_records", default=None)
 
 
 @contextlib.contextmanager
-def recording():
+def recording(weights=False):
     """Yield the list each attention call inside the block appends its
-    ``AttentionRecord`` to; a nested block records into itself only."""
+    ``AttentionRecord`` to; a nested block records into itself only. Only
+    with ``weights`` does a call keep its whole (..., H, N, M) weights, which
+    are quadratic in N; without, a record holds counts alone."""
     records: list[AttentionRecord] = []
-    token = _RECORDS.set(records)
+    token = _RECORDS.set((records, weights))
     try:
         yield records
     finally:
@@ -519,9 +524,9 @@ def _attend(
     v_heads = v_bank.swapaxes(-3, -2)
     scale = 1.0 / math.sqrt(d_k)
     per_head = np.empty(lead + (n, n_heads, d_v))
-    records = _RECORDS.get()
-    alpha_all = None if records is None else np.zeros(lead + (n_heads, n, m))
-    # each lane computes its blocks' scores into the recorded weights or into
+    records, keep_weights = _RECORDS.get() or (None, False)
+    alpha_all = np.zeros(lead + (n_heads, n, m)) if keep_weights else None
+    # each lane computes its blocks' scores into the whole weights asked for or into
     # its own one-block slot; a call of one block lets matmul allocate them,
     # which is cheaper for the small calls of a rollout. Slots are separate
     # arrays: one (L, ...) array would raise glibc's mmap threshold to its
@@ -569,7 +574,7 @@ def _attend(
         records.append(AttentionRecord({
             "qkv": q_bank.size + k_bank.size + v_bank.size,
             "embedded": 0 if q_hat is q_bank else q_hat.size + k_hat.size,
-        }, alpha_all.swapaxes(-3, -2)))
+        }, None if alpha_all is None else alpha_all.swapaxes(-3, -2)))
     return AttentionOutput(per_head, per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,)))
 
 

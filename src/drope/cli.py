@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import itertools
-import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .profiling import (
     sweep,
     write_sweep_csv,
 )
-from .scene import _read_json, load_scene, make_constant_velocity_scene, make_scene
+from .scene import _read_json, _write_json, load_scene, make_constant_velocity_scene, make_scene
 from .verification import (
     FAULT_ROPE_FREQS_IN_FANGLE,
     VerificationConfig,
@@ -110,12 +110,6 @@ def _out_dir(args, command: str) -> Path:
         raise ConfigurationError(f"output directory {str(out)!r} cannot be made: "
                                  f"{str(existing)!r} is not a directory")
     return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _given(config: dict, kinds: dict, flags: dict) -> dict:
@@ -316,7 +310,10 @@ def cmd_rollout(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: every in-process
+    ``main`` call parses with it, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="drope-bench",
         description="verification, complexity profiling, and demo rollouts",

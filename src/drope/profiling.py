@@ -27,7 +27,8 @@ exp, and tanh count 1 each):
   * pairwise encoders: the two relative-pose MLPs, of the engine's hidden
     width ``RPE_HIDDEN``, run once per token pair and are shared across
     heads; the per-head key/value adds are counted on top. A dense layer
-    in->out costs 2*in*out + out (bias included). This is the cost of an
+    in->out costs 2*in*out, plus out for its bias, which every layer but the
+    key encoder's second has. This is the cost of an
     implementation that forms each pair's key and value offsets. The engine
     forms none: per pair it runs the relative pose, both first layers and,
     per head, one RPE_HIDDEN-wide product for the score and one for the
@@ -236,7 +237,7 @@ def count_flops(
     rpe = 0
     if variant is Variant.RPE:
         per_pair = (
-            mlp_flops(3, RPE_HIDDEN, width)
+            mlp_flops(3, RPE_HIDDEN, width) - width    # no key-encoder output bias
             + mlp_flops(3, RPE_HIDDEN, d_v)
             + REL_DESCRIPTOR_FLOPS
         )
@@ -303,21 +304,19 @@ def check_sweep_trends(rows) -> None:
             by_dims.setdefault(key, []).append(row)
     for group in by_dims.values():
         group = sorted(group, key=lambda r: r["n_tokens"])
+        # exact ratios compared as integer cross-products; Fractions only name a miss
         for a, b in zip(group, group[1:]):
-            expected = Fraction(b["n_tokens"], a["n_tokens"]) ** 2
-            actual = Fraction(b["pairwise_scalars"], a["pairwise_scalars"])
-            if actual != expected:
-                raise VerificationError(
-                    f"pairwise scalars scaled by {actual}, expected {expected}"
-                )
+            (n_a, p_a), (n_b, p_b) = ((r["n_tokens"], r["pairwise_scalars"]) for r in (a, b))
+            if p_b * n_a**2 != p_a * n_b**2:
+                raise VerificationError(f"pairwise scalars scaled by {Fraction(p_b, p_a)}, "
+                                        f"expected {Fraction(n_b, n_a) ** 2}")
         for row in group:
             n, d_k, d_v = row["n_tokens"], row["d_k"], row["d_v"]
-            expected = Fraction(n * (2 * d_k + d_v), 4 * d_k + d_v)
-            actual = Fraction(row["pairwise_scalars"], row["qkv_scalars"])
-            if actual != expected:
+            pairwise, qkv = row["pairwise_scalars"], row["qkv_scalars"]
+            if pairwise * (4 * d_k + d_v) != qkv * n * (2 * d_k + d_v):
                 raise VerificationError(
-                    f"pairwise/input ratio {actual} differs from the linear-in-N "
-                    f"form {expected}"
+                    f"pairwise/input ratio {Fraction(pairwise, qkv)} differs from the "
+                    f"linear-in-N form {Fraction(n * (2 * d_k + d_v), 4 * d_k + d_v)}"
                 )
 
     plain_totals = {
@@ -337,7 +336,6 @@ def check_sweep_trends(rows) -> None:
 
 def write_sweep_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({column: row[column] for column in SWEEP_COLUMNS})
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([row[column] for column in SWEEP_COLUMNS] for row in rows)

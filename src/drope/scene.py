@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -184,7 +184,7 @@ class Scene:
     """
 
     agent_states: np.ndarray
-    segments: list = field(default_factory=list)
+    segments: list
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
@@ -359,9 +359,7 @@ def scene_from_dict(payload: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, scene_to_dict(scene))
 
 
 def _read_json(path, what: str):
@@ -371,6 +369,12 @@ def _read_json(path, what: str):
             return json.load(fh)
     except (ValueError, RecursionError) as exc:    # NUL in the path, not UTF-8 or JSON, or too deep
         raise ConfigurationError(f"{what} {path!r} is not readable JSON: {exc}") from exc
+
+
+def _write_json(path, payload) -> None:
+    """``payload`` as two-space-indented JSON and a newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def load_scene(path) -> Scene:

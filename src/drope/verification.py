@@ -322,7 +322,7 @@ def _check_rows_stochastic(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-9
     qkv, poses, _ = _engine_bank(cfg, 8)
     variants = [variant for variant in Variant if variant is not Variant.RPE]
-    with recording() as records:
+    with recording(weights=True) as records:
         for variant in variants:
             mhsa(qkv, poses, variant)
     alpha = np.stack([record.weights for record in records])

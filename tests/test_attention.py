@@ -54,7 +54,7 @@ def make_case(seed, n=3, h=2, d_k=2, d_v=3):
 
 def recorded(engine, *args, **kwargs):
     """An engine call's output and the attention weights it recorded."""
-    with recording() as records:
+    with recording(weights=True) as records:
         out = engine(*args, **kwargs)
     (record,) = records
     return out, record.weights
@@ -581,14 +581,14 @@ class TestRecording:
         t, n, m, h, d_k, d_v = 3, 4, 5, 2, 2, 3
         queries = QKVSet(*(rng.standard_normal((t, n, h, w)) for w in (2 * d_k, 2 * d_k, d_v)))
         keysvals = QKVSet.random(m, h, d_k, d_v, rng)
-        with recording() as records:
+        with recording(weights=True) as records:
             mhca(queries, keysvals, None, None, Variant.PLAIN)
         (record,) = records
         assert record.weights.shape == (t, n, h, m)
         assert record.counts == {
             "qkv": t * n * h * 2 * d_k + m * h * (2 * d_k + d_v), "embedded": 0,
         }
-        with recording() as records:
+        with recording(weights=True) as records:
             mhsa_causal(queries)
         (record,) = records
         assert record.weights.shape == (t, n, h, n)
@@ -641,7 +641,7 @@ class TestBatchAxes:
         keysvals, poses_kv = self.stack(54, (), self.M)
         empty, poses_empty = self.stack(55, (self.T,), 0)
         enc = self.enc(Variant.RPE)
-        with recording() as records:
+        with recording(weights=True) as records:
             mhca(queries, keysvals, poses_q, poses_kv, Variant.RPE, enc=enc)
             mhca(empty, keysvals, poses_empty, poses_kv, Variant.RPE, enc=enc)
         keys = self.M * self.H * (2 * self.D_K + self.D_V)
@@ -918,8 +918,9 @@ class TestQueryBlocks:
             self.dense(monkeypatch, mhca, qkv, keysvals, poses, poses_kv, variant, **kw), bitwise,
         )
 
+    @pytest.mark.parametrize("weights", [False, True])
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_recording_changes_no_output_bit(self, variant):
+    def test_either_hook_changes_no_output_bit(self, variant, weights):
         qkv, poses = self.banks(64, 300)
         kw = self.kwargs(variant)
         engines = [(mhsa, (qkv, poses, variant)), (mhca, (qkv, qkv, poses, poses, variant))]
@@ -927,9 +928,10 @@ class TestQueryBlocks:
             engines.append((mhsa_causal, (qkv,)))
         for engine, args in engines:
             plain_call = engine(*args, **kw)
-            with recording():
+            with recording(weights=weights) as records:
                 recorded_call = engine(*args, **kw)
             assert np.array_equal(recorded_call.per_head, plain_call.per_head)
+            assert (records[0].weights is not None) == weights
 
     @pytest.mark.parametrize("n", [300, 1024])
     def test_mhsa_causal_matches_the_dense_path(self, monkeypatch, n):
@@ -1045,6 +1047,19 @@ class TestMemoryLinearInN:
             peaks.append(self.peak(mhsa, Variant.DROPE_HBH, n, (h, d_k, d_v)))
         block = 8 * h * attention.QUERY_BLOCK * n
         assert peaks[1] <= peaks[0] + block + 2**20, (peaks, block)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_a_call_recorded_without_weights_peaks_as_an_unrecorded_one(self, lanes, n, count):
+        """A record keeps counts only unless its block asks for the weights, so
+        the hook adds no (H, N, N) array: 512 MiB at N=4096 and these widths."""
+        lanes(count)
+        mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
+        unrecorded = self.peak(mhsa, Variant.DROPE_HBH, n, (4, 32, 64))
+        with recording() as records:
+            recorded_peak = self.peak(mhsa, Variant.DROPE_HBH, n, (4, 32, 64))
+        assert records[0].weights is None
+        assert recorded_peak <= 1.1 * unrecorded, (recorded_peak, unrecorded)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_pairwise_tensors_are_live_one_at_a_time(self, n):
@@ -1200,7 +1215,7 @@ class TestPairBlocks:
         queries, poses_q = self.banks(75, n)
         keysvals, poses_kv = self.banks(76, m)
         args = (queries, keysvals, poses_q, poses_kv, Variant.RPE)
-        with recording() as records:
+        with recording(weights=True) as records:
             mhca(*args, enc=self.enc())
         monkeypatch.setattr(attention, "_PAIR_BLOCK", 1 << 30)
         _, unblocked = recorded(mhca, *args, enc=self.enc())
@@ -1249,7 +1264,7 @@ class TestLanes:
             lanes(count)
             results[count] = []
             for engine, args, kw in calls:
-                with recording() as records:
+                with recording(weights=True) as records:
                     rec_out = engine(*args, **kw)
                 (record,) = records
                 results[count].append((engine(*args, **kw).per_head, rec_out.per_head,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -198,6 +199,26 @@ class TestProfile:
                 table = {(int(line.split()[0]), variant): value for line in lines
                          for variant, value in zip(variants, line.split()[1:])}
                 assert table == expected
+
+    #: SHA-256 of each file the default grid writes, the report's without its
+    #: ``generated_at`` line, the one line that differs between runs.
+    OUTPUT_DIGESTS = {
+        "memory_flops.csv": "dec9f0024150f831b119c199a5a835f411d6c377c1e9c59744bb05736da5ff8b",
+        "memory_vs_width.dat": "c32b77cfc74dbc88438c507cafd2eac70cd061e313be45552c6d1cf30e4d83a0",
+        "flops_vs_width.dat": "db2e1b39345627ce34dc65c4d34740818f179aede0ba58541f6cb2e322927e77",
+        "profile_report.json": "8e0e916ae37baee7001dac670990efa58c31fd67b32b0ab205bfaa6ab1211073",
+    }
+
+    def test_default_grid_files_are_pinned(self, tmp_path):
+        assert main(["profile", "--out", str(tmp_path)]) == 0
+        digests = {}
+        for name in self.OUTPUT_DIGESTS:
+            data = (tmp_path / name).read_bytes()
+            if name == "profile_report.json":
+                data, count = re.subn(rb'\n  "generated_at": "[^"]*",', b"", data)
+                assert count == 1
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.OUTPUT_DIGESTS
 
     def test_empty_grid_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ import pytest
 
 import drope.attention as attention
 import drope.pipeline as pipeline
-from drope.attention import PoseSet, Variant
+from drope.attention import PoseSet, Variant, recording
 from drope.errors import ConfigurationError, InvalidArgumentError
 from drope.kinematics import YAW_RATE_LIMIT, ZERO_ACTION, ControlAction
 from drope.pipeline import (
@@ -356,6 +356,23 @@ class TestRollout:
         first = rollout(scene, PipelinePolicy(weights, config), horizon=5)
         second = rollout(scene, PipelinePolicy(weights, config), horizon=5)
         assert np.array_equal(first.states, second.states)
+
+    def test_a_recorded_rollout_keeps_counts_only(self):
+        """Unless its block asks for weights, each record of a 16-step rollout
+        holds no weights, and its counts are those recorded with them."""
+        config = PipelineConfig()
+        history = make_scene(seed=1, n_agents=4, n_steps=8)
+        runs = {}
+        for weights in (False, True):
+            policy = PipelinePolicy(PipelineWeights.seeded(config, seed=1), config)
+            with recording(weights=weights) as records:
+                states = rollout(history, policy, horizon=16).states
+            runs[weights] = states, records
+        (states, counted), (weighed_states, weighed) = runs[False], runs[True]
+        assert counted and all(record.weights is None for record in counted)
+        assert all(record.weights is not None for record in weighed)
+        assert [record.counts for record in counted] == [record.counts for record in weighed]
+        assert np.array_equal(states, weighed_states)
 
     def test_replay_equality_is_exact(self):
         config = small_config()
@@ -972,7 +989,7 @@ class TestSceneRotationProperty:
         c, s, about = np.cos(0.9), np.sin(0.9), np.array([3.0, -4.0])
         turned = PoseSet((poses.positions - about) @ np.array([[c, s], [-s, c]]) + about,
                          poses.headings + 0.9)
-        with recording() as records:
+        with recording(weights=True) as records:
             mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
             mhsa(qkv, turned, Variant.DROPE_HBH, sched=sched)
         base, rotated = (record.weights for record in records)

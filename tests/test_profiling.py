@@ -186,16 +186,17 @@ class TestFlopCounts:
 
     def test_rpe_encoder_component(self):
         report = count_flops(Variant.RPE, 4, None, 2, 3, 5)
-        per_pair = mlp_flops(3, 32, 6) + mlp_flops(3, 32, 5) + 4
+        per_pair = mlp_flops(3, 32, 6) - 6 + mlp_flops(3, 32, 5) + 4    # no key-encoder output bias
         assert report.flops_rpe_encoders == 16 * per_pair + 16 * 2 * (6 + 5)
 
     def test_rpe_encoders_counted_at_the_engine_encoders_widths(self):
         n, m, h, d_k, d_v = 4, 6, 2, 3, 5
         enc = RPEEncoders.seeded(d_k, d_v)
         per_pair = 4    # the relative descriptor
-        for w1, w2 in ((enc.w1_k, enc.w2_k), (enc.w1_v, enc.w2_v)):
-            (n_in, hidden), (_, n_out) = w1.shape, w2.shape
-            per_pair += 2 * n_in * hidden + hidden + hidden + 2 * hidden * n_out + n_out
+        for side in ("k", "v"):
+            (n_in, hidden), (_, n_out) = (getattr(enc, f"{w}_{side}").shape for w in ("w1", "w2"))
+            out_bias = getattr(enc, f"b2_{side}", np.empty(0)).size    # the key encoder has none
+            per_pair += 2 * n_in * hidden + hidden + hidden + 2 * hidden * n_out + out_bias
         report = count_flops(Variant.RPE, n, m, h, d_k, d_v)
         assert report.flops_rpe_encoders == n * m * per_pair + n * m * h * (2 * d_k + d_v)
 
