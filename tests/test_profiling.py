@@ -186,7 +186,8 @@ class TestFlopCounts:
 
     def test_rpe_encoder_component(self):
         report = count_flops(Variant.RPE, 4, None, 2, 3, 5)
-        per_pair = mlp_flops(3, 32, 6) - 6 + mlp_flops(3, 32, 5) + 4    # no key-encoder output bias
+        # the key encoder's second layer has no bias
+        per_pair = mlp_flops(3, 32, 6) - 6 + mlp_flops(3, 32, 5) + 4
         assert report.flops_rpe_encoders == 16 * per_pair + 16 * 2 * (6 + 5)
 
     def test_rpe_encoders_counted_at_the_engine_encoders_widths(self):
