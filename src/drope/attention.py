@@ -17,18 +17,19 @@ broadcast, so one key bank (a map, say) serves a (T, A) stack of queries.
 Scores are scaled by 1/sqrt(d_k) with d_k the pair count. A ``PoseSet`` is
 immutable and keeps the unit phasors of its last rotary setting, so calls
 that share poses take cosines and sines once. Inside a ``recording()`` block
-every call appends an ``AttentionRecord``: the scalar counts of the arrays
-it materialized, by ledger category, and, only inside
-``recording(weights=True)``, a view of its whole attention weights, so a
-call recorded without them keeps the memory of an unrecorded one.
+every call appends the scalar counts of the arrays it materialized, by
+ledger category, so a recorded call keeps the memory of an unrecorded one.
+A call's weights are its output under an identity value bank (key j's
+values e_j) and a zero value encoder: each entry is one weight times 1 plus
+exact zeros, divided by the row sum, so it is that weight bitwise.
 
 Internally the core is head-major: the (..., N, H, W) banks are viewed as
 (..., H, N, W) and walked in blocks of query rows, so scores take memory
 linear in N. Per block the scores are one batched matmul giving
 (..., H, B, M), exponentiated in place less each row's max; a second one
 with the (..., H, M, d_v) values, divided by the row sums, fills one output
-(weights are normalized only where read as weights); a causal block reads
-only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
+(only the pairwise regime divides the weights themselves); a causal block
+reads only the keys up to its last row. Blocks are ``QUERY_BLOCK`` rows, but the
 pairwise regime takes as many rows as fit a fixed count of token pairs, and
 a block does all its pairwise work in one pass through the encoders' hidden
 layers h_ij of its (..., B, M, 3) relative poses, forming no offset: a
@@ -90,7 +91,6 @@ __all__ = [
     "PoseSet",
     "RPEEncoders",
     "AttentionOutput",
-    "AttentionRecord",
     "recording",
     "mhsa",
     "mhsa_causal",
@@ -367,27 +367,16 @@ class AttentionOutput:
     merged: np.ndarray            # (..., N, H * d_v)
 
 
-@dataclass(frozen=True, eq=False)
-class AttentionRecord:
-    """One call's materialized scalars per ledger category (``qkv`` and
-    ``embedded``) and a view of its (..., N, H, M) weights, or ``None`` where
-    the block did not ask for them."""
-
-    counts: dict
-    weights: np.ndarray | None
-
-
-_RECORDS: ContextVar[tuple | None] = ContextVar("drope_attention_records", default=None)
+_RECORDS: ContextVar[list | None] = ContextVar("drope_attention_records", default=None)
 
 
 @contextlib.contextmanager
-def recording(weights=False):
-    """Yield the list each attention call inside the block appends its
-    ``AttentionRecord`` to; a nested block records into itself only. Only
-    with ``weights`` does a call keep its whole (..., H, N, M) weights, which
-    are quadratic in N; without, a record holds counts alone."""
-    records: list[AttentionRecord] = []
-    token = _RECORDS.set((records, weights))
+def recording():
+    """Yield the list each attention call inside the block appends its counts
+    to: ``{"qkv": ..., "embedded": ...}``, the scalars of the arrays it
+    materialized per ledger category. A nested block records into itself only."""
+    records: list[dict] = []
+    token = _RECORDS.set(records)
     try:
         yield records
     finally:
@@ -524,15 +513,13 @@ def _attend(
     v_heads = v_bank.swapaxes(-3, -2)
     scale = 1.0 / math.sqrt(d_k)
     per_head = np.empty(lead + (n, n_heads, d_v))
-    records, keep_weights = _RECORDS.get() or (None, False)
-    alpha_all = np.zeros(lead + (n_heads, n, m)) if keep_weights else None
-    # each lane computes its blocks' scores into the whole weights asked for or into
-    # its own one-block slot; a call of one block lets matmul allocate them,
-    # which is cheaper for the small calls of a rollout. Slots are separate
-    # arrays: one (L, ...) array would raise glibc's mmap threshold to its
-    # size, and freed arrays up to that size would then stay resident.
+    # each lane computes its blocks' scores into its own one-block slot; a call
+    # of one block lets matmul allocate them, which is cheaper for the small
+    # calls of a rollout. Slots are separate arrays: one (L, ...) array would
+    # raise glibc's mmap threshold to its size, and freed arrays up to that
+    # size would then stay resident.
     slots = [None] * lanes
-    if alpha_all is None and n > rows:
+    if n > rows:
         slots = [np.empty(lead + (n_heads, rows, m)) for _ in range(lanes)]
 
     def run_lane(lane):
@@ -555,14 +542,13 @@ def _attend(
                 # (hidden, M) product per i
                 offset = np.matmul(q_bank[..., s:e, :, :] @ enc.w2_k.T,
                                    hidden[..., :key_hidden].swapaxes(-2, -1)).swapaxes(-3, -2)
-            into = slots[lane] if alpha_all is None else alpha_all[..., s:, :]
-            alpha, sums = _block_weights(q_heads, k_heads, scale, s, e, causal, offset, into)
+            alpha, sums = _block_weights(q_heads, k_heads, scale, s, e, causal, offset,
+                                         slots[lane])
             del offset
             out = per_head[..., s:e, :, :]    # a row's d_v outputs divided, not its M weights
             np.divide(alpha @ v_heads[..., :alpha.shape[-1], :], sums, out=out.swapaxes(-3, -2))
-            if alpha_all is not None or variant is Variant.RPE:
-                alpha /= sums
             if variant is Variant.RPE:
+                alpha /= sums
                 # sum_j alpha_ij (h_ij W2v + b2v) = (sum_j alpha_ij h_ij) W2v + b2v, as each
                 # row sums to 1: one (H, M) @ (M, hidden) product per i, then W2v
                 out += np.matmul(alpha.swapaxes(-3, -2), hidden[..., key_hidden:]) @ enc.w2_v
@@ -570,11 +556,12 @@ def _attend(
                 del hidden    # the next block encodes with none of this one live
 
     _in_lanes(lanes, run_lane)
+    records = _RECORDS.get()
     if records is not None:
-        records.append(AttentionRecord({
+        records.append({
             "qkv": q_bank.size + k_bank.size + v_bank.size,
             "embedded": 0 if q_hat is q_bank else q_hat.size + k_hat.size,
-        }, None if alpha_all is None else alpha_all.swapaxes(-3, -2)))
+        })
     return AttentionOutput(per_head, per_head.reshape(per_head.shape[:-2] + (n_heads * d_v,)))
 
 

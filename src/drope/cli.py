@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     roll = sub.add_parser("rollout", help="closed-loop rollout on a scene")
     for sp in (verify, profile, roll):
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--seed", type=int, default=None)
+        if sp is not profile:    # the profile grid holds no random input
+            sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", help="output directory (default <command>-out)")
 
     verify.add_argument("--trials", type=int, default=None)

@@ -198,7 +198,7 @@ def verify_memory_ledger(
         enc = RPEEncoders(*_shaped(zeros, shapes))
     with recording() as records:
         mhsa(qkv, poses, variant, enc=enc)
-    measured = records[0].counts
+    (measured,) = records
     expectation = {
         "qkv": predicted.qkv_scalars,
         "embedded": predicted.embedded_scalars,

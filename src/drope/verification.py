@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attention import ROTARY_VARIANTS, PoseSet, QKVSet, Variant, mhsa, recording
+from .attention import ROTARY_VARIANTS, PoseSet, QKVSet, Variant, mhsa
 from .errors import ConfigurationError, empty_array
 from .rotary import (
     TWO_PI,
@@ -322,10 +322,9 @@ def _check_rows_stochastic(cfg: VerificationConfig) -> PropertyResult:
     tol = 1e-9
     qkv, poses, _ = _engine_bank(cfg, 8)
     variants = [variant for variant in Variant if variant is not Variant.RPE]
-    with recording(weights=True) as records:
-        for variant in variants:
-            mhsa(qkv, poses, variant)
-    alpha = np.stack([record.weights for record in records])
+    # under an identity value bank each output row is that row's weights
+    identity = QKVSet(qkv.q, qkv.k, np.broadcast_to(np.eye(6)[:, None], qkv.v.shape[:-1] + (6,)))
+    alpha = np.stack([mhsa(identity, poses, variant).per_head for variant in variants])
     worst = float(max(np.max(np.abs(alpha.sum(axis=-1) - 1.0)),
                       np.max(-alpha, initial=0.0), np.max(alpha - 1.0, initial=0.0)))
     return PropertyResult(

@@ -15,7 +15,6 @@ import pytest
 import drope.attention as attention
 import drope.verification as verification
 from drope.attention import (
-    AttentionRecord,
     PoseSet,
     QKVSet,
     ROTARY_VARIANTS,
@@ -53,11 +52,20 @@ def make_case(seed, n=3, h=2, d_k=2, d_v=3):
 
 
 def recorded(engine, *args, **kwargs):
-    """An engine call's output and the attention weights it recorded."""
-    with recording(weights=True) as records:
+    """An engine call's output, recorded, and its (..., N, H, M) attention
+    weights: the output of the same call with an identity value bank (key
+    j's values the unit vector e_j) and, for rpe, a zero value encoder."""
+    at = 1 if engine is mhca else 0    # the bank that holds the values
+    bank, m = args[at], args[at].n_tokens
+    identity = QKVSet(bank.q, bank.k,
+                      np.broadcast_to(np.eye(m)[:, None], bank.v.shape[:-1] + (m,)))
+    weighed = dict(kwargs)
+    if kwargs.get("enc") is not None:
+        weighed["enc"] = dataclasses.replace(
+            kwargs["enc"], w2_v=np.zeros((attention.RPE_HIDDEN, m)), b2_v=np.zeros(m))
+    with recording():
         out = engine(*args, **kwargs)
-    (record,) = records
-    return out, record.weights
+    return out, engine(*args[:at], identity, *args[at + 1:], **weighed).per_head
 
 
 def run_reference(variant, qkv, poses_q, poses_kv=None, enc=None, k=None, v=None):
@@ -177,7 +185,7 @@ class TestRPE:
         with recording() as records:
             mhsa(qkv, poses, Variant.RPE, enc=enc)
         n, h, w, d_v = 4, qkv.q.shape[-2], 2 * qkv.d_k, qkv.d_v
-        assert records[0].counts == {"qkv": n * h * (2 * w + d_v), "embedded": 0}
+        assert records[0] == {"qkv": n * h * (2 * w + d_v), "embedded": 0}
         ledger = count_input_memory(Variant.RPE, n, h, qkv.d_k, d_v)
         assert ledger.pairwise_scalars == n * n * h * (w + d_v)
 
@@ -530,23 +538,22 @@ class TestStructuralProperties:
 
 
 class TestRecording:
-    """The one observation point: ``recording()`` and its ``AttentionRecord``s."""
+    """The one observation point: ``recording()`` and its count dicts."""
 
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_nothing_is_recorded_outside_a_block(self, variant, monkeypatch):
+    def test_nothing_is_recorded_outside_a_block(self, variant):
         qkv, poses = make_case(26, d_k=4)
         enc = RPEEncoders.seeded(qkv.d_k, qkv.d_v) if variant is Variant.RPE else None
-        built = []
-        monkeypatch.setattr(attention, "AttentionRecord",
-                            lambda *args: built.append(args) or AttentionRecord(*args))
         outside = mhsa(qkv, poses, variant, enc=enc)
-        assert attention._RECORDS.get() is None and not built
+        assert attention._RECORDS.get() is None
         assert not hasattr(outside, "alpha")
         with recording() as records:
             inside = mhsa(qkv, poses, variant, enc=enc)
         mhsa(qkv, poses, variant, enc=enc)
-        assert attention._RECORDS.get() is None and len(built) == 1
-        assert len(records) == 1 and isinstance(records[0], AttentionRecord)
+        assert attention._RECORDS.get() is None
+        (record,) = records
+        assert set(record) == {"qkv", "embedded"}
+        assert all(type(count) is int for count in record.values())
         assert np.array_equal(inside.per_head, outside.per_head)
         assert np.array_equal(inside.merged, outside.merged)
 
@@ -559,7 +566,7 @@ class TestRecording:
                 mhca(qkv, qkv, None, None, Variant.PLAIN)
             mhsa(qkv, poses, Variant.DROPE_HBH)
         assert len(outer) == 2 and len(inner) == 2
-        assert outer[0].counts["embedded"] > 0 and inner[0].counts["embedded"] == 0
+        assert outer[0]["embedded"] > 0 and inner[0]["embedded"] == 0
 
     def test_an_exception_resets_the_context(self):
         qkv, poses = make_case(28)
@@ -581,18 +588,20 @@ class TestRecording:
         t, n, m, h, d_k, d_v = 3, 4, 5, 2, 2, 3
         queries = QKVSet(*(rng.standard_normal((t, n, h, w)) for w in (2 * d_k, 2 * d_k, d_v)))
         keysvals = QKVSet.random(m, h, d_k, d_v, rng)
-        with recording(weights=True) as records:
+        with recording() as records:
             mhca(queries, keysvals, None, None, Variant.PLAIN)
         (record,) = records
-        assert record.weights.shape == (t, n, h, m)
-        assert record.counts == {
+        _, weights = recorded(mhca, queries, keysvals, None, None, Variant.PLAIN)
+        assert weights.shape == (t, n, h, m)
+        assert record == {
             "qkv": t * n * h * 2 * d_k + m * h * (2 * d_k + d_v), "embedded": 0,
         }
-        with recording(weights=True) as records:
+        with recording() as records:
             mhsa_causal(queries)
         (record,) = records
-        assert record.weights.shape == (t, n, h, n)
-        assert record.counts["qkv"] == t * n * h * (4 * d_k + d_v)
+        _, weights = recorded(mhsa_causal, queries)
+        assert weights.shape == (t, n, h, n)
+        assert record["qkv"] == t * n * h * (4 * d_k + d_v)
 
 
 class TestBatchAxes:
@@ -641,15 +650,16 @@ class TestBatchAxes:
         keysvals, poses_kv = self.stack(54, (), self.M)
         empty, poses_empty = self.stack(55, (self.T,), 0)
         enc = self.enc(Variant.RPE)
-        with recording(weights=True) as records:
+        with recording() as records:
             mhca(queries, keysvals, poses_q, poses_kv, Variant.RPE, enc=enc)
             mhca(empty, keysvals, poses_empty, poses_kv, Variant.RPE, enc=enc)
         keys = self.M * self.H * (2 * self.D_K + self.D_V)
-        assert records[0].counts == {
+        assert records[0] == {
             "qkv": self.T * self.N * self.H * 2 * self.D_K + keys, "embedded": 0,
         }
-        assert records[0].weights.shape == (self.T, self.N, self.H, self.M)
-        assert records[1].counts == {"qkv": keys, "embedded": 0}
+        _, weights = recorded(mhca, queries, keysvals, poses_q, poses_kv, Variant.RPE, enc=enc)
+        assert weights.shape == (self.T, self.N, self.H, self.M)
+        assert records[1] == {"qkv": keys, "embedded": 0}
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_mhca_stacked_queries_share_one_key_bank(self, variant):
@@ -918,9 +928,8 @@ class TestQueryBlocks:
             self.dense(monkeypatch, mhca, qkv, keysvals, poses, poses_kv, variant, **kw), bitwise,
         )
 
-    @pytest.mark.parametrize("weights", [False, True])
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_either_hook_changes_no_output_bit(self, variant, weights):
+    def test_the_hook_changes_no_output_bit(self, variant):
         qkv, poses = self.banks(64, 300)
         kw = self.kwargs(variant)
         engines = [(mhsa, (qkv, poses, variant)), (mhca, (qkv, qkv, poses, poses, variant))]
@@ -928,10 +937,10 @@ class TestQueryBlocks:
             engines.append((mhsa_causal, (qkv,)))
         for engine, args in engines:
             plain_call = engine(*args, **kw)
-            with recording(weights=weights) as records:
+            with recording() as records:
                 recorded_call = engine(*args, **kw)
             assert np.array_equal(recorded_call.per_head, plain_call.per_head)
-            assert (records[0].weights is not None) == weights
+            assert set(records[0]) == {"qkv", "embedded"}
 
     @pytest.mark.parametrize("n", [300, 1024])
     def test_mhsa_causal_matches_the_dense_path(self, monkeypatch, n):
@@ -1051,14 +1060,14 @@ class TestMemoryLinearInN:
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_a_call_recorded_without_weights_peaks_as_an_unrecorded_one(self, lanes, n, count):
-        """A record keeps counts only unless its block asks for the weights, so
-        the hook adds no (H, N, N) array: 512 MiB at N=4096 and these widths."""
+        """A record keeps counts only, so the hook adds no (H, N, N) array:
+        512 MiB at N=4096 and these widths."""
         lanes(count)
         mhsa(*make_case(0, n=2 * attention.QUERY_BLOCK), Variant.PLAIN)    # warm-up
         unrecorded = self.peak(mhsa, Variant.DROPE_HBH, n, (4, 32, 64))
         with recording() as records:
             recorded_peak = self.peak(mhsa, Variant.DROPE_HBH, n, (4, 32, 64))
-        assert records[0].weights is None
+        assert set(records[0]) == {"qkv", "embedded"}
         assert recorded_peak <= 1.1 * unrecorded, (recorded_peak, unrecorded)
 
     @pytest.mark.parametrize("n", [64, 128])
@@ -1215,17 +1224,18 @@ class TestPairBlocks:
         queries, poses_q = self.banks(75, n)
         keysvals, poses_kv = self.banks(76, m)
         args = (queries, keysvals, poses_q, poses_kv, Variant.RPE)
-        with recording(weights=True) as records:
+        with recording() as records:
             mhca(*args, enc=self.enc())
+        _, weights = recorded(mhca, *args, enc=self.enc())
         monkeypatch.setattr(attention, "_PAIR_BLOCK", 1 << 30)
         _, unblocked = recorded(mhca, *args, enc=self.enc())
         (record,) = records
-        assert record.counts == {
+        assert record == {
             "qkv": n * self.H * 2 * self.D_K + m * self.H * (2 * self.D_K + self.D_V),
             "embedded": 0,
         }
-        assert record.weights.shape == (n, self.H, m)
-        assert np.array_equal(record.weights, unblocked)
+        assert weights.shape == (n, self.H, m)
+        assert np.array_equal(weights, unblocked)
 
 
 class TestLanes:
@@ -1264,16 +1274,31 @@ class TestLanes:
             lanes(count)
             results[count] = []
             for engine, args, kw in calls:
-                with recording(weights=True) as records:
+                with recording() as records:
                     rec_out = engine(*args, **kw)
                 (record,) = records
                 results[count].append((engine(*args, **kw).per_head, rec_out.per_head,
-                                       record.weights, record.counts))
+                                       recorded(engine, *args, **kw)[1], record))
         for count in (2, 3):
             for got, expected in zip(results[count], results[1]):
                 for array, array1 in zip(got[:3], expected[:3]):
                     assert np.array_equal(array, array1)
                 assert got[3] == expected[3]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_identity_value_rows_are_stochastic(self, lanes, variant, count):
+        """Under an identity value bank each output row is that row's weights:
+        they sum to 1, lie in [0, 1], and a causal row is 0 past its diagonal."""
+        lanes(count)
+        widths = self.RPE_WIDTHS["keys-wider"] if variant is Variant.RPE else None
+        above = np.triu(np.ones((300, 300), dtype=bool), k=1)
+        for engine, args, kw in self.calls(variant, 300, (), widths):
+            _, alpha = recorded(engine, *args, **kw)
+            assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) < 1e-12
+            assert alpha.min() >= 0.0 and alpha.max() <= 1.0
+            if engine is mhsa_causal:
+                assert np.all(alpha.swapaxes(0, 1)[:, above] == 0.0)
 
     def test_a_single_block_and_the_pairwise_regime_start_no_thread(self, lanes, monkeypatch):
         """A call of at most QUERY_BLOCK query rows runs on the calling

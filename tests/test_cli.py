@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -225,6 +226,13 @@ class TestProfile:
         config.write_text(json.dumps({"grid": {"n_tokens": []}}))
         assert main(["profile", "--config", str(config), "--out", str(tmp_path)]) == 2
 
+    def test_seed_is_not_a_profile_flag(self, tmp_path, capsys):
+        """The profile grid holds no random input, so ``profile`` takes no seed."""
+        assert main(["profile", "--seed", "1", "--out", str(tmp_path / "profile")]) == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert not (tmp_path / "profile").exists()
+
     def test_variant_filter(self, tmp_path):
         out = tmp_path / "profile"
         assert main(["profile", "--variant", "plain", "--variant", "rpe",
@@ -421,6 +429,23 @@ def test_an_unreadable_json_file_exits_2_with_one_line(tmp_path, capsys, command
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert not out.exists()
+
+
+def test_readme_synopsis_lists_each_subcommands_options():
+    """README's ``## CLI`` synopsis names exactly the option strings each
+    subcommand's parser takes, ``-h``/``--help`` aside."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    synopsis = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in synopsis.splitlines():
+        if line.startswith("drope-bench "):
+            options = documented.setdefault(line.split()[1], set())
+        options.update(re.findall(r"--[a-z-]+", line))
+    (commands,) = (action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {option for action in sub._actions for option in action.option_strings}
+              - {"-h", "--help"} for name, sub in commands.items()}
+    assert documented == parsed
 
 
 def scene_payload(**changes):

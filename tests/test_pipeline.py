@@ -358,21 +358,22 @@ class TestRollout:
         assert np.array_equal(first.states, second.states)
 
     def test_a_recorded_rollout_keeps_counts_only(self):
-        """Unless its block asks for weights, each record of a 16-step rollout
-        holds no weights, and its counts are those recorded with them."""
+        """Each record of a 64-step rollout is two ints, and the recorded
+        run's states are bitwise those of an unrecorded one."""
         config = PipelineConfig()
         history = make_scene(seed=1, n_agents=4, n_steps=8)
-        runs = {}
-        for weights in (False, True):
+
+        def states():
             policy = PipelinePolicy(PipelineWeights.seeded(config, seed=1), config)
-            with recording(weights=weights) as records:
-                states = rollout(history, policy, horizon=16).states
-            runs[weights] = states, records
-        (states, counted), (weighed_states, weighed) = runs[False], runs[True]
-        assert counted and all(record.weights is None for record in counted)
-        assert all(record.weights is not None for record in weighed)
-        assert [record.counts for record in counted] == [record.counts for record in weighed]
-        assert np.array_equal(states, weighed_states)
+            with pytest.warns(UserWarning, match="soft limit"):
+                return rollout(history, policy, horizon=64).states
+
+        with recording() as records:
+            recorded_states = states()
+        assert len(records) >= 64
+        assert all(set(record) == {"qkv", "embedded"} for record in records)
+        assert all(type(count) is int for record in records for count in record.values())
+        assert np.array_equal(recorded_states, states())
 
     def test_replay_equality_is_exact(self):
         config = small_config()
@@ -979,7 +980,7 @@ class TestSceneRotationProperty:
         The position-head rows are not asserted: the axis-split position
         embedding is translation-invariant but not rotation-invariant.
         """
-        from drope.attention import PoseSet, QKVSet, Variant, mhsa, recording
+        from drope.attention import PoseSet, QKVSet, Variant, mhsa
         from drope.rotary import FrequencySchedule
 
         rng = np.random.default_rng(20)
@@ -989,10 +990,10 @@ class TestSceneRotationProperty:
         c, s, about = np.cos(0.9), np.sin(0.9), np.array([3.0, -4.0])
         turned = PoseSet((poses.positions - about) @ np.array([[c, s], [-s, c]]) + about,
                          poses.headings + 0.9)
-        with recording(weights=True) as records:
-            mhsa(qkv, poses, Variant.DROPE_HBH, sched=sched)
-            mhsa(qkv, turned, Variant.DROPE_HBH, sched=sched)
-        base, rotated = (record.weights for record in records)
+        # under an identity value bank each output row is that row's weights
+        weighed = QKVSet(qkv.q, qkv.k, np.broadcast_to(np.eye(5)[:, None], (5, 2, 5)))
+        base, rotated = (mhsa(weighed, moved, Variant.DROPE_HBH, sched=sched).per_head
+                         for moved in (poses, turned))
         angle_heads = slice(1, None, 2)
         assert np.max(
             np.abs(rotated[:, angle_heads] - base[:, angle_heads])

@@ -149,7 +149,7 @@ class TestMeasuredAgainstPredicted:
         with recording() as records:
             mhsa(QKVSet.random(3, 2, 2, 4, rng), PoseSet.random(3, rng), Variant.RPE,
                  enc=RPEEncoders.seeded(2, 4))
-        measured = records[0].counts
+        (measured,) = records
         assert set(measured) == {"qkv", "embedded"}
         assert measured["qkv"] == 3 * 2 * (2 * 4 + 4)
 
