@@ -82,20 +82,44 @@ _SIZE_LIST = ("a non-empty list of positive 64-bit integers",
               and all(_is_int(item) and item > 0 for item in v))
 _STRING_LIST = ("a list of strings",
                 lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v))
-_POLICY = ("'pipeline' or 'constant'", lambda v: v in ("pipeline", "constant"))
-_MODE = ("'greedy' or 'sample'", lambda v: v in ("greedy", "sample"))
+_POLICIES = ("pipeline", "constant")
+_MODES = ("greedy", "sample")
+_VARIANT_NAMES = tuple(variant.value for variant in Variant)
+_POLICY = (" or ".join(map(repr, _POLICIES)), lambda v: v in _POLICIES)
+_MODE = (" or ".join(map(repr, _MODES)), lambda v: v in _MODES)
+
+#: Each command's config keys, each mapped to its kind and default. A flag
+#: whose dest is the key overrides the config. A ``None`` default leaves the
+#: value to the library (``VerificationConfig``, ``PipelineConfig``) or the command.
+_VERIFY = {"fault_inject": (_STRING, None), "seed": (_SEED, None), "trials": (_INT, None),
+           "d_k_values": (_SIZE_LIST, None)}
+_PROFILE = {"grid": (_OBJECT, DEFAULT_PROFILE_GRID), "variants": (_STRING_LIST, _VARIANT_NAMES)}
+_GRID = dict.fromkeys(("n_tokens", "n_heads", "d_k", "d_v"), (_SIZE_LIST, None))
+_SIZES = dict.fromkeys(("d_model", "n_heads", "d_k", "d_v", "n_blocks"), (_INT, None))
+_ROLLOUT = {"seed": (_SEED, 0), "horizon": (_INT, 16), "samples": (_INT, 1),
+            "policy": (_POLICY, "pipeline"), "mode": (_MODE, "greedy"),
+            "variant": (_STRING, "drope-hbh"), "scene": (_STRING, None),
+            "synthetic": (_OBJECT, {}), "prefix_steps": (_INT, None), **_SIZES}
+#: A synthetic scene's keys; its seed defaults to the run's.
+_SYNTHETIC = {"kind": (_STRING, "random"), "seed": (_SEED, None), "n_agents": (_INT, 4),
+              "n_steps": (_INT, 24), "dt": (_NUMBER, 0.5)}
 
 
-def _setting(config: dict, key: str, kind, default, flag=None):
-    """The flag if given, else ``config[key]``, else ``default``; a flag or
-    config value of the wrong kind is a ``ConfigurationError``."""
-    if flag is None and key not in config:
-        return default
-    value = config[key] if flag is None else flag
-    description, accepts = kind
-    if not accepts(value):
-        raise ConfigurationError(f"{key!r} must be {description}, got {value!r}")
-    return value
+def _settings(config: dict, table: dict, what: str, flags=None) -> dict:
+    """Each key of ``table``: the flag of that dest if given, else ``config[key]``,
+    else the table's default. A flag or config value of the wrong kind, or a
+    config key the table lacks, is a ``ConfigurationError``."""
+    for key in config:
+        if key not in table:
+            raise ConfigurationError(f"unknown {what} key {key!r}; "
+                                     f"expected one of {sorted(table)}")
+    settings = {}
+    for key, ((description, accepts), default) in table.items():
+        flag = getattr(flags, key, None)
+        settings[key] = value = config.get(key, default) if flag is None else flag
+        if (flag is not None or key in config) and not accepts(value):
+            raise ConfigurationError(f"{key!r} must be {description}, got {value!r}")
+    return settings
 
 
 def _out_dir(args, command: str) -> Path:
@@ -112,22 +136,11 @@ def _out_dir(args, command: str) -> Path:
     return out
 
 
-def _given(config: dict, kinds: dict, flags: dict) -> dict:
-    """The settings among ``kinds`` (key to kind) that a flag or the config
-    gives; the library defaults the others."""
-    settings = {key: _setting(config, key, kind, None, flags.get(key))
-                for key, kind in kinds.items()}
-    return {key: value for key, value in settings.items() if value is not None}
-
-
 def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    fault = _setting(config, "fault_inject", _STRING, None, args.fault_inject)
-    cfg = VerificationConfig(
-        fault_injection=fault,
-        **_given(config, {"seed": _SEED, "trials": _INT, "d_k_values": _SIZE_LIST},
-                 {"seed": args.seed, "trials": args.trials}),
-    )
+    settings = _settings(_load_config(args.config), _VERIFY, "verify config", args)
+    fault = settings.pop("fault_inject")
+    cfg = VerificationConfig(fault_injection=fault, **{
+        key: value for key, value in settings.items() if value is not None})
     out = _out_dir(args, "verify")
     results = run_verification(cfg)
     for result in results:
@@ -154,11 +167,11 @@ def cmd_verify(args) -> int:
 
 def _grid_points(grid: dict):
     """Every (n_tokens, n_heads, d_k, d_v) point of the grid, the last varying fastest."""
-    keys = ("n_tokens", "n_heads", "d_k", "d_v")
-    for key in keys:
-        if _setting(grid, key, _SIZE_LIST, None) is None:
+    grid = _settings(grid, _GRID, "profile grid")
+    for key, sizes in grid.items():
+        if sizes is None:
             raise ConfigurationError(f"profile grid is missing {key!r}")
-    return itertools.product(*(grid[key] for key in keys))
+    return itertools.product(*grid.values())
 
 
 def _write_curve_dat(path: Path, rows, value_key: str, axis_label: str) -> None:
@@ -185,12 +198,9 @@ def _write_curve_dat(path: Path, rows, value_key: str, axis_label: str) -> None:
 
 
 def cmd_profile(args) -> int:
-    config = _load_config(args.config)
-    grid = _setting(config, "grid", _OBJECT, DEFAULT_PROFILE_GRID)
-    variant_names = _setting(config, "variants", _STRING_LIST, [v.value for v in Variant],
-                             args.variant)
-    variants = [Variant.from_string(name) for name in variant_names]
-    points = _grid_points(grid)
+    settings = _settings(_load_config(args.config), _PROFILE, "profile config", args)
+    variants = [Variant.from_string(name) for name in settings["variants"]]
+    points = _grid_points(settings["grid"])
     out = _out_dir(args, "profile")
     rows = sweep(points, variants)
     try:
@@ -220,52 +230,42 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _build_scene(config: dict, seed: int):
-    if "scene" in config:
-        return load_scene(_setting(config, "scene", _STRING, None))
-    synthetic = _setting(config, "synthetic", _OBJECT, {})
-    kind = _setting(synthetic, "kind", _STRING, "random")
-    kwargs = {
-        "seed": _setting(synthetic, "seed", _SEED, seed),
-        "n_agents": _setting(synthetic, "n_agents", _INT, 4),
-        "n_steps": _setting(synthetic, "n_steps", _INT, 24),
-        "dt": _setting(synthetic, "dt", _NUMBER, 0.5),
-    }
+def _build_scene(path: str | None, synthetic: dict, seed: int):
+    if path is not None:
+        return load_scene(path)
+    kind = synthetic.pop("kind")
+    if synthetic["seed"] is None:
+        synthetic["seed"] = seed
     if kind == "constant-velocity":
-        return make_constant_velocity_scene(**kwargs)
+        return make_constant_velocity_scene(**synthetic)
     if kind == "random":
-        return make_scene(**kwargs)
+        return make_scene(**synthetic)
     raise ConfigurationError(f"unknown synthetic scene kind {kind!r}")
 
 
 def cmd_rollout(args) -> int:
-    config = _load_config(args.config)
-    if args.scene is not None:
-        config["scene"] = args.scene
-    seed = _setting(config, "seed", _SEED, 0, args.seed)
-    horizon = _setting(config, "horizon", _INT, 16, args.horizon)
-    samples = _setting(config, "samples", _INT, 1, args.samples)
-    policy_name = _setting(config, "policy", _POLICY, "pipeline", args.policy)
-    mode = _setting(config, "mode", _MODE, "greedy", args.mode)
-    variant = Variant.from_string(_setting(config, "variant", _STRING, "drope-hbh", args.variant))
+    settings = _settings(_load_config(args.config), _ROLLOUT, "rollout config", args)
+    synthetic = _settings(settings["synthetic"], _SYNTHETIC, "synthetic scene")
+    seed, horizon, samples = settings["seed"], settings["horizon"], settings["samples"]
+    variant = Variant.from_string(settings["variant"])
     if horizon < 1 or samples < 1:
         raise ConfigurationError("horizon and samples must be positive")
     out = _out_dir(args, "rollout")
 
-    scene = _build_scene(config, seed)
-    prefix = _setting(config, "prefix_steps", _INT, None, args.prefix)
+    scene = _build_scene(settings["scene"], synthetic, seed)
+    prefix = settings["prefix_steps"]
     if prefix is None:
         prefix = max(scene.n_steps - horizon, 2) if scene.n_steps > 2 else scene.n_steps
     history = scene.prefix(prefix)
 
-    sizes = dict.fromkeys(("d_model", "n_heads", "d_k", "d_v", "n_blocks"), _INT)
-    pipe_config = PipelineConfig(variant=variant, **_given(config, sizes, {}))
+    sizes = {key: settings[key] for key in _SIZES if settings[key] is not None}
+    pipe_config = PipelineConfig(variant=variant, **sizes)
     weights = PipelineWeights.seeded(pipe_config, seed=seed)
 
-    if policy_name == "constant":
+    if settings["policy"] == "constant":
         policy = ConstantActionPolicy(ZERO_ACTION)
     else:
-        policy = PipelinePolicy(weights, pipe_config, mode=mode, seed=seed)
+        policy = PipelinePolicy(weights, pipe_config, mode=settings["mode"], seed=seed)
     # one batched rollout, its arrays allocated before any output is made
     results = rollout_samples(history, policy, horizon, samples)
     out.mkdir(parents=True, exist_ok=True)
@@ -299,7 +299,7 @@ def cmd_rollout(args) -> int:
             "horizon_steps": horizon,
             "prefix_steps": prefix,
             "dt": scene.dt,
-            "policy": policy_name,
+            "policy": settings["policy"],
             "variant": variant.value,
             "min_ade_per_agent": ade_per_agent,
             "min_ade_mean": ade_mean,
@@ -337,18 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     profile.add_argument(
-        "--variant", action="append", choices=[v.value for v in Variant],
+        "--variant", action="append", dest="variants", choices=_VARIANT_NAMES,
         help="variant to profile (repeatable; default all)",
     )
     profile.set_defaults(func=cmd_profile)
 
     roll.add_argument("--scene", help="scene JSON file")
     roll.add_argument("--horizon", type=int, default=None)
-    roll.add_argument("--prefix", type=int, default=None)
+    roll.add_argument("--prefix", type=int, dest="prefix_steps", default=None)
     roll.add_argument("--samples", type=int, default=None)
-    roll.add_argument("--policy", choices=["pipeline", "constant"], default=None)
-    roll.add_argument("--mode", choices=["greedy", "sample"], default=None)
-    roll.add_argument("--variant", choices=[v.value for v in Variant], default=None)
+    roll.add_argument("--policy", choices=_POLICIES, default=None)
+    roll.add_argument("--mode", choices=_MODES, default=None)
+    roll.add_argument("--variant", choices=_VARIANT_NAMES, default=None)
     roll.set_defaults(func=cmd_rollout)
     return parser
 

@@ -413,6 +413,26 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, payloa
     assert err.count("\n") == 1 and err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    pytest.param("verify", {"trial": 5}, "trial", id="verify"),
+    pytest.param("profile", {"seed": 5}, "seed", id="profile"),
+    pytest.param("profile", {"grid": {"n_tokens": [4], **_GRID, "dk": [2]}}, "dk",
+                 id="profile-grid"),
+    pytest.param("rollout", {"horizn": 3}, "horizn", id="rollout"),
+    pytest.param("rollout", {"synthetic": {"n_agent": 3}}, "n_agent", id="rollout-synthetic"),
+])
+def test_a_config_key_its_command_does_not_read_exits_2(tmp_path, capsys, command, payload,
+                                                        key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and repr(key) in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     pytest.param(b"\xff\xfe{}", id="not-utf8"),
     pytest.param(b"[" * 200_000, id="nested-too-deep"),
@@ -446,6 +466,23 @@ def test_readme_synopsis_lists_each_subcommands_options():
     parsed = {name: {option for action in sub._actions for option in action.option_strings}
               - {"-h", "--help"} for name, sub in commands.items()}
     assert documented == parsed
+
+
+def test_readme_lists_each_commands_config_keys():
+    """README's ``## CLI`` lists each command's config keys, with the keys of
+    its nested objects, as the command's settings tables declare them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        command: {key: sorted(re.findall(r"`(\w+)`", nested))
+                  for key, nested in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys)}
+        for command, keys in re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", section, re.M)
+    }
+    tables = {"verify": (cli._VERIFY, {}), "profile": (cli._PROFILE, {"grid": cli._GRID}),
+              "rollout": (cli._ROLLOUT, {"synthetic": cli._SYNTHETIC})}
+    declared = {command: {key: sorted(nested.get(key, ())) for key in table}
+                for command, (table, nested) in tables.items()}
+    assert documented == declared
 
 
 def scene_payload(**changes):
@@ -645,13 +682,17 @@ _values = st.recursive(
 
 
 def _mutated(draw, config, known):
-    """``config`` with one key, at any depth, replaced by a JSON value or dropped."""
+    """``config`` with one key, at any depth, replaced by a JSON value, dropped
+    or misspelt."""
     keys = sorted(set(config) | known)
     if not keys:
         return
     key = draw(st.sampled_from(keys))
     if isinstance(config.get(key), dict) and draw(st.booleans()):
         _mutated(draw, config[key], set())
+    elif key and not draw(st.integers(0, 4)):    # one letter dropped
+        at = draw(st.integers(0, len(key) - 1))
+        config[key[:at] + key[at + 1:]] = config.pop(key) if key in config else draw(_values)
     elif key in config and not draw(st.integers(0, 3)):
         del config[key]
     else:
